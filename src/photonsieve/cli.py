@@ -18,6 +18,7 @@ from . import fock_channel, gaussian, heralding, phasespace
 from .errors import (
     DomainError,
     LayoutMismatch,
+    NonFinite,
     NumericFailure,
     PartitionMismatch,
     ValidationFailure,
@@ -187,11 +188,9 @@ def _run_total_dist(circ, task):
     rep = gaussian.to_adjacency(build_state(circ))
     modes = task.get("modes", list(range(rep.layout.total)))
     if "max_total" in task:
-        nmax = int(task["max_total"])
-        probs = np.array([dist.prob_total(rep, modes, n)
-                          for n in range(nmax + 1)])
-        d = dist.Distribution(np.arange(nmax + 1), np.clip(probs, 0, None),
-                              max(1.0 - probs.sum(), 0.0))
+        d = dist.total_distribution(rep, modes, cutoff=int(task["max_total"]))
+        d = dist.Distribution(d.support, np.clip(d.probabilities, 0, None),
+                              max(d.deficit, 0.0))
     else:
         d = dist.total_distribution(rep, modes,
                                     tail=task.get("tail_bound", 1e-7))
@@ -354,13 +353,16 @@ def run_bench(config, seed_override=None):
 
 def _write_output(payload, path):
     result = payload["result"]
+    try:
+        text = json.dumps(_jsonable(payload), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFinite(f"result is not finite: {exc}") from exc
     if path and path.endswith(".csv") and "support" in result:
         lines = ["N,probability"]
         for n, p in zip(result["support"], result["probabilities"]):
             lines.append(f"{n},{p!r}")
         text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -443,7 +445,8 @@ def main(argv=None):
 
 def _report_error(exc):
     sys.stderr.write(json.dumps(
-        {"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        {"error": type(exc).__name__, "message": str(exc)},
+        allow_nan=False) + "\n")
 
 
 if __name__ == "__main__":

@@ -221,16 +221,7 @@ def prob_external_distinguishable(blocks, n):
     for j in range(1, nphot + 1):
         pw = pw * lam
         g[:, j - 1] = pw.sum(axis=1) / (2 * j)
-    c = np.zeros((npts, nphot + 1))
-    c[:, 0] = 1.0
-    for i in range(1, nphot + 1):
-        base = c.copy()
-        p = np.ones(npts)
-        for j in range(1, nphot // i + 1):
-            p = p * g[:, i - 1] / j
-            c[:, i * j:] += base[:, : nphot + 1 - i * j] * p[:, None]
-
-    total = np.dot(weight, c[:, nphot])
+    total = np.dot(weight, f_coefficients(g)[:, nphot])
     total *= vac / np.prod([math.factorial(k) for k in n])
     return _real_prob(total)
 

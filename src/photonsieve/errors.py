@@ -83,3 +83,7 @@ class SingularCovariance(NumericFailure):
 
 class SingularResolvent(NumericFailure):
     pass
+
+
+class ZeroProbability(NumericFailure):
+    """A conditional state was requested for an outcome of probability 0."""

@@ -8,14 +8,13 @@ permanent-based oracle for cross-checking.
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import NotSubunitary, PartitionMismatch, TooLarge
 from .gaussian import AdjacencyRep, ModeLayout
 from .hafnian import blocked_lhaf, compatible_patterns
-from .heralding import DensityMatrix, _grouped_element, partial_trace
+from .heralding import herald_density, partial_trace
 
 _PERM_LIMIT = 16
 
@@ -132,44 +131,18 @@ def fock_herald(fi, spec):
     """Heralded state on the unmeasured output ports of a Fock-fed circuit.
 
     Herald modes and trace_out in ``spec`` index the output ports; traced
-    ports are removed by a Fock-basis partial trace after assembly.
+    ports are removed by a Fock-basis partial trace after assembly.  A
+    lossy circuit conserves or loses photons, so only elements whose ket
+    and bra each hold at most the unheralded photons are nonzero.
     """
     m = len(fi.p)
-    rep = _channel_rep(fi)
-    if isinstance(spec.measurement, tuple) and len(spec.measurement) == 2 \
-            and not np.isscalar(spec.measurement[0]):
-        hblocks, hcounts = spec.measurement
-        hblocks = [tuple(i for i in b) for b in hblocks]
-        hcounts = [int(c) for c in hcounts]
-    else:
-        hblocks = [(h,) for h in spec.herald_modes]
-        hcounts = [int(c) for c in spec.measurement]
-    if sorted(i for b in hblocks for i in b) != sorted(spec.herald_modes):
-        raise PartitionMismatch("measurement blocks must cover herald modes")
+    hblocks, hcounts = spec.measurement
     blocks = [(k,) for k in range(m)]
     blocks += [tuple(m + i for i in b) for b in hblocks]
-    counts = list(fi.p) + hcounts
-    kept = [m + i for i in range(m)
-            if i not in spec.herald_modes]
     kept_ports = [i for i in range(m) if i not in spec.herald_modes]
-
-    c = spec.cutoff
-    g = len(kept)
-    dim = (c + 1) ** g
-    entries = np.zeros((dim, dim), dtype=complex)
-    if sum(hcounts) <= sum(fi.p):
-        patterns = list(product(range(c + 1), repeat=g))
-        budget = sum(fi.p) - sum(hcounts)
-        for i in range(dim):
-            for j in range(i, dim):
-                u, v = patterns[j], patterns[i]
-                if sum(u) > budget or sum(v) > budget:
-                    continue  # photon conservation under loss
-                val = _grouped_element(rep, blocks, counts, kept, u, v)
-                entries[i, j] = val
-                if j > i:
-                    entries[j, i] = np.conj(val)
-    dm = DensityMatrix(g, c, entries)
+    dm = herald_density(_channel_rep(fi), blocks, list(fi.p) + list(hcounts),
+                        [m + i for i in kept_ports], spec.cutoff,
+                        budget=sum(fi.p) - sum(hcounts))
     if spec.trace_out:
         drop = [kept_ports.index(i) for i in spec.trace_out]
         dm = partial_trace(dm, drop)

@@ -1,17 +1,20 @@
 """Loop-Hafnian kernels.
 
-Four layers, from slow-and-certain to fast:
+Five layers, from slow-and-certain to fast:
 
-* ``lhaf_oracle``     exact enumeration of single-pair matchings with loops,
-                      exponential, guarded to 14 rows;
-* ``f_from_g``        partition dynamic program turning log-series
-                      coefficients g_k into the Taylor coefficient f_N;
-* ``lhaf_sieve``      coefficient-extraction sieve on a grid of f
-                      evaluations (roots-of-unity circles by default,
-                      divided-difference ladders on request), equal to the
-                      oracle on the repeated matrix;
-* ``blocked_lhaf``    the grouped-detector generalization, one sieve variable
-                      per block.
+* ``lhaf_oracle``        exact enumeration of single-pair matchings with
+                         loops, exponential, guarded to 14 rows;
+* ``f_coefficients``     batched exp series turning log-series coefficients
+                         g_k into the Taylor coefficients f_0..f_N;
+* ``grid_coefficients``  the sieve engine: f_0..f_N on one roots-of-unity
+                         grid, then one FFT per total N reads out every
+                         count pattern the grid resolves, each with its
+                         rounding bound;
+* ``lhaf_sieve``         one pattern from the smallest such grid (explicit
+                         divided-difference ladders on request), equal to
+                         the oracle on the repeated matrix;
+* ``blocked_lhaf``       the grouped-detector generalization, one sieve
+                         variable per block.
 """
 
 import math
@@ -86,7 +89,7 @@ def repeat_pattern(a, gamma, n, m=None):
 
 
 # ---------------------------------------------------------------------------
-# partition dynamic program
+# exp series
 # ---------------------------------------------------------------------------
 
 def f_from_g(g):
@@ -95,17 +98,20 @@ def f_from_g(g):
 
 
 def f_coefficients(g):
-    """All coefficients f_0..f_N of exp(sum_k g_k eta^k) at once."""
-    g = np.asarray(g, dtype=complex)
-    n = len(g)
-    c = np.zeros(n + 1, dtype=complex)
-    c[0] = 1.0
+    """Coefficients f_0..f_N of exp(sum_k g_k eta^k), along the last axis.
+
+    Leading axes of ``g`` are a batch.  Differentiating f = exp(sum g_k
+    eta^k) gives the Newton recurrence f_n = (1/n) sum_k k g_k f_(n-k),
+    N steps of one batched dot product each.
+    """
+    g = np.asarray(g)
+    n = g.shape[-1]
+    c = np.zeros(g.shape[:-1] + (n + 1,), dtype=np.result_type(g, float))
+    c[..., 0] = 1.0
+    kg = g * np.arange(1, n + 1)
     for i in range(1, n + 1):
-        base = c.copy()
-        p = 1.0 + 0.0j
-        for j in range(1, n // i + 1):
-            p = p * g[i - 1] / j
-            c[i * j:] += base[: n + 1 - i * j] * p
+        c[..., i] = np.einsum("...k,...k->...", kg[..., :i],
+                              c[..., i - 1::-1]) / i
     return c
 
 
@@ -227,12 +233,14 @@ def sieve(evaluate, pattern, nodes=None):
     return total
 
 
-# memory budget (bytes) for the stored half-powers of one grid chunk
-_CHUNK_BYTES = 1 << 28
+# memory budget (bytes) for the matrix powers of one grid chunk; a chunk of
+# a few hundred points already amortizes the per-call overhead
+_CHUNK_BYTES = 1 << 22
 
 
-def _f_batch(a, gamma, total, zgrid, force_eig=None):
-    """f_total evaluated at every row of ``zgrid`` (shape grid x modes)."""
+def _f_series(a, gamma, nmax, zgrid, force_eig=None):
+    """f_0..f_nmax at every row of ``zgrid`` (grid x modes), shape
+    (grid, nmax + 1)."""
     a = np.asarray(a, dtype=complex)
     nmodes = a.shape[0] // 2
     x = xmat(nmodes)
@@ -242,77 +250,101 @@ def _f_batch(a, gamma, total, zgrid, force_eig=None):
 
     use_eig = force_eig
     if use_eig is None:
-        use_eig = npts >= _EIG_GRID and total >= _EIG_ORDER
+        use_eig = npts >= _EIG_GRID and nmax >= _EIG_ORDER
+    loops = gamma is not None and np.any(gamma)
+    if loops:
+        gam = np.asarray(gamma, dtype=complex)
+        xg = x @ gam
 
     per_point = 16 * (2 * nmodes) ** 2 * 4
     chunk = max(1, min(npts, _CHUNK_BYTES // per_point))
-    out = np.empty(npts, dtype=complex)
+    out = np.empty((npts, nmax + 1), dtype=complex)
     for lo in range(0, npts, chunk):
         zc = zgrid[lo:lo + chunk]
         d = np.concatenate([zc, zc], axis=1)            # (G, 2M)
         mats = d[:, :, None] * xa[None, :, :]           # (G, 2M, 2M)
-        gpts = zc.shape[0]
-        g = np.zeros((gpts, total), dtype=complex)
+        g = np.zeros((zc.shape[0], nmax), dtype=complex)
         if use_eig:
             lam = np.linalg.eigvals(mats)               # (G, 2M)
             pw = np.ones_like(lam)
-            for k in range(1, total + 1):
+            for k in range(1, nmax + 1):
                 pw = pw * lam
                 g[:, k - 1] = pw.sum(axis=1) / (2 * k)
         else:
             running = mats
-            for k in range(1, total + 1):
+            for k in range(1, nmax + 1):
                 g[:, k - 1] = running.diagonal(
                     axis1=1, axis2=2
                 ).sum(axis=1) / (2 * k)
-                if k < total:
+                if k < nmax:
                     running = running @ mats
-        if gamma is not None and np.any(gamma):
-            gam = np.asarray(gamma, dtype=complex)
-            w = d * (x @ gam)[None, :]
-            for k in range(1, total + 1):
+        if loops:
+            w = d * xg[None, :]
+            for k in range(1, nmax + 1):
                 g[:, k - 1] += (w @ gam) / 2
-                if k < total:
+                if k < nmax:
                     w = (mats @ w[:, :, None])[:, :, 0]
-
-        # batched version of f_coefficients
-        c = np.zeros((gpts, total + 1), dtype=complex)
-        c[:, 0] = 1.0
-        for i in range(1, total + 1):
-            base = c.copy()
-            p = np.ones(gpts, dtype=complex)
-            for j in range(1, total // i + 1):
-                p = p * g[:, i - 1] / j
-                c[:, i * j:] += base[:, : total + 1 - i * j] * p[:, None]
-        out[lo:lo + chunk] = c[:, total]
+        out[lo:lo + chunk] = f_coefficients(g)
     return out
 
 
-def _sieve_grid(counts, pairs, boost=1.0):
-    """Full evaluation grid and fold weights for a list of variables.
+def grid_coefficients(a, gamma, expand, targets, radii=None, force_eig=None):
+    """Blocked loop Hafnians of many count patterns from one sieve grid.
 
-    ``boost`` > 1 dilates the default circles to radius boost**(k/kmax),
-    which rebalances the fold between variables of unequal order.  The
-    target coefficient is homogeneous of total degree N, so any radius
-    assignment yields the same exact value; only rounding error changes.
+    ``expand`` maps variable columns to mode columns, and each row of
+    ``targets`` is a count pattern over the variables.  Variable j runs
+    over L_j points r_j exp(2 pi i m / L_j), L_j = 1 + its largest count
+    (a variable whose counts are all zero is pinned at zero).  Each f_N is
+    homogeneous of degree N, so a pattern k with every k_j < L_j aliases
+    with no other pattern of the same total, and one ``fftn`` of f_N on
+    the grid yields all patterns of total N at once.
+
+    Homogeneity also removes one variable e: the z^k coefficient of f_N
+    is the coefficient of the other variables' z^k in f_N with z_e pinned
+    at r_e.  A pattern of the same total then aliases onto k only through
+    a variable with L_j <= k_e, so the other sizes are raised to exceed
+    the largest k_e, and e is the variable that leaves the fewest points.
+
+    Returns (values, masses) over the rows of ``targets``: value =
+    prod k_j! [z^k] f_|k|, and mass = prod(k_j! / (L_j r_j^k_j)) times
+    sum_m |f_|k|(z_m)| over the grid (L_e = 1), the absolute fold mass,
+    whose product with the machine epsilon bounds the rounding error.
     """
-    points, weights = [], []
-    kmax = max(counts)
-    for k, pair in zip(counts, pairs):
-        pts, wts = _variable_grid(k, pair)
-        if boost != 1.0 and pair is None and k > 0:
-            r = boost ** (k / kmax)
-            pts = pts * r
-            wts = wts / r ** k
-        points.append(np.asarray(pts, dtype=complex))
-        weights.append(np.asarray(wts, dtype=complex))
-    mesh = np.stack(
-        np.meshgrid(*points, indexing="ij"), axis=-1
-    ).reshape(-1, len(points))
-    wmesh = weights[0]
-    for w in weights[1:]:
-        wmesh = np.multiply.outer(wmesh, w)
-    return mesh, wmesh.ravel()
+    targets = np.asarray(targets, dtype=int).reshape(-1, expand.shape[0])
+    nvar = targets.shape[1]
+    radii = np.ones(nvar) if radii is None else np.asarray(radii, float)
+    kmax = targets.max(axis=0)
+    sizes = kmax + 1
+    options = []
+    for e in np.flatnonzero(kmax):
+        option = np.where(kmax > 0, np.maximum(sizes, kmax[e] + 1), 1)
+        option[e] = 1
+        options.append(option)
+    if options:
+        sizes = min(options, key=np.prod)
+    axes = [radii[j] * (kmax[j] > 0)
+            * np.exp(2j * np.pi * np.arange(sizes[j]) / sizes[j])
+            for j in range(nvar)]
+    zgrid = 0.0
+    for j, ax in enumerate(axes):
+        shape = (1,) * j + (-1,) + (1,) * (nvar - j)
+        zgrid = zgrid + ax.reshape(shape) * expand[j]
+    zgrid = np.broadcast_to(zgrid, tuple(sizes) + expand.shape[1:])
+    totals = targets.sum(axis=1)
+    f = _f_series(a, gamma, int(totals.max()),
+                  zgrid.reshape(-1, expand.shape[1]), force_eig)
+    facts = np.array([float(math.factorial(k))
+                      for k in range(kmax.max() + 1)])
+    scale = np.prod(facts[targets] / radii ** targets, axis=1) / len(f)
+    index = np.where(sizes == 1, 0, targets)
+    values = np.empty(len(targets), dtype=complex)
+    masses = np.empty(len(targets))
+    for n in set(totals.tolist()):
+        sel = totals == n
+        spectrum = np.fft.fftn(f[:, n].reshape(tuple(sizes)))
+        values[sel] = spectrum[tuple(index[sel].T)] * scale[sel]
+        masses[sel] = np.abs(f[:, n]).sum() * scale[sel]
+    return values, masses
 
 
 # circle dilation used first when variable orders differ, the alternatives
@@ -324,41 +356,55 @@ _CANCEL_GUARD = 1e-3
 _EPS = float(np.finfo(float).eps)
 
 
-def _sieve_reduce(a, gamma, counts, pairs, expand, total, force_eig=None,
-                  abs_tol=None):
-    """Shared grid evaluation: expand maps variable columns to mode columns.
+def fold_is_sound(value, mass, abs_tol=None):
+    """Whether a fold result clearly exceeds its rounding bound eps * mass,
+    or the bound is below the absolute tolerance ``abs_tol``."""
+    if not (np.isfinite(value) and np.isfinite(mass)):
+        return False
+    if abs(value) >= _CANCEL_GUARD * mass:
+        return True
+    return abs_tol is not None and _EPS * mass <= abs_tol
 
-    The absolute fold mass (the sum of |weight * f| over the grid) bounds
-    the rounding error of the fold, so it doubles as a condition estimate.
-    When variable orders differ, the fold starts from a dilated grid, which
-    empirically minimizes the mass; if the result still drowns in
-    cancellation, the remaining dilations are tried and the assignment with
-    the smallest mass wins.  Every dilation evaluates the same exact
-    quantity, because the target coefficient is homogeneous.  A result is
-    accepted once it clearly exceeds the error bound, or once the bound
-    drops below ``abs_tol`` when the caller supplied one.  Explicitly given
-    nodes are never second-guessed.
+
+def _sieve_reduce(a, gamma, counts, expand, nodes=None, force_eig=None,
+                  abs_tol=None):
+    """One pattern from the smallest grid; ``expand`` maps variable
+    columns to mode columns.
+
+    The absolute fold mass bounds the rounding error of the fold, so it
+    doubles as a condition estimate.  When variable orders differ, the fold
+    starts on circles of radius 4**(k_j/k_max).  This is a heuristic, not
+    an optimum: on the (26, 26) diagonal element of the cutoff-26 herald
+    pipeline it gave a mass of 1.7e31 against 4.8e26 on unit circles, on a
+    grid with no pinned variable.  If the
+    result drowns in cancellation, the remaining dilations are tried and
+    the assignment with the smallest mass wins.  Every dilation evaluates
+    the same exact quantity, because the target coefficient is
+    homogeneous.  A result is accepted once it is sound (``fold_is_sound``).
+    Explicit (u, v) nodes run the generic divided-difference ``sieve``
+    instead, one point at a time, and are never second-guessed.
     """
-    adaptive = all(p is None for p in pairs) and len(set(counts)) > 1
+    total = sum(counts)
+    if nodes is not None:
+        return sieve(lambda z: _f_series(a, gamma, total, (z @ expand)[None],
+                                         force_eig)[0, total],
+                     counts, nodes)
+    adaptive = len(set(counts)) > 1
+    kmax = max(counts)
 
     def fold(boost):
-        mesh, wmesh = _sieve_grid(counts, pairs, boost)
-        vals = _f_batch(a, gamma, total, mesh @ expand, force_eig=force_eig)
-        terms = wmesh * vals
-        return complex(terms.sum()), float(np.abs(terms).sum())
-
-    def sound(out, mass):
-        if abs(out) >= _CANCEL_GUARD * mass:
-            return True
-        return abs_tol is not None and _EPS * mass <= abs_tol
+        radii = [boost ** (k / kmax) for k in counts]
+        vals, masses = grid_coefficients(a, gamma, expand, [counts], radii,
+                                         force_eig)
+        return complex(vals[0]), float(masses[0])
 
     out, mass = fold(_PRIMARY_BOOST if adaptive else 1.0)
-    if adaptive and not sound(out, mass):
+    if adaptive and not fold_is_sound(out, mass, abs_tol):
         for boost in _FALLBACK_BOOSTS:
             cand, cmass = fold(boost)
             if cmass < mass:
                 out, mass = cand, cmass
-            if sound(out, mass):
+            if fold_is_sound(out, mass, abs_tol):
                 break
     if not np.isfinite(out):
         raise NonFinite("sieve accumulation overflowed")
@@ -367,25 +413,13 @@ def _sieve_reduce(a, gamma, counts, pairs, expand, total, force_eig=None,
 
 def lhaf_sieve(a, gamma, pattern, nodes=None, force_eig=None, abs_tol=None):
     """Loop Hafnian of the repeated matrix A_{n (+) n} via the sieve."""
-    pattern = [int(k) for k in pattern]
-    a = np.asarray(a, dtype=complex)
-    nmodes = a.shape[0] // 2
+    nmodes = np.shape(a)[0] // 2
     if len(pattern) != nmodes:
         raise PartitionMismatch(
             f"pattern length {len(pattern)} != mode count {nmodes}"
         )
-    total = sum(pattern)
-    if total == 0:
-        return 1.0 + 0.0j
-    pairs = _node_pairs(pattern, nodes)
-    active = [j for j, k in enumerate(pattern) if k > 0]
-    expand = np.zeros((len(active), nmodes), dtype=complex)
-    for row, j in enumerate(active):
-        expand[row, j] = 1.0
-    counts = [pattern[j] for j in active]
-    act_pairs = [pairs[j] for j in active]
-    return _sieve_reduce(a, gamma, counts, act_pairs, expand, total,
-                         force_eig=force_eig, abs_tol=abs_tol)
+    return blocked_lhaf(a, gamma, [(j,) for j in range(nmodes)], pattern,
+                        nodes=nodes, force_eig=force_eig, abs_tol=abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +473,20 @@ def blocked_lhaf(a, gamma, blocks, b, nodes=None, force_eig=None,
     total = sum(b)
     if total == 0:
         return 1.0 + 0.0j
-    pairs = _node_pairs(b, nodes)
     active = [j for j, k in enumerate(b) if k > 0]
-    expand = np.zeros((len(active), nmodes), dtype=complex)
-    for row, j in enumerate(active):
-        for i in blocks[j]:
-            expand[row, i] = 1.0
-    counts = [b[j] for j in active]
-    act_pairs = [pairs[j] for j in active]
-    return _sieve_reduce(a, gamma, counts, act_pairs, expand, total,
-                         force_eig=force_eig, abs_tol=abs_tol)
+    if nodes is not None:
+        nodes = [nodes[j] for j in active]
+    return _sieve_reduce(a, gamma, [b[j] for j in active],
+                         block_expansion([blocks[j] for j in active], nmodes),
+                         nodes=nodes, force_eig=force_eig, abs_tol=abs_tol)
+
+
+def block_expansion(blocks, nmodes):
+    """Matrix mapping one sieve variable per block to the modes it covers."""
+    expand = np.zeros((len(blocks), nmodes), dtype=complex)
+    for row, blk in enumerate(blocks):
+        expand[row, list(blk)] = 1.0
+    return expand
 
 
 def blocked_lhaf_combinatorial(a, gamma, blocks, b, use_oracle=False):

@@ -3,8 +3,9 @@
 Off-diagonal elements <m|rho|n> need the loop Hafnian of a rectangular
 repetition A_{n (+) m}. The embedding construction turns that into a square
 repetition of a larger matrix so the finite-difference sieve applies. Density
-matrices of heralded states are assembled element by element, with traced
-modes marginalized at the Gaussian level first.
+matrices of heralded states are assembled from one sieve grid per class of
+elements with the same embedded matrix, with traced modes marginalized at
+the Gaussian level first and elements that vanish by parity left at zero.
 """
 
 import math
@@ -18,9 +19,16 @@ from .errors import (
     LengthMismatch,
     NotNormalized,
     PartitionMismatch,
+    ZeroProbability,
 )
 from .gaussian import AdjacencyRep, ModeLayout, adjacency_from_cov
-from .hafnian import blocked_lhaf, lhaf_sieve
+from .hafnian import (
+    block_expansion,
+    blocked_lhaf,
+    fold_is_sound,
+    grid_coefficients,
+    lhaf_sieve,
+)
 from .linalg import xmat
 
 PAD = "pad"
@@ -46,9 +54,10 @@ class HeraldSpec:
     """What is measured, what is kept, what is discarded.
 
     ``measurement`` is either a fine pattern (sequence of counts, one per
-    herald mode) or a pair (blocks, counts) grouping the herald modes.
-    ``trace_out`` modes are discarded; ``cutoff`` bounds the Fock index of
-    every remaining mode.
+    herald mode) or a pair (blocks, counts) grouping the herald modes; it is
+    stored as the pair, blocks as tuples of mode indices.  ``trace_out``
+    modes are discarded; ``cutoff`` bounds the Fock index of every remaining
+    mode.
     """
 
     herald_modes: tuple
@@ -63,6 +72,18 @@ class HeraldSpec:
             raise PartitionMismatch("cutoff must be non-negative")
         if set(self.herald_modes) & set(self.trace_out):
             raise PartitionMismatch("herald and traced modes must be disjoint")
+        m = self.measurement
+        if isinstance(m, tuple) and len(m) == 2 and not np.isscalar(m[0]):
+            blocks, counts = m
+        else:
+            blocks, counts = [(h,) for h in self.herald_modes], m
+        blocks = tuple(tuple(int(i) for i in b) for b in blocks)
+        counts = tuple(int(c) for c in counts)
+        if sorted(i for b in blocks for i in b) != sorted(self.herald_modes):
+            raise PartitionMismatch("measurement blocks must cover herald modes")
+        if len(blocks) != len(counts):
+            raise PartitionMismatch("one count per herald block")
+        object.__setattr__(self, "measurement", (blocks, counts))
 
 
 @dataclass(frozen=True)
@@ -90,9 +111,14 @@ class DensityMatrix:
         return complex(np.trace(self.entries))
 
     def normalized(self):
-        return DensityMatrix(
-            self.modes, self.cutoff, self.entries / self.trace.real
-        )
+        """The state divided by its trace; a herald outcome of probability
+        zero has no state, and raises."""
+        trace = self.trace.real
+        if not trace > 0:
+            raise ZeroProbability(
+                f"cannot normalize a density matrix of trace {trace:.3e}"
+            )
+        return DensityMatrix(self.modes, self.cutoff, self.entries / trace)
 
     def index_of(self, pattern):
         idx = 0
@@ -112,37 +138,48 @@ def _source_index(tag, nmodes):
     return k if half == "ket" else nmodes + k
 
 
-def _assemble(a, gamma, nmodes, tbar, new_modes, pad_slots):
+def _tags(nmodes, new_modes):
+    """Source tag of every mode half of the embedded matrix, in order."""
+    tags = [("ket", k) for k in range(nmodes)]
+    tags += [nm[0] for nm in new_modes]
+    tags += [("bra", k) for k in range(nmodes)]
+    tags += [nm[1] for nm in new_modes]
+    return tuple(tags)
+
+
+def _embedded_matrix(a, gamma, tags):
+    """(a', gamma') of a tag list: a tagged half copies its source row and
+    loop weight, a padding half is a zero row with loop weight one."""
+    nmodes = len(gamma) // 2
+    pad = np.array([tag is PAD for tag in tags])
+    idx = [0 if tag is PAD else _source_index(tag, nmodes) for tag in tags]
+    ap = np.asarray(a, dtype=complex)[np.ix_(idx, idx)]
+    gp = np.asarray(gamma, dtype=complex)[idx]
+    ap[pad, :] = 0.0
+    ap[:, pad] = 0.0
+    ap[pad, pad] = 1.0
+    gp[pad] = 1.0
+    return ap, gp
+
+
+def _assemble(a, gamma, nmodes, tbar, new_modes):
     """Build (a', gamma', t, source_map) from per-new-mode source tags.
 
     ``new_modes`` is a list of (ket_tag, bra_tag, count); a tag is
     ('ket'|'bra', original mode) or PAD.
     """
-    mprime = nmodes + len(new_modes)
-    tags = [("ket", k) for k in range(nmodes)]
-    tags += [nm[0] for nm in new_modes]
-    tags += [("bra", k) for k in range(nmodes)]
-    tags += [nm[1] for nm in new_modes]
-    ap = np.zeros((2 * mprime, 2 * mprime), dtype=complex)
-    gp = np.zeros(2 * mprime, dtype=complex)
-    for i, ti in enumerate(tags):
-        if ti is PAD:
-            ap[i, i] = 1.0
-            gp[i] = 1.0
-            continue
-        si = _source_index(ti, nmodes)
-        gp[i] = gamma[si]
-        for j, tj in enumerate(tags):
-            if tj is PAD:
-                continue
-            ap[i, j] = a[si, _source_index(tj, nmodes)]
-    for i, ti in enumerate(tags):
-        if ti is PAD:
-            ap[i, :] = 0.0
-            ap[:, i] = 0.0
-            ap[i, i] = 1.0
+    tags = _tags(nmodes, new_modes)
+    ap, gp = _embedded_matrix(a, gamma, tags)
     t = tuple(tbar) + tuple(nm[2] for nm in new_modes)
-    return Embedding(ap, gp, t, tuple(tags))
+    return Embedding(ap, gp, t, tags)
+
+
+def _check_patterns(n, m, nmodes):
+    n = [int(x) for x in n]
+    m = [int(x) for x in m]
+    if len(n) != nmodes or len(m) != nmodes:
+        raise LengthMismatch("patterns must cover all modes")
+    return n, m
 
 
 def build_embedding(rep, n, m):
@@ -153,10 +190,7 @@ def build_embedding(rep, n, m):
     with a padding half (zero row, loop weight one).
     """
     nmodes = rep.layout.total
-    n = [int(x) for x in n]
-    m = [int(x) for x in m]
-    if len(n) != nmodes or len(m) != nmodes:
-        raise LengthMismatch("patterns must cover all modes")
+    n, m = _check_patterns(n, m, nmodes)
     tbar = [min(a, b) for a, b in zip(n, m)]
     slots = []
     for k in range(nmodes):
@@ -168,27 +202,22 @@ def build_embedding(rep, n, m):
         new_modes.append((slots[i], slots[i + 1], 1))
     if len(slots) % 2:
         new_modes.append((slots[-1], PAD, 1))
-    return _assemble(rep.a, rep.gamma, nmodes, tbar, new_modes, None)
+    return _assemble(rep.a, rep.gamma, nmodes, tbar, new_modes)
 
 
-def _merged_embedding(rep, n, m):
-    """Compact variant: same-source surplus copies merge into counted modes.
+def _merged_modes(n, m):
+    """(tbar, new_modes) of the merged embedding of the (ket n, bra m) pair.
 
     A source with d surplus copies yields one new mode of count d // 2 (its
     ket and bra halves both carry the source row, so the repetition is
     entry-identical to d // 2 zipped one-photon modes); odd leftovers are
     zipped across sources, with a final padding half if their number is odd.
     """
-    nmodes = rep.layout.total
-    n = [int(x) for x in n]
-    m = [int(x) for x in m]
-    if len(n) != nmodes or len(m) != nmodes:
-        raise LengthMismatch("patterns must cover all modes")
     tbar = [min(a, b) for a, b in zip(n, m)]
     new_modes = []
     leftovers = []
-    for k in range(nmodes):
-        d = n[k] - m[k]
+    for k, (a, b) in enumerate(zip(n, m)):
+        d = a - b
         tag = ("ket", k) if d > 0 else ("bra", k)
         d = abs(d)
         if d >= 2:
@@ -199,7 +228,15 @@ def _merged_embedding(rep, n, m):
         new_modes.append((leftovers[i], leftovers[i + 1], 1))
     if len(leftovers) % 2:
         new_modes.append((leftovers[-1], PAD, 1))
-    return _assemble(rep.a, rep.gamma, nmodes, tbar, new_modes, None)
+    return tbar, new_modes
+
+
+def _merged_embedding(rep, n, m):
+    """Compact variant of ``build_embedding``: same-source surplus copies
+    merge into counted modes (``_merged_modes``)."""
+    nmodes = rep.layout.total
+    n, m = _check_patterns(n, m, nmodes)
+    return _assemble(rep.a, rep.gamma, nmodes, *_merged_modes(n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +252,23 @@ def fock_element(rep, m, n, merged=False):
     return complex(val / norm)
 
 
+def _full_patterns(nmodes, kept, u, v):
+    """Ket and bra patterns over all modes, zero outside ``kept``."""
+    nfull = [0] * nmodes
+    mfull = [0] * nmodes
+    for k, a, b in zip(kept, u, v):
+        nfull[k] = int(a)
+        mfull[k] = int(b)
+    return nfull, mfull
+
+
+def _element_norm(counts, u, v):
+    norm = np.prod([math.factorial(int(c)) for c in counts])
+    return norm * np.prod([math.sqrt(math.factorial(int(a))
+                                     * math.factorial(int(b)))
+                           for a, b in zip(u, v)])
+
+
 def _grouped_element(rep, herald_blocks, counts, kept, u, v, abs_tol=None):
     """<v|rho_G|u> with the herald modes measured through grouped detectors.
 
@@ -224,30 +278,25 @@ def _grouped_element(rep, herald_blocks, counts, kept, u, v, abs_tol=None):
     the returned element; it relaxes the adaptive sieve on elements whose
     exact value is negligibly small.
     """
-    nmodes = rep.layout.total
-    nfull = [0] * nmodes
-    mfull = [0] * nmodes
-    for k, (a, b) in zip(kept, zip(u, v)):
-        nfull[k] = int(a)
-        mfull[k] = int(b)
-    emb = _merged_embedding(rep, nfull, mfull)
-    mprime = len(emb.t)
-    blocks = [tuple(b) for b in herald_blocks]
-    blk_counts = list(counts)
-    in_herald = set(i for b in blocks for i in b)
-    for j in range(mprime):
-        if j not in in_herald:
-            blocks.append((j,))
-            blk_counts.append(emb.t[j])
-    norm = np.prod([math.factorial(int(c)) for c in counts])
-    norm *= np.prod([math.sqrt(math.factorial(int(a)) * math.factorial(int(b)))
-                     for a, b in zip(u, v)])
+    emb = _merged_embedding(rep, *_full_patterns(rep.layout.total, kept,
+                                                 u, v))
+    singles = _singles(herald_blocks, len(emb.t))
+    norm = _element_norm(counts, u, v)
     scale = abs(rep.vacuum_prob) / norm
     val = rep.vacuum_prob * blocked_lhaf(
-        emb.a_prime, emb.gamma_prime, blocks, blk_counts,
+        emb.a_prime, emb.gamma_prime,
+        [tuple(b) for b in herald_blocks] + [(k,) for k in singles],
+        list(counts) + [emb.t[k] for k in singles],
         abs_tol=None if abs_tol is None or scale == 0 else abs_tol / scale,
     )
     return complex(val / norm)
+
+
+def _singles(herald_blocks, mprime):
+    """Embedded modes outside the herald blocks; after the herald blocks,
+    each is one sieve variable of its own."""
+    in_herald = set(i for b in herald_blocks for i in b)
+    return [k for k in range(mprime) if k not in in_herald]
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +323,7 @@ def _herald_parts(rep, spec):
     """Marginalize traced modes and renumber; returns (rep', blocks, counts,
     kept') in the reduced indexing."""
     t = rep.layout.total
-    if isinstance(spec.measurement, tuple) and len(spec.measurement) == 2 \
-            and not np.isscalar(spec.measurement[0]):
-        blocks, counts = spec.measurement
-        blocks = [tuple(b) for b in blocks]
-        counts = [int(c) for c in counts]
-    else:
-        blocks = [(h,) for h in spec.herald_modes]
-        counts = [int(c) for c in spec.measurement]
-    if sorted(i for b in blocks for i in b) != sorted(spec.herald_modes):
-        raise PartitionMismatch("measurement blocks must cover herald modes")
-    if len(blocks) != len(counts):
-        raise PartitionMismatch("one count per herald block")
+    blocks, counts = spec.measurement
     kept = [i for i in range(t)
             if i not in spec.herald_modes and i not in spec.trace_out]
     survivors = sorted(set(spec.herald_modes) | set(kept))
@@ -293,38 +331,104 @@ def _herald_parts(rep, spec):
     sub = _marginal_rep(rep, survivors) if len(survivors) < t else rep
     blocks = [tuple(renum[i] for i in b) for b in blocks]
     kept = [renum[i] for i in kept]
-    return sub, blocks, counts, kept
+    return sub, blocks, list(counts), kept
+
+
+def _fill_elements(entries, rep, blocks, counts, kept, patterns, pairs,
+                   abs_tol):
+    """Set entries[i, j] = <v|rho|u>, ket u = patterns[j] and bra
+    v = patterns[i], and its Hermitian mirror, for every (i, j) in pairs.
+
+    Elements whose merged embeddings share a source map share a' and
+    gamma', so a class of them is one generating function read out at
+    different count patterns.  A class gets one sieve grid, with L_j = 1 +
+    the largest count of variable j in it, when that grid costs no more
+    (its points times the largest total) than the per-element grids (their
+    points times their totals).  An element the grid does not resolve
+    soundly is recomputed by ``_grouped_element``, with its dilation
+    fallbacks.
+    """
+    nmodes = rep.layout.total
+    classes = {}
+    for i, j in pairs:
+        tbar, new_modes = _merged_modes(
+            *_full_patterns(nmodes, kept, patterns[j], patterns[i]))
+        t = tbar + [nm[2] for nm in new_modes]
+        classes.setdefault(_tags(nmodes, new_modes), []).append((i, j, t))
+    herald = [tuple(b) for b in blocks]
+    for tags, members in classes.items():
+        singles = _singles(herald, len(tags) // 2)
+        ks = np.array([list(counts) + [t[k] for k in singles]
+                       for _, _, t in members], dtype=int)
+        totals = ks.sum(axis=1)
+        sizes = ks.max(axis=0) + 1
+        per_element = sum(np.prod(k[k > 0] + 1) * n
+                          for k, n in zip(ks, totals))
+        values = [None] * len(members)
+        if np.prod(sizes) * totals.max() <= per_element:
+            ap, gp = _embedded_matrix(rep.a, rep.gamma, tags)
+            expand = block_expansion(herald + [(k,) for k in singles],
+                                     len(tags) // 2)
+            lhafs, masses = grid_coefficients(ap, gp, expand, ks)
+            for idx, (i, j, _) in enumerate(members):
+                norm = _element_norm(counts, patterns[j], patterns[i])
+                scale = abs(rep.vacuum_prob) / norm
+                if fold_is_sound(lhafs[idx] * scale, masses[idx] * scale,
+                                 abs_tol):
+                    values[idx] = complex(rep.vacuum_prob * lhafs[idx] / norm)
+        for (i, j, _), val in zip(members, values):
+            if val is None:
+                val = _grouped_element(rep, blocks, counts, kept,
+                                       patterns[j], patterns[i],
+                                       abs_tol=abs_tol)
+            if j == i:
+                entries[i, i] = val.real  # a probability, up to rounding
+            else:
+                entries[i, j] = val
+                entries[j, i] = np.conj(val)
+
+
+def herald_density(rep, blocks, counts, kept, cutoff, budget=None):
+    """Unnormalized heralded density matrix over the ``kept`` modes.
+
+    ``blocks``/``counts`` is the herald outcome over the other modes of
+    ``rep``.  ``budget``, when given, bounds the photon number of the ket
+    and of the bra pattern; elements beyond it are zero.  With a zero loop
+    vector, an element of odd |u| + |v| is a loop Hafnian of odd size and
+    so exactly zero.  The diagonal comes first: the trace sets the scale of
+    the state, and off-diagonal elements only need absolute accuracy
+    1e-9 * trace.
+    """
+    patterns = list(product(range(cutoff + 1), repeat=len(kept)))
+    photons = [sum(p) for p in patterns]
+    dim = len(patterns)
+    zero_loops = not np.any(rep.gamma)
+
+    def needed(i, j):
+        if budget is not None and max(photons[i], photons[j]) > budget:
+            return False
+        return not (zero_loops and (photons[i] + photons[j]) % 2)
+
+    entries = np.zeros((dim, dim), dtype=complex)
+    _fill_elements(entries, rep, blocks, counts, kept, patterns,
+                   [(i, i) for i in range(dim) if needed(i, i)], None)
+    tol = 1e-9 * abs(np.trace(entries).real)
+    _fill_elements(entries, rep, blocks, counts, kept, patterns,
+                   [(i, j) for i in range(dim) for j in range(i + 1, dim)
+                    if needed(i, j)],
+                   tol if tol > 0 else None)
+    return DensityMatrix(len(kept), cutoff, entries)
 
 
 def herald_grouped(rep, spec):
     """Unnormalized heralded state for a grouped (or fine) herald outcome."""
     sub, blocks, counts, kept = _herald_parts(rep, spec)
-    c = spec.cutoff
-    g = len(kept)
-    dim = (c + 1) ** g
-    patterns = list(product(range(c + 1), repeat=g))
-    entries = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        entries[i, i] = _grouped_element(sub, blocks, counts, kept,
-                                         patterns[i], patterns[i])
-    # the trace sets the scale of the state; off-diagonal elements only
-    # need absolute accuracy far below it
-    tol = 1e-9 * abs(np.trace(entries).real)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            # row index is the bra pattern v, column the ket pattern u
-            val = _grouped_element(sub, blocks, counts, kept,
-                                   patterns[j], patterns[i],
-                                   abs_tol=tol if tol > 0 else None)
-            entries[i, j] = val
-            entries[j, i] = np.conj(val)
-    return DensityMatrix(g, c, entries)
+    return herald_density(sub, blocks, counts, kept, spec.cutoff)
 
 
 def herald_fine(rep, spec):
     """Unnormalized heralded state for an exact herald pattern."""
-    if isinstance(spec.measurement, tuple) and len(spec.measurement) == 2 \
-            and not np.isscalar(spec.measurement[0]):
+    if any(len(b) != 1 for b in spec.measurement[0]):
         raise PartitionMismatch("herald_fine needs a fine pattern")
     return herald_grouped(rep, spec)
 

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from photonsieve import cli
+from photonsieve import cli, gaussian
+from photonsieve import distributions as dist
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -228,3 +229,47 @@ def test_config_round_trip_in_payload(tmp_path):
     embedded = json.loads(out.read_text())["config"]
     for key in config:
         assert embedded[key] == config[key]
+
+
+def test_total_dist_max_total_matches_prob_total(tmp_path):
+    config = {"circuit": {"modes": 2, "squeezing": [0.5, 0.3],
+                          "transmission": {"haar_seed": 3,
+                                           "efficiency": 0.8}},
+              "task": {"kind": "total-dist", "max_total": 6}}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--config", write_config(tmp_path, config),
+                     "--output", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    rep = gaussian.to_adjacency(cli.build_state(config["circuit"]))
+    want = [dist.prob_total(rep, [0, 1], n) for n in range(7)]
+    assert result["support"] == list(range(7))
+    assert np.allclose(result["probabilities"], want, rtol=1e-12, atol=1e-15)
+    assert np.isclose(result["deficit"], 1.0 - sum(want), atol=1e-12)
+
+
+def test_zero_probability_herald_exits_numeric_error(tmp_path):
+    # one photon through a balanced splitter never yields two at port 1
+    config = {
+        "circuit": {"modes": 2, "transmission": tmsv_circuit()["transmission"]
+                    ["unitary"]},
+        "task": {"kind": "fock-herald", "input": [1, 0],
+                 "herald_modes": [1], "measurement": [2], "cutoff": 2},
+    }
+    out = tmp_path / "r.json"
+    proc = run_cli(["run", "--config", write_config(tmp_path, config),
+                    "--output", str(out)])
+    assert proc.returncode == 3
+    assert not out.exists()
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "ZeroProbability"
+    config["task"]["normalize"] = False
+    assert cli.main(["run", "--config", write_config(tmp_path, config),
+                     "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["trace"] == [0.0, 0.0]
+
+
+def test_non_finite_result_is_a_numeric_error(tmp_path, capsys):
+    payload = {"result": {"probability": float("nan")}}
+    with pytest.raises(cli.NonFinite):
+        cli._write_output(payload, None)
+    assert capsys.readouterr().out == ""

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonsieve import fock_channel as fc
 from photonsieve import heralding
@@ -218,3 +221,42 @@ def test_herald_hermitian_with_complex_circuit():
     assert np.allclose(dm.entries, dm.entries.conj().T)
     evals = np.linalg.eigvalsh(dm.entries)
     assert evals.min() > -1e-10
+
+
+def random_fock_herald(seed):
+    rng = np.random.default_rng(seed)
+    t = 0.9 * haar_unitary(rng, 3)
+    fi = fc.FockInput(tuple(int(x) for x in rng.integers(0, 3, 3)), t)
+    spec = HeraldSpec([0], [int(rng.integers(0, 2))], cutoff=2)
+    return fi, spec
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6))
+def test_herald_odd_parity_elements_are_exact_zeros(seed):
+    fi, spec = random_fock_herald(seed)
+    dm = fc.fock_herald(fi, spec)
+    photons = np.array([sum(p) for p in itertools.product(range(3),
+                                                          repeat=2)])
+    odd = (photons[:, None] + photons[None, :]) % 2 == 1
+    assert np.all(dm.entries[odd] == 0.0)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6))
+def test_herald_matches_per_element_oracle(seed):
+    fi, spec = random_fock_herald(seed)
+    dm = fc.fock_herald(fi, spec)
+    rep = fc._channel_rep(fi)
+    blocks = [(0,), (1,), (2,), (3,)]
+    counts = list(fi.p) + list(spec.measurement[1])
+    budget = sum(fi.p) - sum(spec.measurement[1])
+    patterns = list(itertools.product(range(3), repeat=2))
+    want = np.zeros_like(dm.entries)
+    for i, v in enumerate(patterns):
+        for j, u in enumerate(patterns):
+            if max(sum(u), sum(v)) <= budget:
+                want[i, j] = heralding._grouped_element(
+                    rep, blocks, counts, [4, 5], u, v)
+    assert np.max(np.abs(dm.entries - want)) <= 1e-12 * max(
+        abs(np.trace(want).real), 1e-300)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonsieve import hafnian
 from photonsieve.errors import OddDimension, PartitionMismatch, TooLarge
@@ -99,6 +101,26 @@ def test_f_from_g_matches_partition_enumeration(n):
     rng = np.random.default_rng(n)
     g = rand_gamma(rng, n)
     assert np.isclose(hafnian.f_from_g(g), f_partition_oracle(g), rtol=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), batch=st.integers(1, 4),
+       n=st.integers(0, 8))
+def test_f_coefficients_batched_matches_partition_enumeration(seed, batch, n):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(batch, n)) + 1j * rng.normal(size=(batch, n))
+    c = hafnian.f_coefficients(g)
+    assert c.shape == (batch, n + 1)
+    for row, coeffs in zip(g, c):
+        for k in range(n + 1):
+            assert np.isclose(coeffs[k], f_partition_oracle(row[:k]),
+                              rtol=1e-12, atol=1e-12)
+
+
+def test_f_coefficients_keeps_real_input_real():
+    c = hafnian.f_coefficients(np.array([[0.5, 0.25]]))
+    assert c.dtype == float
+    assert np.allclose(c, [[1.0, 0.5, 0.375]])
 
 
 def test_g_coefficients_traces_and_scale():
@@ -226,6 +248,38 @@ def test_lhaf_sieve_eig_path_matches():
         hafnian.lhaf_sieve(a, gam, pattern, force_eig=False),
         rtol=1e-8,
     )
+
+
+# -- shared grid --------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), with_gamma=st.booleans(),
+       sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_grid_coefficients_match_per_pattern_sieve(seed, with_gamma, sizes):
+    """Every pattern the grid resolves equals its own smallest-grid sieve,
+    and its fold mass bounds its magnitude."""
+    rng = np.random.default_rng(seed)
+    nmodes = len(sizes) + 1
+    a = rand_symmetric(rng, 2 * nmodes) / nmodes
+    gam = rand_gamma(rng, 2 * nmodes) if with_gamma else None
+    # the first variable covers two modes, as a detector block does
+    blocks = [(0, 1)] + [(j,) for j in range(2, nmodes)]
+    expand = hafnian.block_expansion(blocks, nmodes)
+    targets = list(itertools.product(*(range(s) for s in sizes)))
+    radii = rng.uniform(0.5, 2.0, len(sizes))
+    values, masses = hafnian.grid_coefficients(a, gam, expand, targets,
+                                               radii)
+    for k, value, mass in zip(targets, values, masses):
+        want = hafnian.blocked_lhaf(a, gam, blocks, k)
+        assert np.isclose(value, want, rtol=1e-9, atol=1e-12)
+        assert abs(value) <= mass * (1 + 1e-12)
+
+
+def test_fold_is_sound_rules():
+    assert hafnian.fold_is_sound(1.0, 10.0)
+    assert not hafnian.fold_is_sound(1e-6, 10.0)
+    assert hafnian.fold_is_sound(1e-6, 10.0, abs_tol=1e-12)
+    assert not hafnian.fold_is_sound(np.nan, 1.0, abs_tol=1.0)
 
 
 # -- blocked ------------------------------------------------------------------

@@ -1,11 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonsieve import distributions as dist
 from photonsieve import gaussian, hafnian, heralding
-from photonsieve.errors import LengthMismatch, NotNormalized
+from photonsieve.errors import (
+    LengthMismatch,
+    NotNormalized,
+    PartitionMismatch,
+    ZeroProbability,
+)
 
 L1 = gaussian.ModeLayout(1)
 L2 = gaussian.ModeLayout(2)
@@ -270,3 +278,99 @@ def test_fidelity():
                            psi)
     with pytest.raises(LengthMismatch):
         heralding.fidelity(dm, np.ones(3))
+
+
+# -- shared-grid assembly -----------------------------------------------------
+
+def random_herald(seed, displaced, grouped, kept):
+    """A lossy squeezed (optionally displaced) state with a herald on the
+    first modes and ``kept`` supported modes after them."""
+    rng = np.random.default_rng(seed)
+    nherald = 2 if grouped else 1
+    nmodes = nherald + kept
+    lay = gaussian.ModeLayout(nmodes)
+    s = gaussian.apply_channel(
+        gaussian.from_squeezing(rng.uniform(0.2, 0.6, nmodes), lay),
+        0.9 * haar_unitary(rng, nmodes))
+    if displaced:
+        s = gaussian.displace(
+            s, 0.3 * (rng.normal(size=nmodes) + 1j * rng.normal(size=nmodes)))
+    herald = list(range(nherald))
+    if grouped:
+        measurement = ([tuple(herald)], (int(rng.integers(1, 3)),))
+    else:
+        measurement = [int(rng.integers(0, 3))]
+    return gaussian.to_adjacency(s), herald, measurement
+
+
+def per_element_oracle(rep, spec):
+    """The density matrix element by element, each a full per-pattern
+    sieve without tolerance relaxation."""
+    sub, blocks, counts, kept = heralding._herald_parts(rep, spec)
+    patterns = list(itertools.product(range(spec.cutoff + 1),
+                                      repeat=len(kept)))
+    dim = len(patterns)
+    out = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(i, dim):
+            out[i, j] = heralding._grouped_element(
+                sub, blocks, counts, kept, patterns[j], patterns[i])
+            out[j, i] = np.conj(out[i, j])
+    return out
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), displaced=st.booleans(),
+       grouped=st.booleans(), kept=st.integers(1, 2))
+def test_shared_grid_matches_per_element_oracle(seed, displaced, grouped,
+                                                kept):
+    rep, herald, measurement = random_herald(seed, displaced, grouped, kept)
+    spec = heralding.HeraldSpec(herald, measurement, cutoff=5 - kept)
+    dm = heralding.herald_grouped(rep, spec)
+    want = per_element_oracle(rep, spec)
+    scale = abs(np.trace(want).real)
+    assert np.max(np.abs(dm.entries - want)) <= 1e-12 * scale
+    assert np.array_equal(dm.entries, dm.entries.conj().T)
+    assert np.linalg.eigvalsh(dm.entries).min() >= -1e-12 * scale
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), grouped=st.booleans(),
+       kept=st.integers(1, 2))
+def test_odd_parity_elements_are_exact_zeros(seed, grouped, kept):
+    rep, herald, measurement = random_herald(seed, False, grouped, kept)
+    spec = heralding.HeraldSpec(herald, measurement, cutoff=5 - kept)
+    dm = heralding.herald_grouped(rep, spec)
+    photons = np.array([sum(p) for p in itertools.product(
+        range(spec.cutoff + 1), repeat=kept)])
+    odd = (photons[:, None] + photons[None, :]) % 2 == 1
+    assert np.all(dm.entries[odd] == 0.0)
+    assert np.all(dm.entries[~odd] != 0.0)
+
+
+def test_displaced_odd_elements_are_not_zeroed():
+    rep, herald, measurement = random_herald(3, True, False, 1)
+    dm = heralding.herald_grouped(
+        rep, heralding.HeraldSpec(herald, measurement, cutoff=3))
+    assert abs(dm.entries[0, 1]) > 1e-6
+
+
+def test_zero_probability_herald_does_not_normalize():
+    rep = gaussian.to_adjacency(gaussian.from_squeezing([0.0, 0.0], L2))
+    dm = heralding.herald_grouped(
+        rep, heralding.HeraldSpec(herald_modes=[0], measurement=[1],
+                                  cutoff=2))
+    assert dm.trace == 0
+    with pytest.raises(ZeroProbability):
+        dm.normalized()
+
+
+def test_herald_spec_normalizes_measurement():
+    fine = heralding.HeraldSpec([2, 0], [1, 3], cutoff=1)
+    assert fine.measurement == (((2,), (0,)), (1, 3))
+    grouped = heralding.HeraldSpec([0, 2], ([[0, 2]], [4]), cutoff=1)
+    assert grouped.measurement == (((0, 2),), (4,))
+    with pytest.raises(PartitionMismatch):
+        heralding.HeraldSpec([0, 1], ([(0,)], (1,)), cutoff=1)
+    with pytest.raises(PartitionMismatch):
+        heralding.HeraldSpec([0, 1], [1], cutoff=1)
