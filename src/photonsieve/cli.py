@@ -394,7 +394,7 @@ def run(config, seed_override=None):
     return result
 
 
-def main(argv=None):
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="photonsieve",
         description="Photon-number statistics of lossy Gaussian circuits",
@@ -404,12 +404,16 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--output", default=None)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                       default=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tolerance-overrides", default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def main(argv=None):
+    args = _PARSER.parse_args(argv)
     try:
         config = _load_json(args.config)
         if not isinstance(config, dict) or "task" not in config:
@@ -424,8 +428,6 @@ def main(argv=None):
             "version": __version__,
             "config": {
                 **config,
-                "threads": args.threads,
-                "deterministic": bool(args.deterministic),
                 **({"seed": args.seed} if args.seed is not None else {}),
             },
             "result": result,

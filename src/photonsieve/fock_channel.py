@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSubunitary, PartitionMismatch, TooLarge
+from .errors import PartitionMismatch, TooLarge
 from .gaussian import AdjacencyRep, ModeLayout
 from .hafnian import blocked_lhaf, compatible_patterns
 from .heralding import herald_density, partial_trace
+from .linalg import require_subunitary
 
 _PERM_LIMIT = 16
 
@@ -33,8 +34,7 @@ class FockInput:
             raise PartitionMismatch("one photon count per circuit port")
         if any(x < 0 for x in p):
             raise PartitionMismatch("photon counts must be non-negative")
-        if np.max(np.linalg.svd(t, compute_uv=False)) > 1 + 1e-10:
-            raise NotSubunitary("transmission has a singular value above 1")
+        require_subunitary(t)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "t", t)
 
@@ -47,8 +47,7 @@ def build_a_phi(t):
     """
     t = np.asarray(t, dtype=complex)
     m = t.shape[0]
-    if np.max(np.linalg.svd(t, compute_uv=False)) > 1 + 1e-10:
-        raise NotSubunitary("transmission has a singular value above 1")
+    require_subunitary(t)
     eye = np.eye(m)
     z = np.zeros((m, m))
     a = np.block([

@@ -8,7 +8,13 @@ symmetrizing, so callers always know what they are holding.
 import numpy as np
 import scipy.linalg
 
-from .errors import NonFinite, NotHermitian, NotPositiveDefinite, NotSymmetric
+from .errors import (
+    NonFinite,
+    NotHermitian,
+    NotPositiveDefinite,
+    NotSubunitary,
+    NotSymmetric,
+)
 
 STRUCTURE_TOL = 1e-10
 _PD_FLOOR = 1e-12
@@ -25,6 +31,12 @@ def require_finite(arr, what="array"):
     if not np.all(np.isfinite(np.asarray(arr))):
         raise NonFinite(f"{what} contains NaN or Inf")
     return arr
+
+
+def require_subunitary(t):
+    """Raise unless no singular value of ``t`` exceeds 1 (+1e-10)."""
+    if np.max(np.linalg.svd(t, compute_uv=False)) > 1 + 1e-10:
+        raise NotSubunitary("transmission has a singular value above 1")
 
 
 def hermitian_eig(m, tol=STRUCTURE_TOL):
@@ -99,17 +111,3 @@ def xmat(m):
     x[:m, m:] = np.eye(m)
     x[m:, :m] = np.eye(m)
     return x
-
-
-def power_traces(m, kmax):
-    """tr(m^k) for k = 1..kmax via one running matrix power."""
-    m = _square(m)
-    require_finite(m, "matrix")
-    out = np.empty(kmax, dtype=complex)
-    running = m
-    for k in range(kmax):
-        out[k] = np.trace(running)
-        if k + 1 < kmax:
-            running = running @ m
-    require_finite(out, "power traces")
-    return out

@@ -2,17 +2,33 @@
 
 Squeezed inputs with real squeezing parameters admit a positive phase-space
 distribution that factorizes per mode, so Pr(N across all detectors) becomes
-the average of Re[(n')^N e^{-n'} / N!] over Gaussian samples, with the
-N-dependent weight built by a stable recursion instead of an explicit N!.
+the average of Re[(n')^N e^{-n'} / N!] over Gaussian samples.
+
+A sample is two real normal vectors u, v over the input modes. After the
+circuit its amplitudes are alpha' = P + Q and beta' = P - Q, with
+P = u diag(s) T^T and Q = v (i diag(d) T^T), so
+
+    n' = sum_j alpha'_j conj(beta'_j)
+       = sum |P|^2 - sum |Q|^2 + 2i sum Im(Q conj(P)).
+
+A chunk of samples therefore costs two real matrix products and three row
+dot products; no complex sample array is formed. The N-dependent weight is
+built by a stable recursion from e^{-n'} instead of an explicit N!. Where
+e^{-n'} would leave the normal range of doubles (Re n' > 700), the weights
+of those samples are computed in log space instead.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFinite, NotSubunitary, PartitionMismatch
+from .errors import LengthMismatch, NonFinite, PartitionMismatch
+from .linalg import require_subunitary
 
 _CHUNK = 1 << 15
+# e^{-n'} is subnormal beyond Re n' = 708 and 0 beyond 745
+_LOG_SPACE = 700.0
 
 
 @dataclass(frozen=True)
@@ -35,8 +51,7 @@ class PPRun:
         t = np.asarray(self.t, dtype=complex)
         if t.ndim != 2 or t.shape[1] != len(xi):
             raise LengthMismatch("one squeezing parameter per input port")
-        if np.max(np.linalg.svd(t, compute_uv=False)) > 1 + 1e-10:
-            raise NotSubunitary("transmission has a singular value above 1")
+        require_subunitary(t)
         if self.samples < 1:
             raise PartitionMismatch("samples must be positive")
         nv = tuple(int(n) for n in self.n_values)
@@ -48,51 +63,78 @@ class PPRun:
 
 
 def pp_estimate(run):
-    """Estimates and standard errors of Pr(N) for each N in ``run.n_values``.
+    """Estimates and standard errors of Pr(N), one per distinct N of
+    ``run.n_values`` in ascending order.
 
-    Per-mode samples alpha = u*s + i*v*d, beta = u*s - i*v*d with
-    s = sqrt((nbar + mbar) / 2), d = sqrt((nbar - mbar) / 2) (complex for
-    positive squeezing), nbar = sinh^2(xi), mbar = sinh(2*xi) / 2; then
-    n' = sum_j alpha'_j conj(beta'_j) after the circuit.
+    Per mode, s = sqrt((nbar + mbar) / 2) and d = sqrt((nbar - mbar) / 2),
+    with nbar = sinh^2(xi) and mbar = sinh(2*xi) / 2; one of them is
+    imaginary unless xi = 0. Each chunk draws u, then v, and forms the real
+    products p = u @ [Re S | Im S] = [Re P | Im P] and
+    q = v @ [Im D | -Re D] = [Im Q | -Re Q], with S = diag(s) T^T and
+    D = i diag(d) T^T. Then n' = <p,p> - <q,q> + 2i <p,q> row by row,
+    which equals sum_j alpha'_j conj(beta'_j) for alpha', beta' = P +- Q.
+    A sample's weights Re[n'^N e^{-n'} / N!] come from the recursion
+    w <- w n' / N, or, when Re n' > 700, from
+    exp(N log n' - n' - lgamma(N + 1)) for each wanted N.
     """
     xi = np.asarray(run.squeeze_params, dtype=float)
     nbar = np.sinh(xi) ** 2
     mbar = np.sinh(2 * xi) / 2
     s = np.sqrt((nbar + mbar).astype(complex) / 2)
     d = np.sqrt((nbar - mbar).astype(complex) / 2)
-    nmax = max(run.n_values) if run.n_values else 0
+    big_s = s[:, None] * run.t.T
+    big_d = 1j * d[:, None] * run.t.T
+    s_real = np.hstack([big_s.real, big_s.imag])
+    d_real = np.hstack([big_d.imag, -big_d.real])
     wanted = sorted(set(run.n_values))
     rng = np.random.default_rng(run.seed)
-    sums = {n: 0.0 for n in wanted}
-    sqsums = {n: 0.0 for n in wanted}
+    sums = np.zeros(len(wanted))
+    sqsums = np.zeros(len(wanted))
     remaining = run.samples
     while remaining > 0:
         batch = min(remaining, _CHUNK)
         remaining -= batch
         u = rng.standard_normal((batch, xi.size))
         v = rng.standard_normal((batch, xi.size))
-        alpha = u * s + 1j * v * d
-        beta = u * s - 1j * v * d
-        ap = alpha @ run.t.T
-        bp = beta @ run.t.T
-        nprime = np.sum(ap * np.conj(bp), axis=1)
-        w = np.exp(-nprime)
-        if 0 in sums:
-            r = w.real
-            sums[0] += r.sum()
-            sqsums[0] += (r * r).sum()
-        for n in range(1, nmax + 1):
-            w = w * nprime / n
-            if n in sums:
-                r = w.real
-                sums[n] += r.sum()
-                sqsums[n] += (r * r).sum()
-        if not np.all(np.isfinite(w)):
-            raise NonFinite("diverging phase-space trajectory")
-    estimates = np.array([sums[n] / run.samples for n in wanted])
-    variances = np.array(
-        [max(sqsums[n] / run.samples - (sums[n] / run.samples) ** 2, 0.0)
-         for n in wanted]
-    )
+        p = u @ s_real
+        q = v @ d_real
+        nprime = (np.einsum("ij,ij->i", p, p) - np.einsum("ij,ij->i", q, q)
+                  + 2j * np.einsum("ij,ij->i", p, q))
+        far = nprime.real > _LOG_SPACE
+        if far.any():
+            _add_log_weights(nprime[far], wanted, sums, sqsums)
+            nprime = nprime[~far]
+        _add_weights(nprime, wanted, sums, sqsums)
+    estimates = sums / run.samples
+    variances = np.maximum(sqsums / run.samples - estimates ** 2, 0.0)
     errors = np.sqrt(variances / run.samples)
     return estimates, errors
+
+
+def _add_weights(nprime, wanted, sums, sqsums):
+    """Accumulate Re[n'^N e^{-n'} / N!] by the recursion w <- w n' / N."""
+    w = np.exp(-nprime)
+    n = 0
+    for k, target in enumerate(wanted):
+        while n < target:
+            n += 1
+            w *= nprime
+            w /= n
+        _accumulate(w.real, k, sums, sqsums)
+    if not np.all(np.isfinite(w)):
+        raise NonFinite("diverging phase-space trajectory")
+
+
+def _add_log_weights(nprime, wanted, sums, sqsums):
+    """Accumulate the same weights as exp(N log n' - n' - lgamma(N + 1))."""
+    log_n = np.log(nprime)
+    for k, n in enumerate(wanted):
+        w = np.exp(n * log_n - nprime - math.lgamma(n + 1))
+        if not np.all(np.isfinite(w)):
+            raise NonFinite("diverging phase-space trajectory")
+        _accumulate(w.real, k, sums, sqsums)
+
+
+def _accumulate(r, k, sums, sqsums):
+    sums[k] += r.sum()
+    sqsums[k] += (r * r).sum()

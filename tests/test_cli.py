@@ -273,3 +273,12 @@ def test_non_finite_result_is_a_numeric_error(tmp_path, capsys):
     with pytest.raises(cli.NonFinite):
         cli._write_output(payload, None)
     assert capsys.readouterr().out == ""
+
+
+def test_removed_threads_flag_is_rejected(tmp_path):
+    config = {"circuit": tmsv_circuit(),
+              "task": {"kind": "total-dist", "max_total": 2}}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", write_config(tmp_path, config),
+                  "--threads", "2"])
+    assert exc.value.code == 2

@@ -6,6 +6,7 @@ from photonsieve.errors import (
     NonFinite,
     NotHermitian,
     NotPositiveDefinite,
+    NotSubunitary,
     NotSymmetric,
 )
 
@@ -83,14 +84,13 @@ def test_takagi_rejects_nonsymmetric():
         linalg.takagi(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
-def test_power_traces_matches_direct():
+def test_require_subunitary_threshold():
     rng = np.random.default_rng(2)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    tr = linalg.power_traces(m, 5)
-    running = np.eye(4, dtype=complex)
-    for k in range(5):
-        running = running @ m
-        assert np.isclose(tr[k], np.trace(running), atol=1e-10)
+    h = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    q, _ = np.linalg.qr(h)
+    linalg.require_subunitary((1 + 5e-11) * q)
+    with pytest.raises(NotSubunitary, match="singular value above 1"):
+        linalg.require_subunitary((1 + 1e-9) * q)
 
 
 def test_xmat():

@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonsieve import distributions as dist
 from photonsieve import gaussian, phasespace
-from photonsieve.errors import LengthMismatch, NotSubunitary, PartitionMismatch
+from photonsieve.errors import (
+    LengthMismatch,
+    NonFinite,
+    NotSubunitary,
+    PartitionMismatch,
+)
 
 
 def haar_unitary(rng, n):
@@ -18,6 +27,57 @@ def exact_total(xi, t, n_values):
     rep = gaussian.to_adjacency(s)
     modes = list(range(t.shape[0]))
     return np.array([dist.prob_total(rep, modes, n) for n in n_values])
+
+
+def pp_estimate_complex(run):
+    """Reference oracle: the estimator in complex arithmetic.
+
+    Forms alpha = u*s + i*v*d and beta = u*s - i*v*d per mode, runs both
+    through the circuit and takes n' = sum alpha' conj(beta'). It draws the
+    same samples as ``phasespace.pp_estimate`` but starts every weight
+    recursion from exp(-n'), so it loses samples with Re n' beyond about 708.
+    """
+    xi = np.asarray(run.squeeze_params, dtype=float)
+    nbar = np.sinh(xi) ** 2
+    mbar = np.sinh(2 * xi) / 2
+    s = np.sqrt((nbar + mbar).astype(complex) / 2)
+    d = np.sqrt((nbar - mbar).astype(complex) / 2)
+    nmax = max(run.n_values) if run.n_values else 0
+    wanted = sorted(set(run.n_values))
+    rng = np.random.default_rng(run.seed)
+    sums = {n: 0.0 for n in wanted}
+    sqsums = {n: 0.0 for n in wanted}
+    remaining = run.samples
+    while remaining > 0:
+        batch = min(remaining, phasespace._CHUNK)
+        remaining -= batch
+        u = rng.standard_normal((batch, xi.size))
+        v = rng.standard_normal((batch, xi.size))
+        alpha = u * s + 1j * v * d
+        beta = u * s - 1j * v * d
+        ap = alpha @ run.t.T
+        bp = beta @ run.t.T
+        nprime = np.sum(ap * np.conj(bp), axis=1)
+        w = np.exp(-nprime)
+        if 0 in sums:
+            r = w.real
+            sums[0] += r.sum()
+            sqsums[0] += (r * r).sum()
+        for n in range(1, nmax + 1):
+            w = w * nprime / n
+            if n in sums:
+                r = w.real
+                sums[n] += r.sum()
+                sqsums[n] += (r * r).sum()
+        if not np.all(np.isfinite(w)):
+            raise NonFinite("diverging phase-space trajectory")
+    estimates = np.array([sums[n] / run.samples for n in wanted])
+    variances = np.array(
+        [max(sqsums[n] / run.samples - (sums[n] / run.samples) ** 2, 0.0)
+         for n in wanted]
+    )
+    errors = np.sqrt(variances / run.samples)
+    return estimates, errors
 
 
 def test_validation():
@@ -79,3 +139,41 @@ def test_error_scaling_with_samples():
             phasespace.PPRun(xi, t, 40000, 200 + trial, (2,)))[1][0]
         ratios.append(r2 / r1)
     assert 0.6 < np.mean(ratios) < 0.82
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6))
+def test_real_kernel_matches_complex_oracle(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 6))
+    # positive, zero and negative squeezing in one run
+    xi = np.concatenate([rng.uniform(0.1, 0.7, 1), [0.0],
+                         -rng.uniform(0.1, 0.7, 1),
+                         rng.uniform(-0.7, 0.7, m - 3)])
+    xi = tuple(float(x) for x in rng.permutation(xi))
+    outputs = m + int(rng.choice([-1, 1]))
+    t = rng.normal(size=(outputs, m)) + 1j * rng.normal(size=(outputs, m))
+    t *= rng.uniform(0.5, 0.95) / np.linalg.norm(t, 2)
+    nv = [int(n) for n in rng.integers(0, 7, size=5)]
+    nv = tuple(nv + nv[:2])  # unsorted, with duplicates
+    run = phasespace.PPRun(xi, t, phasespace._CHUNK + 17, seed, nv)
+    est, err = phasespace.pp_estimate(run)
+    want_est, want_err = pp_estimate_complex(run)
+    assert est.shape == want_est.shape == (len(set(nv)),)
+    assert np.all(np.abs(est - want_est) <= 1e-9 * want_err + 1e-15)
+    assert np.allclose(err, want_err, rtol=1e-9, atol=0)
+
+
+def test_large_nprime_samples_keep_their_weight():
+    # A third of these samples have Re n' > 708, where exp(-n') is subnormal
+    # or 0; their weights at N near n' are large.
+    xi = (math.asinh(math.sqrt(1500)),)
+    t = np.array([[math.sqrt(0.5)]])
+    nv = (750, 751)
+    run = phasespace.PPRun(xi, t, 10 ** 5, 3, nv)
+    est, err = phasespace.pp_estimate(run)
+    lay = gaussian.ModeLayout(1)
+    rep = gaussian.to_adjacency(
+        gaussian.apply_channel(gaussian.from_squeezing(list(xi), lay), t))
+    want = dist.total_distribution(rep, [0], cutoff=max(nv)).probabilities
+    assert np.all(np.abs(est - want[list(nv)]) < 5 * err)
