@@ -36,12 +36,10 @@ from .gaussian import (
     AdjacencyRep,
     GaussianState,
     ModeLayout,
-    OverlapModel,
     apply_channel,
     displace,
     from_squeezing,
     impure_source,
-    lowdin_internal_model,
     marginal_state,
     reduce_modes,
     thermal_state,
@@ -60,7 +58,6 @@ from .heralding import (
     build_embedding,
     fidelity,
     fock_element,
-    herald_fine,
     herald_grouped,
     partial_trace,
 )
@@ -76,7 +73,6 @@ __all__ = [
     "GaussianState",
     "HeraldSpec",
     "ModeLayout",
-    "OverlapModel",
     "PPRun",
     "apply_channel",
     "block_cumulant",
@@ -95,12 +91,10 @@ __all__ = [
     "fock_herald",
     "fock_perm_oracle",
     "from_squeezing",
-    "herald_fine",
     "herald_grouped",
     "impure_source",
     "lhaf_oracle",
     "lhaf_sieve",
-    "lowdin_internal_model",
     "marginal_state",
     "moment_mgf",
     "partial_trace",

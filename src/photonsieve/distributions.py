@@ -17,7 +17,7 @@ from .errors import (
     RankViolation,
     SingularResolvent,
 )
-from .gaussian import ModeLayout, reduce_modes
+from .gaussian import reduce_modes
 from .hafnian import (
     blocked_lhaf,
     check_partition,
@@ -278,7 +278,7 @@ def _block_mask(blocks, nm, assign):
 def coarse_moment(state, blocks):
     """Expectation of the product of block photon totals, one per block."""
     blocks = [tuple(b) for b in blocks]
-    _check_disjoint(blocks, state.layout.total)
+    check_partition(blocks, state.layout.total)
     order = len(blocks)
 
     def evaluate(assign):
@@ -292,7 +292,7 @@ def coarse_moment(state, blocks):
 def coarse_cumulant(state, blocks):
     """Joint cumulant of the block photon totals, one per block."""
     blocks = [tuple(b) for b in blocks]
-    _check_disjoint(blocks, state.layout.total)
+    check_partition(blocks, state.layout.total)
     order = len(blocks)
 
     def evaluate(assign):
@@ -300,19 +300,6 @@ def coarse_cumulant(state, blocks):
         return _log_series(state, w, order).sum()
 
     return _real_prob(sieve(evaluate, [1] * order))
-
-
-def _check_disjoint(blocks, nm):
-    seen = set()
-    for blk in blocks:
-        if not blk:
-            raise PartitionMismatch("empty block")
-        for i in blk:
-            if not 0 <= i < nm:
-                raise PartitionMismatch(f"block index {i} out of range")
-            if i in seen:
-                raise PartitionMismatch("blocks must be disjoint")
-            seen.add(i)
 
 
 def _stirling2(p):
@@ -331,7 +318,7 @@ def block_cumulant(state, block, p):
     if p < 1:
         raise DomainError("cumulant order must be at least 1")
     block = tuple(block)
-    _check_disjoint([block], state.layout.total)
+    check_partition([block], state.layout.total)
     w = _block_mask([block], state.layout.total, [1.0])
     g = _log_series(state, w, p)
     s2 = _stirling2(p)

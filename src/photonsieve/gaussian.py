@@ -6,7 +6,7 @@ representation (A, gamma, vacuum probability) is what the Hafnian kernels
 consume.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +20,7 @@ from .errors import (
     NotSymmetric,
     SingularCovariance,
 )
-from .linalg import (
-    STRUCTURE_TOL,
-    hermitian_power,
-    require_finite,
-    require_subunitary,
-    takagi,
-    xmat,
-)
+from .linalg import STRUCTURE_TOL, require_finite, require_subunitary, xmat
 
 _COND_LIMIT = 1e12
 _UNCERTAINTY_TOL = -1e-9
@@ -118,28 +111,6 @@ class AdjacencyRep:
             raise NotSymmetric("adjacency matrix is not symmetric")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "gamma", g)
-
-
-@dataclass(frozen=True)
-class OverlapModel:
-    """Pairwise overlaps of the spectral functions feeding each squeezer."""
-
-    overlap: np.ndarray
-    squeeze_params: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        o = np.asarray(self.overlap, dtype=complex)
-        xi = np.asarray(self.squeeze_params, dtype=complex)
-        if o.shape != (len(xi), len(xi)):
-            raise LengthMismatch("one squeeze parameter per overlap row")
-        if np.max(np.abs(o - o.conj().T)) > STRUCTURE_TOL:
-            raise NotHermitian("overlap matrix is not Hermitian")
-        if np.max(np.abs(np.diag(o) - 1)) > STRUCTURE_TOL:
-            raise DomainError("overlap diagonal must be 1 (normalized modes)")
-        if np.min(np.linalg.eigvalsh(o)) <= 0:
-            raise NotPositiveDefinite("overlap matrix is not positive definite")
-        object.__setattr__(self, "overlap", o)
-        object.__setattr__(self, "squeeze_params", xi)
 
 
 # ---------------------------------------------------------------------------
@@ -273,30 +244,6 @@ def marginal_state(state, keep):
 # ---------------------------------------------------------------------------
 # spectral impurity machinery
 # ---------------------------------------------------------------------------
-
-def lowdin_internal_model(model):
-    """Rotate non-orthogonal squeezer modes to an orthonormal internal basis.
-
-    For each source k builds the rank-one symmetric coupling
-    J^(k) = xi_k * outer(row_k, row_k) with row_k the k-th row of O^(1/2),
-    and factors it. Returns (table, factors): table[k] holds the effective
-    squeeze magnitudes of source k in the rotated basis (descending, at most
-    one nonzero), factors[k] the corresponding unitary basis change.
-    """
-    o = model.overlap
-    xi = model.squeeze_params
-    osqrt = hermitian_power(o, 0.5)
-    m = o.shape[0]
-    table = np.zeros((m, m))
-    factors = []
-    for k in range(m):
-        row = osqrt[k, :]
-        j = xi[k] * np.outer(row, row)
-        f, sigma = takagi(j)
-        table[k, :] = sigma
-        factors.append(f)
-    return table, factors
-
 
 def impure_source(xi, p, layout):
     """Squeezed sources with spectral purity p, two internal modes each.

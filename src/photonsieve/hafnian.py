@@ -10,8 +10,7 @@ Five layers, from slow-and-certain to fast:
                          grid, then one FFT per total N reads out every
                          count pattern the grid resolves, each with its
                          rounding bound;
-* ``lhaf_sieve``         one pattern from the smallest such grid (explicit
-                         divided-difference ladders on request), equal to
+* ``lhaf_sieve``         one pattern from the smallest such grid, equal to
                          the oracle on the repeated matrix;
 * ``blocked_lhaf``       the grouped-detector generalization, one sieve
                          variable per block.
@@ -26,12 +25,6 @@ from .errors import NonFinite, OddDimension, PartitionMismatch, TooLarge
 from .linalg import require_finite, xmat
 
 _ORACLE_LIMIT = 14
-
-# grids at least this large switch the f evaluation from repeated matrix
-# products to batched eigenvalues (less memory traffic, slightly less
-# accurate); batched BLAS powers win comfortably below this size
-_EIG_GRID = 1 << 17
-_EIG_ORDER = 12
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +85,6 @@ def repeat_pattern(a, gamma, n, m=None):
 # exp series
 # ---------------------------------------------------------------------------
 
-def f_from_g(g):
-    """Coefficient of eta^N in exp(sum_k g_k eta^k), N = len(g)."""
-    return f_coefficients(g)[-1]
-
-
 def f_coefficients(g):
     """Coefficients f_0..f_N of exp(sum_k g_k eta^k), along the last axis.
 
@@ -151,52 +139,21 @@ def f_n(a, gamma=None, n=0, scale=None):
     """N-th Taylor coefficient of the generating function q."""
     if n == 0:
         return 1.0 + 0.0j
-    return f_from_g(g_coefficients(a, gamma, nmax=n, scale=scale))
+    return f_coefficients(g_coefficients(a, gamma, nmax=n, scale=scale))[-1]
 
 
 # ---------------------------------------------------------------------------
-# finite-difference sieve
+# roots-of-unity sieve
 # ---------------------------------------------------------------------------
 
-def _node_pairs(pattern, nodes):
-    """Resolve per-variable (u, v) node pairs; ``None`` keeps the default."""
-    pairs = []
-    for j, k in enumerate(pattern):
-        if nodes is None:
-            pairs.append(None)
-            continue
-        u, v = nodes[j]
-        if k > 0 and u == v:
-            raise PartitionMismatch(f"sieve nodes for variable {j} coincide")
-        pairs.append((u, v))
-    return pairs
-
-
-def _difference_weights(k, u, v):
-    """Points and weights of the k-th order divided difference operator."""
-    step = u - v
-    pts = v + step * np.arange(k + 1)
-    wts = np.array(
-        [math.comb(k, m) * (-1.0) ** (k - m) for m in range(k + 1)]
-    ) / step ** k
-    return pts, wts
-
-
-def _variable_grid(k, pair):
+def _variable_grid(k):
     """Evaluation points and weights for one sieve variable of order k.
 
-    With an explicit (u, v) pair this is the k-th divided difference on the
-    arithmetic ladder v, v+h, ..., v+kh.  By default it is a discrete Fourier
-    transform over the (k+1)-th roots of unity, scaled by k! to match the
-    divided-difference normalization.  All default points sit on the unit
-    circle and all default weights share the magnitude k!/(k+1), so the fold
-    stays well conditioned even for orders in the dozens, where the ladder
-    points grow like k*h and wipe out double precision.
+    A discrete Fourier transform over the (k+1)-th roots of unity, scaled by
+    k!, so that the fold returns k! times the z^k coefficient.  All points
+    sit on the unit circle and all weights share the magnitude k!/(k+1), so
+    the fold stays well conditioned even for orders in the dozens.
     """
-    if pair is not None:
-        return _difference_weights(k, *pair)
-    if k == 0:
-        return np.zeros(1, dtype=complex), np.ones(1)
     omega = np.exp(2j * np.pi / (k + 1))
     m = np.arange(k + 1)
     pts = omega ** m
@@ -204,24 +161,21 @@ def _variable_grid(k, pair):
     return pts, wts
 
 
-def sieve(evaluate, pattern, nodes=None):
-    """Apply the product of finite-difference operators to ``evaluate``.
+def sieve(evaluate, pattern):
+    """prod_j k_j! [z^k] evaluate(z), k = ``pattern``, folded over the
+    (k_j + 1)-th roots of unity in each variable j with k_j > 0.
 
-    ``evaluate`` maps a full node assignment (one value per pattern entry) to
-    a complex number and must be polynomial of degree <= N per variable.
-    Variables with a zero count are pinned at zero (or at their v node when
-    explicit nodes are supplied).
+    ``evaluate`` maps one point (one value per pattern entry) to a complex
+    number; variables with a zero count are pinned at zero.  It must be a
+    polynomial of degree <= k_j in each variable j, or of total degree
+    <= |k|, so that no other monomial aliases onto z^k.
     """
     pattern = list(pattern)
-    pairs = _node_pairs(pattern, nodes)
     active = [j for j, k in enumerate(pattern) if k > 0]
-    base = np.array(
-        [0.0 if pairs[j] is None else pairs[j][1] for j in range(len(pattern))],
-        dtype=complex,
-    )
+    base = np.zeros(len(pattern), dtype=complex)
     if not active:
         return complex(evaluate(base))
-    grids = [_variable_grid(pattern[j], pairs[j]) for j in active]
+    grids = [_variable_grid(pattern[j]) for j in active]
     total = 0.0 + 0.0j
     for combo in product(*(range(pattern[j] + 1) for j in active)):
         z = base.copy()
@@ -238,19 +192,15 @@ def sieve(evaluate, pattern, nodes=None):
 _CHUNK_BYTES = 1 << 22
 
 
-def _f_series(a, gamma, nmax, zgrid, force_eig=None):
+def _f_series(a, gamma, nmax, zgrid):
     """f_0..f_nmax at every row of ``zgrid`` (grid x modes), shape
-    (grid, nmax + 1)."""
+    (grid, nmax + 1), from batched matrix powers of D(z) X A."""
     a = np.asarray(a, dtype=complex)
     nmodes = a.shape[0] // 2
     x = xmat(nmodes)
     xa = x @ a
     zgrid = np.asarray(zgrid, dtype=complex)
     npts = zgrid.shape[0]
-
-    use_eig = force_eig
-    if use_eig is None:
-        use_eig = npts >= _EIG_GRID and nmax >= _EIG_ORDER
     loops = gamma is not None and np.any(gamma)
     if loops:
         gam = np.asarray(gamma, dtype=complex)
@@ -264,20 +214,13 @@ def _f_series(a, gamma, nmax, zgrid, force_eig=None):
         d = np.concatenate([zc, zc], axis=1)            # (G, 2M)
         mats = d[:, :, None] * xa[None, :, :]           # (G, 2M, 2M)
         g = np.zeros((zc.shape[0], nmax), dtype=complex)
-        if use_eig:
-            lam = np.linalg.eigvals(mats)               # (G, 2M)
-            pw = np.ones_like(lam)
-            for k in range(1, nmax + 1):
-                pw = pw * lam
-                g[:, k - 1] = pw.sum(axis=1) / (2 * k)
-        else:
-            running = mats
-            for k in range(1, nmax + 1):
-                g[:, k - 1] = running.diagonal(
-                    axis1=1, axis2=2
-                ).sum(axis=1) / (2 * k)
-                if k < nmax:
-                    running = running @ mats
+        running = mats
+        for k in range(1, nmax + 1):
+            g[:, k - 1] = running.diagonal(
+                axis1=1, axis2=2
+            ).sum(axis=1) / (2 * k)
+            if k < nmax:
+                running = running @ mats
         if loops:
             w = d * xg[None, :]
             for k in range(1, nmax + 1):
@@ -288,7 +231,7 @@ def _f_series(a, gamma, nmax, zgrid, force_eig=None):
     return out
 
 
-def grid_coefficients(a, gamma, expand, targets, radii=None, force_eig=None):
+def grid_coefficients(a, gamma, expand, targets, radii=None):
     """Blocked loop Hafnians of many count patterns from one sieve grid.
 
     ``expand`` maps variable columns to mode columns, and each row of
@@ -332,7 +275,7 @@ def grid_coefficients(a, gamma, expand, targets, radii=None, force_eig=None):
     zgrid = np.broadcast_to(zgrid, tuple(sizes) + expand.shape[1:])
     totals = targets.sum(axis=1)
     f = _f_series(a, gamma, int(totals.max()),
-                  zgrid.reshape(-1, expand.shape[1]), force_eig)
+                  zgrid.reshape(-1, expand.shape[1]))
     facts = np.array([float(math.factorial(k))
                       for k in range(kmax.max() + 1)])
     scale = np.prod(facts[targets] / radii ** targets, axis=1) / len(f)
@@ -366,8 +309,7 @@ def fold_is_sound(value, mass, abs_tol=None):
     return abs_tol is not None and _EPS * mass <= abs_tol
 
 
-def _sieve_reduce(a, gamma, counts, expand, nodes=None, force_eig=None,
-                  abs_tol=None):
+def _sieve_reduce(a, gamma, counts, expand, abs_tol=None):
     """One pattern from the smallest grid; ``expand`` maps variable
     columns to mode columns.
 
@@ -381,21 +323,13 @@ def _sieve_reduce(a, gamma, counts, expand, nodes=None, force_eig=None,
     the assignment with the smallest mass wins.  Every dilation evaluates
     the same exact quantity, because the target coefficient is
     homogeneous.  A result is accepted once it is sound (``fold_is_sound``).
-    Explicit (u, v) nodes run the generic divided-difference ``sieve``
-    instead, one point at a time, and are never second-guessed.
     """
-    total = sum(counts)
-    if nodes is not None:
-        return sieve(lambda z: _f_series(a, gamma, total, (z @ expand)[None],
-                                         force_eig)[0, total],
-                     counts, nodes)
     adaptive = len(set(counts)) > 1
     kmax = max(counts)
 
     def fold(boost):
         radii = [boost ** (k / kmax) for k in counts]
-        vals, masses = grid_coefficients(a, gamma, expand, [counts], radii,
-                                         force_eig)
+        vals, masses = grid_coefficients(a, gamma, expand, [counts], radii)
         return complex(vals[0]), float(masses[0])
 
     out, mass = fold(_PRIMARY_BOOST if adaptive else 1.0)
@@ -411,7 +345,7 @@ def _sieve_reduce(a, gamma, counts, expand, nodes=None, force_eig=None,
     return out
 
 
-def lhaf_sieve(a, gamma, pattern, nodes=None, force_eig=None, abs_tol=None):
+def lhaf_sieve(a, gamma, pattern, abs_tol=None):
     """Loop Hafnian of the repeated matrix A_{n (+) n} via the sieve."""
     nmodes = np.shape(a)[0] // 2
     if len(pattern) != nmodes:
@@ -419,7 +353,7 @@ def lhaf_sieve(a, gamma, pattern, nodes=None, force_eig=None, abs_tol=None):
             f"pattern length {len(pattern)} != mode count {nmodes}"
         )
     return blocked_lhaf(a, gamma, [(j,) for j in range(nmodes)], pattern,
-                        nodes=nodes, force_eig=force_eig, abs_tol=abs_tol)
+                        abs_tol=abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +361,8 @@ def lhaf_sieve(a, gamma, pattern, nodes=None, force_eig=None, abs_tol=None):
 # ---------------------------------------------------------------------------
 
 def check_partition(blocks, nmodes):
-    """Validate disjoint, covering, non-empty blocks over range(nmodes)."""
+    """Validate disjoint, non-empty blocks over range(nmodes); returns the
+    number of modes they cover."""
     seen = set()
     for b in blocks:
         if not len(b):
@@ -438,8 +373,7 @@ def check_partition(blocks, nmodes):
             if i in seen:
                 raise PartitionMismatch(f"index {i} appears in two blocks")
             seen.add(i)
-    if len(seen) != nmodes:
-        raise PartitionMismatch("partition does not cover all modes")
+    return len(seen)
 
 
 def compatible_patterns(blocks, b, nmodes):
@@ -461,12 +395,12 @@ def compatible_patterns(blocks, b, nmodes):
         yield tuple(fine)
 
 
-def blocked_lhaf(a, gamma, blocks, b, nodes=None, force_eig=None,
-                 abs_tol=None):
+def blocked_lhaf(a, gamma, blocks, b, abs_tol=None):
     """Blocked loop Hafnian: one sieve variable per block."""
     a = np.asarray(a, dtype=complex)
     nmodes = a.shape[0] // 2
-    check_partition(blocks, nmodes)
+    if check_partition(blocks, nmodes) != nmodes:
+        raise PartitionMismatch("partition does not cover all modes")
     b = [int(x) for x in b]
     if len(b) != len(blocks):
         raise PartitionMismatch("one count per block required")
@@ -474,11 +408,9 @@ def blocked_lhaf(a, gamma, blocks, b, nodes=None, force_eig=None,
     if total == 0:
         return 1.0 + 0.0j
     active = [j for j, k in enumerate(b) if k > 0]
-    if nodes is not None:
-        nodes = [nodes[j] for j in active]
     return _sieve_reduce(a, gamma, [b[j] for j in active],
                          block_expansion([blocks[j] for j in active], nmodes),
-                         nodes=nodes, force_eig=force_eig, abs_tol=abs_tol)
+                         abs_tol=abs_tol)
 
 
 def block_expansion(blocks, nmodes):
@@ -493,7 +425,8 @@ def blocked_lhaf_combinatorial(a, gamma, blocks, b, use_oracle=False):
     """Defining sum over all compatible fine patterns; the slow cross-check."""
     a = np.asarray(a, dtype=complex)
     nmodes = a.shape[0] // 2
-    check_partition(blocks, nmodes)
+    if check_partition(blocks, nmodes) != nmodes:
+        raise PartitionMismatch("partition does not cover all modes")
     facts = np.prod([math.factorial(int(x)) for x in b])
     total = 0.0 + 0.0j
     for fine in compatible_patterns(blocks, b, nmodes):

@@ -9,7 +9,7 @@ the Gaussian level first and elements that vanish by parity left at zero.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -21,7 +21,7 @@ from .errors import (
     PartitionMismatch,
     ZeroProbability,
 )
-from .gaussian import AdjacencyRep, ModeLayout, adjacency_from_cov
+from .gaussian import ModeLayout, adjacency_from_cov
 from .hafnian import (
     block_expansion,
     blocked_lhaf,
@@ -162,51 +162,8 @@ def _embedded_matrix(a, gamma, tags):
     return ap, gp
 
 
-def _assemble(a, gamma, nmodes, tbar, new_modes):
-    """Build (a', gamma', t, source_map) from per-new-mode source tags.
-
-    ``new_modes`` is a list of (ket_tag, bra_tag, count); a tag is
-    ('ket'|'bra', original mode) or PAD.
-    """
-    tags = _tags(nmodes, new_modes)
-    ap, gp = _embedded_matrix(a, gamma, tags)
-    t = tuple(tbar) + tuple(nm[2] for nm in new_modes)
-    return Embedding(ap, gp, t, tags)
-
-
-def _check_patterns(n, m, nmodes):
-    n = [int(x) for x in n]
-    m = [int(x) for x in m]
-    if len(n) != nmodes or len(m) != nmodes:
-        raise LengthMismatch("patterns must cover all modes")
-    return n, m
-
-
-def build_embedding(rep, n, m):
-    """Literal construction: every surplus pair becomes a one-photon mode.
-
-    Surplus ket copies (n_k > m_k) and bra copies (m_k > n_k) are listed in
-    ascending mode order and zipped two at a time; an odd leftover is paired
-    with a padding half (zero row, loop weight one).
-    """
-    nmodes = rep.layout.total
-    n, m = _check_patterns(n, m, nmodes)
-    tbar = [min(a, b) for a, b in zip(n, m)]
-    slots = []
-    for k in range(nmodes):
-        slots += [("ket", k)] * (n[k] - m[k]) if n[k] > m[k] else []
-    for k in range(nmodes):
-        slots += [("bra", k)] * (m[k] - n[k]) if m[k] > n[k] else []
-    new_modes = []
-    for i in range(0, len(slots) - 1, 2):
-        new_modes.append((slots[i], slots[i + 1], 1))
-    if len(slots) % 2:
-        new_modes.append((slots[-1], PAD, 1))
-    return _assemble(rep.a, rep.gamma, nmodes, tbar, new_modes)
-
-
 def _merged_modes(n, m):
-    """(tbar, new_modes) of the merged embedding of the (ket n, bra m) pair.
+    """(tbar, new_modes) of the embedding of the (ket n, bra m) pair.
 
     A source with d surplus copies yields one new mode of count d // 2 (its
     ket and bra halves both carry the source row, so the repetition is
@@ -231,21 +188,31 @@ def _merged_modes(n, m):
     return tbar, new_modes
 
 
-def _merged_embedding(rep, n, m):
-    """Compact variant of ``build_embedding``: same-source surplus copies
-    merge into counted modes (``_merged_modes``)."""
+def build_embedding(rep, n, m):
+    """Square-repetition embedding of the (ket n, bra m) repetition.
+
+    The common part min(n, m) stays on the source modes; the surplus copies
+    become new modes as ``_merged_modes`` describes.
+    """
     nmodes = rep.layout.total
-    n, m = _check_patterns(n, m, nmodes)
-    return _assemble(rep.a, rep.gamma, nmodes, *_merged_modes(n, m))
+    n = [int(x) for x in n]
+    m = [int(x) for x in m]
+    if len(n) != nmodes or len(m) != nmodes:
+        raise LengthMismatch("patterns must cover all modes")
+    tbar, new_modes = _merged_modes(n, m)
+    tags = _tags(nmodes, new_modes)
+    ap, gp = _embedded_matrix(rep.a, rep.gamma, tags)
+    t = tuple(tbar) + tuple(nm[2] for nm in new_modes)
+    return Embedding(ap, gp, t, tags)
 
 
 # ---------------------------------------------------------------------------
 # matrix elements
 # ---------------------------------------------------------------------------
 
-def fock_element(rep, m, n, merged=False):
+def fock_element(rep, m, n):
     """<m|rho|n> for the Gaussian state behind ``rep``."""
-    emb = (_merged_embedding if merged else build_embedding)(rep, n, m)
+    emb = build_embedding(rep, n, m)
     val = rep.vacuum_prob * lhaf_sieve(emb.a_prime, emb.gamma_prime, emb.t)
     norm = np.prod([math.sqrt(math.factorial(a) * math.factorial(b))
                     for a, b in zip(n, m)])
@@ -278,8 +245,8 @@ def _grouped_element(rep, herald_blocks, counts, kept, u, v, abs_tol=None):
     the returned element; it relaxes the adaptive sieve on elements whose
     exact value is negligibly small.
     """
-    emb = _merged_embedding(rep, *_full_patterns(rep.layout.total, kept,
-                                                 u, v))
+    emb = build_embedding(rep, *_full_patterns(rep.layout.total, kept,
+                                               u, v))
     singles = _singles(herald_blocks, len(emb.t))
     norm = _element_norm(counts, u, v)
     scale = abs(rep.vacuum_prob) / norm
@@ -339,7 +306,7 @@ def _fill_elements(entries, rep, blocks, counts, kept, patterns, pairs,
     """Set entries[i, j] = <v|rho|u>, ket u = patterns[j] and bra
     v = patterns[i], and its Hermitian mirror, for every (i, j) in pairs.
 
-    Elements whose merged embeddings share a source map share a' and
+    Elements whose embeddings share a source map share a' and
     gamma', so a class of them is one generating function read out at
     different count patterns.  A class gets one sieve grid, with L_j = 1 +
     the largest count of variable j in it, when that grid costs no more
@@ -424,13 +391,6 @@ def herald_grouped(rep, spec):
     """Unnormalized heralded state for a grouped (or fine) herald outcome."""
     sub, blocks, counts, kept = _herald_parts(rep, spec)
     return herald_density(sub, blocks, counts, kept, spec.cutoff)
-
-
-def herald_fine(rep, spec):
-    """Unnormalized heralded state for an exact herald pattern."""
-    if any(len(b) != 1 for b in spec.measurement[0]):
-        raise PartitionMismatch("herald_fine needs a fine pattern")
-    return herald_grouped(rep, spec)
 
 
 def partial_trace(dm, drop):

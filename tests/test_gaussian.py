@@ -176,32 +176,6 @@ def test_tmsv_marginal_is_thermal():
 
 # -- spectral impurity --------------------------------------------------------
 
-def test_lowdin_orthogonal_overlap():
-    xi = np.array([0.4, 0.9])
-    model = gaussian.OverlapModel(np.eye(2), xi)
-    table, factors = gaussian.lowdin_internal_model(model)
-    assert np.allclose(np.sort(table, axis=1)[:, -1], np.abs(xi))
-    assert np.allclose(table[:, 1:], 0, atol=1e-10)
-
-
-def test_lowdin_rank_one_value():
-    c = 0.3
-    o = np.array([[1.0, c], [c, 1.0]])
-    xi = np.array([0.5, 0.8])
-    table, factors = gaussian.lowdin_internal_model(model := gaussian.OverlapModel(o, xi))
-    from photonsieve.linalg import hermitian_power
-    osqrt = hermitian_power(o, 0.5)
-    for k in range(2):
-        row = osqrt[k, :]
-        expect = abs(xi[k]) * np.linalg.norm(row) ** 2
-        assert np.isclose(table[k, 0], expect, atol=1e-10)
-        # reconstruction
-        j = xi[k] * np.outer(row, row)
-        f = factors[k]
-        assert np.allclose(f @ np.diag(table[k]) @ f.T, j, atol=1e-10)
-        assert np.sum(table[k] > 1e-10) == 1
-
-
 def test_impure_source_limits():
     lay = gaussian.ModeLayout(2, 2)
     pure = gaussian.impure_source([0.5, 0.8], 1.0, lay)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from photonsieve import hafnian
 from photonsieve.errors import OddDimension, PartitionMismatch, TooLarge
+from photonsieve.linalg import xmat
 
 
 def rand_symmetric(rng, n):
@@ -92,15 +93,16 @@ def f_partition_oracle(g):
 
 def test_f_from_g_small_cases():
     g = np.array([2.0 + 1j, -0.5], dtype=complex)
-    assert np.isclose(hafnian.f_from_g(g), g[1] + g[0] ** 2 / 2)
-    assert np.isclose(hafnian.f_from_g(np.zeros(0, dtype=complex)), 1.0)
+    assert np.isclose(hafnian.f_coefficients(g)[-1], g[1] + g[0] ** 2 / 2)
+    assert np.isclose(hafnian.f_coefficients(np.zeros(0, complex))[-1], 1.0)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_f_from_g_matches_partition_enumeration(n):
     rng = np.random.default_rng(n)
     g = rand_gamma(rng, n)
-    assert np.isclose(hafnian.f_from_g(g), f_partition_oracle(g), rtol=1e-12)
+    assert np.isclose(hafnian.f_coefficients(g)[-1], f_partition_oracle(g),
+                      rtol=1e-12)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -126,8 +128,6 @@ def test_f_coefficients_keeps_real_input_real():
 def test_g_coefficients_traces_and_scale():
     rng = np.random.default_rng(5)
     a = rand_symmetric(rng, 6)
-    from photonsieve.linalg import xmat
-
     g = hafnian.g_coefficients(a, None, nmax=5)
     xa = xmat(3) @ a
     tr = [np.trace(np.linalg.matrix_power(xa, k)) for k in range(1, 6)]
@@ -156,7 +156,7 @@ def test_sieve_cubic_monomial():
 
 
 def test_sieve_zero_pattern_pins():
-    val = hafnian.sieve(lambda z: 7.0 + z[0], [0], nodes=[(1.0, 0.0)])
+    val = hafnian.sieve(lambda z: 7.0 + z[0], [0])
     assert np.isclose(val, 7.0)
 
 
@@ -165,11 +165,6 @@ def test_sieve_kills_inhomogeneous_lower_terms():
     poly = lambda z: 4.0 * z[0] ** 2 + 3.0 * z[0] * z[1] + z[1] + 5.0
     val = hafnian.sieve(poly, [2, 0])
     assert np.isclose(val, 8.0, atol=1e-10)
-
-
-def test_sieve_rejects_equal_nodes():
-    with pytest.raises(PartitionMismatch):
-        hafnian.sieve(lambda z: z[0], [1], nodes=[(1.0, 1.0)])
 
 
 # -- lhaf via sieve -----------------------------------------------------------
@@ -234,21 +229,37 @@ def test_lhaf_sieve_node_independence():
     a = rand_symmetric(rng, 6)
     gam = rand_gamma(rng, 6)
     pattern = [2, 1, 2]
-    default = hafnian.lhaf_sieve(a, gam, pattern)
-    unit = hafnian.lhaf_sieve(a, gam, pattern, nodes=[(1.0, 0.0)] * 3)
-    assert np.isclose(default, unit, rtol=1e-8)
+    default = hafnian.lhaf_sieve(a, gam, pattern)  # dilated circles
+    expand = hafnian.block_expansion([(0,), (1,), (2,)], 3)
+    for radii in ([1.0, 1.0, 1.0], [0.5, 2.0, 1.3]):
+        values, _ = hafnian.grid_coefficients(a, gam, expand, [pattern],
+                                              radii)
+        assert np.isclose(default, values[0], rtol=1e-8)
+
+
+def eig_f(a, gam, n, z):
+    """f_n at the point z from one eigendecomposition of D(z) X A: g_k is
+    sum(lam^k) / (2k) plus the loop term gamma^T V lam^(k-1) V^-1 D X gamma
+    / 2."""
+    x = xmat(len(z))
+    d = np.concatenate([z, z])
+    lam, v = np.linalg.eig(d[:, None] * (x @ a))
+    right = np.linalg.solve(v, d * (x @ gam))
+    left = gam @ v
+    g = [(lam ** k).sum() / (2 * k) + (left * lam ** (k - 1)) @ right / 2
+         for k in range(1, n + 1)]
+    return hafnian.f_coefficients(np.array(g))[-1]
 
 
 def test_lhaf_sieve_eig_path_matches():
+    """The matrix-power grid engine against the generic sieve over an
+    eigenvalue evaluation of f_N."""
     rng = np.random.default_rng(13)
     a = rand_symmetric(rng, 6)
     gam = rand_gamma(rng, 6)
     pattern = [2, 2, 2]
-    assert np.isclose(
-        hafnian.lhaf_sieve(a, gam, pattern, force_eig=True),
-        hafnian.lhaf_sieve(a, gam, pattern, force_eig=False),
-        rtol=1e-8,
-    )
+    want = hafnian.sieve(lambda z: eig_f(a, gam, 6, z), pattern)
+    assert np.isclose(hafnian.lhaf_sieve(a, gam, pattern), want, rtol=1e-8)
 
 
 # -- shared grid --------------------------------------------------------------

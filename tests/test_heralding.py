@@ -98,14 +98,12 @@ def test_embedding_contract_random(seed):
     emb = heralding.build_embedding(rep, list(n), list(m))
     got = embedded_lhaf(emb)
     assert np.isclose(got, want, rtol=1e-9, atol=1e-9)
-    merged = heralding._merged_embedding(rep, list(n), list(m))
-    assert np.isclose(embedded_lhaf(merged), want, rtol=1e-9, atol=1e-9)
 
 
 def test_merged_embedding_is_compact():
     rng = np.random.default_rng(3)
     rep = rand_rep(rng, 1)
-    emb = heralding._merged_embedding(rep, [6], [0])
+    emb = heralding.build_embedding(rep, [6], [0])
     assert emb.t == (0, 3)  # one merged mode instead of three
     assert np.isclose(embedded_lhaf(emb), direct_lhaf(rep, [6], [0]),
                       rtol=1e-9)
@@ -156,7 +154,7 @@ def test_fock_element_hermiticity():
 def test_herald_vacuum_trivial():
     rep = gaussian.to_adjacency(gaussian.from_squeezing([0.0, 0.0], L2))
     spec = heralding.HeraldSpec(herald_modes=[0], measurement=[0], cutoff=2)
-    dm = heralding.herald_fine(rep, spec)
+    dm = heralding.herald_grouped(rep, spec)
     assert np.isclose(dm.trace, 1.0, atol=1e-12)
     assert np.isclose(dm.entries[0, 0], 1.0, atol=1e-12)
     assert np.max(np.abs(dm.entries.flatten()[1:])) < 1e-12
@@ -168,7 +166,7 @@ def test_herald_tmsv_collapse():
     for n in range(3):
         spec = heralding.HeraldSpec(herald_modes=[1], measurement=[n],
                                     cutoff=4)
-        dm = heralding.herald_fine(rep, spec)
+        dm = heralding.herald_grouped(rep, spec)
         idx = dm.index_of([n])
         assert np.isclose(dm.entries[idx, idx].real,
                           np.tanh(r) ** (2 * n) / np.cosh(r) ** 2,
@@ -181,7 +179,7 @@ def test_herald_tmsv_collapse():
 def test_herald_fine_matches_fock_elements():
     rep = tmsv(0.5, eta_herald=0.7)
     spec = heralding.HeraldSpec(herald_modes=[1], measurement=[1], cutoff=3)
-    dm = heralding.herald_fine(rep, spec)
+    dm = heralding.herald_grouped(rep, spec)
     for u in range(4):
         for v in range(4):
             want = heralding.fock_element(rep, [v, 1], [u, 1])
@@ -195,7 +193,7 @@ def test_herald_grouped_singletons_equal_fine():
     rep = gaussian.to_adjacency(gaussian.apply_channel(
         gaussian.from_squeezing([0.6, -0.4, 0.5], gaussian.ModeLayout(3)),
         0.9 * haar_unitary(np.random.default_rng(7), 3)))
-    fine = heralding.herald_fine(
+    fine = heralding.herald_grouped(
         rep, heralding.HeraldSpec([0, 1], [1, 1], cutoff=2))
     grouped = heralding.herald_grouped(
         rep, heralding.HeraldSpec([0, 1], ([(0,), (1,)], (1, 1)), cutoff=2))
@@ -211,7 +209,7 @@ def test_herald_grouped_equals_fine_sum():
         rep, heralding.HeraldSpec([0, 1], ([(0, 1)], (total,)), cutoff=2))
     acc = np.zeros_like(grouped.entries)
     for k in range(total + 1):
-        fine = heralding.herald_fine(
+        fine = heralding.herald_grouped(
             rep, heralding.HeraldSpec([0, 1], [k, total - k], cutoff=2))
         acc += fine.entries
     assert np.allclose(grouped.entries, acc, atol=1e-9)
@@ -222,7 +220,7 @@ def test_herald_trace_is_coarse_probability():
         gaussian.from_squeezing([0.5, -0.5], L2),
         0.8 * haar_unitary(np.random.default_rng(9), 2)))
     spec = heralding.HeraldSpec([0], [2], cutoff=14)
-    dm = heralding.herald_fine(rep, spec)
+    dm = heralding.herald_grouped(rep, spec)
     # trace over a generous cutoff approaches the marginal herald probability
     marg = gaussian.marginal_state(
         gaussian.GaussianState(
