@@ -1,7 +1,7 @@
 """Exact photon-number statistics of Gaussian optical circuits.
 
 The package computes loop Hafnians and their blocked (grouped-detector)
-generalization through a finite-difference sieve, and builds on them to
+generalization on a roots-of-unity sieve grid, and builds on them to
 provide photon-number distributions, moments, heralded non-Gaussian density
 matrices, Fock-state channels, a distinguishable-mode fast path, and a
 phase-space Monte Carlo cross-check, plus a JSON-driven command line.

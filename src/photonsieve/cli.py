@@ -65,7 +65,10 @@ def _jsonable(v):
 
 
 def haar_unitary(n, seed):
-    """Seeded Haar-random unitary via the QR decomposition with phase fix."""
+    """Seeded Haar-random unitary via the QR decomposition with phase fix.
+
+    ``seed`` is anything ``np.random.default_rng`` accepts; a Generator is
+    used as it is, so successive calls keep drawing from its stream."""
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(h)
@@ -99,6 +102,12 @@ def _transmission(circ, total, externals):
             f"transmission must be {externals}x{externals} or {total}x{total}"
         )
     return t
+
+
+def _transmission_or_identity(circ, total, externals):
+    """The transmission, or the total x total identity when it is absent."""
+    t = _transmission(circ, total, externals)
+    return np.eye(total) if t is None else t
 
 
 def build_state(circ):
@@ -154,6 +163,17 @@ def _dm_result(dm, extra=None):
     if extra:
         out.update(extra)
     return out
+
+
+def _herald_spec(task):
+    return HeraldSpec(task["herald_modes"], _measurement(task),
+                      int(task["cutoff"]), task.get("trace_out", ()))
+
+
+def _herald_result(task, dm):
+    if task.get("normalize", True):
+        dm = dm.normalized()
+    return _dm_result(dm, _herald_target(task, dm))
 
 
 def _herald_target(task, dm):
@@ -213,21 +233,13 @@ def _run_external_prob(circ, task):
 
 def _run_herald(circ, task):
     rep = gaussian.to_adjacency(build_state(circ))
-    spec = HeraldSpec(task["herald_modes"], _measurement(task),
-                      int(task["cutoff"]), task.get("trace_out", ()))
-    dm = heralding.herald_grouped(rep, spec)
-    if task.get("normalize", True):
-        out = dm.normalized()
-    else:
-        out = dm
-    return _dm_result(out, _herald_target(task, out))
+    return _herald_result(
+        task, heralding.herald_grouped(rep, _herald_spec(task)))
 
 
 def _fock_input(circ, task):
     modes = int(circ["modes"])
-    t = _transmission(circ, modes, modes)
-    if t is None:
-        t = np.eye(modes)
+    t = _transmission_or_identity(circ, modes, modes)
     return fock_channel.FockInput(tuple(task["input"]), t)
 
 
@@ -239,12 +251,8 @@ def _run_fock_prob(circ, task):
 
 def _run_fock_herald(circ, task):
     fi = _fock_input(circ, task)
-    spec = HeraldSpec(task["herald_modes"], _measurement(task),
-                      int(task["cutoff"]), task.get("trace_out", ()))
-    dm = fock_channel.fock_herald(fi, spec)
-    if task.get("normalize", True):
-        dm = dm.normalized()
-    return _dm_result(dm, _herald_target(task, dm))
+    return _herald_result(task,
+                          fock_channel.fock_herald(fi, _herald_spec(task)))
 
 
 def _run_moments(circ, task):
@@ -269,9 +277,7 @@ def _run_pp_estimate(circ, task, seed_override=None):
     if int(circ.get("internals", 1)) != 1:
         raise LayoutMismatch("phase-space estimation needs one internal mode")
     xi = [float(x) for x in circ["squeezing"]]
-    t = _transmission(circ, modes, modes)
-    if t is None:
-        t = np.eye(modes)
+    t = _transmission_or_identity(circ, modes, modes)
     seed = seed_override if seed_override is not None else task.get("seed", 0)
     run = phasespace.PPRun(tuple(xi), t, int(task["samples"]), int(seed),
                            tuple(task["n_values"]))
@@ -334,12 +340,13 @@ def run_bench(config, seed_override=None):
             lambda: [dist.prob_total(rep, modes, n) for n in n_values],
             reps)})
         xi = [float(x) for x in circ["squeezing"]]
-        t = _transmission(circ, rep.layout.total, int(circ["modes"]))
+        t = _transmission_or_identity(circ, rep.layout.total,
+                                      int(circ["modes"]))
         seed = seed_override if seed_override is not None \
             else bench.get("seed", 0)
-        run = phasespace.PPRun(
-            tuple(xi), t if t is not None else np.eye(len(xi)),
-            int(bench.get("samples", 10 ** 5)), int(seed), tuple(n_values))
+        run = phasespace.PPRun(tuple(xi), t,
+                               int(bench.get("samples", 10 ** 5)), int(seed),
+                               tuple(n_values))
         rows.append({"method": "positive-p", **_time_call(
             lambda: phasespace.pp_estimate(run), reps)})
     else:

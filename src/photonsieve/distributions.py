@@ -7,6 +7,7 @@ photon-number vector.
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -19,14 +20,16 @@ from .errors import (
 )
 from .gaussian import reduce_modes
 from .hafnian import (
+    block_expansion,
     blocked_lhaf,
     check_partition,
     f_coefficients,
     f_n,
     g_coefficients,
+    grid_coefficients,
     lhaf_sieve,
-    sieve,
 )
+from .linalg import xmat
 
 _DEFAULT_TAIL = 1e-7
 
@@ -144,19 +147,14 @@ def extract_distinguishable_blocks(rep):
     lay = rep.layout
     m, k = lay.externals, lay.internals_per_external
     t = lay.total
-    from .linalg import xmat
-
     xa = xmat(t) @ rep.a
     blocks = []
-    for l in range(k):
-        idx = [i * k + l for i in range(m)]
-        idx += [t + i for i in idx]
-        blocks.append(xa[np.ix_(idx, idx)])
-    # verify nothing was left outside the extracted blocks
+    # entries outside every extracted block must vanish
     mask = np.zeros((2 * t, 2 * t), dtype=bool)
     for l in range(k):
         idx = [i * k + l for i in range(m)]
         idx += [t + i for i in idx]
+        blocks.append(xa[np.ix_(idx, idx)])
         mask[np.ix_(idx, idx)] = True
     if np.max(np.abs(np.where(mask, 0, xa))) > 1e-10:
         raise LayoutMismatch("internal modes are coupled; blocks do not split")
@@ -250,56 +248,41 @@ def moment_mgf(state, t):
     return (np.exp(quad / 2) / np.sqrt(det)).real
 
 
-def _log_series(state, wfull, order):
-    """Coefficients of the log moment series in the mask-scaled variables."""
-    sig = _normal_cov(state)
-    d = np.concatenate([wfull, wfull])
-    ds = d[:, None] * sig
-    z = state.means
-    g = np.zeros(order, dtype=complex)
-    running = ds
-    w = d * z
-    for k in range(1, order + 1):
-        g[k - 1] = np.trace(running) / (2 * k) + (z.conj() @ w) / 2
-        if k < order:
-            running = running @ ds
-            w = ds @ w
-    return g
-
-
-def _block_mask(blocks, nm, assign):
-    w = np.zeros(nm, dtype=complex)
-    for j, blk in enumerate(blocks):
-        for i in blk:
-            w[i] = assign[j]
-    return w
+def _moment_generator(state, blocks):
+    """(X Sigma_N, X z, expansion of the validated ``blocks``): with mode i
+    scaled by w_i, this (A, gamma) generates E[prod_i (1 + w_i)^n_i]."""
+    nm = state.layout.total
+    blocks = [tuple(b) for b in blocks]
+    check_partition(blocks, nm)
+    x = xmat(nm)
+    return x @ _normal_cov(state), x @ state.means, block_expansion(blocks, nm)
 
 
 def coarse_moment(state, blocks):
-    """Expectation of the product of block photon totals, one per block."""
-    blocks = [tuple(b) for b in blocks]
-    check_partition(blocks, state.layout.total)
-    order = len(blocks)
+    """Expectation of the product of block photon totals, one per block.
 
-    def evaluate(assign):
-        w = _block_mask(blocks, state.layout.total, assign)
-        g = _log_series(state, w, order)
-        return f_coefficients(g).sum()
-
-    return _real_prob(sieve(evaluate, [1] * order))
+    It is the multilinear coefficient of f_p, p = len(blocks), in one sieve
+    variable per block, read off the sieve grid."""
+    a, gamma, expand = _moment_generator(state, blocks)
+    if not len(expand):
+        return 1.0
+    values, _ = grid_coefficients(a, gamma, expand, [[1] * len(expand)])
+    return _real_prob(values[0])
 
 
 def coarse_cumulant(state, blocks):
-    """Joint cumulant of the block photon totals, one per block."""
-    blocks = [tuple(b) for b in blocks]
-    check_partition(blocks, state.layout.total)
-    order = len(blocks)
+    """Joint cumulant of the block photon totals, one per block.
 
-    def evaluate(assign):
-        w = _block_mask(blocks, state.layout.total, assign)
-        return _log_series(state, w, order).sum()
-
-    return _real_prob(sieve(evaluate, [1] * order))
+    It is the multilinear coefficient of g_p, p = len(blocks): g_p is
+    homogeneous of degree p, so the fold over the 2^p sign points w = +-1
+    leaves only that coefficient."""
+    a, gamma, expand = _moment_generator(state, blocks)
+    p = len(expand)
+    if not p:
+        return 0.0
+    signs = np.array(list(product((1.0, -1.0), repeat=p)))
+    g = g_coefficients(a, gamma, p, signs @ expand)
+    return _real_prob(signs.prod(axis=1) @ g[:, -1] / 2 ** p)
 
 
 def _stirling2(p):
@@ -317,10 +300,8 @@ def block_cumulant(state, block, p):
     """p-th cumulant of the photon total in one block of modes."""
     if p < 1:
         raise DomainError("cumulant order must be at least 1")
-    block = tuple(block)
-    check_partition([block], state.layout.total)
-    w = _block_mask([block], state.layout.total, [1.0])
-    g = _log_series(state, w, p)
+    a, gamma, expand = _moment_generator(state, [block])
+    g = g_coefficients(a, gamma, p, expand[0])
     s2 = _stirling2(p)
     total = sum(
         s2[k] * math.factorial(k) * g[k - 1] for k in range(1, p + 1)

@@ -1,9 +1,11 @@
 """Loop-Hafnian kernels.
 
-Five layers, from slow-and-certain to fast:
+Six layers, from slow-and-certain to fast:
 
 * ``lhaf_oracle``        exact enumeration of single-pair matchings with
                          loops, exponential, guarded to 14 rows;
+* ``g_coefficients``     the power-trace log series g_1..g_N, batched over
+                         diagonal scalings D(z) of XA;
 * ``f_coefficients``     batched exp series turning log-series coefficients
                          g_k into the Taylor coefficients f_0..f_N;
 * ``grid_coefficients``  the sieve engine: f_0..f_N on one roots-of-unity
@@ -14,6 +16,9 @@ Five layers, from slow-and-certain to fast:
                          the oracle on the repeated matrix;
 * ``blocked_lhaf``       the grouped-detector generalization, one sieve
                          variable per block.
+
+Moments and cumulants of photon counts are multilinear coefficients read
+off the same grid and log series.
 """
 
 import math
@@ -103,133 +108,62 @@ def f_coefficients(g):
     return c
 
 
+# memory budget (bytes) for the matrix powers of one batch chunk; a chunk of
+# a few hundred points already amortizes the per-call overhead
+_CHUNK_BYTES = 1 << 22
+
+
 def g_coefficients(a, gamma=None, nmax=1, scale=None):
     """Log-series coefficients g_1..g_nmax of the generating function.
 
     g_k = tr([XA]^k) / (2k) + gamma^T [XA]^(k-1) X gamma / 2, with every XA
     and X gamma replaced by their D(scale)-scaled versions when ``scale`` is
-    given (one scale entry per mode, applied to both halves).
+    given (one scale entry per mode, applied to both halves).  Leading axes
+    of ``scale`` are a batch: the result has shape scale.shape[:-1] +
+    (nmax,), from stacked matrix powers in chunks of at most _CHUNK_BYTES.
     """
     a = np.asarray(a, dtype=complex)
     nmodes = a.shape[0] // 2
     x = xmat(nmodes)
     xa = x @ a
-    if scale is not None:
-        d = np.concatenate([scale, scale]).astype(complex)
-        xa = d[:, None] * xa
-    g = np.zeros(nmax, dtype=complex)
-    running = xa
-    if gamma is not None:
-        gamma = np.asarray(gamma, dtype=complex)
-        w = x @ gamma
-        if scale is not None:
-            w = d * w
-    for k in range(1, nmax + 1):
-        g[k - 1] = np.trace(running) / (2 * k)
-        if gamma is not None:
-            g[k - 1] += (gamma @ w) / 2
-            w = xa @ w
-        if k < nmax:
-            running = running @ xa
-    require_finite(g, "g coefficients")
-    return g
-
-
-def f_n(a, gamma=None, n=0, scale=None):
-    """N-th Taylor coefficient of the generating function q."""
-    if n == 0:
-        return 1.0 + 0.0j
-    return f_coefficients(g_coefficients(a, gamma, nmax=n, scale=scale))[-1]
-
-
-# ---------------------------------------------------------------------------
-# roots-of-unity sieve
-# ---------------------------------------------------------------------------
-
-def _variable_grid(k):
-    """Evaluation points and weights for one sieve variable of order k.
-
-    A discrete Fourier transform over the (k+1)-th roots of unity, scaled by
-    k!, so that the fold returns k! times the z^k coefficient.  All points
-    sit on the unit circle and all weights share the magnitude k!/(k+1), so
-    the fold stays well conditioned even for orders in the dozens.
-    """
-    omega = np.exp(2j * np.pi / (k + 1))
-    m = np.arange(k + 1)
-    pts = omega ** m
-    wts = math.factorial(k) * omega ** (-k * m) / (k + 1)
-    return pts, wts
-
-
-def sieve(evaluate, pattern):
-    """prod_j k_j! [z^k] evaluate(z), k = ``pattern``, folded over the
-    (k_j + 1)-th roots of unity in each variable j with k_j > 0.
-
-    ``evaluate`` maps one point (one value per pattern entry) to a complex
-    number; variables with a zero count are pinned at zero.  It must be a
-    polynomial of degree <= k_j in each variable j, or of total degree
-    <= |k|, so that no other monomial aliases onto z^k.
-    """
-    pattern = list(pattern)
-    active = [j for j, k in enumerate(pattern) if k > 0]
-    base = np.zeros(len(pattern), dtype=complex)
-    if not active:
-        return complex(evaluate(base))
-    grids = [_variable_grid(pattern[j]) for j in active]
-    total = 0.0 + 0.0j
-    for combo in product(*(range(pattern[j] + 1) for j in active)):
-        z = base.copy()
-        w = 1.0 + 0.0j
-        for (pts, wts), m, j in zip(grids, combo, active):
-            z[j] = pts[m]
-            w *= wts[m]
-        total += w * evaluate(z)
-    return total
-
-
-# memory budget (bytes) for the matrix powers of one grid chunk; a chunk of
-# a few hundred points already amortizes the per-call overhead
-_CHUNK_BYTES = 1 << 22
-
-
-def _f_series(a, gamma, nmax, zgrid):
-    """f_0..f_nmax at every row of ``zgrid`` (grid x modes), shape
-    (grid, nmax + 1), from batched matrix powers of D(z) X A."""
-    a = np.asarray(a, dtype=complex)
-    nmodes = a.shape[0] // 2
-    x = xmat(nmodes)
-    xa = x @ a
-    zgrid = np.asarray(zgrid, dtype=complex)
-    npts = zgrid.shape[0]
     loops = gamma is not None and np.any(gamma)
     if loops:
-        gam = np.asarray(gamma, dtype=complex)
-        xg = x @ gam
-
-    per_point = 16 * (2 * nmodes) ** 2 * 4
-    chunk = max(1, min(npts, _CHUNK_BYTES // per_point))
-    out = np.empty((npts, nmax + 1), dtype=complex)
-    for lo in range(0, npts, chunk):
-        zc = zgrid[lo:lo + chunk]
-        d = np.concatenate([zc, zc], axis=1)            # (G, 2M)
-        mats = d[:, :, None] * xa[None, :, :]           # (G, 2M, 2M)
-        g = np.zeros((zc.shape[0], nmax), dtype=complex)
+        gamma = np.asarray(gamma, dtype=complex)
+        xg = x @ gamma
+    scale = np.ones(nmodes) if scale is None else np.asarray(scale)
+    batch = scale.shape[:-1]
+    scale = scale.reshape(-1, nmodes).astype(complex)
+    chunk = max(1, _CHUNK_BYTES // (16 * (2 * nmodes) ** 2 * 4))
+    g = np.zeros((len(scale), nmax), dtype=complex)
+    for lo in range(0, len(scale), chunk):
+        d = np.concatenate([scale[lo:lo + chunk]] * 2, axis=1)   # (G, 2M)
+        mats = d[:, :, None] * xa[None, :, :]                   # (G, 2M, 2M)
+        gc = g[lo:lo + chunk]
         running = mats
         for k in range(1, nmax + 1):
-            g[:, k - 1] = running.diagonal(
-                axis1=1, axis2=2
-            ).sum(axis=1) / (2 * k)
+            gc[:, k - 1] = np.trace(running, axis1=1, axis2=2) / (2 * k)
             if k < nmax:
                 running = running @ mats
         if loops:
             w = d * xg[None, :]
             for k in range(1, nmax + 1):
-                g[:, k - 1] += (w @ gam) / 2
+                gc[:, k - 1] += (w @ gamma) / 2
                 if k < nmax:
                     w = (mats @ w[:, :, None])[:, :, 0]
-        out[lo:lo + chunk] = f_coefficients(g)
-    return out
+    require_finite(g, "g coefficients")
+    return g.reshape(batch + (nmax,))
 
+
+def f_n(a, gamma=None, n=0):
+    """N-th Taylor coefficient of the generating function q."""
+    if n == 0:
+        return 1.0 + 0.0j
+    return f_coefficients(g_coefficients(a, gamma, nmax=n))[-1]
+
+
+# ---------------------------------------------------------------------------
+# roots-of-unity sieve
+# ---------------------------------------------------------------------------
 
 def grid_coefficients(a, gamma, expand, targets, radii=None):
     """Blocked loop Hafnians of many count patterns from one sieve grid.
@@ -274,8 +208,8 @@ def grid_coefficients(a, gamma, expand, targets, radii=None):
         zgrid = zgrid + ax.reshape(shape) * expand[j]
     zgrid = np.broadcast_to(zgrid, tuple(sizes) + expand.shape[1:])
     totals = targets.sum(axis=1)
-    f = _f_series(a, gamma, int(totals.max()),
-                  zgrid.reshape(-1, expand.shape[1]))
+    f = f_coefficients(g_coefficients(a, gamma, int(totals.max()),
+                                      zgrid.reshape(-1, expand.shape[1])))
     facts = np.array([float(math.factorial(k))
                       for k in range(kmax.max() + 1)])
     scale = np.prod(facts[targets] / radii ** targets, axis=1) / len(f)
@@ -317,9 +251,8 @@ def _sieve_reduce(a, gamma, counts, expand, abs_tol=None):
     doubles as a condition estimate.  When variable orders differ, the fold
     starts on circles of radius 4**(k_j/k_max).  This is a heuristic, not
     an optimum: on the (26, 26) diagonal element of the cutoff-26 herald
-    pipeline it gave a mass of 1.7e31 against 4.8e26 on unit circles, on a
-    grid with no pinned variable.  If the
-    result drowns in cancellation, the remaining dilations are tried and
+    pipeline it gave a mass of 1.7e31 against 4.8e26 on unit circles.  If
+    the result drowns in cancellation, the remaining dilations are tried and
     the assignment with the smallest mass wins.  Every dilation evaluates
     the same exact quantity, because the target coefficient is
     homogeneous.  A result is accepted once it is sound (``fold_is_sound``).

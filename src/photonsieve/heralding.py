@@ -2,7 +2,7 @@
 
 Off-diagonal elements <m|rho|n> need the loop Hafnian of a rectangular
 repetition A_{n (+) m}. The embedding construction turns that into a square
-repetition of a larger matrix so the finite-difference sieve applies. Density
+repetition of a larger matrix so the roots-of-unity grid applies. Density
 matrices of heralded states are assembled from one sieve grid per class of
 elements with the same embedded matrix, with traced modes marginalized at
 the Gaussian level first and elements that vanish by parity left at zero.

@@ -12,14 +12,9 @@ import pytest
 from photonsieve import distributions as dist
 from photonsieve import fock_channel as fc
 from photonsieve import gaussian, hafnian, heralding, phasespace
+from photonsieve.cli import haar_unitary
 from photonsieve.distributions import CoarsePattern
 from photonsieve.heralding import HeraldSpec
-
-
-def haar_unitary(rng, n):
-    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(h)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def rand_symmetric(rng, dim):
@@ -121,7 +116,7 @@ def test_total_distribution_convolution_four_modes():
     rng = np.random.default_rng(1004)
     xi = [0.5, 0.35, 0.6, 0.45]
     lay = gaussian.ModeLayout(4)
-    u = haar_unitary(rng, 4)
+    u = haar_unitary(4, rng)
     rep = gaussian.to_adjacency(
         gaussian.apply_channel(gaussian.from_squeezing(xi, lay), u))
     nmax = 24
@@ -194,7 +189,7 @@ def test_fock_channel_cross_oracle():
     cases = 0
     while cases < 100:
         m = int(rng.integers(2, 4))
-        t = rng.uniform(0.5, 0.95) * haar_unitary(rng, m)
+        t = rng.uniform(0.5, 0.95) * haar_unitary(m, rng)
         p = tuple(int(x) for x in rng.integers(0, 3, size=m))
         nblocks = int(rng.integers(1, m + 1))
         assign = rng.integers(0, nblocks, size=m)
@@ -224,7 +219,7 @@ def distinguishable_rep(rng, m, k, eta=0.85):
     for ext in range(m):
         xi[ext * k + ext % k] = 0.4 + 0.05 * ext
     s = gaussian.from_squeezing(xi, lay)
-    t = np.sqrt(eta) * np.kron(haar_unitary(rng, m), np.eye(k))
+    t = np.sqrt(eta) * np.kron(haar_unitary(m, rng), np.eye(k))
     return gaussian.to_adjacency(gaussian.apply_channel(s, t))
 
 
@@ -266,7 +261,7 @@ def test_phase_space_agreement_and_determinism():
     rng = np.random.default_rng(1010)
     m = 4
     xi = (0.45, 0.5, 0.4, 0.55)
-    t = 0.75 * haar_unitary(rng, m)
+    t = 0.75 * haar_unitary(m, rng)
     lay = gaussian.ModeLayout(m)
     rep = gaussian.to_adjacency(
         gaussian.apply_channel(gaussian.from_squeezing(list(xi), lay), t))
@@ -287,7 +282,7 @@ def test_moments_match_truncated_expectations():
     rng = np.random.default_rng(1011)
     lay = gaussian.ModeLayout(3)
     s = gaussian.from_squeezing([0.2, 0.15, 0.1], lay)
-    s = gaussian.apply_channel(s, 0.9 * haar_unitary(rng, 3))
+    s = gaussian.apply_channel(s, 0.9 * haar_unitary(3, rng))
     s = gaussian.displace(s, [0.1, -0.1j, 0.05])
     rep = gaussian.to_adjacency(s)
     cutoff = 9
@@ -332,7 +327,7 @@ def test_exact_total_distribution_sixteen_modes_under_five_seconds():
     rng = np.random.default_rng(1013)
     m = 16
     lay = gaussian.ModeLayout(m)
-    t = np.sqrt(0.36) * haar_unitary(rng, m)
+    t = np.sqrt(0.36) * haar_unitary(m, rng)
     rep = gaussian.to_adjacency(
         gaussian.apply_channel(gaussian.from_squeezing([0.89] * m, lay), t))
     t0 = time.perf_counter()
@@ -349,7 +344,7 @@ def test_three_external_two_internal_herald_pipeline():
     rng = np.random.default_rng(1014)
     lay = gaussian.ModeLayout(3, 2)
     s = gaussian.impure_source([1.0, 1.0, 1.0], 0.9, lay)
-    t = np.sqrt(0.95) * np.kron(haar_unitary(rng, 3), np.eye(2))
+    t = np.sqrt(0.95) * np.kron(haar_unitary(3, rng), np.eye(2))
     rep = gaussian.to_adjacency(gaussian.apply_channel(s, t))
     spec = HeraldSpec(
         herald_modes=[0, 1, 2, 3],

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonsieve import distributions as dist
 from photonsieve import gaussian, hafnian
+from photonsieve.cli import haar_unitary
 from photonsieve.errors import (
     LayoutMismatch,
     PartitionMismatch,
@@ -14,12 +17,6 @@ from photonsieve.errors import (
 
 L1 = gaussian.ModeLayout(1)
 L2 = gaussian.ModeLayout(2)
-
-
-def haar_unitary(rng, n):
-    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(h)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def tmsv(r):
@@ -83,7 +80,7 @@ def test_total_distribution_matches_convolution():
     # of the per-mode distributions of the inputs
     rng = np.random.default_rng(3)
     xi = [0.4, 0.7]
-    u = haar_unitary(rng, 2)
+    u = haar_unitary(2, rng)
     s = gaussian.apply_channel(gaussian.from_squeezing(xi, L2), u)
     rep = gaussian.to_adjacency(s)
     nmax = 12
@@ -102,7 +99,7 @@ def lossy_three_mode_rep(seed=11):
     rng = np.random.default_rng(seed)
     lay = gaussian.ModeLayout(3)
     s = gaussian.from_squeezing([0.5, -0.3, 0.4], lay)
-    s = gaussian.apply_channel(s, 0.85 * haar_unitary(rng, 3))
+    s = gaussian.apply_channel(s, 0.85 * haar_unitary(3, rng))
     s = gaussian.displace(s, [0.2, -0.1j, 0.05])
     return gaussian.to_adjacency(s)
 
@@ -144,7 +141,7 @@ def two_internal_state(seed=5, eta=0.9):
     rng = np.random.default_rng(seed)
     lay = gaussian.ModeLayout(2, 2)
     s = gaussian.from_squeezing([0.5, 0.3, -0.4, 0.6], lay)
-    u = haar_unitary(rng, 2)
+    u = haar_unitary(2, rng)
     t = np.sqrt(eta) * np.kron(u, np.eye(2))  # internal modes do not mix
     return gaussian.apply_channel(s, t)
 
@@ -170,7 +167,7 @@ def distinguishable_state(seed=5, eta=0.9):
     rng = np.random.default_rng(seed)
     lay = gaussian.ModeLayout(2, 2)
     s = gaussian.from_squeezing([0.5, 0.0, 0.0, 0.6], lay)
-    u = haar_unitary(rng, 2)
+    u = haar_unitary(2, rng)
     t = np.sqrt(eta) * np.kron(u, np.eye(2))
     return gaussian.apply_channel(s, t)
 
@@ -265,6 +262,51 @@ def test_coarse_cumulant_covariance():
     m2 = dist.coarse_moment(s, [blocks[1]])
     assert np.isclose(dist.coarse_cumulant(s, blocks), mom - m1 * m2,
                       atol=1e-9)
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), nmodes=st.integers(3, 4),
+       extra_block=st.booleans())
+def test_coarse_cumulant_matches_moment_cumulant_sum(seed, nmodes,
+                                                     extra_block):
+    """kappa(N_1..N_p) = sum over set partitions pi of the p blocks of
+    (-1)^(|pi|-1) (|pi|-1)! prod_{S in pi} E[prod_{j in S} N_j]."""
+    rng = np.random.default_rng(seed)
+    layout = gaussian.ModeLayout(nmodes)
+    s = gaussian.from_squeezing(rng.uniform(-0.8, 0.8, nmodes), layout)
+    s = gaussian.apply_channel(s, rng.uniform(0.5, 0.95)
+                               * haar_unitary(nmodes, rng))
+    s = gaussian.displace(s, rng.normal(size=nmodes) * 0.5
+                          + 0.5j * rng.normal(size=nmodes))
+    nblocks = min(3 + extra_block, nmodes)
+    cuts = np.sort(rng.choice(np.arange(1, nmodes), nblocks - 1,
+                              replace=False))
+    blocks = [b.tolist() for b in np.split(rng.permutation(nmodes), cuts)]
+    want = 0.0
+    for part in set_partitions(list(range(nblocks))):
+        term = (-1.0) ** (len(part) - 1) * math.factorial(len(part) - 1)
+        for sub in part:
+            term *= dist.coarse_moment(s, [blocks[j] for j in sub])
+        want += term
+    assert np.isclose(dist.coarse_cumulant(s, blocks), want, rtol=1e-9,
+                      atol=1e-9)
+
+
+def test_empty_block_list_moment_and_cumulant():
+    s = gaussian.displace(tmsv(0.4), [0.3, -0.2j])
+    assert dist.coarse_moment(s, []) == 1.0
+    assert dist.coarse_cumulant(s, []) == 0.0
 
 
 def test_partition_validation():

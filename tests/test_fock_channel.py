@@ -8,17 +8,12 @@ from hypothesis import strategies as st
 
 from photonsieve import fock_channel as fc
 from photonsieve import heralding
+from photonsieve.cli import haar_unitary
 from photonsieve.distributions import CoarsePattern
 from photonsieve.errors import NotSubunitary, PartitionMismatch, TooLarge
 from photonsieve.heralding import HeraldSpec
 
 BS = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-
-
-def haar_unitary(rng, n):
-    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(h)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def fine_cp(b):
@@ -81,7 +76,7 @@ def test_lossy_single_mode():
 
 def test_unitary_normalization():
     rng = np.random.default_rng(21)
-    u = haar_unitary(rng, 3)
+    u = haar_unitary(3, rng)
     fi = fc.FockInput((1, 2, 0), u)
     n = sum(fi.p)
     cp = CoarsePattern([[0, 1, 2]], [n])
@@ -92,7 +87,7 @@ def test_unitary_normalization():
 
 def test_lossy_total_normalization():
     rng = np.random.default_rng(22)
-    t = 0.8 * haar_unitary(rng, 2)
+    t = 0.8 * haar_unitary(2, rng)
     fi = fc.FockInput((1, 1), t)
     total = sum(fc.fock_coarse_prob(fi, CoarsePattern([[0, 1]], [n]))
                 for n in range(3))
@@ -101,7 +96,7 @@ def test_lossy_total_normalization():
 
 def test_output_permutation_covariance():
     rng = np.random.default_rng(23)
-    t = 0.9 * haar_unitary(rng, 3)
+    t = 0.9 * haar_unitary(3, rng)
     perm = np.zeros((3, 3))
     for i, j in enumerate([2, 0, 1]):
         perm[i, j] = 1.0
@@ -127,7 +122,7 @@ def test_perm_oracle_small():
 def test_cross_oracle_random(seed):
     rng = np.random.default_rng(300 + seed)
     m = int(rng.integers(2, 4))
-    t = rng.uniform(0.6, 0.95) * haar_unitary(rng, m)
+    t = rng.uniform(0.6, 0.95) * haar_unitary(m, rng)
     p = tuple(int(x) for x in rng.integers(0, 3, size=m))
     if sum(p) == 0:
         p = (1,) + p[1:]
@@ -166,7 +161,7 @@ def test_herald_more_than_input_is_zero():
 
 def test_herald_outcomes_sum_to_marginal():
     rng = np.random.default_rng(31)
-    t = 0.85 * haar_unitary(rng, 2)
+    t = 0.85 * haar_unitary(2, rng)
     fi = fc.FockInput((1, 1), t)
     cutoff = 2
     full = fc.fock_herald(fi, HeraldSpec([], [], cutoff=cutoff))
@@ -179,7 +174,7 @@ def test_herald_outcomes_sum_to_marginal():
 
 def test_herald_diagonal_matches_coarse_prob():
     rng = np.random.default_rng(32)
-    t = 0.9 * haar_unitary(rng, 2)
+    t = 0.9 * haar_unitary(2, rng)
     fi = fc.FockInput((2, 0), t)
     dm = fc.fock_herald(fi, HeraldSpec([1], [1], cutoff=2))
     for n in range(3):
@@ -189,7 +184,7 @@ def test_herald_diagonal_matches_coarse_prob():
 
 def test_herald_grouped_equals_fine_sum():
     rng = np.random.default_rng(33)
-    t = 0.9 * haar_unitary(rng, 3)
+    t = 0.9 * haar_unitary(3, rng)
     fi = fc.FockInput((1, 1, 0), t)
     total = 1
     grouped = fc.fock_herald(
@@ -204,7 +199,7 @@ def test_herald_grouped_equals_fine_sum():
 
 def test_herald_trace_out():
     rng = np.random.default_rng(34)
-    t = 0.8 * haar_unitary(rng, 3)
+    t = 0.8 * haar_unitary(3, rng)
     fi = fc.FockInput((1, 1, 0), t)
     direct = fc.fock_herald(
         fi, HeraldSpec([0], [1], cutoff=2, trace_out=[2]))
@@ -215,7 +210,7 @@ def test_herald_trace_out():
 
 def test_herald_hermitian_with_complex_circuit():
     rng = np.random.default_rng(35)
-    t = 0.85 * haar_unitary(rng, 2)
+    t = 0.85 * haar_unitary(2, rng)
     fi = fc.FockInput((2, 1), t)
     dm = fc.fock_herald(fi, HeraldSpec([1], [1], cutoff=2))
     assert np.allclose(dm.entries, dm.entries.conj().T)
@@ -225,7 +220,7 @@ def test_herald_hermitian_with_complex_circuit():
 
 def random_fock_herald(seed):
     rng = np.random.default_rng(seed)
-    t = 0.9 * haar_unitary(rng, 3)
+    t = 0.9 * haar_unitary(3, rng)
     fi = fc.FockInput(tuple(int(x) for x in rng.integers(0, 3, 3)), t)
     spec = HeraldSpec([0], [int(rng.integers(0, 2))], cutoff=2)
     return fi, spec

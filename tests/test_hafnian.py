@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,28 +144,25 @@ def test_g_coefficients_traces_and_scale():
     )
 
 
-# -- sieve operator -----------------------------------------------------------
-
-def test_sieve_multilinear_coefficient():
-    val = hafnian.sieve(lambda z: z[0] * z[1], [1, 1])
-    assert np.isclose(val, 1.0, atol=1e-12)
-
-
-def test_sieve_cubic_monomial():
-    val = hafnian.sieve(lambda z: z[0] ** 3, [3])
-    assert np.isclose(val, 6.0, atol=1e-10)
-
-
-def test_sieve_zero_pattern_pins():
-    val = hafnian.sieve(lambda z: 7.0 + z[0], [0])
-    assert np.isclose(val, 7.0)
-
-
-def test_sieve_kills_inhomogeneous_lower_terms():
-    # degree-2 total: z0^2 coefficient extracted from mixed polynomial
-    poly = lambda z: 4.0 * z[0] ** 2 + 3.0 * z[0] * z[1] + z[1] + 5.0
-    val = hafnian.sieve(poly, [2, 0])
-    assert np.isclose(val, 8.0, atol=1e-10)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), with_gamma=st.booleans(),
+       nmodes=st.integers(1, 3), nmax=st.integers(1, 5),
+       one_per_chunk=st.booleans())
+def test_g_coefficients_batched_scale_matches_rows(seed, with_gamma, nmodes,
+                                                   nmax, one_per_chunk):
+    """A (2, 3, M) batch of scales equals one call per row, also when every
+    batch entry is a chunk of its own."""
+    rng = np.random.default_rng(seed)
+    a = rand_symmetric(rng, 2 * nmodes)
+    gam = rand_gamma(rng, 2 * nmodes) if with_gamma else None
+    scale = rand_gamma(rng, (2, 3, nmodes))
+    budget = 1 if one_per_chunk else hafnian._CHUNK_BYTES
+    with mock.patch.object(hafnian, "_CHUNK_BYTES", budget):
+        g = hafnian.g_coefficients(a, gam, nmax, scale)
+    assert g.shape == (2, 3, nmax)
+    for i, j in itertools.product(range(2), range(3)):
+        want = hafnian.g_coefficients(a, gam, nmax, scale[i, j])
+        assert np.allclose(g[i, j], want, rtol=1e-12, atol=1e-12)
 
 
 # -- lhaf via sieve -----------------------------------------------------------
@@ -251,14 +249,27 @@ def eig_f(a, gam, n, z):
     return hafnian.f_coefficients(np.array(g))[-1]
 
 
+def roots_of_unity_fold(evaluate, pattern):
+    """prod_j k_j! [z^k] evaluate(z), k = ``pattern`` (all counts > 0),
+    folded over the (k_j + 1)-th roots of unity in each variable j, one
+    point at a time."""
+    weight = np.prod([math.factorial(k) / (k + 1) for k in pattern])
+    total = 0.0 + 0.0j
+    for m in itertools.product(*(range(k + 1) for k in pattern)):
+        phases = 2 * np.pi * np.array(m) / (np.array(pattern) + 1)
+        total += (weight * np.exp(-1j * np.dot(pattern, phases))
+                  * evaluate(np.exp(1j * phases)))
+    return total
+
+
 def test_lhaf_sieve_eig_path_matches():
-    """The matrix-power grid engine against the generic sieve over an
-    eigenvalue evaluation of f_N."""
+    """The matrix-power grid engine against a pointwise roots-of-unity fold
+    over an eigenvalue evaluation of f_N."""
     rng = np.random.default_rng(13)
     a = rand_symmetric(rng, 6)
     gam = rand_gamma(rng, 6)
     pattern = [2, 2, 2]
-    want = hafnian.sieve(lambda z: eig_f(a, gam, 6, z), pattern)
+    want = roots_of_unity_fold(lambda z: eig_f(a, gam, 6, z), pattern)
     assert np.isclose(hafnian.lhaf_sieve(a, gam, pattern), want, rtol=1e-8)
 
 

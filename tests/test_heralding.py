@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from photonsieve import distributions as dist
 from photonsieve import gaussian, hafnian, heralding
+from photonsieve.cli import haar_unitary
 from photonsieve.errors import (
     LengthMismatch,
     NotNormalized,
@@ -27,12 +28,6 @@ def rand_rep(rng, nmodes, with_gamma=True):
     if with_gamma:
         g = rng.normal(size=2 * nmodes) + 1j * rng.normal(size=2 * nmodes)
     return gaussian.AdjacencyRep(a, g, 1.0, gaussian.ModeLayout(nmodes))
-
-
-def haar_unitary(rng, n):
-    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(h)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def tmsv(r, eta_herald=1.0):
@@ -192,7 +187,7 @@ def test_herald_fine_matches_fock_elements():
 def test_herald_grouped_singletons_equal_fine():
     rep = gaussian.to_adjacency(gaussian.apply_channel(
         gaussian.from_squeezing([0.6, -0.4, 0.5], gaussian.ModeLayout(3)),
-        0.9 * haar_unitary(np.random.default_rng(7), 3)))
+        0.9 * haar_unitary(3, 7)))
     fine = heralding.herald_grouped(
         rep, heralding.HeraldSpec([0, 1], [1, 1], cutoff=2))
     grouped = heralding.herald_grouped(
@@ -203,7 +198,7 @@ def test_herald_grouped_singletons_equal_fine():
 def test_herald_grouped_equals_fine_sum():
     rep = gaussian.to_adjacency(gaussian.apply_channel(
         gaussian.from_squeezing([0.6, -0.4, 0.5], gaussian.ModeLayout(3)),
-        0.85 * haar_unitary(np.random.default_rng(8), 3)))
+        0.85 * haar_unitary(3, 8)))
     total = 2
     grouped = heralding.herald_grouped(
         rep, heralding.HeraldSpec([0, 1], ([(0, 1)], (total,)), cutoff=2))
@@ -218,7 +213,7 @@ def test_herald_grouped_equals_fine_sum():
 def test_herald_trace_is_coarse_probability():
     rep = gaussian.to_adjacency(gaussian.apply_channel(
         gaussian.from_squeezing([0.5, -0.5], L2),
-        0.8 * haar_unitary(np.random.default_rng(9), 2)))
+        0.8 * haar_unitary(2, 9)))
     spec = heralding.HeraldSpec([0], [2], cutoff=14)
     dm = heralding.herald_grouped(rep, spec)
     # trace over a generous cutoff approaches the marginal herald probability
@@ -238,7 +233,7 @@ def test_trace_out_equals_assembled_partial_trace():
     # reference truncates the traced mode at the cutoff)
     rep = gaussian.to_adjacency(gaussian.apply_channel(
         gaussian.from_squeezing([0.3, -0.25, 0.2], gaussian.ModeLayout(3)),
-        0.9 * haar_unitary(rng, 3)))
+        0.9 * haar_unitary(3, rng)))
     cutoff = 6
     spec_direct = heralding.HeraldSpec([0], [1], cutoff=cutoff,
                                        trace_out=[2])
@@ -289,7 +284,7 @@ def random_herald(seed, displaced, grouped, kept):
     lay = gaussian.ModeLayout(nmodes)
     s = gaussian.apply_channel(
         gaussian.from_squeezing(rng.uniform(0.2, 0.6, nmodes), lay),
-        0.9 * haar_unitary(rng, nmodes))
+        0.9 * haar_unitary(nmodes, rng))
     if displaced:
         s = gaussian.displace(
             s, 0.3 * (rng.normal(size=nmodes) + 1j * rng.normal(size=nmodes)))

@@ -7,18 +7,13 @@ from hypothesis import strategies as st
 
 from photonsieve import distributions as dist
 from photonsieve import gaussian, phasespace
+from photonsieve.cli import haar_unitary
 from photonsieve.errors import (
     LengthMismatch,
     NonFinite,
     NotSubunitary,
     PartitionMismatch,
 )
-
-
-def haar_unitary(rng, n):
-    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(h)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def exact_total(xi, t, n_values):
@@ -119,7 +114,7 @@ def test_single_squeezer_matches_exact():
 def test_lossy_interferometer_matches_exact():
     rng = np.random.default_rng(11)
     xi = [0.6, 0.45, 0.3]
-    t = 0.7 * haar_unitary(rng, 3)
+    t = 0.7 * haar_unitary(3, rng)
     nv = (0, 1, 2, 3, 4)
     run = phasespace.PPRun(tuple(xi), t, 2 * 10 ** 5, 19, nv)
     est, err = phasespace.pp_estimate(run)
