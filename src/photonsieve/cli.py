@@ -8,7 +8,6 @@ distributions). Exit codes: 0 success, 2 validation error, 3 numeric error.
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .errors import (
     PartitionMismatch,
     ValidationFailure,
 )
-from .hafnian import blocked_lhaf, blocked_lhaf_combinatorial
 from .heralding import HeraldSpec
 
 
@@ -302,59 +300,6 @@ _HANDLERS = {
 
 
 # ---------------------------------------------------------------------------
-# benchmarking
-# ---------------------------------------------------------------------------
-
-def _time_call(fn, repetitions):
-    times = []
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return {"times": times, "mean": float(np.mean(times)),
-            "best": float(min(times))}
-
-
-def run_bench(config, seed_override=None):
-    bench = config["bench"]
-    reps = int(bench.get("repetitions", 3))
-    if reps < 3:
-        raise PartitionMismatch("bench needs at least 3 repetitions")
-    kind = bench["kind"]
-    circ = config.get("circuit", {})
-    rows = []
-    if kind == "sieve-vs-combinatorial":
-        rep = gaussian.to_adjacency(build_state(circ))
-        blocks = [tuple(b) for b in bench["blocks"]]
-        counts = list(bench["counts"])
-        rows.append({"method": "sieve", **_time_call(
-            lambda: blocked_lhaf(rep.a, rep.gamma, blocks, counts), reps)})
-        rows.append({"method": "combinatorial", **_time_call(
-            lambda: blocked_lhaf_combinatorial(rep.a, rep.gamma, blocks,
-                                               counts), reps)})
-    elif kind == "exact-vs-pp":
-        rep = gaussian.to_adjacency(build_state(circ))
-        modes = list(range(rep.layout.total))
-        n_values = [int(n) for n in bench["n_values"]]
-        rows.append({"method": "exact", **_time_call(
-            lambda: [dist.prob_total(rep, modes, n) for n in n_values],
-            reps)})
-        xi = [float(x) for x in circ["squeezing"]]
-        t = _transmission_or_identity(circ, rep.layout.total,
-                                      int(circ["modes"]))
-        seed = seed_override if seed_override is not None \
-            else bench.get("seed", 0)
-        run = phasespace.PPRun(tuple(xi), t,
-                               int(bench.get("samples", 10 ** 5)), int(seed),
-                               tuple(n_values))
-        rows.append({"method": "positive-p", **_time_call(
-            lambda: phasespace.pp_estimate(run), reps)})
-    else:
-        raise DomainError(f"unknown bench kind {kind!r}")
-    return {"repetitions": reps, "rows": rows}
-
-
-# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
@@ -389,9 +334,7 @@ def run(config, seed_override=None):
     """Dispatch a parsed config; returns the result payload."""
     task = dict(config["task"])
     kind = task.get("kind")
-    if kind == "bench":
-        result = run_bench(config, seed_override)
-    elif kind == "pp-estimate":
+    if kind == "pp-estimate":
         result = _run_pp_estimate(config.get("circuit", {}), task,
                                   seed_override)
     elif kind in _HANDLERS:
@@ -407,12 +350,11 @@ def _build_parser():
         description="Photon-number statistics of lossy Gaussian circuits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "bench"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--output", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tolerance-overrides", default=None)
+    p = sub.add_parser("run")
+    p.add_argument("--config", required=True)
+    p.add_argument("--output", default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--tolerance-overrides", default=None)
     return parser
 
 
@@ -428,8 +370,6 @@ def main(argv=None):
         if args.tolerance_overrides:
             config.setdefault("task", {}).update(
                 _load_json(args.tolerance_overrides))
-        if args.command == "bench" and config["task"].get("kind") != "bench":
-            raise DomainError("bench command needs a task of kind bench")
         result = run(config, seed_override=args.seed)
         payload = {
             "version": __version__,

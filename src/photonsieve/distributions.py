@@ -7,6 +7,7 @@ photon-number vector.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -15,6 +16,7 @@ from .errors import (
     DomainError,
     LayoutMismatch,
     PartitionMismatch,
+    ProbabilityOutOfRange,
     RankViolation,
     SingularResolvent,
 )
@@ -25,13 +27,17 @@ from .hafnian import (
     check_partition,
     f_coefficients,
     f_n,
+    factorial_product,
     g_coefficients,
     grid_coefficients,
     lhaf_sieve,
+    sieve_reduce,
 )
 from .linalg import xmat
 
 _DEFAULT_TAIL = 1e-7
+# rounding slack allowed outside [0, 1] before a probability is an error
+_PROB_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,13 +72,22 @@ class Distribution:
         object.__setattr__(self, "probabilities", probs)
 
 
-def _real_prob(value):
+def _real(value):
     value = complex(value)
     if abs(value.imag) > 1e-9 * (1 + abs(value)):
         raise DomainError(
-            f"probability has non-negligible imaginary part {value.imag:.3e}"
+            f"value has non-negligible imaginary part {value.imag:.3e}"
         )
     return value.real
+
+
+def _real_prob(value):
+    """A real probability; a value outside [-1e-9, 1 + 1e-9] is a numeric
+    failure, never a result."""
+    value = _real(value)
+    if not -_PROB_SLACK <= value <= 1 + _PROB_SLACK:
+        raise ProbabilityOutOfRange(f"probability {value!r} outside [0, 1]")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +98,7 @@ def prob_fine(rep, n):
     """Probability of the exact per-mode photon pattern n."""
     n = [int(k) for k in n]
     val = rep.vacuum_prob * lhaf_sieve(rep.a, rep.gamma, n)
-    val /= np.prod([math.factorial(k) for k in n])
-    return _real_prob(val)
+    return _real_prob(val / factorial_product(n))
 
 
 def prob_total(rep, subset, n_total):
@@ -118,8 +132,7 @@ def total_distribution(rep, subset=None, cutoff=None, tail=_DEFAULT_TAIL):
 def prob_coarse(rep, cp):
     """Probability of the coarse-grained counts over detector blocks."""
     val = rep.vacuum_prob * blocked_lhaf(rep.a, rep.gamma, cp.blocks, cp.counts)
-    val /= np.prod([math.factorial(c) for c in cp.counts])
-    return _real_prob(val)
+    return _real_prob(val / factorial_product(cp.counts))
 
 
 def prob_external(rep, n):
@@ -142,8 +155,12 @@ def extract_distinguishable_blocks(rep):
     """Split X A into per-internal-mode blocks over the external modes.
 
     Requires the adjacency to carry no coupling between distinct internal
-    modes; each returned block is a Hermitian 2M x 2M matrix.
+    modes, and a zero loop vector (no displacement); each returned block is
+    a Hermitian 2M x 2M matrix.
     """
+    if np.any(rep.gamma):
+        raise LayoutMismatch("displaced states have no distinguishable "
+                             "fast path")
     lay = rep.layout
     m, k = lay.externals, lay.internals_per_external
     t = lay.total
@@ -165,63 +182,49 @@ def prob_external_distinguishable(blocks, n):
     """External pattern probability when internal modes never interfere.
 
     ``blocks`` are the Hermitian per-internal-mode pieces of X A over the
-    external modes; each must have rank at most two. Runs the
-    inclusion-exclusion sum over sub-multisets, batched over the whole
-    multiplicity grid: each grid point only needs the two eigenvalues per
-    block (trace and Frobenius norm), never a matrix factorization.
+    external modes; each must have rank at most two.  With one sieve
+    variable z_i per external mode, D(z) B_l then has at most two nonzero
+    eigenvalues, so tr((D(z) B_l)^k) is a power sum p_k of two numbers.
+    They follow from e1 = z . d_l and e2 = (e1^2 - z^T C_l z) / 2 by the
+    recurrence p_k = e1 p_(k-1) - e2 p_(k-2), with no matrix powers, and
+    the log series sum_l p_k / (2k) goes through the same grid, circle
+    dilations and FFT as every other probability.  A displaced state has a
+    loop term that this series leaves out; ``extract_distinguishable_blocks``
+    rejects it.
     """
-    blocks = [np.asarray(b, dtype=complex) for b in blocks]
     n = [int(x) for x in n]
     m = len(n)
-    nphot = sum(n)
-    nblk = len(blocks)
-    vac = 1.0
-    diag = np.zeros((nblk, m))
-    cross = np.zeros((nblk, m, m))
-    for l, b in enumerate(blocks):
-        if b.shape != (2 * m, 2 * m):
-            raise LayoutMismatch("each block must be 2M x 2M")
-        if np.max(np.abs(b - b.conj().T)) > 1e-10:
-            raise RankViolation("blocks must be Hermitian")
-        sv = np.linalg.svd(b, compute_uv=False)
-        if len(sv) > 2 and sv[2] > 1e-8 * max(sv[0], 1e-300):
-            raise RankViolation("block has rank above two")
-        vac *= np.sqrt(np.linalg.det(np.eye(2 * m) - b).real)
-        diag[l] = (np.diagonal(b)[:m] + np.diagonal(b)[m:]).real
-        ab = np.abs(b) ** 2
-        cross[l] = ab[:m, :m] + ab[m:, m:] + ab[m:, :m] + ab[:m, m:]
-    if nphot == 0:
-        return vac
+    if any(np.shape(b) != (2 * m, 2 * m) for b in blocks):
+        raise LayoutMismatch("each block must be 2M x 2M")
+    b = np.array(blocks, dtype=complex).reshape(-1, 2 * m, 2 * m)
+    bt = b.transpose(0, 2, 1)
+    if np.max(np.abs(b - bt.conj()), initial=0.0) > 1e-10:
+        raise RankViolation("blocks must be Hermitian")
+    sv = np.linalg.svd(b, compute_uv=False)
+    if sv.shape[1] > 2 and np.any(sv[:, 2] > 1e-8
+                                  * np.maximum(sv[:, 0], 1e-300)):
+        raise RankViolation("block has rank above two")
+    vac = np.prod(np.sqrt(np.linalg.det(np.eye(2 * m) - b).real))
+    d = np.diagonal(b, axis1=1, axis2=2)
+    diag = d[:, :m] + d[:, m:]
+    bb = b * bt
+    cross = bb[:, :m, :m] + bb[:, m:, m:] + bb[:, m:, :m] + bb[:, :m, m:]
+    value = sieve_reduce(partial(_rank_two_series, diag, cross), n,
+                         np.eye(m))
+    return _real_prob(vac * value / factorial_product(n))
 
-    active = [k for k in range(m) if n[k] > 0]
-    axes = [np.arange(n[k] + 1) for k in active]
-    grid = np.stack(
-        np.meshgrid(*axes, indexing="ij"), axis=-1
-    ).reshape(-1, len(active))
-    npts = grid.shape[0]
-    mult = np.zeros((npts, m))
-    mult[:, active] = grid
 
-    # sign (-1)^(N - |mult|) and the product of binomial coefficients
-    weight = (-1.0) ** (nphot - grid.sum(axis=1))
-    for col, k in enumerate(active):
-        combs = np.array([math.comb(n[k], j) for j in range(n[k] + 1)])
-        weight = weight * combs[grid[:, col]]
-
-    # both eigenvalues of every rank-two block, from trace and 2-norm
-    tr = mult @ diag.T                                   # (G, K)
-    fr2 = np.einsum("gi,lij,gj->gl", mult, cross, mult)  # (G, K)
-    disc = np.sqrt(np.maximum(2 * fr2 - tr ** 2, 0.0))
-    lam = np.concatenate([(tr + disc) / 2, (tr - disc) / 2], axis=1)
-
-    g = np.empty((npts, nphot))
-    pw = np.ones_like(lam)
-    for j in range(1, nphot + 1):
-        pw = pw * lam
-        g[:, j - 1] = pw.sum(axis=1) / (2 * j)
-    total = np.dot(weight, f_coefficients(g)[:, nphot])
-    total *= vac / np.prod([math.factorial(k) for k in n])
-    return _real_prob(total)
+def _rank_two_series(diag, cross, nmax, z):
+    """g_1..g_nmax at the rows of ``z`` for blocks of rank at most two,
+    from d_l = ``diag[l]`` and C_l = ``cross[l]``."""
+    e1 = z @ diag.T                                            # (G, K)
+    e2 = (e1 ** 2 - np.einsum("gi,lij,gj->gl", z, cross, z)) / 2
+    g = np.empty((len(z), nmax), dtype=complex)
+    prev, power = 2.0, e1
+    for k in range(1, nmax + 1):
+        g[:, k - 1] = power.sum(axis=1) / (2 * k)
+        prev, power = power, e1 * power - e2 * prev
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +269,9 @@ def coarse_moment(state, blocks):
     a, gamma, expand = _moment_generator(state, blocks)
     if not len(expand):
         return 1.0
-    values, _ = grid_coefficients(a, gamma, expand, [[1] * len(expand)])
-    return _real_prob(values[0])
+    values, _ = grid_coefficients(partial(g_coefficients, a, gamma), expand,
+                                  [[1] * len(expand)])
+    return _real(values[0])
 
 
 def coarse_cumulant(state, blocks):
@@ -282,7 +286,7 @@ def coarse_cumulant(state, blocks):
         return 0.0
     signs = np.array(list(product((1.0, -1.0), repeat=p)))
     g = g_coefficients(a, gamma, p, signs @ expand)
-    return _real_prob(signs.prod(axis=1) @ g[:, -1] / 2 ** p)
+    return _real(signs.prod(axis=1) @ g[:, -1] / 2 ** p)
 
 
 def _stirling2(p):
@@ -306,4 +310,4 @@ def block_cumulant(state, block, p):
     total = sum(
         s2[k] * math.factorial(k) * g[k - 1] for k in range(1, p + 1)
     )
-    return _real_prob(total)
+    return _real(total)

@@ -85,5 +85,9 @@ class SingularResolvent(NumericFailure):
     pass
 
 
+class ProbabilityOutOfRange(NumericFailure):
+    """A computed probability fell outside [0, 1] by more than rounding."""
+
+
 class ZeroProbability(NumericFailure):
     """A conditional state was requested for an outcome of probability 0."""

@@ -6,14 +6,14 @@ reduce to blocked loop Hafnians with a zero loop vector, plus an exponential
 permanent-based oracle for cross-checking.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _real_prob
 from .errors import PartitionMismatch, TooLarge
 from .gaussian import AdjacencyRep, ModeLayout
-from .hafnian import blocked_lhaf, compatible_patterns
+from .hafnian import blocked_lhaf, compatible_patterns, factorial_product
 from .heralding import herald_density, partial_trace
 from .linalg import require_subunitary
 
@@ -76,8 +76,7 @@ def fock_coarse_prob(fi, cp):
     counts = list(fi.p) + list(cp.counts)
     a = build_a_phi(fi.t)
     val = blocked_lhaf(a, None, blocks, counts)
-    val /= np.prod([math.factorial(x) for x in counts])
-    return float(val.real)
+    return _real_prob(val / factorial_product(counts))
 
 
 def perm_oracle(mat):
@@ -120,8 +119,7 @@ def fock_perm_oracle(fi, cp):
         idx = [k for k in range(m) for _ in range(fi.p[k])]
         idx += [m + k for k in range(m) for _ in range(fine[k])]
         sub = base[np.ix_(idx, idx)]
-        weight = np.prod([math.factorial(x) for x in fi.p])
-        weight *= np.prod([math.factorial(x) for x in fine])
+        weight = factorial_product(fi.p) * factorial_product(fine)
         total += perm_oracle(sub).real / weight
     return float(total)
 

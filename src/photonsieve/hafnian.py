@@ -11,7 +11,9 @@ Six layers, from slow-and-certain to fast:
 * ``grid_coefficients``  the sieve engine: f_0..f_N on one roots-of-unity
                          grid, then one FFT per total N reads out every
                          count pattern the grid resolves, each with its
-                         rounding bound;
+                         rounding bound; the log series is an argument,
+                         ``g_coefficients`` or the rank-two power sums of
+                         the distinguishable fast path;
 * ``lhaf_sieve``         one pattern from the smallest such grid, equal to
                          the oracle on the repeated matrix;
 * ``blocked_lhaf``       the grouped-detector generalization, one sieve
@@ -22,6 +24,7 @@ off the same grid and log series.
 """
 
 import math
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -30,6 +33,12 @@ from .errors import NonFinite, OddDimension, PartitionMismatch, TooLarge
 from .linalg import require_finite, xmat
 
 _ORACLE_LIMIT = 14
+
+
+def factorial_product(counts):
+    """prod k! over ``counts`` as a float, formed exactly in Python ints:
+    a NumPy int64 product wraps once it passes 2**63."""
+    return float(math.prod(math.factorial(int(k)) for k in counts))
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +174,18 @@ def f_n(a, gamma=None, n=0):
 # roots-of-unity sieve
 # ---------------------------------------------------------------------------
 
-def grid_coefficients(a, gamma, expand, targets, radii=None):
+def grid_coefficients(series, expand, targets, radii=None):
     """Blocked loop Hafnians of many count patterns from one sieve grid.
 
-    ``expand`` maps variable columns to mode columns, and each row of
-    ``targets`` is a count pattern over the variables.  Variable j runs
-    over L_j points r_j exp(2 pi i m / L_j), L_j = 1 + its largest count
-    (a variable whose counts are all zero is pinned at zero).  Each f_N is
-    homogeneous of degree N, so a pattern k with every k_j < L_j aliases
-    with no other pattern of the same total, and one ``fftn`` of f_N on
-    the grid yields all patterns of total N at once.
+    ``series(nmax, scale)`` returns g_1..g_nmax at every row of ``scale``
+    (one entry per mode), as ``g_coefficients`` does with its matrix and
+    loop vector bound.  ``expand`` maps variable columns to mode columns,
+    and each row of ``targets`` is a count pattern over the variables.
+    Variable j runs over L_j points r_j exp(2 pi i m / L_j), L_j = 1 + its
+    largest count (a variable whose counts are all zero is pinned at zero).
+    Each f_N is homogeneous of degree N, so a pattern k with every k_j < L_j
+    aliases with no other pattern of the same total, and one ``fftn`` of
+    f_N on the grid yields all patterns of total N at once.
 
     Homogeneity also removes one variable e: the z^k coefficient of f_N
     is the coefficient of the other variables' z^k in f_N with z_e pinned
@@ -208,8 +219,8 @@ def grid_coefficients(a, gamma, expand, targets, radii=None):
         zgrid = zgrid + ax.reshape(shape) * expand[j]
     zgrid = np.broadcast_to(zgrid, tuple(sizes) + expand.shape[1:])
     totals = targets.sum(axis=1)
-    f = f_coefficients(g_coefficients(a, gamma, int(totals.max()),
-                                      zgrid.reshape(-1, expand.shape[1])))
+    f = f_coefficients(series(int(totals.max()),
+                              zgrid.reshape(-1, expand.shape[1])))
     facts = np.array([float(math.factorial(k))
                       for k in range(kmax.max() + 1)])
     scale = np.prod(facts[targets] / radii ** targets, axis=1) / len(f)
@@ -243,9 +254,10 @@ def fold_is_sound(value, mass, abs_tol=None):
     return abs_tol is not None and _EPS * mass <= abs_tol
 
 
-def _sieve_reduce(a, gamma, counts, expand, abs_tol=None):
-    """One pattern from the smallest grid; ``expand`` maps variable
-    columns to mode columns.
+def sieve_reduce(series, counts, expand, abs_tol=None):
+    """One pattern of the log series ``series`` from the smallest grid;
+    ``expand`` maps variable columns to mode columns, and a variable of
+    count zero is pinned at zero.
 
     The absolute fold mass bounds the rounding error of the fold, so it
     doubles as a condition estimate.  When variable orders differ, the fold
@@ -257,12 +269,14 @@ def _sieve_reduce(a, gamma, counts, expand, abs_tol=None):
     the same exact quantity, because the target coefficient is
     homogeneous.  A result is accepted once it is sound (``fold_is_sound``).
     """
-    adaptive = len(set(counts)) > 1
     kmax = max(counts)
+    if kmax == 0:
+        return 1.0 + 0.0j
+    adaptive = len(set(counts) - {0}) > 1
 
     def fold(boost):
         radii = [boost ** (k / kmax) for k in counts]
-        vals, masses = grid_coefficients(a, gamma, expand, [counts], radii)
+        vals, masses = grid_coefficients(series, expand, [counts], radii)
         return complex(vals[0]), float(masses[0])
 
     out, mass = fold(_PRIMARY_BOOST if adaptive else 1.0)
@@ -337,13 +351,8 @@ def blocked_lhaf(a, gamma, blocks, b, abs_tol=None):
     b = [int(x) for x in b]
     if len(b) != len(blocks):
         raise PartitionMismatch("one count per block required")
-    total = sum(b)
-    if total == 0:
-        return 1.0 + 0.0j
-    active = [j for j, k in enumerate(b) if k > 0]
-    return _sieve_reduce(a, gamma, [b[j] for j in active],
-                         block_expansion([blocks[j] for j in active], nmodes),
-                         abs_tol=abs_tol)
+    return sieve_reduce(partial(g_coefficients, a, gamma), b,
+                        block_expansion(blocks, nmodes), abs_tol=abs_tol)
 
 
 def block_expansion(blocks, nmodes):
@@ -360,7 +369,7 @@ def blocked_lhaf_combinatorial(a, gamma, blocks, b, use_oracle=False):
     nmodes = a.shape[0] // 2
     if check_partition(blocks, nmodes) != nmodes:
         raise PartitionMismatch("partition does not cover all modes")
-    facts = np.prod([math.factorial(int(x)) for x in b])
+    facts = factorial_product(b)
     total = 0.0 + 0.0j
     for fine in compatible_patterns(blocks, b, nmodes):
         if use_oracle:
@@ -368,5 +377,5 @@ def blocked_lhaf_combinatorial(a, gamma, blocks, b, use_oracle=False):
             term = lhaf_oracle(rep, rg if gamma is not None else None)
         else:
             term = lhaf_sieve(a, gamma, fine)
-        total += term / np.prod([math.factorial(k) for k in fine])
+        total += term / factorial_product(fine)
     return facts * total

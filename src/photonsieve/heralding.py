@@ -10,6 +10,7 @@ the Gaussian level first and elements that vanish by parity left at zero.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -25,7 +26,9 @@ from .gaussian import ModeLayout, adjacency_from_cov
 from .hafnian import (
     block_expansion,
     blocked_lhaf,
+    factorial_product,
     fold_is_sound,
+    g_coefficients,
     grid_coefficients,
     lhaf_sieve,
 )
@@ -214,8 +217,7 @@ def fock_element(rep, m, n):
     """<m|rho|n> for the Gaussian state behind ``rep``."""
     emb = build_embedding(rep, n, m)
     val = rep.vacuum_prob * lhaf_sieve(emb.a_prime, emb.gamma_prime, emb.t)
-    norm = np.prod([math.sqrt(math.factorial(a) * math.factorial(b))
-                    for a, b in zip(n, m)])
+    norm = math.sqrt(factorial_product(n) * factorial_product(m))
     return complex(val / norm)
 
 
@@ -230,10 +232,8 @@ def _full_patterns(nmodes, kept, u, v):
 
 
 def _element_norm(counts, u, v):
-    norm = np.prod([math.factorial(int(c)) for c in counts])
-    return norm * np.prod([math.sqrt(math.factorial(int(a))
-                                     * math.factorial(int(b)))
-                           for a, b in zip(u, v)])
+    return factorial_product(counts) * math.sqrt(factorial_product(u)
+                                                 * factorial_product(v))
 
 
 def _grouped_element(rep, herald_blocks, counts, kept, u, v, abs_tol=None):
@@ -336,7 +336,8 @@ def _fill_elements(entries, rep, blocks, counts, kept, patterns, pairs,
             ap, gp = _embedded_matrix(rep.a, rep.gamma, tags)
             expand = block_expansion(herald + [(k,) for k in singles],
                                      len(tags) // 2)
-            lhafs, masses = grid_coefficients(ap, gp, expand, ks)
+            lhafs, masses = grid_coefficients(
+                partial(g_coefficients, ap, gp), expand, ks)
             for idx, (i, j, _) in enumerate(members):
                 norm = _element_norm(counts, patterns[j], patterns[i])
                 scale = abs(rep.vacuum_prob) / norm

@@ -179,30 +179,6 @@ def test_unknown_kind_and_missing_field(tmp_path):
                      write_config(tmp_path, config)]) == 2
 
 
-def test_bench_sieve_vs_combinatorial(tmp_path):
-    config = {
-        "circuit": {"modes": 2, "squeezing": [0.5, 0.5],
-                    "transmission": {"haar_seed": 1, "efficiency": 0.9}},
-        "task": {"kind": "bench"},
-        "bench": {"kind": "sieve-vs-combinatorial", "repetitions": 3,
-                  "blocks": [[0, 1]], "counts": [6]},
-    }
-    out = tmp_path / "r.json"
-    assert cli.main(["bench", "--config", write_config(tmp_path, config),
-                     "--output", str(out)]) == 0
-    rows = json.loads(out.read_text())["result"]["rows"]
-    assert {r["method"] for r in rows} == {"sieve", "combinatorial"}
-
-
-def test_bench_too_few_repetitions(tmp_path):
-    config = {"circuit": {"modes": 1, "squeezing": [0.5]},
-              "task": {"kind": "bench"},
-              "bench": {"kind": "sieve-vs-combinatorial", "repetitions": 1,
-                        "blocks": [[0]], "counts": [2]}}
-    assert cli.main(["bench", "--config",
-                     write_config(tmp_path, config)]) == 2
-
-
 def test_seed_override(tmp_path):
     config = {
         "circuit": {"modes": 1, "squeezing": [0.4]},
@@ -282,3 +258,29 @@ def test_removed_threads_flag_is_rejected(tmp_path):
         cli.main(["run", "--config", write_config(tmp_path, config),
                   "--threads", "2"])
     assert exc.value.code == 2
+
+
+def test_removed_bench_command_is_rejected(tmp_path):
+    config = {"circuit": tmsv_circuit(),
+              "task": {"kind": "total-dist", "max_total": 2}}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--config", write_config(tmp_path, config)])
+    assert exc.value.code == 2
+
+
+def test_distinguishable_external_prob_rejects_displacement(tmp_path):
+    # the rank-two fast path has no loop term, so a displaced state is a
+    # validation error, never a probability without its displacement
+    config = {"circuit": {"modes": 3, "internals": 3,
+                          "squeezing": [0.5, 0, 0, 0, 0.4, 0, 0, 0, 0.3],
+                          "transmission": {"haar_seed": 2, "efficiency": 0.9},
+                          "displacements": [0.3] * 9},
+              "task": {"kind": "external-prob", "distinguishable": True,
+                       "pattern": [1, 1, 0]}}
+    out = tmp_path / "r.json"
+    proc = run_cli(["run", "--config", write_config(tmp_path, config),
+                    "--output", str(out)])
+    assert proc.returncode == 2
+    assert not out.exists()
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "LayoutMismatch"

@@ -11,7 +11,9 @@ from photonsieve import gaussian, hafnian
 from photonsieve.cli import haar_unitary
 from photonsieve.errors import (
     LayoutMismatch,
+    NumericFailure,
     PartitionMismatch,
+    ProbabilityOutOfRange,
     RankViolation,
 )
 
@@ -200,6 +202,116 @@ def test_distinguishable_rank_guard():
     blocks = dist.extract_distinguishable_blocks(rep)
     with pytest.raises(RankViolation):
         dist.prob_external_distinguishable(blocks, [2, 1])
+
+
+def test_distinguishable_blocks_reject_displacement():
+    s = gaussian.displace(distinguishable_state(), [0.2, 0.0, 0.0, 0.1j])
+    with pytest.raises(LayoutMismatch):
+        dist.extract_distinguishable_blocks(gaussian.to_adjacency(s))
+
+
+def single_squeezer_state(rng, m, ports, r, eta):
+    """Internal mode l holds one squeezer r[l] at external port ports[l];
+    returns (adjacency, Haar unitary of the externals)."""
+    k = len(ports)
+    xi = np.zeros(m * k)
+    xi[np.asarray(ports) * k + np.arange(k)] = r
+    u = haar_unitary(m, rng)
+    t = np.sqrt(eta) * np.kron(u, np.eye(k))
+    s = gaussian.from_squeezing(xi, gaussian.ModeLayout(m, k))
+    return gaussian.to_adjacency(gaussian.apply_channel(s, t)), u
+
+
+def thinned_squeezer(r, p, nmax):
+    """Count distribution of squeezed vacuum r whose photons each go to
+    detector j with probability p[j], or are lost.
+
+    With G(s) = sech r (1 - tanh^2 r s^2)^(-1/2) the photon-number
+    generating function, the counts have generating function
+    G(a + sum_j p_j x_j), a = 1 - sum p, so P(c) = multinomial(c) prod
+    p_j^c_j [h^|c|] G(a + h).  F(h) = (alpha + beta h + gamma h^2)^(-1/2)
+    has the positive recurrence used below, so floats keep it exact to a
+    few ulps."""
+    tau2 = math.tanh(r) ** 2
+    a = 1.0 - sum(p)
+    alpha, beta, gamma = 1 - tau2 * a * a, -2 * tau2 * a, -tau2
+    f = [alpha ** -0.5, -0.5 * beta * alpha ** -1.5]
+    for c in range(1, nmax):
+        f.append(-((c + 0.5) * beta * f[c] + c * gamma * f[c - 1])
+                 / ((c + 1) * alpha))
+
+    def prob(c):
+        val = f[sum(c)] / math.cosh(r) * math.factorial(sum(c))
+        for cj, pj in zip(c, p):
+            val *= pj ** cj / math.factorial(cj)
+        return val
+    return prob
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6),
+       n=st.lists(st.integers(13, 20), min_size=2, max_size=2))
+def test_single_squeezer_external_probability_is_thinning(seed, n):
+    """Two single-squeezer internal modes: the external pattern is the
+    convolution of two thinned squeezer distributions.  Every count is at
+    most 20 and prod n_j! > 2**63, where an int64 product wraps."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(1.4, 1.8, 2)
+    eta = rng.uniform(0.8, 1.0)
+    rep, u = single_squeezer_state(rng, 2, [0, 1], r, eta)
+    parts = [thinned_squeezer(r[l], eta * np.abs(u[:, l]) ** 2, sum(n))
+             for l in range(2)]
+    want = sum(parts[0]((c0, c1)) * parts[1]((n[0] - c0, n[1] - c1))
+               for c0 in range(n[0] + 1) for c1 in range(n[1] + 1))
+    blocks = dist.extract_distinguishable_blocks(rep)
+    assert np.isclose(dist.prob_external(rep, n), want, rtol=1e-10, atol=0)
+    assert np.isclose(dist.prob_external_distinguishable(blocks, n), want,
+                      rtol=1e-10, atol=0)
+
+
+# largest total per external-mode count m: the general sieve, the oracle
+# here, takes up to (N/m + 1)^(m - 1) grid points, each with N powers of a
+# 2m^2 x 2m^2 matrix
+_FAST_PATH_TOTAL = {2: 52, 3: 36, 4: 24}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), m=st.sampled_from([2, 3, 4]),
+       dark=st.booleans())
+def test_distinguishable_fast_path_matches_general_sieve(seed, m, dark):
+    """Random m x m single-squeezer states: the rank-two series and the
+    general sieve agree to 1e-11 relative at totals up to 52.
+
+    The squeezing puts the mean total photon number near the drawn total,
+    and the counts follow the detectors' mean shares, with the weakest
+    detector dark when ``dark``.  Far-tail patterns are left out on
+    purpose: there the shared fold loses relative accuracy on both paths
+    alike (8e-6 on each against the exact value at a 4 x 4 pattern of
+    probability 1.2e-19), which is a matter of circle radii, not of the
+    series compared here."""
+    rng = np.random.default_rng(seed)
+    total = int(rng.integers(0, _FAST_PATH_TOTAL[m] + 1))
+    eta = rng.uniform(0.5, 1.0)
+    r = (np.arcsinh(np.sqrt(max(total, 1) / (m * eta)))
+         * rng.uniform(0.8, 1.2, m) * rng.choice([-1, 1], m))
+    ports = rng.integers(0, m, m)
+    rep, u = single_squeezer_state(rng, m, ports, r, eta)
+    shares = (np.abs(u[:, ports]) ** 2 * np.sinh(r) ** 2).sum(axis=1)
+    if dark:
+        shares[np.argmin(shares)] = 0.0
+    n = [int(x) for x in rng.multinomial(total, shares / shares.sum())]
+    blocks = dist.extract_distinguishable_blocks(rep)
+    assert np.isclose(dist.prob_external_distinguishable(blocks, n),
+                      dist.prob_external(rep, n), rtol=1e-11, atol=0)
+
+
+def test_probability_outside_unit_interval_is_numeric_failure():
+    assert dist._real_prob(-1e-12) == -1e-12
+    assert dist._real_prob(1.0 + 1e-12) == 1.0 + 1e-12
+    for bad in (-1e-6, 1.5, 331.2):
+        with pytest.raises(ProbabilityOutOfRange):
+            dist._real_prob(bad)
+    assert issubclass(ProbabilityOutOfRange, NumericFailure)
 
 
 # -- moments ------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from photonsieve import fock_channel as fc
@@ -72,6 +72,28 @@ def test_lossy_single_mode():
     for k in range(3):
         want = math.comb(2, k) * eta ** k * (1 - eta) ** (2 - k)
         assert np.isclose(fc.fock_coarse_prob(fi2, fine_cp([k])), want)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), m=st.sampled_from([2, 3]),
+       n=st.integers(16, 20), lost=st.integers(0, 3))
+def test_single_port_fock_input_is_multinomial(seed, m, n, lost):
+    """|n> in port 0 sends each photon to output j with probability
+    |t_j0|^2, or loses it, independently.  Every count is at most 20 and the
+    product of the factorials exceeds 2**63, where an int64 product
+    wraps."""
+    rng = np.random.default_rng(seed)
+    t = np.sqrt(rng.uniform(0.6, 1.0)) * haar_unitary(m, rng)
+    weights = np.abs(t[:, 0]) ** 2
+    b = [int(x) for x in rng.multinomial(n - lost, weights / weights.sum())]
+    assume(math.prod(math.factorial(k) for k in [n] + b) > 2 ** 63)
+    want = (math.factorial(n) / math.factorial(lost)
+            * (1 - weights.sum()) ** lost)
+    for k, w in zip(b, weights):
+        want *= w ** k / math.factorial(k)
+    p = (n,) + (0,) * (m - 1)
+    got = fc.fock_coarse_prob(fc.FockInput(p, t), fine_cp(b))
+    assert np.isclose(got, want, rtol=1e-9, atol=0)
 
 
 def test_unitary_normalization():
