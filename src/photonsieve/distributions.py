@@ -24,7 +24,6 @@ from .gaussian import reduce_modes
 from .hafnian import (
     block_expansion,
     blocked_lhaf,
-    check_partition,
     f_coefficients,
     f_n,
     factorial_product,
@@ -256,7 +255,6 @@ def _moment_generator(state, blocks):
     scaled by w_i, this (A, gamma) generates E[prod_i (1 + w_i)^n_i]."""
     nm = state.layout.total
     blocks = [tuple(b) for b in blocks]
-    check_partition(blocks, nm)
     x = xmat(nm)
     return x @ _normal_cov(state), x @ state.means, block_expansion(blocks, nm)
 

