@@ -57,7 +57,6 @@ from .heralding import (
     HeraldSpec,
     build_embedding,
     fidelity,
-    fock_element,
     herald_grouped,
     partial_trace,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "f_n",
     "fidelity",
     "fock_coarse_prob",
-    "fock_element",
     "fock_herald",
     "fock_perm_oracle",
     "from_squeezing",

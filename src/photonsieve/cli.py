@@ -270,15 +270,14 @@ def _run_moments(circ, task):
     return {"value": value}
 
 
-def _run_pp_estimate(circ, task, seed_override=None):
+def _run_pp_estimate(circ, task):
     modes = int(circ["modes"])
     if int(circ.get("internals", 1)) != 1:
         raise LayoutMismatch("phase-space estimation needs one internal mode")
     xi = [float(x) for x in circ["squeezing"]]
     t = _transmission_or_identity(circ, modes, modes)
-    seed = seed_override if seed_override is not None else task.get("seed", 0)
-    run = phasespace.PPRun(tuple(xi), t, int(task["samples"]), int(seed),
-                           tuple(task["n_values"]))
+    run = phasespace.PPRun(tuple(xi), t, int(task["samples"]),
+                           int(task.get("seed", 0)), tuple(task["n_values"]))
     est, err = phasespace.pp_estimate(run)
     return {
         "n_values": sorted(set(int(n) for n in task["n_values"])),
@@ -296,6 +295,7 @@ _HANDLERS = {
     "fock-prob": _run_fock_prob,
     "fock-herald": _run_fock_herald,
     "moments": _run_moments,
+    "pp-estimate": _run_pp_estimate,
 }
 
 
@@ -330,18 +330,13 @@ def _load_json(path):
         raise DomainError(f"cannot read config {path}: {exc}") from exc
 
 
-def run(config, seed_override=None):
+def run(config):
     """Dispatch a parsed config; returns the result payload."""
-    task = dict(config["task"])
+    task = config["task"]
     kind = task.get("kind")
-    if kind == "pp-estimate":
-        result = _run_pp_estimate(config.get("circuit", {}), task,
-                                  seed_override)
-    elif kind in _HANDLERS:
-        result = _HANDLERS[kind](config.get("circuit", {}), task)
-    else:
+    if kind not in _HANDLERS:
         raise DomainError(f"unknown task kind {kind!r}")
-    return result
+    return _HANDLERS[kind](config.get("circuit", {}), task)
 
 
 def _build_parser():
@@ -354,7 +349,6 @@ def _build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--output", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tolerance-overrides", default=None)
     return parser
 
 
@@ -367,10 +361,10 @@ def main(argv=None):
         config = _load_json(args.config)
         if not isinstance(config, dict) or "task" not in config:
             raise DomainError("config must be an object with a task section")
-        if args.tolerance_overrides:
-            config.setdefault("task", {}).update(
-                _load_json(args.tolerance_overrides))
-        result = run(config, seed_override=args.seed)
+        task = dict(config["task"])
+        if args.seed is not None:
+            task["seed"] = args.seed
+        result = run({**config, "task": task})
         payload = {
             "version": __version__,
             "config": {

@@ -208,8 +208,8 @@ def prob_external_distinguishable(blocks, n):
     diag = d[:, :m] + d[:, m:]
     bb = b * bt
     cross = bb[:, :m, :m] + bb[:, m:, m:] + bb[:, m:, :m] + bb[:, :m, m:]
-    value = sieve_reduce(partial(_rank_two_series, diag, cross), n,
-                         np.eye(m))
+    value = sieve_reduce(partial(_rank_two_series, diag, cross), [n],
+                         np.eye(m))[0]
     return _real_prob(vac * value / factorial_product(n))
 
 

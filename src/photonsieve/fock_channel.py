@@ -19,8 +19,8 @@ from .distributions import _real_prob
 from .errors import PartitionMismatch, TooLarge
 from .gaussian import AdjacencyRep, ModeLayout
 # blocked_lhaf is not called here: the benchmark tracer rebinds it here
-from .hafnian import (block_expansion, blocked_lhaf, compatible_patterns,
-                      factorial_product, power_trace_series, sieve_reduce)
+from .hafnian import (blocked_lhaf, compatible_patterns, factorial_product,
+                      partition_expansion, power_trace_series, sieve_reduce)
 from .heralding import herald_density, partial_trace
 from .linalg import require_subunitary
 
@@ -80,16 +80,14 @@ def fock_coarse_prob(fi, cp):
     m = len(fi.p)
     blocks = [(k,) for k in range(m)]
     blocks += [tuple(m + i for i in blk) for blk in cp.blocks]
-    expand = block_expansion(blocks, 2 * m)
-    if not expand.any(axis=0).all():
-        raise PartitionMismatch("partition does not cover all modes")
+    expand = partition_expansion(blocks, 2 * m)
     if sum(cp.counts) > sum(fi.p):
         return 0.0  # a passive lossy circuit cannot create photons
     t = fi.t
     k = np.block([[np.eye(m) - t.conj().T @ t, t.conj().T],
                   [t, np.zeros((m, m))]])
     counts = list(fi.p) + list(cp.counts)
-    val = sieve_reduce(partial(power_trace_series, k), counts, expand)
+    val = sieve_reduce(partial(power_trace_series, k), [counts], expand)[0]
     return _real_prob(val / factorial_product(counts))
 
 

@@ -1,6 +1,6 @@
 """Loop-Hafnian kernels.
 
-Seven layers, from slow-and-certain to fast:
+Eight layers, from slow-and-certain to fast:
 
 * ``lhaf_oracle``        exact enumeration of single-pair matchings with
                          loops, exponential, guarded to 14 rows;
@@ -17,7 +17,11 @@ Seven layers, from slow-and-certain to fast:
                          rounding bound; the log series is an argument,
                          ``g_coefficients``, the master-theorem series or
                          the distinguishable fast path's power sums;
-* ``lhaf_sieve``         one pattern from the smallest such grid, equal to
+* ``sieve_reduce``       the one fold-and-certify routine: rows of count
+                         patterns from one unit-circle grid, each row that
+                         drowns in cancellation folded again on its own
+                         grid on dilated circles;
+* ``lhaf_sieve``         one pattern through ``sieve_reduce``, equal to
                          the oracle on the repeated matrix;
 * ``blocked_lhaf``       the grouped-detector generalization, one sieve
                          variable per block.
@@ -246,11 +250,11 @@ def grid_coefficients(series, expand, targets, radii=None):
     return values, masses
 
 
-# circle dilation used first when variable orders differ, the alternatives
-# tried when the fold is still dominated by cancellation, and the fraction
-# of the absolute fold mass the result must exceed to count as sound
-_PRIMARY_BOOST = 4.0
-_FALLBACK_BOOSTS = (1.0, 16.0)
+# circle dilations of the fold: unit circles first, then radii
+# d**(k_j/k_max) for a row whose fold is still dominated by cancellation;
+# and the fraction of the absolute fold mass a result must exceed to count
+# as sound
+_DILATIONS = (1.0, 4.0, 16.0)
 _CANCEL_GUARD = 1e-3
 _EPS = float(np.finfo(float).eps)
 
@@ -265,53 +269,50 @@ def fold_is_sound(value, mass, abs_tol=None):
     return abs_tol is not None and _EPS * mass <= abs_tol
 
 
-def sieve_reduce(series, counts, expand, abs_tol=None):
-    """One pattern of the log series ``series`` from the smallest grid;
-    ``expand`` maps variable columns to mode columns, and a variable of
-    count zero is pinned at zero.
+def sieve_reduce(series, targets, expand, abs_tol=None):
+    """The rows of ``targets`` (count patterns over the variables) of the
+    log series ``series``, folded and certified; ``expand`` maps variable
+    columns to mode columns, and ``abs_tol`` is None or one absolute
+    tolerance (or None) per row.
 
-    The absolute fold mass bounds the rounding error of the fold, so it
-    doubles as a condition estimate.  When variable orders differ, the fold
-    starts on circles of radius 4**(k_j/k_max).  This is a heuristic, not
-    an optimum: on the (26, 26) diagonal element of the cutoff-26 herald
-    pipeline it gave a mass of 1.7e31 against 4.8e26 on unit circles.  If
-    the result drowns in cancellation, the remaining dilations are tried and
-    the assignment with the smallest mass wins.  Every dilation evaluates
-    the same exact quantity, because the target coefficient is
-    homogeneous.  A result is accepted once it is sound (``fold_is_sound``).
+    Every row is read off one grid on unit circles.  The absolute fold mass
+    bounds the rounding error of the fold, so it doubles as a condition
+    estimate.  A row that is not sound there (``fold_is_sound`` under its
+    own tolerance) and whose nonzero counts differ is folded again on its
+    own smallest grid, on circles of radius d**(k_j/k_max) for each further
+    dilation d, until it is sound; the fold with the smallest mass wins.
+    Every dilation evaluates the same exact quantity, because the target
+    coefficient is homogeneous.  Unit circles come first because the
+    herald class grids need them: on the cutoff-26 herald pipeline, radii
+    4**(k_j/k_max) left all 27 diagonal elements unsound and unit circles
+    none.
     """
-    kmax = max(counts)
-    if kmax == 0:
-        return 1.0 + 0.0j
-    adaptive = len(set(counts) - {0}) > 1
-
-    def fold(boost):
-        radii = [boost ** (k / kmax) for k in counts]
-        vals, masses = grid_coefficients(series, expand, [counts], radii)
-        return complex(vals[0]), float(masses[0])
-
-    out, mass = fold(_PRIMARY_BOOST if adaptive else 1.0)
-    if adaptive and not fold_is_sound(out, mass, abs_tol):
-        for boost in _FALLBACK_BOOSTS:
-            cand, cmass = fold(boost)
-            if cmass < mass:
-                out, mass = cand, cmass
-            if fold_is_sound(out, mass, abs_tol):
+    targets = np.asarray(targets, dtype=int).reshape(-1, expand.shape[0])
+    tols = [None] * len(targets) if abs_tol is None else list(abs_tol)
+    values, masses = grid_coefficients(series, expand, targets)
+    for row, (k, tol) in enumerate(zip(targets, tols)):
+        if len(set(k.tolist()) - {0}) < 2:
+            continue
+        for boost in _DILATIONS[1:]:
+            if fold_is_sound(values[row], masses[row], tol):
                 break
-    if not np.isfinite(out):
+            cand, cmass = grid_coefficients(series, expand, [k],
+                                            boost ** (k / k.max()))
+            if cmass[0] < masses[row]:
+                values[row], masses[row] = cand[0], cmass[0]
+    if not np.isfinite(values).all():
         raise NonFinite("sieve accumulation overflowed")
-    return out
+    return values
 
 
-def lhaf_sieve(a, gamma, pattern, abs_tol=None):
+def lhaf_sieve(a, gamma, pattern):
     """Loop Hafnian of the repeated matrix A_{n (+) n} via the sieve."""
     nmodes = np.shape(a)[0] // 2
     if len(pattern) != nmodes:
         raise PartitionMismatch(
             f"pattern length {len(pattern)} != mode count {nmodes}"
         )
-    return blocked_lhaf(a, gamma, [(j,) for j in range(nmodes)], pattern,
-                        abs_tol=abs_tol)
+    return blocked_lhaf(a, gamma, [(j,) for j in range(nmodes)], pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -337,25 +338,22 @@ def compatible_patterns(blocks, b, nmodes):
         yield tuple(fine)
 
 
-def blocked_lhaf(a, gamma, blocks, b, abs_tol=None):
+def blocked_lhaf(a, gamma, blocks, b):
     """Blocked loop Hafnian: one sieve variable per block."""
     a = np.asarray(a, dtype=complex)
-    expand = block_expansion(blocks, a.shape[0] // 2)
-    if not expand.any(axis=0).all():
-        raise PartitionMismatch("partition does not cover all modes")
+    expand = partition_expansion(blocks, a.shape[0] // 2)
     b = [int(x) for x in b]
     if len(b) != len(blocks):
         raise PartitionMismatch("one count per block required")
-    return sieve_reduce(partial(g_coefficients, a, gamma), b, expand,
-                        abs_tol=abs_tol)
+    return sieve_reduce(partial(g_coefficients, a, gamma), [b], expand)[0]
 
 
 def block_expansion(blocks, nmodes):
     """Matrix mapping one sieve variable per block to the modes it covers.
 
     It is the one partition check: the blocks must be non-empty, disjoint
-    and within range(nmodes).  Callers that need every mode covered check
-    that every column is nonzero."""
+    and within range(nmodes).  Callers that need every mode covered use
+    ``partition_expansion``."""
     expand = np.zeros((len(blocks), nmodes), dtype=complex)
     for row, blk in enumerate(blocks):
         if not len(blk):
@@ -369,12 +367,19 @@ def block_expansion(blocks, nmodes):
     return expand
 
 
+def partition_expansion(blocks, nmodes):
+    """``block_expansion`` of blocks that must also cover every mode."""
+    expand = block_expansion(blocks, nmodes)
+    if not expand.any(axis=0).all():
+        raise PartitionMismatch("partition does not cover all modes")
+    return expand
+
+
 def blocked_lhaf_combinatorial(a, gamma, blocks, b, use_oracle=False):
     """Defining sum over all compatible fine patterns; the slow cross-check."""
     a = np.asarray(a, dtype=complex)
     nmodes = a.shape[0] // 2
-    if not block_expansion(blocks, nmodes).any(axis=0).all():
-        raise PartitionMismatch("partition does not cover all modes")
+    partition_expansion(blocks, nmodes)
     facts = factorial_product(b)
     total = 0.0 + 0.0j
     for fine in compatible_patterns(blocks, b, nmodes):

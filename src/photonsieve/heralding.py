@@ -3,9 +3,11 @@
 Off-diagonal elements <m|rho|n> need the loop Hafnian of a rectangular
 repetition A_{n (+) m}. The embedding construction turns that into a square
 repetition of a larger matrix so the roots-of-unity grid applies. Density
-matrices of heralded states are assembled from one sieve grid per class of
-elements with the same embedded matrix, with traced modes marginalized at
-the Gaussian level first and elements that vanish by parity left at zero.
+matrices of heralded states are assembled from one ``sieve_reduce`` call
+per class of elements with the same embedded matrix (one unit-circle grid,
+plus dilated re-folds of the elements it leaves unsound), with traced modes
+marginalized at the Gaussian level first and elements that vanish by parity
+left at zero.
 """
 
 import math
@@ -23,14 +25,15 @@ from .errors import (
     ZeroProbability,
 )
 from .gaussian import ModeLayout, adjacency_from_cov
+# lhaf_sieve and blocked_lhaf are not called here: the benchmark tracer
+# rebinds them here
 from .hafnian import (
     block_expansion,
     blocked_lhaf,
     factorial_product,
-    fold_is_sound,
     g_coefficients,
-    grid_coefficients,
     lhaf_sieve,
+    sieve_reduce,
 )
 from .linalg import xmat
 
@@ -141,15 +144,6 @@ def _source_index(tag, nmodes):
     return k if half == "ket" else nmodes + k
 
 
-def _tags(nmodes, new_modes):
-    """Source tag of every mode half of the embedded matrix, in order."""
-    tags = [("ket", k) for k in range(nmodes)]
-    tags += [nm[0] for nm in new_modes]
-    tags += [("bra", k) for k in range(nmodes)]
-    tags += [nm[1] for nm in new_modes]
-    return tuple(tags)
-
-
 def _embedded_matrix(a, gamma, tags):
     """(a', gamma') of a tag list: a tagged half copies its source row and
     loop weight, a padding half is a zero row with loop weight one."""
@@ -166,12 +160,14 @@ def _embedded_matrix(a, gamma, tags):
 
 
 def _merged_modes(n, m):
-    """(tbar, new_modes) of the embedding of the (ket n, bra m) pair.
+    """(tags, t) of the embedding of the (ket n, bra m) pair: the source tag
+    of every mode half of the embedded matrix, in order, and its counts.
 
-    A source with d surplus copies yields one new mode of count d // 2 (its
-    ket and bra halves both carry the source row, so the repetition is
-    entry-identical to d // 2 zipped one-photon modes); odd leftovers are
-    zipped across sources, with a final padding half if their number is odd.
+    The common part min(n, m) stays on the source modes.  A source with d
+    surplus copies yields one new mode of count d // 2 (its ket and bra
+    halves both carry the source row, so the repetition is entry-identical
+    to d // 2 zipped one-photon modes); odd leftovers are zipped across
+    sources, with a final padding half if their number is odd.
     """
     tbar = [min(a, b) for a, b in zip(n, m)]
     new_modes = []
@@ -188,38 +184,27 @@ def _merged_modes(n, m):
         new_modes.append((leftovers[i], leftovers[i + 1], 1))
     if len(leftovers) % 2:
         new_modes.append((leftovers[-1], PAD, 1))
-    return tbar, new_modes
+    tags = [("ket", k) for k in range(len(n))] + [nm[0] for nm in new_modes]
+    tags += [("bra", k) for k in range(len(n))] + [nm[1] for nm in new_modes]
+    return tuple(tags), tuple(tbar) + tuple(nm[2] for nm in new_modes)
 
 
 def build_embedding(rep, n, m):
-    """Square-repetition embedding of the (ket n, bra m) repetition.
-
-    The common part min(n, m) stays on the source modes; the surplus copies
-    become new modes as ``_merged_modes`` describes.
-    """
+    """Square-repetition embedding of the (ket n, bra m) repetition, with
+    the modes ``_merged_modes`` describes."""
     nmodes = rep.layout.total
     n = [int(x) for x in n]
     m = [int(x) for x in m]
     if len(n) != nmodes or len(m) != nmodes:
         raise LengthMismatch("patterns must cover all modes")
-    tbar, new_modes = _merged_modes(n, m)
-    tags = _tags(nmodes, new_modes)
+    tags, t = _merged_modes(n, m)
     ap, gp = _embedded_matrix(rep.a, rep.gamma, tags)
-    t = tuple(tbar) + tuple(nm[2] for nm in new_modes)
     return Embedding(ap, gp, t, tags)
 
 
 # ---------------------------------------------------------------------------
 # matrix elements
 # ---------------------------------------------------------------------------
-
-def fock_element(rep, m, n):
-    """<m|rho|n> for the Gaussian state behind ``rep``."""
-    emb = build_embedding(rep, n, m)
-    val = rep.vacuum_prob * lhaf_sieve(emb.a_prime, emb.gamma_prime, emb.t)
-    norm = math.sqrt(factorial_product(n) * factorial_product(m))
-    return complex(val / norm)
-
 
 def _full_patterns(nmodes, kept, u, v):
     """Ket and bra patterns over all modes, zero outside ``kept``."""
@@ -234,29 +219,6 @@ def _full_patterns(nmodes, kept, u, v):
 def _element_norm(counts, u, v):
     return factorial_product(counts) * math.sqrt(factorial_product(u)
                                                  * factorial_product(v))
-
-
-def _grouped_element(rep, herald_blocks, counts, kept, u, v, abs_tol=None):
-    """<v|rho_G|u> with the herald modes measured through grouped detectors.
-
-    ``herald_blocks``/``counts`` describe the coarse herald outcome over the
-    herald modes, ``kept`` lists the supported modes, ``u``/``v`` their ket
-    and bra Fock indices.  ``abs_tol`` is the acceptable absolute error of
-    the returned element; it relaxes the adaptive sieve on elements whose
-    exact value is negligibly small.
-    """
-    emb = build_embedding(rep, *_full_patterns(rep.layout.total, kept,
-                                               u, v))
-    singles = _singles(herald_blocks, len(emb.t))
-    norm = _element_norm(counts, u, v)
-    scale = abs(rep.vacuum_prob) / norm
-    val = rep.vacuum_prob * blocked_lhaf(
-        emb.a_prime, emb.gamma_prime,
-        [tuple(b) for b in herald_blocks] + [(k,) for k in singles],
-        list(counts) + [emb.t[k] for k in singles],
-        abs_tol=None if abs_tol is None or scale == 0 else abs_tol / scale,
-    )
-    return complex(val / norm)
 
 
 def _singles(herald_blocks, mprime):
@@ -306,49 +268,33 @@ def _fill_elements(entries, rep, blocks, counts, kept, patterns, pairs,
     """Set entries[i, j] = <v|rho|u>, ket u = patterns[j] and bra
     v = patterns[i], and its Hermitian mirror, for every (i, j) in pairs.
 
-    Elements whose embeddings share a source map share a' and
-    gamma', so a class of them is one generating function read out at
-    different count patterns.  A class gets one sieve grid, with L_j = 1 +
-    the largest count of variable j in it, when that grid costs no more
-    (its points times the largest total) than the per-element grids (their
-    points times their totals).  An element the grid does not resolve
-    soundly is recomputed by ``_grouped_element``, with its dilation
-    fallbacks.
+    Elements whose embeddings share a source map share a' and gamma', so a
+    class of them is one generating function read out at different count
+    patterns: one ``sieve_reduce`` call per class, with ``abs_tol`` as the
+    absolute tolerance of every element.
     """
     nmodes = rep.layout.total
     classes = {}
     for i, j in pairs:
-        tbar, new_modes = _merged_modes(
+        tags, t = _merged_modes(
             *_full_patterns(nmodes, kept, patterns[j], patterns[i]))
-        t = tbar + [nm[2] for nm in new_modes]
-        classes.setdefault(_tags(nmodes, new_modes), []).append((i, j, t))
+        classes.setdefault(tags, []).append((i, j, t))
     herald = [tuple(b) for b in blocks]
+    vac = abs(rep.vacuum_prob)
     for tags, members in classes.items():
         singles = _singles(herald, len(tags) // 2)
-        ks = np.array([list(counts) + [t[k] for k in singles]
-                       for _, _, t in members], dtype=int)
-        totals = ks.sum(axis=1)
-        sizes = ks.max(axis=0) + 1
-        per_element = sum(np.prod(k[k > 0] + 1) * n
-                          for k, n in zip(ks, totals))
-        values = [None] * len(members)
-        if np.prod(sizes) * totals.max() <= per_element:
-            ap, gp = _embedded_matrix(rep.a, rep.gamma, tags)
-            expand = block_expansion(herald + [(k,) for k in singles],
-                                     len(tags) // 2)
-            lhafs, masses = grid_coefficients(
-                partial(g_coefficients, ap, gp), expand, ks)
-            for idx, (i, j, _) in enumerate(members):
-                norm = _element_norm(counts, patterns[j], patterns[i])
-                scale = abs(rep.vacuum_prob) / norm
-                if fold_is_sound(lhafs[idx] * scale, masses[idx] * scale,
-                                 abs_tol):
-                    values[idx] = complex(rep.vacuum_prob * lhafs[idx] / norm)
-        for (i, j, _), val in zip(members, values):
-            if val is None:
-                val = _grouped_element(rep, blocks, counts, kept,
-                                       patterns[j], patterns[i],
-                                       abs_tol=abs_tol)
+        ks = [list(counts) + [t[k] for k in singles] for _, _, t in members]
+        norms = [_element_norm(counts, patterns[j], patterns[i])
+                 for i, j, _ in members]
+        tols = [None if abs_tol is None or vac == 0 else abs_tol * n / vac
+                for n in norms]
+        expand = block_expansion(herald + [(k,) for k in singles],
+                                 len(tags) // 2)
+        lhafs = sieve_reduce(
+            partial(g_coefficients, *_embedded_matrix(rep.a, rep.gamma, tags)),
+            ks, expand, tols)
+        for (i, j, _), lhaf, norm in zip(members, lhafs, norms):
+            val = complex(rep.vacuum_prob * lhaf / norm)
             if j == i:
                 entries[i, i] = val.real  # a probability, up to rounding
             else:

@@ -260,6 +260,30 @@ def test_removed_threads_flag_is_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+def test_removed_tolerance_overrides_flag_is_rejected(tmp_path):
+    config = {"circuit": tmsv_circuit(),
+              "task": {"kind": "total-dist", "max_total": 2}}
+    overrides = write_config(tmp_path, {}, name="overrides.json")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", write_config(tmp_path, config),
+                  "--tolerance-overrides", overrides])
+    assert exc.value.code == 2
+
+
+def test_seed_flag_sets_task_seed(tmp_path):
+    task = {"kind": "pp-estimate", "samples": 5000, "n_values": [2]}
+    circuit = {"modes": 1, "squeezing": [0.4]}
+    out = []
+    for seed, argv in ((1, ["--seed", "77"]), (77, [])):
+        path = write_config(tmp_path, {"circuit": circuit,
+                                       "task": {**task, "seed": seed}})
+        o = tmp_path / f"{seed}.json"
+        assert cli.main(["run", "--config", path, "--output", str(o)]
+                        + argv) == 0
+        out.append(json.loads(o.read_text())["result"])
+    assert out[0] == out[1]
+
+
 def test_removed_bench_command_is_rejected(tmp_path):
     config = {"circuit": tmsv_circuit(),
               "task": {"kind": "total-dist", "max_total": 2}}

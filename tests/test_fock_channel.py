@@ -12,6 +12,7 @@ from photonsieve.cli import haar_unitary
 from photonsieve.distributions import CoarsePattern
 from photonsieve.errors import NotSubunitary, PartitionMismatch, TooLarge
 from photonsieve.heralding import HeraldSpec
+from test_heralding import embedded_element
 
 BS = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -317,7 +318,7 @@ def test_herald_matches_per_element_oracle(seed):
     for i, v in enumerate(patterns):
         for j, u in enumerate(patterns):
             if max(sum(u), sum(v)) <= budget:
-                want[i, j] = heralding._grouped_element(
-                    rep, blocks, counts, [4, 5], u, v)
+                want[i, j] = embedded_element(rep, blocks, counts, [4, 5],
+                                              u, v)
     assert np.max(np.abs(dm.entries - want)) <= 1e-12 * max(
         abs(np.trace(want).real), 1e-300)

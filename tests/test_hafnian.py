@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonsieve import hafnian
+from photonsieve import gaussian, hafnian
+from photonsieve.cli import haar_unitary
 from photonsieve.errors import OddDimension, PartitionMismatch, TooLarge
 from photonsieve.linalg import xmat
 
@@ -228,9 +229,9 @@ def test_lhaf_sieve_node_independence():
     a = rand_symmetric(rng, 6)
     gam = rand_gamma(rng, 6)
     pattern = [2, 1, 2]
-    default = hafnian.lhaf_sieve(a, gam, pattern)  # dilated circles
+    default = hafnian.lhaf_sieve(a, gam, pattern)  # unit circles first
     expand = hafnian.block_expansion([(0,), (1,), (2,)], 3)
-    for radii in ([1.0, 1.0, 1.0], [0.5, 2.0, 1.3]):
+    for radii in ([4.0, 2.0, 4.0], [0.5, 2.0, 1.3]):
         values, _ = hafnian.grid_coefficients(
             partial(hafnian.g_coefficients, a, gam), expand, [pattern], radii)
         assert np.isclose(default, values[0], rtol=1e-8)
@@ -304,6 +305,61 @@ def test_fold_is_sound_rules():
     assert not hafnian.fold_is_sound(1e-6, 10.0)
     assert hafnian.fold_is_sound(1e-6, 10.0, abs_tol=1e-12)
     assert not hafnian.fold_is_sound(np.nan, 1.0, abs_tol=1.0)
+
+
+# -- fold and certify ---------------------------------------------------------
+
+# on this state's unit circles the fold of HARD has about 1e4 times the mass
+# of its value, so it is unsound there; on radii 4**(k_j/k_max) the two
+# nearly agree, and every pattern with counts up to 6 is sound on unit
+# circles
+HARD = [20, 1, 5]
+
+
+def displaced_lossy_series():
+    s = gaussian.from_squeezing([1.0, 0.8, 0.6], gaussian.ModeLayout(3))
+    s = gaussian.apply_channel(s, np.sqrt(0.85) * haar_unitary(3, 0))
+    rep = gaussian.to_adjacency(gaussian.displace(s, [0.1, 0.1, 0.1]))
+    return partial(hafnian.g_coefficients, rep.a, rep.gamma)
+
+
+def folded_rows(series, rows, abs_tol=None):
+    """sieve_reduce's values, and the target rows of every grid it folded."""
+    with mock.patch.object(hafnian, "grid_coefficients",
+                           wraps=hafnian.grid_coefficients) as spy:
+        values = hafnian.sieve_reduce(series, rows, np.eye(3), abs_tol)
+    return values, [np.asarray(c.args[2]).tolist() for c in spy.call_args_list]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(rows=st.lists(st.lists(st.integers(0, 6), min_size=3, max_size=3),
+                     max_size=4),
+       at=st.integers(0, 4))
+def test_sieve_reduce_rows_match_single_rows(rows, at):
+    """Many rows in one call equal one call per row, also for a row that is
+    folded again on dilated circles."""
+    series = displaced_lossy_series()
+    rows = rows[:at] + [HARD] + rows[at:]
+    got, folds = folded_rows(series, rows)
+    assert folds[1:] == [[HARD]] * (len(folds) - 1) and len(folds) > 1
+    for k, value in zip(rows, got):
+        want, _ = folded_rows(series, [k])
+        assert np.isclose(value, want[0], rtol=1e-10, atol=0)
+
+
+def test_sieve_reduce_tolerance_is_per_row():
+    """A row is accepted under its own tolerance, not under another row's."""
+    series = displaced_lossy_series()
+    (value,), _ = folded_rows(series, [HARD])
+    loose = abs(value)  # far above eps * mass on unit circles
+    for rows in ([HARD, [1, 2, 0]], [[1, 2, 0], HARD]):
+        at = rows.index(HARD)
+        own = [loose if r == at else None for r in range(2)]
+        _, folds = folded_rows(series, rows, own)
+        assert folds == [rows]
+        _, folds = folded_rows(series, rows, own[::-1])
+        assert folds[0] == rows and len(folds) > 1
+        assert folds[1:] == [[HARD]] * (len(folds) - 1)
 
 
 # -- blocked ------------------------------------------------------------------

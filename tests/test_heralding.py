@@ -106,12 +106,18 @@ def test_merged_embedding_is_compact():
 
 # -- fock elements ------------------------------------------------------------
 
+def fock_element(rep, m, n, cutoff=2):
+    """<m|rho|n>, read off the state over every mode of ``rep``: a herald
+    with no herald modes."""
+    dm = heralding.herald_grouped(rep, heralding.HeraldSpec((), (), cutoff))
+    return dm.entries[dm.index_of(m), dm.index_of(n)]
+
+
 def test_fock_element_vacuum_and_diagonal():
     rep = tmsv(0.6)
-    assert np.isclose(heralding.fock_element(rep, [0, 0], [0, 0]),
-                      rep.vacuum_prob)
+    assert np.isclose(fock_element(rep, [0, 0], [0, 0]), rep.vacuum_prob)
     for pat in ([1, 1], [2, 2], [0, 1]):
-        assert np.isclose(heralding.fock_element(rep, pat, pat).real,
+        assert np.isclose(fock_element(rep, pat, pat).real,
                           dist.prob_fine(rep, pat), atol=1e-10)
 
 
@@ -125,22 +131,22 @@ def test_fock_element_coherent():
             want = (np.exp(-abs(alpha) ** 2) * alpha ** m
                     * np.conj(alpha) ** n
                     / math.sqrt(math.factorial(n) * math.factorial(m)))
-            got = heralding.fock_element(rep, [m], [n])
+            got = fock_element(rep, [m], [n])
             assert np.isclose(got, want, atol=1e-12)
 
 
 def test_fock_element_tmsv_magnitudes():
     r = 0.5
     rep = tmsv(r)
-    got = heralding.fock_element(rep, [1, 1], [2, 2])
+    got = fock_element(rep, [1, 1], [2, 2])
     assert np.isclose(abs(got), np.tanh(r) ** 3 / np.cosh(r) ** 2, atol=1e-10)
-    assert abs(heralding.fock_element(rep, [1, 0], [1, 1])) < 1e-12
+    assert abs(fock_element(rep, [1, 0], [1, 1])) < 1e-12
 
 
 def test_fock_element_hermiticity():
     rep = tmsv(0.4, eta_herald=0.8)
-    a = heralding.fock_element(rep, [2, 1], [1, 2])
-    b = heralding.fock_element(rep, [1, 2], [2, 1])
+    a = fock_element(rep, [2, 1], [1, 2])
+    b = fock_element(rep, [1, 2], [2, 1])
     assert np.isclose(a, np.conj(b), atol=1e-10)
 
 
@@ -177,7 +183,7 @@ def test_herald_fine_matches_fock_elements():
     dm = heralding.herald_grouped(rep, spec)
     for u in range(4):
         for v in range(4):
-            want = heralding.fock_element(rep, [v, 1], [u, 1])
+            want = fock_element(rep, [v, 1], [u, 1], cutoff=3)
             assert np.isclose(dm.entries[dm.index_of([v]), dm.index_of([u])],
                               want, atol=1e-10)
     # lossy herald arm: support leaks above the heralded photon number
@@ -296,9 +302,30 @@ def random_herald(seed, displaced, grouped, kept):
     return gaussian.to_adjacency(s), herald, measurement
 
 
+def embedded_element(rep, blocks, counts, kept, u, v):
+    """<v|rho|u> over the ``kept`` modes, ket u and bra v, for the herald
+    outcome ``counts`` over ``blocks``: the blocked loop Hafnian of its own
+    embedding (``build_embedding``) on its own sieve grid, with no
+    tolerance relaxation."""
+    n = [0] * rep.layout.total
+    m = [0] * rep.layout.total
+    for k, a, b in zip(kept, u, v):
+        n[k], m[k] = a, b
+    emb = heralding.build_embedding(rep, n, m)
+    in_herald = {i for b in blocks for i in b}
+    singles = [k for k in range(len(emb.t)) if k not in in_herald]
+    val = hafnian.blocked_lhaf(
+        emb.a_prime, emb.gamma_prime,
+        [tuple(b) for b in blocks] + [(k,) for k in singles],
+        list(counts) + [emb.t[k] for k in singles])
+    norm = hafnian.factorial_product(counts) * math.sqrt(
+        hafnian.factorial_product(u) * hafnian.factorial_product(v))
+    return rep.vacuum_prob * val / norm
+
+
 def per_element_oracle(rep, spec):
-    """The density matrix element by element, each a full per-pattern
-    sieve without tolerance relaxation."""
+    """The density matrix element by element, each from
+    ``embedded_element``."""
     sub, blocks, counts, kept = heralding._herald_parts(rep, spec)
     patterns = list(itertools.product(range(spec.cutoff + 1),
                                       repeat=len(kept)))
@@ -306,7 +333,7 @@ def per_element_oracle(rep, spec):
     out = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
         for j in range(i, dim):
-            out[i, j] = heralding._grouped_element(
+            out[i, j] = embedded_element(
                 sub, blocks, counts, kept, patterns[j], patterns[i])
             out[j, i] = np.conj(out[i, j])
     return out
