@@ -46,20 +46,14 @@ def _vector(vals):
     return np.array([_complex(v) for v in vals])
 
 
-def _jsonable(v):
+def _json_default(v):
+    """Encode what the JSON encoder does not know: complex numbers as
+    [re, im] pairs, NumPy arrays and scalars as their Python values."""
     if isinstance(v, complex):
         return [v.real, v.imag]
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
+    if isinstance(v, (np.ndarray, np.generic)):
+        return v.tolist()
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 def haar_unitary(n, seed):
@@ -306,8 +300,8 @@ _HANDLERS = {
 def _write_output(payload, path):
     result = payload["result"]
     try:
-        text = json.dumps(_jsonable(payload), indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False, default=_json_default) + "\n"
     except ValueError as exc:
         raise NonFinite(f"result is not finite: {exc}") from exc
     if path and path.endswith(".csv") and "support" in result:

@@ -6,7 +6,9 @@ Eight layers, from slow-and-certain to fast:
                          loops, exponential, guarded to 14 rows;
 * ``power_trace_series`` the one matrix-power loop: tr([D(z) M]^k) / k,
                          batched over scalings D(z), for M = XA here and
-                         the Fock master-theorem matrix in ``fock_channel``;
+                         the Fock master-theorem matrix in ``fock_channel``,
+                         from baby steps and giant steps, about 2 sqrt(N)
+                         matrix products per point for N traces;
 * ``g_coefficients``     the power-trace log series g_1..g_N, batched over
                          diagonal scalings D(z) of XA;
 * ``f_coefficients``     batched exp series turning log-series coefficients
@@ -124,26 +126,51 @@ def f_coefficients(g):
     return c
 
 
-# memory budget (bytes) for the matrix powers of one batch chunk; a chunk of
-# a few hundred points already amortizes the per-call overhead
+# memory budget (bytes) for one batch chunk of ``power_trace_series``: its
+# b baby-step powers plus the giant step, its transpose and the next giant
+# step, b + 3 stacks of (chunk, d, d); a chunk of a few hundred points
+# already amortizes the per-call overhead
 _CHUNK_BYTES = 1 << 22
 
 
 def power_trace_series(mat, nmax, scale):
     """g_k = tr([D(z) mat]^k) / k, k = 1..nmax, the log series of
-    1 / det(I - D(z) mat), at every row z of ``scale`` (G, dim), from
-    stacked matrix powers in chunks of at most _CHUNK_BYTES."""
+    1 / det(I - D(z) mat), at every row z of ``scale`` (G, dim).
+
+    Baby steps and giant steps (Paterson and Stockmeyer, SIAM J. Comput.
+    2, 1973): with b = ceil(sqrt(nmax)) and P_j = (D(z) mat)^j, the baby
+    steps P_1..P_b give their own traces, and each giant step R = P_b^q
+    gives tr(P_(qb+j)) = sum_(il) P_j[i, l] R[l, i] for j = 1..b as one
+    batched matrix-vector product.  That is about 2 sqrt(nmax) matrix
+    products per point instead of nmax - 1.  The points run in chunks
+    that share one baby-step buffer, sized to _CHUNK_BYTES.
+    """
     dim = mat.shape[0]
-    chunk = max(1, _CHUNK_BYTES // (16 * dim ** 2 * 4))
-    out = np.zeros((len(scale), nmax), dtype=complex)
-    for lo in range(0, len(scale), chunk):
-        mats = scale[lo:lo + chunk, :, None] * mat[None, :, :]  # (G, d, d)
-        rows = out[lo:lo + chunk]
-        running = mats
-        for k in range(1, nmax + 1):
-            rows[:, k - 1] = np.trace(running, axis1=1, axis2=2) / k
-            if k < nmax:
-                running = running @ mats
+    npts = len(scale)
+    out = np.empty((npts, nmax), dtype=complex)
+    if nmax == 0:
+        return out
+    b = math.isqrt(nmax - 1) + 1
+    chunk = max(1, min(npts, _CHUNK_BYTES // (16 * dim ** 2 * (b + 3))))
+    buf = np.empty((chunk, b, dim, dim), dtype=complex)
+    for lo in range(0, npts, chunk):
+        n = min(chunk, npts - lo)
+        powers = buf[:n]
+        np.multiply(scale[lo:lo + n, :, None], mat[None, :, :],
+                    out=powers[:, 0])
+        for j in range(1, b):
+            np.matmul(powers[:, j - 1], powers[:, 0], out=powers[:, j])
+        rows = out[lo:lo + n]
+        rows[:, :b] = np.einsum("ghii->gh", powers)
+        flat = powers.reshape(n, b, dim * dim)
+        giant = powers[:, b - 1]
+        for k0 in range(b, nmax, b):
+            if k0 > b:
+                giant = giant @ powers[:, b - 1]
+            m = min(b, nmax - k0)
+            flipped = giant.transpose(0, 2, 1).reshape(n, dim * dim, 1)
+            rows[:, k0:k0 + m] = (flat[:, :m] @ flipped)[:, :, 0]
+    out /= np.arange(1, nmax + 1)
     return out
 
 

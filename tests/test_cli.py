@@ -118,6 +118,30 @@ def test_herald_task_fidelity(tmp_path):
     assert np.isclose(result["trace"][0], 1.0, atol=1e-9)
 
 
+def test_herald_output_is_compact_json(tmp_path):
+    config = {"circuit": {"modes": 2, "squeezing": [0.8, 0.0],
+                          "transmission": {"haar_seed": 2,
+                                           "efficiency": 0.9}},
+              "task": {"kind": "herald", "herald_modes": [0],
+                       "measurement": [1], "cutoff": 4,
+                       "target": {"fock": 1}}}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--config", write_config(tmp_path, config),
+                     "--output", str(out)]) == 0
+    text = out.read_text()
+    assert text.endswith("\n") and "\n" not in text[:-1]
+    payload = json.loads(text)
+    assert set(payload) == {"version", "config", "result"}
+    result = payload["result"]
+    assert set(result) == {"modes", "cutoff", "trace", "entries", "fidelity"}
+    assert len(result["trace"]) == 2
+    assert all(isinstance(x, float) for x in result["trace"])
+    assert result["entries"]
+    for i, j, re, im in result["entries"]:
+        assert isinstance(i, int) and isinstance(j, int)
+        assert isinstance(re, float) and isinstance(im, float)
+
+
 def test_fock_prob_task(tmp_path):
     config = {
         "circuit": {"modes": 2,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import partial
 from unittest import mock
 
@@ -165,6 +166,62 @@ def test_g_coefficients_batched_scale_matches_rows(seed, with_gamma, nmodes,
     for i, j in itertools.product(range(2), range(3)):
         want = hafnian.g_coefficients(a, gam, nmax, scale[i, j])
         assert np.allclose(g[i, j], want, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), dim=st.integers(2, 18),
+       pinned=st.booleans(), per_chunk=st.sampled_from([None, 1, 2]))
+def test_power_trace_series_matches_matrix_powers(seed, dim, pinned,
+                                                  per_chunk):
+    """Every nmax from 0 to 40, so every remainder mod b and the perfect
+    squares up to 36, against tr((D M)^k) / k from k - 1 plain products;
+    with rows of pinned (zero) scale entries, and with chunks of one point
+    or of two points, which leaves a partial last chunk of the five."""
+    rng = np.random.default_rng(seed)
+    mat = rand_gamma(rng, (dim, dim)) / np.sqrt(2 * dim)
+    scale = rng.uniform(0.5, 1.2, (5, dim)) * np.exp(
+        2j * np.pi * rng.random((5, dim)))
+    if pinned:
+        scale[rng.random((5, dim)) < 0.3] = 0.0
+        scale[3] = 0.0
+    want = np.empty((5, 40), dtype=complex)
+    for row, z in enumerate(scale):
+        power = np.eye(dim)
+        for k in range(1, 41):
+            power = power @ (z[:, None] * mat)
+            want[row, k - 1] = np.trace(power) / k
+    for nmax in range(41):
+        budget = hafnian._CHUNK_BYTES
+        if per_chunk is not None:
+            b = math.isqrt(max(nmax - 1, 0)) + 1
+            budget = per_chunk * 16 * dim ** 2 * (b + 3)
+        with mock.patch.object(hafnian, "_CHUNK_BYTES", budget):
+            g = hafnian.power_trace_series(mat, nmax, scale)
+        assert g.shape == (5, nmax)
+        for row in range(5):
+            ref = want[row, :nmax]
+            tol = 1e-12 * np.abs(ref).max(initial=0.0)
+            assert np.abs(g[row] - ref).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("dim, nmax, npts, limit", [
+    # one chunk's buffers plus the output, with 25% to spare
+    (12, 22, 2000, 1.25 * (hafnian._CHUNK_BYTES + 2000 * 22 * 16)),
+    # one point, 1024 traces: storing all 1024 powers would take 16 MB
+    (32, 1024, 1, 2 * 2 ** 20),
+])
+def test_power_trace_series_memory_is_bounded(dim, nmax, npts, limit):
+    rng = np.random.default_rng(7)
+    mat = rand_gamma(rng, (dim, dim))
+    mat *= 0.9 / np.linalg.norm(mat, 2)
+    scale = np.exp(2j * np.pi * rng.random((npts, dim)))
+    tracemalloc.start()
+    try:
+        hafnian.power_trace_series(mat, nmax, scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
 
 
 # -- lhaf via sieve -----------------------------------------------------------
