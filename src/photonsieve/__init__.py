@@ -26,7 +26,6 @@ from .distributions import (
 )
 from .fock_channel import (
     FockInput,
-    build_a_phi,
     fock_coarse_prob,
     fock_herald,
     fock_perm_oracle,
@@ -77,7 +76,6 @@ __all__ = [
     "block_cumulant",
     "blocked_lhaf",
     "blocked_lhaf_combinatorial",
-    "build_a_phi",
     "build_embedding",
     "coarse_cumulant",
     "coarse_moment",

@@ -4,12 +4,13 @@ Output probabilities follow the MacMahon master theorem.  With one variable
 per input port (x) and per output port (y), D = diag(x, y) and the 2M x 2M
 K = [[I - T^dag T, T^dag], [T, 0]], a Schur complement gives det(I - D K) =
 det(I - X(I - T^dag T) - X T^dag Y T), so 1/det(I - D K) = sum Pr(b | p)
-x^p y^b, with log series g_k = tr([D K]^k) / k.  Heralded states need
-separate ket and bra variables for their off-diagonal elements, which this
-determinant lacks; they use the doubled 4M x 4M matrix ``build_a_phi``.  A
-permanent-based oracle cross-checks both.
+x^p y^b, with log series g_k = tr([D K]^k) / k.  Heralded density matrix
+elements are permanents of K with different row and column multisets;
+``fock_herald`` turns each into a coefficient of the same determinant of a
+submatrix of K.  A permanent-based oracle cross-checks both.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -17,11 +18,11 @@ import numpy as np
 
 from .distributions import _real_prob
 from .errors import PartitionMismatch, TooLarge
-from .gaussian import AdjacencyRep, ModeLayout
 # blocked_lhaf is not called here: the benchmark tracer rebinds it here
-from .hafnian import (blocked_lhaf, compatible_patterns, factorial_product,
-                      partition_expansion, power_trace_series, sieve_reduce)
-from .heralding import herald_density, partial_trace
+from .hafnian import (block_expansion, blocked_lhaf, compatible_patterns,
+                      factorial_product, partition_expansion,
+                      power_trace_series, sieve_reduce)
+from .heralding import herald_density, kept_modes
 from .linalg import require_subunitary
 
 _PERM_LIMIT = 16
@@ -46,31 +47,13 @@ class FockInput:
         object.__setattr__(self, "t", t)
 
 
-def build_a_phi(t):
-    """Symmetric 4M x 4M matrix encoding the loss channel of ``t``.
-
-    Modes 0..M-1 are the input ports, M..2M-1 the output ports, each doubled
-    into ket and bra halves.
-    """
-    t = np.asarray(t, dtype=complex)
+def _master_matrix(t):
+    """The 2M x 2M K = [[I - T^dag T, T^dag], [T, 0]] of the module
+    docstring: rows and columns 0..M-1 are the input ports, M..2M-1 the
+    output ports."""
     m = t.shape[0]
-    require_subunitary(t)
-    eye = np.eye(m)
-    z = np.zeros((m, m))
-    a = np.block([
-        [z, t.conj().T, eye - t.conj().T @ t, z],
-        [t.conj(), z, z, z],
-        [eye - t.T @ t.conj(), z, z, t.T],
-        [z, z, t, z],
-    ])
-    return a
-
-
-def _channel_rep(fi):
-    m = len(fi.p)
-    a = build_a_phi(fi.t)
-    return AdjacencyRep(a, np.zeros(4 * m, dtype=complex), 1.0,
-                        ModeLayout(2 * m, 1))
+    return np.block([[np.eye(m) - t.conj().T @ t, t.conj().T],
+                     [t, np.zeros((m, m))]])
 
 
 def fock_coarse_prob(fi, cp):
@@ -83,11 +66,9 @@ def fock_coarse_prob(fi, cp):
     expand = partition_expansion(blocks, 2 * m)
     if sum(cp.counts) > sum(fi.p):
         return 0.0  # a passive lossy circuit cannot create photons
-    t = fi.t
-    k = np.block([[np.eye(m) - t.conj().T @ t, t.conj().T],
-                  [t, np.zeros((m, m))]])
     counts = list(fi.p) + list(cp.counts)
-    val = sieve_reduce(partial(power_trace_series, k), [counts], expand)[0]
+    val = sieve_reduce(partial(power_trace_series, _master_matrix(fi.t)),
+                       [counts], expand)[0]
     return _real_prob(val / factorial_product(counts))
 
 
@@ -137,22 +118,52 @@ def fock_perm_oracle(fi, cp):
 
 
 def fock_herald(fi, spec):
-    """Heralded state on the unmeasured output ports of a Fock-fed circuit.
+    """Heralded state on the kept output ports of a Fock-fed circuit.
 
-    Herald modes and trace_out in ``spec`` index the output ports; traced
-    ports are removed by a Fock-basis partial trace after assembly.  A
-    lossy circuit conserves or loses photons, so only elements whose ket
-    and bra each hold at most the unheralded photons are nonzero.
+    Herald modes and trace_out in ``spec`` index the output ports.  The
+    element <v|rho|u> is per(K[R, C]) / (p! h! sqrt(u! v!)), with rows
+    R = (p on the inputs, h on the herald ports, v on the kept ports) and
+    columns C = (p, h, u).  On each kept port the common part min(u, v)
+    stays on the port; each surplus row of one kept port pairs with a
+    surplus column of another, and each distinct pair is one new index.
+    With K' = K restricted to those rows and columns, the permanent is a
+    master-theorem coefficient of 1 / det(I - D K'), and elements that
+    share their pairs form one class on one sieve grid.  Traced ports get
+    zero rows of T, so their photons join the loss term exactly.  A lossy
+    circuit conserves or loses photons, so an element with |u| != |v|, or
+    with more than the unheralded photons, is exactly zero.
     """
     m = len(fi.p)
+    kept = kept_modes(spec, m)
+    t = fi.t.copy()
+    t[list(spec.trace_out)] = 0.0
+    mat = _master_matrix(t)
     hblocks, hcounts = spec.measurement
-    blocks = [(k,) for k in range(m)]
-    blocks += [tuple(m + i for i in b) for b in hblocks]
-    kept_ports = [i for i in range(m) if i not in spec.herald_modes]
-    dm = herald_density(_channel_rep(fi), blocks, list(fi.p) + list(hcounts),
-                        [m + i for i in kept_ports], spec.cutoff,
-                        budget=sum(fi.p) - sum(hcounts))
-    if spec.trace_out:
-        drop = [kept_ports.index(i) for i in spec.trace_out]
-        dm = partial_trace(dm, drop)
-    return dm
+    # variables of zero count drop out of the permanent and of K'; input
+    # port 0 stays, so that K' is never empty
+    inputs = [i for i in range(m) if fi.p[i] or i == 0]
+    fixed = [(i,) for i in inputs]
+    fixed += [tuple(m + i for i in b) for b, c in zip(hblocks, hcounts) if c]
+    counts = [fi.p[i] for i in inputs] + [c for c in hcounts if c]
+    ports = [i for b in fixed for i in b]
+    blocks = [tuple(ports.index(i) for i in b) for b in fixed]
+    ports += [m + k for k in kept]
+    budget = sum(fi.p) - sum(hcounts)
+
+    def embed(u, v):
+        if sum(u) != sum(v) or sum(u) > budget:
+            return None
+        rows = [k for k, a, b in zip(kept, u, v) for _ in range(b - a)]
+        cols = [k for k, a, b in zip(kept, u, v) for _ in range(a - b)]
+        pairs = Counter(zip(rows, cols))
+        return (tuple(pairs),
+                [min(a, b) for a, b in zip(u, v)] + list(pairs.values()))
+
+    def build(pairs):
+        ridx = ports + [m + r for r, _ in pairs]
+        cidx = ports + [m + c for _, c in pairs]
+        singles = [(k,) for k in range(len(ports) - len(kept), len(ridx))]
+        return (partial(power_trace_series, mat[np.ix_(ridx, cidx)]),
+                block_expansion(blocks + singles, len(ridx)))
+
+    return herald_density(len(kept), spec.cutoff, counts, embed, build)

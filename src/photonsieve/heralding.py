@@ -2,12 +2,13 @@
 
 Off-diagonal elements <m|rho|n> need the loop Hafnian of a rectangular
 repetition A_{n (+) m}. The embedding construction turns that into a square
-repetition of a larger matrix so the roots-of-unity grid applies. Density
-matrices of heralded states are assembled from one ``sieve_reduce`` call
-per class of elements with the same embedded matrix (one unit-circle grid,
-plus dilated re-folds of the elements it leaves unsound), with traced modes
-marginalized at the Gaussian level first and elements that vanish by parity
-left at zero.
+repetition of a larger matrix so the roots-of-unity grid applies.
+``herald_density`` assembles a heralded density matrix for Gaussian states
+(``herald_grouped``) and Fock inputs (``fock_channel.fock_herald``) alike:
+an embedder maps each element to its class and counts, or to an exact zero
+by a selection rule, and each class is one ``sieve_reduce`` call (one
+unit-circle grid, plus dilated re-folds of the elements it leaves unsound).
+Gaussian heralds marginalize traced modes at the Gaussian level first.
 """
 
 import math
@@ -139,17 +140,13 @@ class DensityMatrix:
 # embedding construction
 # ---------------------------------------------------------------------------
 
-def _source_index(tag, nmodes):
-    half, k = tag
-    return k if half == "ket" else nmodes + k
-
-
 def _embedded_matrix(a, gamma, tags):
     """(a', gamma') of a tag list: a tagged half copies its source row and
     loop weight, a padding half is a zero row with loop weight one."""
     nmodes = len(gamma) // 2
     pad = np.array([tag is PAD for tag in tags])
-    idx = [0 if tag is PAD else _source_index(tag, nmodes) for tag in tags]
+    idx = [0 if tag is PAD else tag[1] + nmodes * (tag[0] == "bra")
+           for tag in tags]
     ap = np.asarray(a, dtype=complex)[np.ix_(idx, idx)]
     gp = np.asarray(gamma, dtype=complex)[idx]
     ap[pad, :] = 0.0
@@ -203,32 +200,6 @@ def build_embedding(rep, n, m):
 
 
 # ---------------------------------------------------------------------------
-# matrix elements
-# ---------------------------------------------------------------------------
-
-def _full_patterns(nmodes, kept, u, v):
-    """Ket and bra patterns over all modes, zero outside ``kept``."""
-    nfull = [0] * nmodes
-    mfull = [0] * nmodes
-    for k, a, b in zip(kept, u, v):
-        nfull[k] = int(a)
-        mfull[k] = int(b)
-    return nfull, mfull
-
-
-def _element_norm(counts, u, v):
-    return factorial_product(counts) * math.sqrt(factorial_product(u)
-                                                 * factorial_product(v))
-
-
-def _singles(herald_blocks, mprime):
-    """Embedded modes outside the herald blocks; after the herald blocks,
-    each is one sieve variable of its own."""
-    in_herald = set(i for b in herald_blocks for i in b)
-    return [k for k in range(mprime) if k not in in_herald]
-
-
-# ---------------------------------------------------------------------------
 # heralded density matrices
 # ---------------------------------------------------------------------------
 
@@ -248,13 +219,23 @@ def _marginal_rep(rep, keep):
     )
 
 
+def kept_modes(spec, nmodes):
+    """The modes of ``range(nmodes)`` that ``spec`` neither heralds nor
+    traces out: the one range check of a herald spec."""
+    named = spec.herald_modes + spec.trace_out
+    if len(set(named)) < len(named) or not all(0 <= i < nmodes
+                                               for i in named):
+        raise IndexOutOfRange(f"herald and traced modes {named} must be "
+                              f"distinct indices below {nmodes}")
+    return [i for i in range(nmodes) if i not in named]
+
+
 def _herald_parts(rep, spec):
     """Marginalize traced modes and renumber; returns (rep', blocks, counts,
     kept') in the reduced indexing."""
     t = rep.layout.total
     blocks, counts = spec.measurement
-    kept = [i for i in range(t)
-            if i not in spec.herald_modes and i not in spec.trace_out]
+    kept = kept_modes(spec, t)
     survivors = sorted(set(spec.herald_modes) | set(kept))
     renum = {old: new for new, old in enumerate(survivors)}
     sub = _marginal_rep(rep, survivors) if len(survivors) < t else rep
@@ -263,81 +244,90 @@ def _herald_parts(rep, spec):
     return sub, blocks, list(counts), kept
 
 
-def _fill_elements(entries, rep, blocks, counts, kept, patterns, pairs,
-                   abs_tol):
-    """Set entries[i, j] = <v|rho|u>, ket u = patterns[j] and bra
-    v = patterns[i], and its Hermitian mirror, for every (i, j) in pairs.
+def herald_density(nkept, cutoff, counts, embed, build, vacuum=1.0):
+    """Unnormalized heralded density matrix over ``nkept`` modes; entry
+    [i, j] is <v|rho|u>, ket u = patterns[j] and bra v = patterns[i].
 
-    Elements whose embeddings share a source map share a' and gamma', so a
-    class of them is one generating function read out at different count
-    patterns: one ``sieve_reduce`` call per class, with ``abs_tol`` as the
-    absolute tolerance of every element.
+    ``counts`` is the herald outcome, one count per herald variable.
+    ``embed(u, v)`` maps an element to (class key, counts of the element's
+    own sieve variables), or to None when a selection rule makes it exactly
+    zero, and ``build(key)`` maps a class to (log series, variable-to-mode
+    matrix), the herald variables first.  Elements of one class are one
+    generating function read out at different count patterns: one
+    ``sieve_reduce`` call per class.  An element is ``vacuum`` times its
+    sieve value over prod(counts!) sqrt(u! v!).  The diagonal comes first:
+    the trace sets the scale of the state, and off-diagonal elements only
+    need absolute accuracy 1e-9 * trace.
     """
-    nmodes = rep.layout.total
-    classes = {}
-    for i, j in pairs:
-        tags, t = _merged_modes(
-            *_full_patterns(nmodes, kept, patterns[j], patterns[i]))
-        classes.setdefault(tags, []).append((i, j, t))
-    herald = [tuple(b) for b in blocks]
-    vac = abs(rep.vacuum_prob)
-    for tags, members in classes.items():
-        singles = _singles(herald, len(tags) // 2)
-        ks = [list(counts) + [t[k] for k in singles] for _, _, t in members]
-        norms = [_element_norm(counts, patterns[j], patterns[i])
-                 for i, j, _ in members]
-        tols = [None if abs_tol is None or vac == 0 else abs_tol * n / vac
-                for n in norms]
-        expand = block_expansion(herald + [(k,) for k in singles],
-                                 len(tags) // 2)
-        lhafs = sieve_reduce(
-            partial(g_coefficients, *_embedded_matrix(rep.a, rep.gamma, tags)),
-            ks, expand, tols)
-        for (i, j, _), lhaf, norm in zip(members, lhafs, norms):
-            val = complex(rep.vacuum_prob * lhaf / norm)
-            if j == i:
-                entries[i, i] = val.real  # a probability, up to rounding
-            else:
-                entries[i, j] = val
-                entries[j, i] = np.conj(val)
-
-
-def herald_density(rep, blocks, counts, kept, cutoff, budget=None):
-    """Unnormalized heralded density matrix over the ``kept`` modes.
-
-    ``blocks``/``counts`` is the herald outcome over the other modes of
-    ``rep``.  ``budget``, when given, bounds the photon number of the ket
-    and of the bra pattern; elements beyond it are zero.  With a zero loop
-    vector, an element of odd |u| + |v| is a loop Hafnian of odd size and
-    so exactly zero.  The diagonal comes first: the trace sets the scale of
-    the state, and off-diagonal elements only need absolute accuracy
-    1e-9 * trace.
-    """
-    patterns = list(product(range(cutoff + 1), repeat=len(kept)))
-    photons = [sum(p) for p in patterns]
+    patterns = list(product(range(cutoff + 1), repeat=nkept))
     dim = len(patterns)
-    zero_loops = not np.any(rep.gamma)
-
-    def needed(i, j):
-        if budget is not None and max(photons[i], photons[j]) > budget:
-            return False
-        return not (zero_loops and (photons[i] + photons[j]) % 2)
-
     entries = np.zeros((dim, dim), dtype=complex)
-    _fill_elements(entries, rep, blocks, counts, kept, patterns,
-                   [(i, i) for i in range(dim) if needed(i, i)], None)
+    hfact = factorial_product(counts)
+
+    def fill(pairs, abs_tol):
+        classes = {}
+        for i, j in pairs:
+            element = embed(patterns[j], patterns[i])
+            if element is not None:
+                classes.setdefault(element[0], []).append(
+                    (i, j, list(counts) + element[1]))
+        for key, members in classes.items():
+            norms = [hfact * math.sqrt(factorial_product(patterns[i])
+                                       * factorial_product(patterns[j]))
+                     for i, j, _ in members]
+            tols = [None if abs_tol is None or vacuum == 0
+                    else abs_tol * n / abs(vacuum) for n in norms]
+            series, expand = build(key)
+            values = sieve_reduce(series, [ks for _, _, ks in members],
+                                  expand, tols)
+            for (i, j, _), value, norm in zip(members, values, norms):
+                val = complex(vacuum * value / norm)
+                if j == i:
+                    entries[i, i] = val.real  # a probability, up to rounding
+                else:
+                    entries[i, j] = val
+                    entries[j, i] = np.conj(val)
+
+    fill([(i, i) for i in range(dim)], None)
     tol = 1e-9 * abs(np.trace(entries).real)
-    _fill_elements(entries, rep, blocks, counts, kept, patterns,
-                   [(i, j) for i in range(dim) for j in range(i + 1, dim)
-                    if needed(i, j)],
-                   tol if tol > 0 else None)
-    return DensityMatrix(len(kept), cutoff, entries)
+    fill([(i, j) for i in range(dim) for j in range(i + 1, dim)],
+         tol if tol > 0 else None)
+    return DensityMatrix(nkept, cutoff, entries)
 
 
 def herald_grouped(rep, spec):
-    """Unnormalized heralded state for a grouped (or fine) herald outcome."""
+    """Unnormalized heralded state for a grouped (or fine) herald outcome.
+
+    An element's class is the source map of its embedding
+    (``_merged_modes``), which fixes a' and gamma'.  With a zero loop
+    vector, an element of odd |u| + |v| is a loop Hafnian of odd size and
+    so exactly zero.  After the herald blocks, every embedded mode outside
+    them is one sieve variable of its own.
+    """
     sub, blocks, counts, kept = _herald_parts(rep, spec)
-    return herald_density(sub, blocks, counts, kept, spec.cutoff)
+    nmodes = sub.layout.total
+    herald = [tuple(b) for b in blocks]
+    in_herald = {i for b in herald for i in b}
+    zero_loops = not np.any(sub.gamma)
+
+    def embed(u, v):
+        if zero_loops and (sum(u) + sum(v)) % 2:
+            return None
+        ket, bra = [0] * nmodes, [0] * nmodes
+        for k, a, b in zip(kept, u, v):
+            ket[k], bra[k] = a, b
+        tags, t = _merged_modes(ket, bra)
+        return tags, [c for k, c in enumerate(t) if k not in in_herald]
+
+    def build(tags):
+        mprime = len(tags) // 2
+        singles = [(k,) for k in range(mprime) if k not in in_herald]
+        return (partial(g_coefficients,
+                        *_embedded_matrix(sub.a, sub.gamma, tags)),
+                block_expansion(herald + singles, mprime))
+
+    return herald_density(len(kept), spec.cutoff, counts, embed, build,
+                          sub.vacuum_prob)
 
 
 def partial_trace(dm, drop):

@@ -268,6 +268,20 @@ def test_zero_probability_herald_exits_numeric_error(tmp_path):
     assert json.loads(out.read_text())["result"]["trace"] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("kind", ["herald", "fock-herald"])
+def test_herald_mode_out_of_range_exit_code(tmp_path, kind):
+    config = {"circuit": tmsv_circuit(),
+              "task": {"kind": kind, "input": [1, 1], "herald_modes": [0],
+                       "measurement": [1], "cutoff": 2, "trace_out": [-1]}}
+    out = tmp_path / "r.json"
+    proc = run_cli(["run", "--config", write_config(tmp_path, config),
+                    "--output", str(out)])
+    assert proc.returncode == 2
+    assert not out.exists()
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["error"] == "IndexOutOfRange"
+
+
 def test_non_finite_result_is_a_numeric_error(tmp_path, capsys):
     payload = {"result": {"probability": float("nan")}}
     with pytest.raises(cli.NonFinite):

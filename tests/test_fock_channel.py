@@ -7,12 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from photonsieve import fock_channel as fc
-from photonsieve import hafnian, heralding
+from photonsieve import heralding
 from photonsieve.cli import haar_unitary
 from photonsieve.distributions import CoarsePattern
-from photonsieve.errors import NotSubunitary, PartitionMismatch, TooLarge
+from photonsieve.errors import (IndexOutOfRange, NotSubunitary,
+                                PartitionMismatch, TooLarge)
+from photonsieve.hafnian import compatible_patterns, factorial_product
 from photonsieve.heralding import HeraldSpec
-from test_heralding import embedded_element
 
 BS = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -21,15 +22,88 @@ def fine_cp(b):
     return CoarsePattern([[k] for k in range(len(b))], list(b))
 
 
+def master_matrix(t):
+    """K = [[I - T^dag T, T^dag], [T, 0]]: input ports, then output ports."""
+    m = t.shape[0]
+    return np.block([[np.eye(m) - t.conj().T @ t, t.conj().T],
+                     [t, np.zeros((m, m))]])
+
+
+def permanent_element(fi, spec, u, v):
+    """<v|rho|u> over the kept ports, ket u and bra v, by Ryser's formula
+    (``perm_oracle``): the sum of per(K[R, C]) / (p! h! w! sqrt(u! v!)) over
+    the fine herald outcomes h of the herald blocks and the outcomes w of
+    the traced ports, with R = (p, h, w, v) and C = (p, h, w, u)."""
+    m = len(fi.p)
+    k = master_matrix(fi.t)
+    blocks, counts = spec.measurement
+    kept = [i for i in range(m)
+            if i not in spec.herald_modes + spec.trace_out]
+    nin = sum(fi.p)
+    total = 0.0
+    for h in compatible_patterns(blocks, counts, m):
+        for w in itertools.product(range(nin + 1),
+                                   repeat=len(spec.trace_out)):
+            out = list(h)
+            for i, c in zip(spec.trace_out, w):
+                out[i] = c
+            rows = [i for i in range(m) for _ in range(fi.p[i])]
+            rows += [m + i for i in range(m) for _ in range(out[i])]
+            cols = list(rows)
+            rows += [m + i for i, c in zip(kept, v) for _ in range(c)]
+            cols += [m + i for i, c in zip(kept, u) for _ in range(c)]
+            if len(rows) != len(cols) or sum(out) + sum(v) > nin:
+                continue  # not square, or more output rows than inputs
+            total += (fc.perm_oracle(k[np.ix_(rows, cols)])
+                      / factorial_product(out))
+    return total / (factorial_product(fi.p)
+                    * math.sqrt(factorial_product(u) * factorial_product(v)))
+
+
+def permanent_density(fi, spec):
+    nkept = len(fi.p) - len(spec.herald_modes) - len(spec.trace_out)
+    patterns = list(itertools.product(range(spec.cutoff + 1), repeat=nkept))
+    return np.array([[permanent_element(fi, spec, u, v) for u in patterns]
+                     for v in patterns])
+
+
+def glynn_permanent(mat, mult):
+    """per of ``mat`` with row and column i repeated mult[i] times, by
+    Glynn's formula with the sign vectors grouped by how many copies t_j of
+    column j carry a minus sign: 2^-n sum_t prod_j (-1)^t_j C(c_j, t_j)
+    prod_i (sum_j (c_j - 2 t_j) a_ij)^c_i.  Ryser's formula in the same
+    grouped form lost up to 2e-8 to cancellation on the draws of
+    ``test_master_theorem_matches_permanents``."""
+    mult = np.asarray(mult)
+    live = np.flatnonzero(mult)
+    if not len(live):
+        return 1.0 + 0.0j
+    c = mult[live]
+    a = np.asarray(mat, dtype=complex)[np.ix_(live, live)]
+    t = np.array(list(itertools.product(*[range(x + 1) for x in c])))
+    weight = np.prod([[(-1) ** tj * math.comb(int(cj), int(tj))
+                       for tj, cj in zip(row, c)] for row in t], axis=1)
+    terms = weight * np.prod(((c - 2 * t) @ a.T) ** c, axis=1)
+    return terms.sum() / 2.0 ** c.sum()
+
+
 # -- construction -------------------------------------------------------------
 
-def test_build_a_phi_structure():
-    t = 0.9 * BS
-    a = fc.build_a_phi(t)
-    assert a.shape == (8, 8)
-    assert np.allclose(a, a.T)
-    assert np.allclose(a[:2, 2:4], t.conj().T)
-    assert np.allclose(a[:2, 4:6], np.eye(2) - t.conj().T @ t)
+def test_herald_elements_are_master_matrix_permanents():
+    fi = fc.FockInput((1, 1), 0.9 * BS)
+    spec = HeraldSpec([], [], cutoff=2)
+    assert np.allclose(fc.fock_herald(fi, spec).entries,
+                       permanent_density(fi, spec))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_glynn_permanent_matches_ryser(seed):
+    rng = np.random.default_rng(400 + seed)
+    mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    mult = [int(x) for x in rng.integers(0, 4, 4)]
+    idx = [i for i in range(4) for _ in range(mult[i])]
+    assert np.isclose(glynn_permanent(mat, mult),
+                      fc.perm_oracle(mat[np.ix_(idx, idx)]), rtol=1e-12)
 
 
 def test_input_validation():
@@ -178,11 +252,12 @@ def test_malformed_output_blocks_raise(blocks):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 4),
        photons=st.integers(0, 14), unitary=st.booleans())
-def test_master_theorem_matches_doubled_adjacency(seed, m, photons, unitary):
-    """The 2M x 2M master-theorem series gives the blocked loop Hafnian of
-    the 4M x 4M ket/bra adjacency, on random sub-unitary circuits, input
-    ports left empty and coarse output blocks.  Input plus output photons
-    may exceed the permanent oracle's 16 rows."""
+def test_master_theorem_matches_permanents(seed, m, photons, unitary):
+    """The 2M x 2M master-theorem series gives the sum over fine outputs b
+    of per(K[R, R]) / (p! b!), R = (p, b), on random sub-unitary circuits,
+    input ports left empty and coarse output blocks.  Input plus output
+    photons may exceed ``perm_oracle``'s 16 rows, so the permanents come
+    from Glynn's formula grouped over repeated rows and columns."""
     rng = np.random.default_rng(seed)
     s = np.ones(m) if unitary else np.sqrt(rng.uniform(0.3, 1.0, m))
     t = haar_unitary(m, rng) @ np.diag(s) @ haar_unitary(m, rng)
@@ -200,10 +275,11 @@ def test_master_theorem_matches_doubled_adjacency(seed, m, photons, unitary):
     counts = p + b
     assume(math.prod(k + 1 for k in counts) <= 3000)  # grid size
     got = fc.fock_coarse_prob(fc.FockInput(p, t), CoarsePattern(blocks, b))
-    doubled = [(k,) for k in range(m)] + [tuple(m + i for i in blk)
-                                          for blk in blocks]
-    want = hafnian.blocked_lhaf(fc.build_a_phi(t), None, doubled, counts)
-    assert abs(got - want / hafnian.factorial_product(counts)) <= 1e-11
+    k = master_matrix(t)
+    want = sum(glynn_permanent(k, p + list(fine)).real
+               / factorial_product(p + list(fine))
+               for fine in compatible_patterns(blocks, b, m))
+    assert abs(got - want) <= 1e-11
 
 
 # -- heralded states ----------------------------------------------------------
@@ -275,6 +351,34 @@ def test_herald_trace_out():
     assert np.allclose(direct.entries, traced.entries, atol=1e-10)
 
 
+def test_herald_trace_out_keeps_photons_above_cutoff():
+    """A traced port may hold more photons than the cutoff: the traced state
+    is the partial trace of the full herald at a cutoff that holds every
+    unheralded photon, cropped to the small cutoff."""
+    rng = np.random.default_rng(36)
+    fi = fc.FockInput((2, 1, 1, 0), 0.9 * haar_unitary(4, rng))
+    direct = fc.fock_herald(fi, HeraldSpec([0], [1], cutoff=2,
+                                           trace_out=[3]))
+    full = fc.fock_herald(fi, HeraldSpec([0], [1], cutoff=3))
+    traced = heralding.partial_trace(full, [2]).entries
+    want = traced.reshape((4,) * 4)[:3, :3, :3, :3].reshape(9, 9)
+    assert np.max(np.abs(direct.entries - want)) <= 1e-12 * np.trace(
+        want).real
+
+
+@pytest.mark.parametrize("herald, trace_out", [
+    ([0], [7]), ([0], [-1]), ([0], [2, 2]), ([3], []), ([-1], []),
+    ([0, 0], []),
+])
+def test_herald_mode_out_of_range_raises(herald, trace_out):
+    fi = fc.FockInput((1, 1, 0), 0.9 * haar_unitary(
+        3, np.random.default_rng(5)))
+    spec = HeraldSpec(herald, [0] * len(herald), cutoff=1,
+                      trace_out=trace_out)
+    with pytest.raises(IndexOutOfRange):
+        fc.fock_herald(fi, spec)
+
+
 def test_herald_hermitian_with_complex_circuit():
     rng = np.random.default_rng(35)
     t = 0.85 * haar_unitary(2, rng)
@@ -302,6 +406,8 @@ def test_herald_odd_parity_elements_are_exact_zeros(seed):
                                                           repeat=2)])
     odd = (photons[:, None] + photons[None, :]) % 2 == 1
     assert np.all(dm.entries[odd] == 0.0)
+    # a lossy circuit conserves or loses photons: |u| != |v| vanishes
+    assert np.all(dm.entries[photons[:, None] != photons[None, :]] == 0.0)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -309,16 +415,61 @@ def test_herald_odd_parity_elements_are_exact_zeros(seed):
 def test_herald_matches_per_element_oracle(seed):
     fi, spec = random_fock_herald(seed)
     dm = fc.fock_herald(fi, spec)
-    rep = fc._channel_rep(fi)
-    blocks = [(0,), (1,), (2,), (3,)]
-    counts = list(fi.p) + list(spec.measurement[1])
-    budget = sum(fi.p) - sum(spec.measurement[1])
-    patterns = list(itertools.product(range(3), repeat=2))
-    want = np.zeros_like(dm.entries)
-    for i, v in enumerate(patterns):
-        for j, u in enumerate(patterns):
-            if max(sum(u), sum(v)) <= budget:
-                want[i, j] = embedded_element(rep, blocks, counts, [4, 5],
-                                              u, v)
+    want = permanent_density(fi, spec)
     assert np.max(np.abs(dm.entries - want)) <= 1e-12 * max(
         abs(np.trace(want).real), 1e-300)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 4),
+       grouped=st.booleans(), traced=st.booleans())
+def test_herald_matches_permanent_oracle(seed, m, grouped, traced):
+    """Grouped herald blocks and traced ports against Ryser's formula, with
+    the traced photons summed outcome by outcome."""
+    nherald = 1 + grouped
+    assume(nherald + traced < m)
+    rng = np.random.default_rng(seed)
+    t = np.sqrt(rng.uniform(0.5, 1.0)) * haar_unitary(m, rng)
+    fi = fc.FockInput(tuple(int(x) for x in rng.integers(0, 3, m)), t)
+    ports = [int(i) for i in rng.permutation(m)]
+    herald = ports[:nherald]
+    if grouped:
+        measurement = ([tuple(herald)], (int(rng.integers(0, 3)),))
+    else:
+        measurement = [int(rng.integers(0, 2))]
+    nkept = m - nherald - traced
+    spec = HeraldSpec(herald, measurement, cutoff=2 if nkept < 3 else 1,
+                      trace_out=ports[nherald:nherald + traced])
+    dm = fc.fock_herald(fi, spec)
+    want = permanent_density(fi, spec)
+    assert np.max(np.abs(dm.entries - want)) <= 1e-12 * max(
+        abs(np.trace(want).real), 1e-300)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 4),
+       nkept=st.integers(1, 2), grouped=st.booleans())
+def test_herald_trace_is_exact_herald_probability(seed, m, nkept, grouped):
+    """With the cutoff at the unheralded photon count, the trace is the
+    whole herald probability: ``fock_coarse_prob`` on T with the kept
+    rows zeroed, so that every photon on a kept port counts as lost."""
+    assume(nkept < m and (m - nkept > 1 or not grouped))
+    rng = np.random.default_rng(seed)
+    t = np.sqrt(rng.uniform(0.5, 1.0)) * haar_unitary(m, rng)
+    p = tuple(int(x) for x in rng.integers(0, 3, m))
+    ports = [int(i) for i in rng.permutation(m)]
+    herald, kept = ports[nkept:], ports[:nkept]
+    if grouped:
+        blocks, counts = [tuple(herald)], [int(rng.integers(0, 4))]
+    else:
+        blocks = [(i,) for i in herald]
+        counts = [int(x) for x in rng.integers(0, 2, len(herald))]
+    budget = max(sum(p) - sum(counts), 0)
+    dm = fc.fock_herald(fc.FockInput(p, t),
+                        HeraldSpec(herald, (blocks, counts), cutoff=budget))
+    t_lost = t.copy()
+    t_lost[kept] = 0.0
+    want = fc.fock_coarse_prob(
+        fc.FockInput(p, t_lost),
+        CoarsePattern([list(b) for b in blocks] + [kept], counts + [0]))
+    assert np.isclose(dm.trace.real, want, rtol=1e-10, atol=1e-15)

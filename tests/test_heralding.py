@@ -10,6 +10,7 @@ from photonsieve import distributions as dist
 from photonsieve import gaussian, hafnian, heralding
 from photonsieve.cli import haar_unitary
 from photonsieve.errors import (
+    IndexOutOfRange,
     LengthMismatch,
     NotNormalized,
     PartitionMismatch,
@@ -383,6 +384,18 @@ def test_zero_probability_herald_does_not_normalize():
     assert dm.trace == 0
     with pytest.raises(ZeroProbability):
         dm.normalized()
+
+
+@pytest.mark.parametrize("herald, trace_out", [
+    ([0], [7]), ([0], [-1]), ([0], [2, 2]), ([3], []), ([-1], []),
+    ([0, 0], []),
+])
+def test_herald_mode_out_of_range_raises(herald, trace_out):
+    rep, _, _ = random_herald(7, False, False, 2)
+    spec = heralding.HeraldSpec(herald, [0] * len(herald), cutoff=1,
+                                trace_out=trace_out)
+    with pytest.raises(IndexOutOfRange):
+        heralding.herald_grouped(rep, spec)
 
 
 def test_herald_spec_normalizes_measurement():
