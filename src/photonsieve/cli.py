@@ -140,12 +140,8 @@ def _measurement(task):
 
 
 def _dm_result(dm, extra=None):
-    rows = []
-    for i in range(dm.entries.shape[0]):
-        for j in range(dm.entries.shape[1]):
-            v = dm.entries[i, j]
-            if v != 0:
-                rows.append([i, j, v.real, v.imag])
+    rows = [[i, j, v.real, v.imag]
+            for (i, j), v in np.ndenumerate(dm.entries) if v != 0]
     out = {
         "modes": dm.modes,
         "cutoff": dm.cutoff,
@@ -232,7 +228,9 @@ def _run_herald(circ, task):
 def _fock_input(circ, task):
     modes = int(circ["modes"])
     t = _transmission_or_identity(circ, modes, modes)
-    return fock_channel.FockInput(tuple(task["input"]), t)
+    gram = task.get("gram")
+    return fock_channel.FockInput(tuple(task["input"]), t,
+                                  None if gram is None else _matrix(gram))
 
 
 def _run_fock_prob(circ, task):

@@ -1,13 +1,18 @@
 """Fock states through lossy linear circuits.
 
-Output probabilities follow the MacMahon master theorem.  With one variable
-per input port (x) and per output port (y), D = diag(x, y) and the 2M x 2M
-K = [[I - T^dag T, T^dag], [T, 0]], a Schur complement gives det(I - D K) =
-det(I - X(I - T^dag T) - X T^dag Y T), so 1/det(I - D K) = sum Pr(b | p)
-x^p y^b, with log series g_k = tr([D K]^k) / k.  Heralded density matrix
-elements are permanents of K with different row and column multisets;
-``fock_herald`` turns each into a coefficient of the same determinant of a
-submatrix of K.  A permanent-based oracle cross-checks both.
+MacMahon master theorem: with one variable per input port (x) and per
+output port (y), the Schur complement of the 2M x 2M K = [[I - T^dag T,
+T^dag], [T, 0]] gives det(I - diag(x, y) K) = det(I - X B(y)), B(y) =
+y_env (I - T^dag T) + sum_j y_j T^dag E_j T, E_j the projector onto output
+block j and y_env marking lost photons.  So 1 / det(I - X B(y)) =
+sum Pr(b | p) x^p y^b y_env^(|p| - |b|), with log series tr([X B(y)]^k) / k
+on the |occ| x |occ| block of the occupied inputs; it has degree |p| in x
+and again in (y, y_env), so the sieve pins one variable of each group.  If
+the photons of port i share the internal state c_i, B becomes S o B with
+the Gram matrix S_il = <c_i|c_l> (Tichy, PRA 91, 022316, 2015;
+Shchesnovich, PRA 91, 013844, 2015).  K is kept for ``fock_herald``,
+whose elements are permanents of K with different row and column
+multisets, and for the permanent oracle that cross-checks both.
 """
 
 from collections import Counter
@@ -17,23 +22,27 @@ from functools import partial
 import numpy as np
 
 from .distributions import _real_prob
-from .errors import PartitionMismatch, TooLarge
+from .errors import (DomainError, NotPositiveDefinite, PartitionMismatch,
+                     TooLarge)
 # blocked_lhaf is not called here: the benchmark tracer rebinds it here
 from .hafnian import (block_expansion, blocked_lhaf, compatible_patterns,
                       factorial_product, partition_expansion,
-                      power_trace_series, sieve_reduce)
+                      power_trace_series, scaled_power_traces, sieve_reduce)
 from .heralding import herald_density, kept_modes
-from .linalg import require_subunitary
+from .linalg import STRUCTURE_TOL, require_subunitary
 
 _PERM_LIMIT = 16
 
 
 @dataclass(frozen=True)
 class FockInput:
-    """Photon counts per input port and the circuit transmission matrix."""
+    """Photon counts per input port, the circuit transmission matrix and
+    the Gram matrix S_il = <c_i|c_l> of the ports' internal states (all
+    ones by default: indistinguishable photons)."""
 
     p: tuple
     t: np.ndarray
+    gram: np.ndarray = None
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=complex)
@@ -43,14 +52,31 @@ class FockInput:
         if any(x < 0 for x in p):
             raise PartitionMismatch("photon counts must be non-negative")
         require_subunitary(t)
+        s = np.ones(t.shape, complex) if self.gram is None else _gram(
+            self.gram, len(p))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "gram", s)
+
+
+def _gram(s, m):
+    """``s`` as an M x M Gram matrix: finite, with a unit diagonal,
+    Hermitian and positive semidefinite, or a validation error."""
+    s = np.asarray(s, dtype=complex)
+    if s.shape != (m, m) or not np.isfinite(s).all() or np.abs(
+            np.diagonal(s) - 1).max() > STRUCTURE_TOL:
+        raise DomainError(f"Gram matrix must be finite, {m} x {m}, with a "
+                          "unit diagonal")
+    if (np.abs(s - s.conj().T).max() > STRUCTURE_TOL
+            or np.linalg.eigvalsh(s).min() < -STRUCTURE_TOL):
+        raise NotPositiveDefinite("Gram matrix must be Hermitian and "
+                                  "positive semidefinite")
+    return s
 
 
 def _master_matrix(t):
-    """The 2M x 2M K = [[I - T^dag T, T^dag], [T, 0]] of the module
-    docstring: rows and columns 0..M-1 are the input ports, M..2M-1 the
-    output ports."""
+    """K = [[I - T^dag T, T^dag], [T, 0]]: rows and columns 0..M-1 are the
+    input ports, M..2M-1 the output ports."""
     m = t.shape[0]
     return np.block([[np.eye(m) - t.conj().T @ t, t.conj().T],
                      [t, np.zeros((m, m))]])
@@ -58,18 +84,29 @@ def _master_matrix(t):
 
 def fock_coarse_prob(fi, cp):
     """Probability of coarse output counts b for Fock input p through t: the
-    coefficient of x^p y^b in 1/det(I - D K) with one y per output block,
-    read off the sieve grid of the 2M x 2M matrix K (module docstring)."""
-    m = len(fi.p)
-    blocks = [(k,) for k in range(m)]
-    blocks += [tuple(m + i for i in blk) for blk in cp.blocks]
-    expand = partition_expansion(blocks, 2 * m)
-    if sum(cp.counts) > sum(fi.p):
-        return 0.0  # a passive lossy circuit cannot create photons
-    counts = list(fi.p) + list(cp.counts)
-    val = sieve_reduce(partial(power_trace_series, _master_matrix(fi.t)),
-                       [counts], expand)[0]
-    return _real_prob(val / factorial_product(counts))
+    coefficient of x^p y^b y_env^(|p| - |b|) in 1 / det(I - X (S o B(y)))
+    with one y per output block, read off one sieve grid (module
+    docstring); X (S o B(y)) is formed chunk by chunk."""
+    expand = partition_expansion(cp.blocks, len(fi.p)).real
+    nin, nout = sum(fi.p), sum(cp.counts)
+    if nout > nin or nin == 0:
+        return float(nout == 0)  # a lossy circuit cannot create photons
+    occ = [i for i, k in enumerate(fi.p) if k]
+    t, d = fi.t[:, occ], len(occ)
+    w = np.concatenate([np.einsum("ai,ja,al->jil", t.conj(), expand, t),
+                        [np.eye(d) - t.conj().T @ t]])
+    w = (w * fi.gram[np.ix_(occ, occ)]).reshape(len(w), d * d)
+
+    def series(nmax, z):
+        def first(lo, hi, out):
+            np.multiply(z[lo:hi, :d, None],
+                        (z[lo:hi, d:] @ w).reshape(-1, d, d), out=out)
+        return power_trace_series(first, d, nmax, len(z))
+
+    counts = [fi.p[i] for i in occ] + list(cp.counts) + [nin - nout]
+    val = sieve_reduce(series, [counts], np.eye(len(counts)),
+                       groups=[range(d), range(d, len(counts))])
+    return _real_prob(val[0] / factorial_product(counts))
 
 
 def perm_oracle(mat):
@@ -87,10 +124,7 @@ def perm_oracle(mat):
     for k in range(1, 2 ** n):
         bit = (k & -k).bit_length() - 1
         gray ^= 1 << bit
-        if gray >> bit & 1:
-            sums += mat[:, bit]
-        else:
-            sums -= mat[:, bit]
+        sums += mat[:, bit] if gray >> bit & 1 else -mat[:, bit]
         parity = -1.0 if bin(gray).count("1") % 2 else 1.0
         total += parity * np.prod(sums)
     return sign * total
@@ -98,6 +132,8 @@ def perm_oracle(mat):
 
 def fock_perm_oracle(fi, cp):
     """Coarse output probability through a sum of permanents (exponential)."""
+    if not (fi.gram == 1).all():
+        raise DomainError("the permanent oracle takes no Gram matrix")
     m = len(fi.p)
     nin = sum(fi.p)
     base = np.block([
@@ -133,6 +169,8 @@ def fock_herald(fi, spec):
     circuit conserves or loses photons, so an element with |u| != |v|, or
     with more than the unheralded photons, is exactly zero.
     """
+    if not (fi.gram == 1).all():
+        raise DomainError("Fock heralds take no Gram matrix")
     m = len(fi.p)
     kept = kept_modes(spec, m)
     t = fi.t.copy()
@@ -163,7 +201,7 @@ def fock_herald(fi, spec):
         ridx = ports + [m + r for r, _ in pairs]
         cidx = ports + [m + c for _, c in pairs]
         singles = [(k,) for k in range(len(ports) - len(kept), len(ridx))]
-        return (partial(power_trace_series, mat[np.ix_(ridx, cidx)]),
+        return (partial(scaled_power_traces, mat[np.ix_(ridx, cidx)]),
                 block_expansion(blocks + singles, len(ridx)))
 
     return herald_density(len(kept), spec.cutoff, counts, embed, build)

@@ -167,7 +167,6 @@ def apply_channel(state, t):
     means' = W means, with W = conj(t) (+) t on the doubled space.
     """
     t = np.asarray(t, dtype=complex)
-    require_finite(t, "transmission")
     n = state.layout.total
     if t.shape != (n, n):
         raise LayoutMismatch(f"transmission must be {n}x{n}, got {t.shape}")

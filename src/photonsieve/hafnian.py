@@ -4,21 +4,19 @@ Eight layers, from slow-and-certain to fast:
 
 * ``lhaf_oracle``        exact enumeration of single-pair matchings with
                          loops, exponential, guarded to 14 rows;
-* ``power_trace_series`` the one matrix-power loop: tr([D(z) M]^k) / k,
-                         batched over scalings D(z), for M = XA here and
-                         the Fock master-theorem matrix in ``fock_channel``,
-                         from baby steps and giant steps, about 2 sqrt(N)
-                         matrix products per point for N traces;
+* ``power_trace_series`` the one matrix-power loop: tr(P^k) / k and a loop
+                         term, from baby steps and giant steps, about
+                         2 sqrt(N) products per point, for per-point first
+                         powers P: D(z) XA here, X B(y) in ``fock_channel``;
 * ``g_coefficients``     the power-trace log series g_1..g_N, batched over
                          diagonal scalings D(z) of XA;
 * ``f_coefficients``     batched exp series turning log-series coefficients
                          g_k into the Taylor coefficients f_0..f_N;
 * ``grid_coefficients``  the sieve engine: f_0..f_N on one roots-of-unity
-                         grid, then one FFT per total N reads out every
+                         grid with one pinned variable per homogeneous
+                         group, then one FFT per total N reads out every
                          count pattern the grid resolves, each with its
-                         rounding bound; the log series is an argument,
-                         ``g_coefficients``, the master-theorem series or
-                         the distinguishable fast path's power sums;
+                         rounding bound; the log series is an argument;
 * ``sieve_reduce``       the one fold-and-certify routine: rows of count
                          patterns from one unit-circle grid, each row that
                          drowns in cancellation folded again on its own
@@ -33,7 +31,7 @@ off the same grid and log series.
 """
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -133,36 +131,42 @@ def f_coefficients(g):
 _CHUNK_BYTES = 1 << 22
 
 
-def power_trace_series(mat, nmax, scale):
-    """g_k = tr([D(z) mat]^k) / k, k = 1..nmax, the log series of
-    1 / det(I - D(z) mat), at every row z of ``scale`` (G, dim).
-
+def power_trace_series(first, dim, nmax, npts, loop=None):
+    """g_k = tr(P^k) / k, k = 1..nmax, the log series of 1 / det(I - P), at
+    ``npts`` points; ``first(lo, hi, out)`` writes the first powers P of
+    points lo..hi-1 into ``out`` (hi - lo, dim, dim).  With ``loop`` =
+    (l, r), r of shape (npts, dim), g_k gains the term l^T P^(k-1) r.
     Baby steps and giant steps (Paterson and Stockmeyer, SIAM J. Comput.
-    2, 1973): with b = ceil(sqrt(nmax)) and P_j = (D(z) mat)^j, the baby
-    steps P_1..P_b give their own traces, and each giant step R = P_b^q
-    gives tr(P_(qb+j)) = sum_(il) P_j[i, l] R[l, i] for j = 1..b as one
-    batched matrix-vector product.  That is about 2 sqrt(nmax) matrix
-    products per point instead of nmax - 1.  The points run in chunks
-    that share one baby-step buffer, sized to _CHUNK_BYTES.
+    2, 1973): with b = ceil(sqrt(nmax)), the baby steps P..P^b give their
+    own traces, and each giant step R = P^(qb) gives tr(P^(qb+j)) =
+    sum_(il) P^j[i, l] R[l, i] for j = 1..b as one batched matrix-vector
+    product, and l^T P^(qb+j-1) r = (l^T R) P^(j-1) r: about 2 sqrt(nmax)
+    matrix products per point instead of nmax - 1.  The points run in
+    chunks that share one baby-step buffer, sized to _CHUNK_BYTES, in
+    which the first powers are formed.
     """
-    dim = mat.shape[0]
-    npts = len(scale)
     out = np.empty((npts, nmax), dtype=complex)
     if nmax == 0:
         return out
     b = math.isqrt(nmax - 1) + 1
     chunk = max(1, min(npts, _CHUNK_BYTES // (16 * dim ** 2 * (b + 3))))
     buf = np.empty((chunk, b, dim, dim), dtype=complex)
+    ks = np.arange(1, nmax + 1)
     for lo in range(0, npts, chunk):
         n = min(chunk, npts - lo)
         powers = buf[:n]
-        np.multiply(scale[lo:lo + n, :, None], mat[None, :, :],
-                    out=powers[:, 0])
+        first(lo, lo + n, powers[:, 0])
         for j in range(1, b):
             np.matmul(powers[:, j - 1], powers[:, 0], out=powers[:, j])
         rows = out[lo:lo + n]
         rows[:, :b] = np.einsum("ghii->gh", powers)
         flat = powers.reshape(n, b, dim * dim)
+        if loop is not None:   # stored times k, as the traces are
+            left, right = loop[0], loop[1][lo:lo + n]
+            vecs = np.empty((n, b, dim), dtype=complex)   # P^j r, j < b
+            vecs[:, 0] = right
+            vecs[:, 1:] = (powers[:, :b - 1] @ right[:, None, :, None])[..., 0]
+            rows[:, :b] += ks[:b] * (vecs @ left)
         giant = powers[:, b - 1]
         for k0 in range(b, nmax, b):
             if k0 > b:
@@ -170,8 +174,18 @@ def power_trace_series(mat, nmax, scale):
             m = min(b, nmax - k0)
             flipped = giant.transpose(0, 2, 1).reshape(n, dim * dim, 1)
             rows[:, k0:k0 + m] = (flat[:, :m] @ flipped)[:, :, 0]
-    out /= np.arange(1, nmax + 1)
+            if loop is not None:
+                rows[:, k0:k0 + m] += ks[k0:k0 + m] * (
+                    vecs[:, :m] @ (left @ giant)[:, :, None])[:, :, 0]
+        rows /= ks
     return out
+
+
+def scaled_power_traces(mat, nmax, scale, loop=None):
+    """``power_trace_series`` of P = D(z) mat at every row z of ``scale``."""
+    def first(lo, hi, out):
+        np.multiply(scale[lo:hi, :, None], mat, out=out)
+    return power_trace_series(first, len(mat), nmax, len(scale), loop)
 
 
 def g_coefficients(a, gamma=None, nmax=1, scale=None):
@@ -181,23 +195,18 @@ def g_coefficients(a, gamma=None, nmax=1, scale=None):
     and X gamma replaced by their D(scale)-scaled versions when ``scale`` is
     given (one scale entry per mode, applied to both halves).  Leading axes
     of ``scale`` are a batch: the result has shape scale.shape[:-1] +
-    (nmax,); the traces come from ``power_trace_series``.
+    (nmax,); traces and loop term come from ``power_trace_series``.
     """
     a = np.asarray(a, dtype=complex)
     nmodes = a.shape[0] // 2
     x = xmat(nmodes)
-    xa = x @ a
     scale = np.ones(nmodes) if scale is None else np.asarray(scale)
     batch = scale.shape[:-1]
     scale = scale.reshape(-1, nmodes).astype(complex)
     d = np.concatenate([scale, scale], axis=1)                  # (G, 2M)
-    g = power_trace_series(xa, nmax, d) / 2
-    if gamma is not None and np.any(gamma):
-        gamma = np.asarray(gamma, dtype=complex)
-        w = d * (x @ gamma)
-        for k in range(nmax):
-            g[:, k] += (w @ gamma) / 2
-            w = d * (w @ xa.T)
+    loop = (None if gamma is None or not np.any(gamma) else
+            (np.asarray(gamma, dtype=complex), d * (x @ gamma)))
+    g = scaled_power_traces(x @ a, nmax, d, loop) / 2
     require_finite(g, "g coefficients")
     return g.reshape(batch + (nmax,))
 
@@ -213,7 +222,7 @@ def f_n(a, gamma=None, n=0):
 # roots-of-unity sieve
 # ---------------------------------------------------------------------------
 
-def grid_coefficients(series, expand, targets, radii=None):
+def grid_coefficients(series, expand, targets, radii=None, groups=None):
     """Blocked loop Hafnians of many count patterns from one sieve grid.
 
     ``series(nmax, scale)`` returns g_1..g_nmax at every row of ``scale``
@@ -222,48 +231,47 @@ def grid_coefficients(series, expand, targets, radii=None):
     and each row of ``targets`` is a count pattern over the variables.
     Variable j runs over L_j points r_j exp(2 pi i m / L_j), L_j = 1 + its
     largest count (a variable whose counts are all zero is pinned at zero).
-    Each f_N is homogeneous of degree N, so a pattern k with every k_j < L_j
-    aliases with no other pattern of the same total, and one ``fftn`` of
-    f_N on the grid yields all patterns of total N at once.
+    ``groups`` partitions the variables into homogeneous groups (default:
+    one group of all): f_N has degree N in each group, as 1 / det(I - X
+    B(y)) has in x and in y.  A pattern k with every k_j < L_j aliases with
+    no other pattern of the same group totals, so one ``fftn`` of f_N yields
+    all patterns of total N (that of the first group) at once.
 
-    Homogeneity also removes one variable e: the z^k coefficient of f_N
-    is the coefficient of the other variables' z^k in f_N with z_e pinned
-    at r_e.  A pattern of the same total then aliases onto k only through
-    a variable with L_j <= k_e, so the other sizes are raised to exceed
-    the largest k_e, and e is the variable that leaves the fewest points.
+    Homogeneity also pins one variable e per group at r_e: a pattern of
+    the same totals then aliases onto k only through a variable of e's
+    group with L_j <= k_e, so the other sizes of that group are raised to
+    exceed the largest k_e, and e is the pin that leaves the fewest points.
 
     Returns (values, masses) over the rows of ``targets``: value =
-    prod k_j! [z^k] f_|k|, and mass = prod(k_j! / (L_j r_j^k_j)) times
-    sum_m |f_|k|(z_m)| over the grid (L_e = 1), the absolute fold mass,
+    prod k_j! [z^k] f_N, and mass = prod(k_j! / (L_j r_j^k_j)) times
+    sum_m |f_N(z_m)| over the grid (L_e = 1), the absolute fold mass,
     whose product with the machine epsilon bounds the rounding error.
     """
     targets = np.asarray(targets, dtype=int).reshape(-1, expand.shape[0])
     nvar = targets.shape[1]
     radii = np.ones(nvar) if radii is None else np.asarray(radii, float)
-    kmax = targets.max(axis=0)
-    sizes = kmax + 1
-    options = []
-    for e in np.flatnonzero(kmax):
-        option = np.where(kmax > 0, np.maximum(sizes, kmax[e] + 1), 1)
-        option[e] = 1
-        options.append(option)
-    if options:
-        sizes = min(options, key=np.prod)
-    axes = [radii[j] * (kmax[j] > 0)
-            * np.exp(2j * np.pi * np.arange(sizes[j]) / sizes[j])
-            for j in range(nvar)]
-    zgrid = 0.0
-    for j, ax in enumerate(axes):
-        shape = (1,) * j + (-1,) + (1,) * (nvar - j)
-        zgrid = zgrid + ax.reshape(shape) * expand[j]
-    zgrid = np.broadcast_to(zgrid, tuple(sizes) + expand.shape[1:])
-    totals = targets.sum(axis=1)
-    f = f_coefficients(series(int(totals.max()),
-                              zgrid.reshape(-1, expand.shape[1])))
+    groups = [range(nvar)] if groups is None else groups
+    kmax = targets.max(axis=0).tolist()
+    sizes = [k + 1 for k in kmax]
+    for group in groups:
+        live = [j for j in group if kmax[j]]
+        if live:
+            e = min(live, key=lambda e: math.prod(
+                max(kmax[j], kmax[e]) + 1 for j in live if j != e))
+            for j in live:
+                sizes[j] = max(kmax[j], kmax[e]) + 1 if j != e else 1
+    zgrid = np.empty(tuple(sizes) + (nvar,), dtype=complex)
+    for j in range(nvar):
+        axis = radii[j] * _roots(sizes[j]) if kmax[j] else np.zeros(1)
+        zgrid[..., j] = axis.reshape((1,) * j + (-1,) + (1,) * (nvar - j - 1))
+    zgrid = zgrid.reshape(-1, nvar) @ expand
+    totals = targets[:, list(groups[0])].sum(axis=1)
+    f = f_coefficients(series(int(totals.max()), zgrid))
     facts = np.array([float(math.factorial(k))
-                      for k in range(kmax.max() + 1)])
+                      for k in range(max(kmax) + 1)])
     scale = np.prod(facts[targets] / radii ** targets, axis=1) / len(f)
     # pinned and eliminated variables have one point: no FFT along them
+    sizes = np.array(sizes)
     live = sizes > 1
     values = np.empty(len(targets), dtype=complex)
     masses = np.empty(len(targets))
@@ -275,6 +283,11 @@ def grid_coefficients(series, expand, targets, radii=None):
         values[sel] = spectrum[tuple(targets[sel][:, live].T)] * scale[sel]
         masses[sel] = np.abs(f[:, n]).sum() * scale[sel]
     return values, masses
+
+
+@lru_cache
+def _roots(n):
+    return np.exp(2j * np.pi * np.arange(n) / n)
 
 
 # circle dilations of the fold: unit circles first, then radii
@@ -296,11 +309,11 @@ def fold_is_sound(value, mass, abs_tol=None):
     return abs_tol is not None and _EPS * mass <= abs_tol
 
 
-def sieve_reduce(series, targets, expand, abs_tol=None):
+def sieve_reduce(series, targets, expand, abs_tol=None, groups=None):
     """The rows of ``targets`` (count patterns over the variables) of the
     log series ``series``, folded and certified; ``expand`` maps variable
-    columns to mode columns, and ``abs_tol`` is None or one absolute
-    tolerance (or None) per row.
+    columns to mode columns, ``abs_tol`` is None or one absolute tolerance
+    (or None) per row, and ``groups`` are as in ``grid_coefficients``.
 
     Every row is read off one grid on unit circles.  The absolute fold mass
     bounds the rounding error of the fold, so it doubles as a condition
@@ -316,7 +329,8 @@ def sieve_reduce(series, targets, expand, abs_tol=None):
     """
     targets = np.asarray(targets, dtype=int).reshape(-1, expand.shape[0])
     tols = [None] * len(targets) if abs_tol is None else list(abs_tol)
-    values, masses = grid_coefficients(series, expand, targets)
+    values, masses = grid_coefficients(series, expand, targets,
+                                       groups=groups)
     for row, (k, tol) in enumerate(zip(targets, tols)):
         if len(set(k.tolist()) - {0}) < 2:
             continue
@@ -324,7 +338,7 @@ def sieve_reduce(series, targets, expand, abs_tol=None):
             if fold_is_sound(values[row], masses[row], tol):
                 break
             cand, cmass = grid_coefficients(series, expand, [k],
-                                            boost ** (k / k.max()))
+                                            boost ** (k / k.max()), groups)
             if cmass[0] < masses[row]:
                 values[row], masses[row] = cand[0], cmass[0]
     if not np.isfinite(values).all():

@@ -338,16 +338,12 @@ def partial_trace(dm, drop):
             raise IndexOutOfRange(f"mode {i} out of range")
     if not drop:
         return dm
-    g = dm.modes
-    c1 = dm.cutoff + 1
+    g, c1 = dm.modes, dm.cutoff + 1
     tensor = dm.entries.reshape((c1,) * (2 * g))
-    for off, i in enumerate(drop):
-        ax = i - off
-        rem = g - off
-        tensor = np.trace(tensor, axis1=ax, axis2=ax + rem)
+    for off, i in enumerate(drop):   # the ket axis i - off, its bra partner
+        tensor = np.trace(tensor, axis1=i - off, axis2=i + g - 2 * off)
     keep = g - len(drop)
-    dim = c1 ** keep
-    return DensityMatrix(keep, dm.cutoff, tensor.reshape(dim, dim))
+    return DensityMatrix(keep, dm.cutoff, tensor.reshape(c1 ** keep, -1))
 
 
 def fidelity(dm, target):

@@ -19,7 +19,9 @@ def require_finite(arr, what="array"):
 
 
 def require_subunitary(t):
-    """Raise unless no singular value of ``t`` exceeds 1 (+1e-10)."""
+    """Raise unless ``t`` is finite and no singular value of it exceeds 1
+    (+1e-10): the one check of every transmission matrix."""
+    require_finite(t, "transmission")
     if np.max(np.linalg.svd(t, compute_uv=False)) > 1 + 1e-10:
         raise NotSubunitary("transmission has a singular value above 1")
 

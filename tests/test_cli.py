@@ -158,6 +158,44 @@ def test_fock_prob_task(tmp_path):
     assert abs(json.loads(out.read_text())["result"]["probability"]) < 1e-12
 
 
+def test_fock_prob_task_reads_gram(tmp_path):
+    """Overlap s = 0.6 + 0.3i between the two photons: the Hong-Ou-Mandel
+    coincidence probability is (1 - |s|^2) / 2."""
+    s = [0.6, 0.3]
+    config = {
+        "circuit": {"modes": 2, "transmission": tmsv_circuit()
+                    ["transmission"]["unitary"]},
+        "task": {"kind": "fock-prob", "input": [1, 1],
+                 "blocks": [[0], [1]], "counts": [1, 1],
+                 "gram": [[1, s], [[s[0], -s[1]], 1]]},
+    }
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--config", write_config(tmp_path, config),
+                     "--output", str(out)]) == 0
+    assert np.isclose(json.loads(out.read_text())["result"]["probability"],
+                      (1 - 0.45) / 2, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind, gram", [
+    ("fock-prob", [[1, 2], [2, 1]]),          # not positive semidefinite
+    ("fock-prob", [[1, 0.5], [0.4, 1]]),      # not Hermitian
+    ("fock-herald", [[1, 0.5], [0.5, 1]]),    # heralds take no Gram matrix
+])
+def test_bad_gram_exit_code(tmp_path, kind, gram):
+    config = {
+        "circuit": {"modes": 2, "transmission": tmsv_circuit()
+                    ["transmission"]["unitary"]},
+        "task": {"kind": kind, "input": [1, 1], "blocks": [[0], [1]],
+                 "counts": [1, 1], "herald_modes": [0], "measurement": [1],
+                 "cutoff": 1, "gram": gram},
+    }
+    out = tmp_path / "r.json"
+    proc = run_cli(["run", "--config", write_config(tmp_path, config),
+                    "--output", str(out)])
+    assert proc.returncode == 2
+    assert not out.exists()
+
+
 def test_moments_task(tmp_path):
     config = {"circuit": {"modes": 1, "squeezing": [0.8]},
               "task": {"kind": "moments", "blocks": [[0]],

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from photonsieve import fock_channel as fc
-from photonsieve import heralding
+from photonsieve import gaussian, hafnian, heralding
 from photonsieve.cli import haar_unitary
 from photonsieve.distributions import CoarsePattern
-from photonsieve.errors import (IndexOutOfRange, NotSubunitary,
-                                PartitionMismatch, TooLarge)
+from photonsieve.errors import (DomainError, IndexOutOfRange, NonFinite,
+                                NotPositiveDefinite, NotSubunitary,
+                                PartitionMismatch, TooLarge,
+                                ValidationFailure)
 from photonsieve.hafnian import compatible_patterns, factorial_product
 from photonsieve.heralding import HeraldSpec
 
@@ -115,6 +118,39 @@ def test_input_validation():
         fc.FockInput((-1, 0), np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_transmission_is_a_numeric_failure(bad):
+    """Both the Fock and the Gaussian path reject a transmission with a NaN
+    or an Inf entry through the one sub-unitarity check."""
+    t = np.array([[bad, 0], [0, 1]])
+    with pytest.raises(NonFinite):
+        fc.FockInput((1, 1), t)
+    vac = gaussian.from_squeezing([0.0, 0.0], gaussian.ModeLayout(2))
+    with pytest.raises(NonFinite):
+        gaussian.apply_channel(vac, t)
+
+
+@pytest.mark.parametrize("gram, error", [
+    ([[1, 0.5], [0.4, 1]], NotPositiveDefinite),
+    ([[1, 2], [2, 1]], NotPositiveDefinite),
+    ([[0.9, 0], [0, 1]], DomainError),
+    ([[1, np.nan], [np.nan, 1]], DomainError),
+    (np.ones((3, 3)), DomainError),
+])
+def test_bad_gram_matrix_raises(gram, error):
+    with pytest.raises(error):
+        fc.FockInput((1, 1), BS, gram)
+    assert issubclass(error, ValidationFailure)
+
+
+def test_gram_is_rejected_where_unsupported():
+    fi = fc.FockInput((1, 1), BS, [[1, 0.5], [0.5, 1]])
+    with pytest.raises(DomainError):
+        fc.fock_herald(fi, HeraldSpec([1], [1], cutoff=1))
+    with pytest.raises(DomainError):
+        fc.fock_perm_oracle(fi, fine_cp([1, 1]))
+
+
 # -- coarse probabilities -----------------------------------------------------
 
 def test_identity_circuit_passthrough():
@@ -203,6 +239,112 @@ def test_output_permutation_covariance():
     assert np.isclose(fc.fock_coarse_prob(fi, fine_cp(b)),
                       fc.fock_coarse_prob(fi_p, fine_cp(perm @ b)),
                       rtol=1e-10)
+
+
+def test_edge_cases_match_oracle():
+    """No photons in, every photon lost, every photon detected, a single
+    occupied port and one block over all outputs."""
+    rng = np.random.default_rng(41)
+    eta = 0.7
+    t = np.sqrt(eta) * haar_unitary(3, rng)
+    empty = fc.FockInput((0, 0, 0), t)
+    assert fc.fock_coarse_prob(empty, fine_cp([0, 0, 0])) == 1.0
+    assert fc.fock_coarse_prob(empty, fine_cp([0, 1, 0])) == 0.0
+    lossy = 0.9 * haar_unitary(3, rng) @ np.diag([1.0, 0.8, 0.6])
+    cases = [((2, 0, 1), [0, 0, 0]),     # every photon lost
+             ((2, 0, 1), [1, 1, 1]),     # every photon detected
+             ((2, 0, 1), [3, 0, 0]),
+             ((3, 0, 0), [1, 0, 1]),     # a single occupied port
+             ((0, 4, 0), [0, 0, 0])]
+    for p, b in cases:
+        fi = fc.FockInput(p, lossy)
+        assert abs(fc.fock_coarse_prob(fi, fine_cp(b))
+                   - fc.fock_perm_oracle(fi, fine_cp(b))) <= 1e-14
+    # one block over all outputs of a uniformly lossy circuit: binomial
+    fi = fc.FockInput((2, 1, 1), t)
+    for k in range(5):
+        want = math.comb(4, k) * eta ** k * (1 - eta) ** (4 - k)
+        got = fc.fock_coarse_prob(fi, CoarsePattern([[0, 1, 2]], [k]))
+        assert abs(got - want) <= 1e-14
+
+
+def test_outputs_unsound_on_unit_circles_match_oracle():
+    """These outputs drown in cancellation on the unit circles; the fold on
+    dilated circles still matches the permanent oracle."""
+    rng = np.random.default_rng(1)
+    fi = fc.FockInput((2, 2, 1, 0), np.sqrt(0.9) * haar_unitary(4, rng))
+    for b in [(0, 0, 1, 0), (0, 0, 5, 0), (0, 1, 0, 1), (2, 2, 0, 1)]:
+        with mock.patch.object(hafnian, "grid_coefficients",
+                               wraps=hafnian.grid_coefficients) as spy:
+            got = fc.fock_coarse_prob(fi, fine_cp(b))
+        assert spy.call_count > 1
+        assert abs(got - fc.fock_perm_oracle(fi, fine_cp(b))) <= 1e-12
+
+
+# -- partial distinguishability -----------------------------------------------
+
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.7 + 0.2j, 1.0])
+@pytest.mark.parametrize("eta", [1.0, 0.8])
+def test_hong_ou_mandel_dip(s, eta):
+    """Two photons of overlap s on a 50:50 splitter with transmission eta
+    per port: P(1, 1) = eta^2 (1 - |s|^2) / 2, P(2, 0) = eta^2 (1 + |s|^2)
+    / 4."""
+    gram = [[1, s], [np.conj(s), 1]]
+    fi = fc.FockInput((1, 1), np.sqrt(eta) * BS, gram)
+    assert abs(fc.fock_coarse_prob(fi, fine_cp([1, 1]))
+               - eta ** 2 * (1 - abs(s) ** 2) / 2) <= 1e-15
+    assert abs(fc.fock_coarse_prob(fi, fine_cp([2, 0]))
+               - eta ** 2 * (1 + abs(s) ** 2) / 4) <= 1e-15
+    assert abs(fc.fock_coarse_prob(fi, fine_cp([0, 0]))
+               - (1 - eta) ** 2) <= 1e-15
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 3),
+       r=st.integers(1, 3), shared=st.booleans())
+def test_gram_matches_internal_mode_model(seed, m, r, shared):
+    """Photons of port i in the internal state c_i: the Gram form with
+    S_il = <c_i|c_l> equals ``fock_coarse_prob`` on M r modes, the circuit
+    kron(T, I_r) after one internal unitary V_i per port (c_i = V_i e_0),
+    with each output block over its internal modes."""
+    rng = np.random.default_rng(seed)
+    t = np.sqrt(rng.uniform(0.5, 1.0)) * haar_unitary(m, rng)
+    v = [haar_unitary(r, rng) for _ in range(m)]
+    if shared:
+        v[1] = v[0]  # two ports in the same internal state
+    c = np.array([vi[:, 0] for vi in v])
+    big = np.zeros((m * r, m * r), dtype=complex)
+    for i, vi in enumerate(v):
+        big[i * r:(i + 1) * r, i * r:(i + 1) * r] = vi
+    big = np.kron(t, np.eye(r)) @ big
+    p = [int(x) for x in rng.integers(0, 3, m)]
+    p[0] = max(p[0], 1)
+    fi = fc.FockInput(p, t, c.conj() @ c.T)
+    fi_big = fc.FockInput([k if s == 0 else 0 for k in p for s in range(r)],
+                          big)
+    blocks = [[0], list(range(1, m))]
+    big_blocks = [[o * r + s for o in blk for s in range(r)]
+                  for blk in blocks]
+    for b in itertools.product(range(sum(p) + 1), repeat=2):
+        if sum(b) <= sum(p):
+            got = fc.fock_coarse_prob(fi, CoarsePattern(blocks, b))
+            want = fc.fock_coarse_prob(fi_big, CoarsePattern(big_blocks, b))
+            assert abs(got - want) <= 1e-13
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_all_ones_gram_is_indistinguishable(seed):
+    rng = np.random.default_rng(500 + seed)
+    t = 0.9 * haar_unitary(3, rng)
+    p = (2, 1, 1)
+    plain = fc.FockInput(p, t)
+    ones = fc.FockInput(p, t, np.ones((3, 3)))
+    for b in itertools.product(range(3), repeat=3):
+        cp = fine_cp(b)
+        want = fc.fock_perm_oracle(plain, cp)
+        assert abs(fc.fock_coarse_prob(ones, cp) - want) <= 1e-13
+        assert fc.fock_coarse_prob(ones, cp) == fc.fock_coarse_prob(plain,
+                                                                    cp)
 
 
 # -- permanent oracle ---------------------------------------------------------

@@ -196,7 +196,7 @@ def test_power_trace_series_matches_matrix_powers(seed, dim, pinned,
             b = math.isqrt(max(nmax - 1, 0)) + 1
             budget = per_chunk * 16 * dim ** 2 * (b + 3)
         with mock.patch.object(hafnian, "_CHUNK_BYTES", budget):
-            g = hafnian.power_trace_series(mat, nmax, scale)
+            g = hafnian.scaled_power_traces(mat, nmax, scale)
         assert g.shape == (5, nmax)
         for row in range(5):
             ref = want[row, :nmax]
@@ -217,7 +217,7 @@ def test_power_trace_series_memory_is_bounded(dim, nmax, npts, limit):
     scale = np.exp(2j * np.pi * rng.random((npts, dim)))
     tracemalloc.start()
     try:
-        hafnian.power_trace_series(mat, nmax, scale)
+        hafnian.scaled_power_traces(mat, nmax, scale)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -355,6 +355,96 @@ def test_grid_coefficients_match_per_pattern_sieve(seed, with_gamma, sizes):
         want = hafnian.blocked_lhaf(a, gam, blocks, k)
         assert np.isclose(value, want, rtol=1e-9, atol=1e-12)
         assert abs(value) <= mass * (1 + 1e-12)
+
+
+def poly_mul(a, b, cap):
+    """Product of two polynomials {exponent tuple: coefficient}, dropping
+    every exponent beyond ``cap``."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if all(x <= c for x, c in zip(e, cap)):
+                out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def test_grid_coefficients_two_groups_match_brute_force():
+    """1 / det(I - X B(y)), X = diag(x_1, x_2) and B(y) = sum_j y_j W_j, has
+    degree N in x and degree N in y: with two groups, every pattern up to
+    N = 3 from one grid equals its coefficient in the expanded series
+    sum_n P^n, P = 1 - det(I - X B(y)).  With x_2, y_2 and y_3 limited to
+    one, the grid pins x_1 and must raise x_2's size above x_1's count."""
+    rng = np.random.default_rng(60)
+    w = rand_gamma(rng, (3, 2, 2)) / 2
+
+    def series(nmax, z):
+        def first(lo, hi, out):
+            out[:] = z[lo:hi, :2, None] * np.einsum("gj,jab->gab",
+                                                     z[lo:hi, 2:], w)
+        return hafnian.power_trace_series(first, 2, nmax, len(z))
+
+    def unit(j):
+        return tuple(int(i == j) for i in range(5))
+
+    cap = (3,) * 5
+    x1, x2 = {unit(0): 1.0}, {unit(1): 1.0}
+    b = [[{unit(2 + j): w[j, r, c] for j in range(3)} for c in range(2)]
+         for r in range(2)]
+    # P = x1 B11 + x2 B22 - x1 x2 (B11 B22 - B12 B21)
+    p = {**poly_mul(x1, b[0][0], cap), **poly_mul(x2, b[1][1], cap)}
+    minor = poly_mul(b[0][0], b[1][1], cap)
+    for e, c in poly_mul(b[0][1], b[1][0], cap).items():
+        minor[e] = minor.get(e, 0) - c
+    for e, c in poly_mul(poly_mul(x1, x2, cap), minor, cap).items():
+        p[e] = p.get(e, 0) - c
+    want, term = {(0,) * 5: 1.0}, {(0,) * 5: 1.0}
+    for _ in range(6):
+        term = poly_mul(term, p, cap)
+        for e, c in term.items():
+            want[e] = want.get(e, 0) + c
+    scale = max(abs(c) for c in want.values())
+    for limit in (3, 1):
+        targets = [k for k in itertools.product(range(4), repeat=5)
+                   if sum(k[:2]) == sum(k[2:]) <= 3
+                   and max(k[1], k[3], k[4]) <= limit]
+        values, _ = hafnian.grid_coefficients(
+            series, np.eye(5), targets, groups=[range(2), range(2, 5)])
+        for k, value in zip(targets, values):
+            got = value / hafnian.factorial_product(k)
+            assert abs(got - want.get(k, 0)) <= 1e-12 * scale
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), nmodes=st.integers(1, 4),
+       nmax=st.integers(1, 30), one_per_chunk=st.booleans())
+def test_loop_term_matches_per_k_loop(seed, nmodes, nmax, one_per_chunk):
+    """On random displaced lossy states, the loop term read off the baby and
+    giant steps equals gamma^T (D XA)^(k-1) D X gamma / 2 from k - 1
+    matrix-vector steps, at random scalings D."""
+    rng = np.random.default_rng(seed)
+    layout = gaussian.ModeLayout(nmodes)
+    s = gaussian.from_squeezing(rng.uniform(0.1, 0.8, nmodes), layout)
+    s = gaussian.apply_channel(s, np.sqrt(rng.uniform(0.5, 1.0))
+                               * haar_unitary(nmodes, rng))
+    rep = gaussian.to_adjacency(gaussian.displace(
+        s, rng.normal(size=nmodes) + 1j * rng.normal(size=nmodes)))
+    scale = rng.uniform(0.5, 1.2, (4, nmodes)) * np.exp(
+        2j * np.pi * rng.random((4, nmodes)))
+    budget = 1 if one_per_chunk else hafnian._CHUNK_BYTES
+    with mock.patch.object(hafnian, "_CHUNK_BYTES", budget):
+        got = hafnian.g_coefficients(rep.a, rep.gamma, nmax, scale)
+    x = xmat(nmodes)
+    want = np.empty((4, nmax), dtype=complex)
+    for row, z in enumerate(scale):
+        d = np.concatenate([z, z])
+        mat = d[:, None] * (x @ rep.a)
+        power, w = np.eye(2 * nmodes), d * (x @ rep.gamma)
+        for k in range(1, nmax + 1):
+            power = power @ mat
+            want[row, k - 1] = np.trace(power) / (2 * k) + rep.gamma @ w / 2
+            w = mat @ w
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_fold_is_sound_rules():
