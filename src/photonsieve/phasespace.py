@@ -16,9 +16,21 @@ dot products; no complex sample array is formed. The N-dependent weight is
 built by a stable recursion from e^{-n'} instead of an explicit N!. Where
 e^{-n'} would leave the normal range of doubles (Re n' > 700), the weights
 of those samples are computed in log space instead.
+
+The normals are drawn on one helper thread, ahead of the arithmetic: NumPy's
+draws, matrix products and ufuncs release the GIL, so the two overlap. The
+helper draws the stream in its original order, per chunk u, then v, in
+consecutive row blocks, which hold the same values as one draw of the whole
+chunk. The main thread pairs each u block with its v block as it arrives.
+So a seed gives the same samples as a single-threaded draw, and the same
+estimates up to the order of summation. The blocks go into a fixed set of
+slots, one chunk of u and v, which the helper refills once the main thread
+has multiplied them; a call touches no fresh memory per block.
 """
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +39,8 @@ from .errors import LengthMismatch, NonFinite, PartitionMismatch
 from .linalg import require_subunitary
 
 _CHUNK = 1 << 15
+# rows per drawn block; a chunk's u blocks wait for its v blocks
+_SUB = 1 << 13
 # e^{-n'} is subnormal beyond Re n' = 708 and 0 beyond 745
 _LOG_SPACE = 700.0
 
@@ -87,28 +101,76 @@ def pp_estimate(run):
     s_real = np.hstack([big_s.real, big_s.imag])
     d_real = np.hstack([big_d.imag, -big_d.real])
     wanted = sorted(set(run.n_values))
-    rng = np.random.default_rng(run.seed)
     sums = np.zeros(len(wanted))
     sqsums = np.zeros(len(wanted))
-    remaining = run.samples
-    while remaining > 0:
-        batch = min(remaining, _CHUNK)
-        remaining -= batch
-        u = rng.standard_normal((batch, xi.size))
-        v = rng.standard_normal((batch, xi.size))
-        p = u @ s_real
-        q = v @ d_real
-        nprime = (np.einsum("ij,ij->i", p, p) - np.einsum("ij,ij->i", q, q)
-                  + 2j * np.einsum("ij,ij->i", p, q))
-        far = nprime.real > _LOG_SPACE
-        if far.any():
-            _add_log_weights(nprime[far], wanted, sums, sqsums)
-            nprime = nprime[~far]
-        _add_weights(nprime, wanted, sums, sqsums)
+    chunks = [[min(_SUB, run.samples - row)
+               for row in range(start, min(start + _CHUNK, run.samples), _SUB)]
+              for start in range(0, run.samples, _CHUNK)]
+    # Room for one chunk of u and v blocks, and for the products of one pair.
+    slots = np.empty((2 * len(chunks[0]), chunks[0][0], xi.size))
+    pq = np.empty((2, chunks[0][0], s_real.shape[1]))
+    free = queue.SimpleQueue()
+    for k in range(len(slots)):
+        free.put(k)
+    drawn = queue.SimpleQueue()
+    helper = threading.Thread(
+        target=_draw, daemon=True,
+        args=(np.random.default_rng(run.seed), slots,
+              [rows for blocks in chunks for rows in blocks + blocks],
+              free, drawn))
+    helper.start()
+    try:
+        for blocks in chunks:
+            us = [_take(drawn) for _ in blocks]
+            for k, rows in zip(us, blocks):
+                p = np.matmul(slots[k, :rows], s_real, out=pq[0, :rows])
+                free.put(k)
+                k = _take(drawn)
+                q = np.matmul(slots[k, :rows], d_real, out=pq[1, :rows])
+                free.put(k)
+                _add_block(p, q, wanted, sums, sqsums)
+    finally:
+        free.put(None)
+        helper.join()
     estimates = sums / run.samples
     variances = np.maximum(sqsums / run.samples - estimates ** 2, 0.0)
     errors = np.sqrt(variances / run.samples)
     return estimates, errors
+
+
+def _draw(rng, slots, order, free, drawn):
+    """Per entry ``rows`` of ``order``, draw the stream's next rows of
+    normals into a slot from ``free`` and pass its index on to ``drawn``;
+    stop at a ``None`` from ``free``. Any exception of a draw is passed on
+    in place of an index, for the caller to raise: it would otherwise wait
+    forever."""
+    try:
+        for rows in order:
+            k = free.get()
+            if k is None:
+                return
+            rng.standard_normal(out=slots[k, :rows])
+            drawn.put(k)
+    except BaseException as exc:
+        drawn.put(exc)
+
+
+def _take(drawn):
+    item = drawn.get()
+    if isinstance(item, BaseException):
+        raise item
+    return item
+
+
+def _add_block(p, q, wanted, sums, sqsums):
+    """Accumulate the weights of the samples with real products p and q."""
+    nprime = (np.einsum("ij,ij->i", p, p) - np.einsum("ij,ij->i", q, q)
+              + 2j * np.einsum("ij,ij->i", p, q))
+    far = nprime.real > _LOG_SPACE
+    if far.any():
+        _add_log_weights(nprime[far], wanted, sums, sqsums)
+        nprime = nprime[~far]
+    _add_weights(nprime, wanted, sums, sqsums)
 
 
 def _add_weights(nprime, wanted, sums, sqsums):
@@ -119,7 +181,7 @@ def _add_weights(nprime, wanted, sums, sqsums):
         while n < target:
             n += 1
             w *= nprime
-            w /= n
+            w *= 1.0 / n
         _accumulate(w.real, k, sums, sqsums)
     if not np.all(np.isfinite(w)):
         raise NonFinite("diverging phase-space trajectory")
@@ -137,4 +199,4 @@ def _add_log_weights(nprime, wanted, sums, sqsums):
 
 def _accumulate(r, k, sums, sqsums):
     sums[k] += r.sum()
-    sqsums[k] += (r * r).sum()
+    sqsums[k] += r @ r

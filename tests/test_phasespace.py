@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -157,6 +161,118 @@ def test_real_kernel_matches_complex_oracle(seed):
     assert est.shape == want_est.shape == (len(set(nv)),)
     assert np.all(np.abs(est - want_est) <= 1e-9 * want_err + 1e-15)
     assert np.allclose(err, want_err, rtol=1e-9, atol=0)
+
+
+def mixed_run(samples, seed=5):
+    """Four modes with positive, zero and negative squeezing through a
+    lossy non-square circuit."""
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    t *= 0.8 / np.linalg.norm(t, 2)
+    return phasespace.PPRun((0.5, 0.0, -0.4, 0.3), t, samples, seed,
+                            (0, 1, 2, 5))
+
+
+@pytest.mark.parametrize("samples", [
+    1,
+    phasespace._SUB - 1,
+    phasespace._CHUNK + 17,
+    2 * phasespace._CHUNK + phasespace._SUB + 5,
+])
+def test_stream_order_across_chunk_and_block_edges(samples):
+    # The helper thread draws u, then v, per chunk, in row blocks; the
+    # oracle draws each whole at once. Same stream, same samples.
+    run = mixed_run(samples)
+    est, err = phasespace.pp_estimate(run)
+    want_est, want_err = pp_estimate_complex(run)
+    assert np.all(np.abs(est - want_est) <= 1e-9 * want_err + 1e-15)
+    assert np.allclose(err, want_err, rtol=1e-9, atol=0)
+    again = phasespace.pp_estimate(run)
+    assert np.array_equal(est, again[0])
+    assert np.array_equal(err, again[1])
+
+
+def test_no_helper_thread_outlives_a_call():
+    before = threading.active_count()
+    phasespace.pp_estimate(mixed_run(phasespace._CHUNK + 17))
+    assert threading.active_count() == before
+
+    # Re n' < -709 overflows exp(-n'); with this seed the first such sample
+    # is number 46,131, in the second chunk, while blocks are still drawn.
+    run = phasespace.PPRun((-2.5,), np.eye(1), 3 * phasespace._CHUNK, 3,
+                           (0, 1, 2))
+    spy = mock.patch.object(phasespace, "_add_block",
+                            wraps=phasespace._add_block)
+    with spy as add_block, np.errstate(all="ignore"):
+        with pytest.raises(NonFinite):
+            phasespace.pp_estimate(run)
+    assert add_block.call_count > 1
+    assert threading.active_count() == before
+
+    err = RuntimeError("draw failed")
+    make_rng = np.random.default_rng
+
+    class FailingRng:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+            self.draws = 0
+
+        def standard_normal(self, *args, **kwargs):
+            self.draws += 1
+            if self.draws == 3:
+                raise err
+            return self.rng.standard_normal(*args, **kwargs)
+
+    run = mixed_run(phasespace._CHUNK + 17)
+    with mock.patch.object(phasespace.np.random, "default_rng", FailingRng):
+        with pytest.raises(RuntimeError) as info:
+            phasespace.pp_estimate(run)
+    assert info.value is err
+    assert threading.active_count() == before
+
+
+def test_concurrent_calls_keep_their_streams():
+    # Each call hands its slots between two threads. With more threads than
+    # cores and a short switch interval, a slot refilled before its
+    # products were taken would change the bits of some result.
+    run = mixed_run(phasespace._CHUNK + phasespace._SUB + 3)
+    want = phasespace.pp_estimate(run)
+    got = [None] * 4
+
+    def call(i):
+        got[i] = phasespace.pp_estimate(run)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,))
+                   for i in range(len(got))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for est, err in got:
+        assert np.array_equal(est, want[0])
+        assert np.array_equal(err, want[1])
+
+
+def test_prefetch_memory_is_bounded():
+    # The stats-scan task size. Drawing and multiplying whole chunks peaked
+    # at 28.0 MB; row blocks in a fixed set of slots peak at 13.1 MB, and a
+    # second chunk of live normals would add 8 MB.
+    rng = np.random.default_rng(1)
+    run = phasespace.PPRun((0.89,) * 16, 0.6 * haar_unitary(16, rng),
+                           5 * 10 ** 4, 7, tuple(range(13)))
+    tracemalloc.start()
+    try:
+        phasespace.pp_estimate(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_large_nprime_samples_keep_their_weight():
