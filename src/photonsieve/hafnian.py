@@ -14,9 +14,14 @@ Eight layers, from slow-and-certain to fast:
                          g_k into the Taylor coefficients f_0..f_N;
 * ``grid_coefficients``  the sieve engine: f_0..f_N on one roots-of-unity
                          grid with one pinned variable per homogeneous
-                         group, then one FFT per total N reads out every
-                         count pattern the grid resolves, each with its
-                         rounding bound; the log series is an argument;
+                         group, the one of the smallest count, then one FFT
+                         per total N reads out every count pattern the grid
+                         resolves, each with its rounding bound; the log
+                         series is an argument.  What depends only on the
+                         count rows and groups (pins, sizes, scale,
+                         read-out) is planned once per rows and groups
+                         (``_grid_plan``), and the unit-circle points once
+                         per grid shape (``_unit_grid``);
 * ``sieve_reduce``       the one fold-and-certify routine: rows of count
                          patterns from one unit-circle grid, each row that
                          drowns in cancellation folded again on its own
@@ -33,11 +38,12 @@ off the same grid and log series.
 import math
 from functools import lru_cache, partial
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonFinite, OddDimension, PartitionMismatch, TooLarge
-from .linalg import require_finite, xmat
+from .linalg import require_finite
 
 _ORACLE_LIMIT = 14
 
@@ -199,14 +205,16 @@ def g_coefficients(a, gamma=None, nmax=1, scale=None):
     """
     a = np.asarray(a, dtype=complex)
     nmodes = a.shape[0] // 2
-    x = xmat(nmodes)
     scale = np.ones(nmodes) if scale is None else np.asarray(scale)
     batch = scale.shape[:-1]
     scale = scale.reshape(-1, nmodes).astype(complex)
     d = np.concatenate([scale, scale], axis=1)                  # (G, 2M)
-    loop = (None if gamma is None or not np.any(gamma) else
-            (np.asarray(gamma, dtype=complex), d * (x @ gamma)))
-    g = scaled_power_traces(x @ a, nmax, d, loop) / 2
+    loop = None
+    if gamma is not None and np.any(gamma):
+        gamma = np.asarray(gamma, dtype=complex)
+        loop = (gamma, d * np.concatenate([gamma[nmodes:], gamma[:nmodes]]))
+    xa = np.concatenate([a[nmodes:], a[:nmodes]])   # X A: halves swapped
+    g = scaled_power_traces(xa, nmax, d, loop) / 2
     require_finite(g, "g coefficients")
     return g.reshape(batch + (nmax,))
 
@@ -230,17 +238,27 @@ def grid_coefficients(series, expand, targets, radii=None, groups=None):
     loop vector bound.  ``expand`` maps variable columns to mode columns,
     and each row of ``targets`` is a count pattern over the variables.
     Variable j runs over L_j points r_j exp(2 pi i m / L_j), L_j = 1 + its
-    largest count (a variable whose counts are all zero is pinned at zero).
-    ``groups`` partitions the variables into homogeneous groups (default:
-    one group of all): f_N has degree N in each group, as 1 / det(I - X
-    B(y)) has in x and in y.  A pattern k with every k_j < L_j aliases with
-    no other pattern of the same group totals, so one ``fftn`` of f_N yields
-    all patterns of total N (that of the first group) at once.
+    largest count k_j (a variable whose counts are all zero is pinned at
+    zero).  ``groups`` partitions the variables into homogeneous groups
+    (default: one group of all): f_N has degree N in each group, as 1 /
+    det(I - X B(y)) has in x and in y.  A pattern k with every k_j < L_j
+    aliases with no other pattern of the same group totals, so one ``fftn``
+    of f_N yields all patterns of total N (that of the first group) at once;
+    a total with one pattern is read by one dot product per axis instead.
 
     Homogeneity also pins one variable e per group at r_e: a pattern of
     the same totals then aliases onto k only through a variable of e's
-    group with L_j <= k_e, so the other sizes of that group are raised to
-    exceed the largest k_e, and e is the pin that leaves the fewest points.
+    group with L_j <= k_e.  The pin is the live variable of the smallest
+    largest count in its group, so every other L_j = k_j + 1 already
+    exceeds k_e, and no pin leaves fewer points: pinning e' instead needs
+    L_e >= k_e' + 1, so its grid has at least (k_e' + 1) prod_(j != e, e')
+    (k_j + 1) = prod_(j != e) (k_j + 1) points.
+
+    Everything but the radii and the series depends only on the count rows
+    and the groups: it is planned once per (rows, groups) by
+    ``_grid_plan``, on a unit-circle grid shared per shape by
+    ``_unit_grid``; a call then forms the points, evaluates the series and
+    reads out.
 
     Returns (values, masses) over the rows of ``targets``: value =
     prod k_j! [z^k] f_N, and mass = prod(k_j! / (L_j r_j^k_j)) times
@@ -248,46 +266,98 @@ def grid_coefficients(series, expand, targets, radii=None, groups=None):
     whose product with the machine epsilon bounds the rounding error.
     """
     targets = np.asarray(targets, dtype=int).reshape(-1, expand.shape[0])
-    nvar = targets.shape[1]
-    radii = np.ones(nvar) if radii is None else np.asarray(radii, float)
-    groups = [range(nvar)] if groups is None else groups
-    kmax = targets.max(axis=0).tolist()
-    sizes = [k + 1 for k in kmax]
-    for group in groups:
-        live = [j for j in group if kmax[j]]
-        if live:
-            e = min(live, key=lambda e: math.prod(
-                max(kmax[j], kmax[e]) + 1 for j in live if j != e))
-            for j in live:
-                sizes[j] = max(kmax[j], kmax[e]) + 1 if j != e else 1
-    zgrid = np.empty(tuple(sizes) + (nvar,), dtype=complex)
-    for j in range(nvar):
-        axis = radii[j] * _roots(sizes[j]) if kmax[j] else np.zeros(1)
-        zgrid[..., j] = axis.reshape((1,) * j + (-1,) + (1,) * (nvar - j - 1))
-    zgrid = zgrid.reshape(-1, nvar) @ expand
-    totals = targets[:, list(groups[0])].sum(axis=1)
-    f = f_coefficients(series(int(totals.max()), zgrid))
-    facts = np.array([float(math.factorial(k))
-                      for k in range(max(kmax) + 1)])
-    scale = np.prod(facts[targets] / radii ** targets, axis=1) / len(f)
-    # pinned and eliminated variables have one point: no FFT along them
-    sizes = np.array(sizes)
-    live = sizes > 1
+    plan = _grid_plan(tuple(map(tuple, targets.tolist())),
+                      None if groups is None else tuple(map(tuple, groups)))
+    live, pinned = expand[list(plan.live)], expand[list(plan.pinned)]
+    if radii is not None:
+        radii = np.asarray(radii, float)
+        live = radii[list(plan.live), None] * live
+        pinned = radii[list(plan.pinned), None] * pinned
+    zgrid = _unit_grid(plan.shape) @ live + pinned.sum(axis=0)
+    f = f_coefficients(series(plan.nmax, zgrid))
     values = np.empty(len(targets), dtype=complex)
     masses = np.empty(len(targets))
-    for n in set(totals.tolist()):
-        sel = totals == n
-        spectrum = f[:, n]
-        if live.any():
-            spectrum = np.fft.fftn(spectrum.reshape(tuple(sizes[live])))
-        values[sel] = spectrum[tuple(targets[sel][:, live].T)] * scale[sel]
-        masses[sel] = np.abs(f[:, n]).sum() * scale[sel]
+    for n, sel, index, scale in plan.folds:
+        spectrum = np.fft.fftn(f[:, n].reshape(plan.shape)).ravel()
+        values[sel] = spectrum[index] * scale
+        masses[sel] = np.abs(f[:, n]).sum() * scale
+    for n, row, scale, phases in plan.dots:
+        value = f[:, n].reshape(plan.shape)
+        for phase in phases[::-1]:
+            value = value @ phase
+        values[row] = value * scale
+        masses[row] = np.abs(f[:, n]).sum() * scale
+    if radii is not None:
+        dilation = np.prod(radii ** targets, axis=1)
+        values /= dilation
+        masses /= dilation
     return values, masses
 
 
-@lru_cache
-def _roots(n):
-    return np.exp(2j * np.pi * np.arange(n) / n)
+class _GridPlan(NamedTuple):
+    """What ``grid_coefficients`` needs of its count rows and groups.
+    ``folds`` holds, per total read by FFT, (total, rows, flat spectrum
+    indices, prod k_j! / prod L_j per row); ``dots``, per total of one row,
+    (total, row, its scale, conj unit phases per live axis)."""
+    live: tuple     # the variables with one grid axis each, in order
+    pinned: tuple   # one variable per group, held at its radius
+    shape: tuple    # L_j over the live variables
+    nmax: int       # the largest total
+    folds: tuple
+    dots: tuple
+
+
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=1024)
+def _grid_plan(rows, groups):
+    """The ``_GridPlan`` of the count ``rows`` (tuples) and the ``groups``
+    (tuples or None).  It holds nothing of the size of the grid; one-row
+    read-outs share their phases through ``_phases``."""
+    targets = np.array(rows, dtype=int)
+    nvar = targets.shape[1]
+    kmax = targets.max(axis=0).tolist()
+    groups = (range(nvar),) if groups is None else groups
+    pinned = tuple(min((j for j in g if kmax[j]), key=kmax.__getitem__)
+                   for g in groups if any(kmax[j] for j in g))
+    live = tuple(j for j in range(nvar) if kmax[j] and j not in pinned)
+    shape = tuple(kmax[j] + 1 for j in live)
+    facts = np.array([float(math.factorial(k)) for k in range(max(kmax) + 1)])
+    scale = np.prod(facts[targets], axis=1) / math.prod(shape)
+    counts = targets[:, list(live)]
+    totals = targets[:, list(groups[0])].sum(axis=1)
+    strides = np.array([math.prod(shape[j + 1:]) for j in range(len(shape))],
+                       dtype=int)
+    folds, dots = [], []
+    for n in sorted(set(totals.tolist())):
+        sel = np.flatnonzero(totals == n)
+        if len(sel) > 1:
+            folds.append((n, _frozen(sel), _frozen(counts[sel] @ strides),
+                          _frozen(scale[sel])))
+        else:
+            row = int(sel[0])
+            phases = map(_phases, shape, counts[row].tolist())
+            dots.append((n, row, float(scale[row]), tuple(phases)))
+    return _GridPlan(live, pinned, shape, int(totals.max()), tuple(folds),
+                     tuple(dots))
+
+
+@lru_cache(maxsize=256)
+def _phases(size, k):
+    """exp(-2 pi i m k / L) for m = 0..L-1, L = ``size``."""
+    return _frozen(np.exp(-2j * np.pi * (np.arange(size) * k % size) / size))
+
+
+@lru_cache(maxsize=128)
+def _unit_grid(shape):
+    """exp(2 pi i m_j / L_j) at every point m of a grid of ``shape`` (L_j),
+    one row per point in C order, one column per axis."""
+    axes = [np.exp(2j * np.pi * np.arange(size) / size) for size in shape]
+    grid = np.array(np.meshgrid(*axes, indexing="ij"), dtype=complex)
+    return _frozen(grid.reshape(len(shape), math.prod(shape)).T.copy())
 
 
 # circle dilations of the fold: unit circles first, then radii
@@ -390,11 +460,23 @@ def blocked_lhaf(a, gamma, blocks, b):
 
 
 def block_expansion(blocks, nmodes):
-    """Matrix mapping one sieve variable per block to the modes it covers.
+    """Matrix mapping one sieve variable per block to the modes it covers,
+    read-only and shared by every call with the same blocks.
 
     It is the one partition check: the blocks must be non-empty, disjoint
     and within range(nmodes).  Callers that need every mode covered use
     ``partition_expansion``."""
+    return _block_expansion(tuple(map(tuple, blocks)), nmodes)
+
+
+def partition_expansion(blocks, nmodes):
+    """``block_expansion`` of blocks that must also cover every mode."""
+    return _partition_expansion(tuple(map(tuple, blocks)), nmodes)
+
+
+# lru_cache keeps no exceptions: malformed blocks raise on every call
+@lru_cache(maxsize=256)
+def _block_expansion(blocks, nmodes):
     expand = np.zeros((len(blocks), nmodes), dtype=complex)
     for row, blk in enumerate(blocks):
         if not len(blk):
@@ -405,12 +487,12 @@ def block_expansion(blocks, nmodes):
             if expand[:, i].any():
                 raise PartitionMismatch(f"index {i} appears in two blocks")
             expand[row, i] = 1.0
-    return expand
+    return _frozen(expand)
 
 
-def partition_expansion(blocks, nmodes):
-    """``block_expansion`` of blocks that must also cover every mode."""
-    expand = block_expansion(blocks, nmodes)
+@lru_cache(maxsize=256)
+def _partition_expansion(blocks, nmodes):
+    expand = _block_expansion(blocks, nmodes)
     if not expand.any(axis=0).all():
         raise PartitionMismatch("partition does not cover all modes")
     return expand

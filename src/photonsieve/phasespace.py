@@ -89,7 +89,8 @@ def pp_estimate(run):
     which equals sum_j alpha'_j conj(beta'_j) for alpha', beta' = P +- Q.
     A sample's weights Re[n'^N e^{-n'} / N!] come from the recursion
     w <- w n' / N, or, when Re n' > 700, from
-    exp(N log n' - n' - lgamma(N + 1)) for each wanted N.
+    exp(N log n' - n' - lgamma(N + 1)) for each wanted N.  A weight or a
+    sum of squared weights that is not finite raises ``NonFinite``.
     """
     xi = np.asarray(run.squeeze_params, dtype=float)
     nbar = np.sinh(xi) ** 2
@@ -132,6 +133,10 @@ def pp_estimate(run):
     finally:
         free.put(None)
         helper.join()
+    # a finite weight above about 1e154 has an infinite square, which
+    # would turn its standard error into NaN
+    if not np.isfinite(sqsums).all():
+        raise NonFinite("squared phase-space weights overflow")
     estimates = sums / run.samples
     variances = np.maximum(sqsums / run.samples - estimates ** 2, 0.0)
     errors = np.sqrt(variances / run.samples)

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonsieve import gaussian, hafnian
+from photonsieve import distributions as dist
+from photonsieve import fock_channel, gaussian, hafnian
 from photonsieve.cli import haar_unitary
+from photonsieve.distributions import CoarsePattern
 from photonsieve.errors import OddDimension, PartitionMismatch, TooLarge
 from photonsieve.linalg import xmat
 
@@ -413,6 +415,108 @@ def test_grid_coefficients_two_groups_match_brute_force():
         for k, value in zip(targets, values):
             got = value / hafnian.factorial_product(k)
             assert abs(got - want.get(k, 0)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 8).flatmap(lambda nvar: st.lists(
+           st.lists(st.integers(0, 5), min_size=nvar, max_size=nvar),
+           min_size=1, max_size=4)),
+       split=st.integers(0, 8))
+def test_grid_has_fewest_points_over_every_pin(rows, split):
+    """The series sees as many points as the best pin per group allows,
+    found by trying every pin: pin e costs prod (max(k_j, k_e) + 1) over the
+    other live variables j of its group, k the largest count per variable."""
+    nvar = len(rows[0])
+    groups = ([range(nvar)] if not 0 < split < nvar
+              else [range(split), range(split, nvar)])
+    kmax = np.max(rows, axis=0)
+    want = 1
+    for group in groups:
+        live = [j for j in group if kmax[j]]
+        want *= min((math.prod(max(kmax[j], kmax[e]) + 1
+                               for j in live if j != e) for e in live),
+                    default=1)
+    seen = []
+
+    def series(nmax, z):
+        seen.append(len(z))
+        return np.zeros((len(z), nmax))
+
+    hafnian.grid_coefficients(series, np.eye(nvar), rows, groups=groups)
+    assert seen == [want]
+
+
+def clear_plan_caches():
+    for cache in (hafnian._grid_plan, hafnian._unit_grid, hafnian._phases,
+                  hafnian._block_expansion, hafnian._partition_expansion):
+        cache.cache_clear()
+
+
+def test_grid_plan_caches_are_safe():
+    """Cached plans give bitwise the values of fresh ones, also for a
+    dilated re-fold after a unit-circle call; cached arrays are read-only;
+    a malformed partition raises on every call."""
+    series = displaced_lossy_series()
+    expand = np.eye(3)
+    rows = [[2, 1, 3], [1, 2, 3], [4, 0, 2], [0, 0, 0], [1, 1, 1]]
+    clear_plan_caches()
+    fresh = hafnian.grid_coefficients(series, expand, rows)
+    cached = hafnian.grid_coefficients(series, expand, rows)
+    clear_plan_caches()
+    again = hafnian.grid_coefficients(series, expand, rows)
+    for got in (cached, again):
+        assert all(np.array_equal(x, y) for x, y in zip(got, fresh))
+    radii = [2.0, 0.5, 1.5]
+    clear_plan_caches()
+    dilated = hafnian.grid_coefficients(series, expand, rows[:1], radii)
+    hafnian.grid_coefficients(series, expand, rows[:1])
+    after_unit = hafnian.grid_coefficients(series, expand, rows[:1], radii)
+    assert all(np.array_equal(x, y) for x, y in zip(after_unit, dilated))
+
+    plan = hafnian._grid_plan(tuple(map(tuple, rows)), None)
+    arrays = [hafnian._unit_grid(plan.shape),
+              hafnian.block_expansion([(0, 1), (2,)], 3),
+              hafnian.partition_expansion([(0,), (1, 2)], 3)]
+    arrays += [a for fold in plan.folds for a in fold[1:]]
+    arrays += [a for *_, phases in plan.dots for a in phases]
+    assert plan.folds and plan.dots
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0
+    for _ in range(2):
+        with pytest.raises(PartitionMismatch):
+            hafnian.partition_expansion([(0, 1)], 3)
+        with pytest.raises(PartitionMismatch):
+            hafnian.block_expansion([(0, 1), (1,)], 3)
+
+
+def test_grid_plan_caches_stay_small():
+    """A fine-grid scan, 343 patterns up to 6 per mode on a displaced lossy
+    state and the 126 Fock outputs of (2, 2, 1, 0) through two lossy
+    circuits, leaves its plans, unit grids and expansions cached in under
+    1.5 MB: the plans hold no per-pattern grid."""
+    s = gaussian.from_squeezing([0.2, 0.15, 0.1], gaussian.ModeLayout(3))
+    s = gaussian.apply_channel(s, 0.9 * haar_unitary(3, 1))
+    rep = gaussian.to_adjacency(gaussian.displace(s, [0.1, -0.1j, 0.05]))
+    inputs = [fock_channel.FockInput((2, 2, 1, 0),
+                                     np.sqrt(0.9) * haar_unitary(4, seed))
+              for seed in (2, 3)]
+    outputs = [CoarsePattern([[0], [1], [2], [3]], b)
+               for b in itertools.product(range(6), repeat=4) if sum(b) <= 5]
+    clear_plan_caches()
+    tracemalloc.start()
+    try:
+        for n in itertools.product(range(7), repeat=3):
+            dist.prob_fine(rep, n)
+        for fi in inputs:
+            for cp in outputs:
+                fock_channel.fock_coarse_prob(fi, cp)
+        held = tracemalloc.get_traced_memory()[0]
+        clear_plan_caches()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held < 1.5e6
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

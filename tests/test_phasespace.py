@@ -288,3 +288,13 @@ def test_large_nprime_samples_keep_their_weight():
         gaussian.apply_channel(gaussian.from_squeezing(list(xi), lay), t))
     want = dist.total_distribution(rep, [0], cutoff=max(nv)).probabilities
     assert np.all(np.abs(est - want[list(nv)]) < 5 * err)
+
+
+def test_overflowing_squared_weights_raise():
+    # Every weight of this run is finite, but some exceed 1e154, so their
+    # squares are infinite: the estimates reach 1e297 and every standard
+    # error would be NaN.
+    run = phasespace.PPRun((-2.5,), np.eye(1), phasespace._CHUNK, 3,
+                           (0, 1, 2))
+    with np.errstate(all="ignore"), pytest.raises(NonFinite):
+        phasespace.pp_estimate(run)
