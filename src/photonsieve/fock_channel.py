@@ -3,21 +3,21 @@
 MacMahon master theorem: with one variable per input port (x) and per
 output port (y), the Schur complement of the 2M x 2M K = [[I - T^dag T,
 T^dag], [T, 0]] gives det(I - diag(x, y) K) = det(I - X B(y)), B(y) =
-y_env (I - T^dag T) + sum_j y_j T^dag E_j T, E_j the projector onto output
-block j and y_env marking lost photons.  So 1 / det(I - X B(y)) =
-sum Pr(b | p) x^p y^b y_env^(|p| - |b|), with log series tr([X B(y)]^k) / k
-on the |occ| x |occ| block of the occupied inputs; it has degree |p| in x
-and again in (y, y_env), so the sieve pins one variable of each group.  If
-the photons of port i share the internal state c_i, B becomes S o B with
-the Gram matrix S_il = <c_i|c_l> (Tichy, PRA 91, 022316, 2015;
-Shchesnovich, PRA 91, 013844, 2015).  K is kept for ``fock_herald``,
-whose elements are permanents of K with different row and column
-multisets, and for the permanent oracle that cross-checks both.
+y_env (I - T^dag T) + sum_j y_j W_j, W_j = T^dag E_j T, E_j the projector
+onto output block j and y_env marking lost photons.  So 1 / det(I - X
+B(y)) = sum Pr(b | p) x^p y^b y_env^(|p| - |b|), with log series tr([X
+B(y)]^k) / k on the |occ| x |occ| block of the occupied inputs; it has
+degree |p| in x and again in (y, y_env), so the sieve pins one variable of
+each group.  If the photons of port i share the internal state c_i, B
+becomes S o B with the Gram matrix S_il = <c_i|c_l> (Tichy, PRA 91,
+022316, 2015; Shchesnovich, PRA 91, 013844, 2015).  ``fock_herald`` reads
+its elements off the same form (``_fock_series``); K itself is formed only
+by the permanent oracle that cross-checks both.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -25,9 +25,8 @@ from .distributions import _real_prob
 from .errors import (DomainError, NotPositiveDefinite, PartitionMismatch,
                      TooLarge)
 # blocked_lhaf is not called here: the benchmark tracer rebinds it here
-from .hafnian import (block_expansion, blocked_lhaf, compatible_patterns,
-                      factorial_product, partition_expansion,
-                      power_trace_series, scaled_power_traces, sieve_reduce)
+from .hafnian import (blocked_lhaf, compatible_patterns, factorial_product,
+                      partition_expansion, power_trace_series, sieve_reduce)
 from .heralding import herald_density, kept_modes
 from .linalg import STRUCTURE_TOL, require_subunitary
 
@@ -74,35 +73,36 @@ def _gram(s, m):
     return s
 
 
-def _master_matrix(t):
-    """K = [[I - T^dag T, T^dag], [T, 0]]: rows and columns 0..M-1 are the
-    input ports, M..2M-1 the output ports."""
-    m = t.shape[0]
-    return np.block([[np.eye(m) - t.conj().T @ t, t.conj().T],
-                     [t, np.zeros((m, m))]])
-
-
-def fock_coarse_prob(fi, cp):
-    """Probability of coarse output counts b for Fock input p through t: the
-    coefficient of x^p y^b y_env^(|p| - |b|) in 1 / det(I - X (S o B(y)))
-    with one y per output block, read off one sieve grid (module
-    docstring); X (S o B(y)) is formed chunk by chunk."""
-    expand = partition_expansion(cp.blocks, len(fi.p)).real
-    nin, nout = sum(fi.p), sum(cp.counts)
-    if nout > nin or nin == 0:
-        return float(nout == 0)  # a lossy circuit cannot create photons
-    occ = [i for i, k in enumerate(fi.p) if k]
-    t, d = fi.t[:, occ], len(occ)
-    w = np.concatenate([np.einsum("ai,ja,al->jil", t.conj(), expand, t),
-                        [np.eye(d) - t.conj().T @ t]])
-    w = (w * fi.gram[np.ix_(occ, occ)]).reshape(len(w), d * d)
+def _fock_series(t, gram, w):
+    """The log series of 1 / det(I - X (S o B(y))) (module docstring) for
+    the occupied input columns ``t`` of T, their block ``gram`` of S and the
+    output terms ``w``, with the loss term last: a grid row holds x, the
+    y_j, then y_env.  X (S o B(y)) is formed chunk by chunk."""
+    d = t.shape[1]
+    w = np.concatenate([w, [np.eye(d) - t.conj().T @ t]])
+    w = (w * gram).reshape(len(w), d * d)
 
     def series(nmax, z):
         def first(lo, hi, out):
             np.multiply(z[lo:hi, :d, None],
                         (z[lo:hi, d:] @ w).reshape(-1, d, d), out=out)
         return power_trace_series(first, d, nmax, len(z))
+    return series
 
+
+def fock_coarse_prob(fi, cp):
+    """Probability of coarse output counts b for Fock input p through t: the
+    coefficient of x^p y^b y_env^(|p| - |b|) in 1 / det(I - X (S o B(y)))
+    with one y per output block, read off one sieve grid (module
+    docstring)."""
+    expand = partition_expansion(cp.blocks, len(fi.p)).real
+    nin, nout = sum(fi.p), sum(cp.counts)
+    if nout > nin or nin == 0:
+        return float(nout == 0)  # a lossy circuit cannot create photons
+    occ = [i for i, k in enumerate(fi.p) if k]
+    t, d = fi.t[:, occ], len(occ)
+    series = _fock_series(t, fi.gram[np.ix_(occ, occ)],
+                          np.einsum("ai,ja,al->jil", t.conj(), expand, t))
     counts = [fi.p[i] for i in occ] + list(cp.counts) + [nin - nout]
     val = sieve_reduce(series, [counts], np.eye(len(counts)),
                        groups=[range(d), range(d, len(counts))])
@@ -160,32 +160,28 @@ def fock_herald(fi, spec):
     element <v|rho|u> is per(K[R, C]) / (p! h! sqrt(u! v!)), with rows
     R = (p on the inputs, h on the herald ports, v on the kept ports) and
     columns C = (p, h, u).  On each kept port the common part min(u, v)
-    stays on the port; each surplus row of one kept port pairs with a
-    surplus column of another, and each distinct pair is one new index.
-    With K' = K restricted to those rows and columns, the permanent is a
-    master-theorem coefficient of 1 / det(I - D K'), and elements that
-    share their pairs form one class on one sieve grid.  Traced ports get
-    zero rows of T, so their photons join the loss term exactly.  A lossy
-    circuit conserves or loses photons, so an element with |u| != |v|, or
-    with more than the unheralded photons, is exactly zero.
+    stays on the port; each surplus row of a kept port r pairs with a
+    surplus column of a port c.  The Schur complement of K on these rows
+    and columns is B(y) of the module docstring, with one y W per herald
+    block of nonzero count, per kept port and per distinct pair (W =
+    T^dag e_c e_r^T T), read at y_env^e, e = |p| - |h| - |u|.  Elements
+    that share their pairs form one class on one sieve grid.  Traced ports
+    get zero rows of T, so their photons join the loss term exactly.  A
+    lossy circuit conserves or loses photons, so an element with |u| !=
+    |v|, or with more than the unheralded photons, is exactly zero.
     """
     if not (fi.gram == 1).all():
         raise DomainError("Fock heralds take no Gram matrix")
     m = len(fi.p)
     kept = kept_modes(spec, m)
-    t = fi.t.copy()
-    t[list(spec.trace_out)] = 0.0
-    mat = _master_matrix(t)
     hblocks, hcounts = spec.measurement
-    # variables of zero count drop out of the permanent and of K'; input
-    # port 0 stays, so that K' is never empty
-    inputs = [i for i in range(m) if fi.p[i] or i == 0]
-    fixed = [(i,) for i in inputs]
-    fixed += [tuple(m + i for i in b) for b, c in zip(hblocks, hcounts) if c]
-    counts = [fi.p[i] for i in inputs] + [c for c in hcounts if c]
-    ports = [i for b in fixed for i in b]
-    blocks = [tuple(ports.index(i) for i in b) for b in fixed]
-    ports += [m + k for k in kept]
+    occ = [i for i in range(m) if fi.p[i]]
+    t, d = fi.t[:, occ], len(occ)
+    t[list(spec.trace_out)] = 0.0
+    # herald blocks of zero count drop out: their y would be pinned at zero
+    blocks = [b for b, c in zip(hblocks, hcounts) if c] + [(k,) for k in kept]
+    diag = [t[list(b)].conj().T @ t[list(b)] for b in blocks]
+    counts = [fi.p[i] for i in occ] + [c for c in hcounts if c]
     budget = sum(fi.p) - sum(hcounts)
 
     def embed(u, v):
@@ -194,14 +190,14 @@ def fock_herald(fi, spec):
         rows = [k for k, a, b in zip(kept, u, v) for _ in range(b - a)]
         cols = [k for k, a, b in zip(kept, u, v) for _ in range(a - b)]
         pairs = Counter(zip(rows, cols))
-        return (tuple(pairs),
-                [min(a, b) for a, b in zip(u, v)] + list(pairs.values()))
+        lost = budget - sum(u)
+        return (tuple(pairs), [min(a, b) for a, b in zip(u, v)]
+                + list(pairs.values()) + [lost], math.factorial(lost))
 
     def build(pairs):
-        ridx = ports + [m + r for r, _ in pairs]
-        cidx = ports + [m + c for _, c in pairs]
-        singles = [(k,) for k in range(len(ports) - len(kept), len(ridx))]
-        return (partial(scaled_power_traces, mat[np.ix_(ridx, cidx)]),
-                block_expansion(blocks + singles, len(ridx)))
+        w = diag + [np.outer(t[c].conj(), t[r]) for r, c in pairs]
+        nvar = d + len(w) + 1
+        return (_fock_series(t, 1.0, np.reshape(w, (len(w), d, d))),
+                np.eye(nvar), [range(d), range(d, nvar)])
 
     return herald_density(len(kept), spec.cutoff, counts, embed, build)

@@ -5,9 +5,9 @@ Eight layers, from slow-and-certain to fast:
 * ``lhaf_oracle``        exact enumeration of single-pair matchings with
                          loops, exponential, guarded to 14 rows;
 * ``power_trace_series`` the one matrix-power loop: tr(P^k) / k and a loop
-                         term, from baby steps and giant steps, about
-                         2 sqrt(N) products per point, for per-point first
-                         powers P: D(z) XA here, X B(y) in ``fock_channel``;
+                         term, about 2 sqrt(N) products per point from baby
+                         and giant steps, for per-point first powers P:
+                         D(z) XA here, X (S o B(y)) for every Fock routine;
 * ``g_coefficients``     the power-trace log series g_1..g_N, batched over
                          diagonal scalings D(z) of XA;
 * ``f_coefficients``     batched exp series turning log-series coefficients

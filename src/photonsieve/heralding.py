@@ -5,9 +5,9 @@ repetition A_{n (+) m}. The embedding construction turns that into a square
 repetition of a larger matrix so the roots-of-unity grid applies.
 ``herald_density`` assembles a heralded density matrix for Gaussian states
 (``herald_grouped``) and Fock inputs (``fock_channel.fock_herald``) alike:
-an embedder maps each element to its class and counts, or to an exact zero
-by a selection rule, and each class is one ``sieve_reduce`` call (one
-unit-circle grid, plus dilated re-folds of the elements it leaves unsound).
+an embedder maps each element to its class, counts and norm, or to an
+exact zero by a selection rule; each class is one ``sieve_reduce`` call
+(a unit-circle grid, plus dilated re-folds of the elements left unsound).
 Gaussian heralds marginalize traced modes at the Gaussian level first.
 """
 
@@ -250,14 +250,16 @@ def herald_density(nkept, cutoff, counts, embed, build, vacuum=1.0):
 
     ``counts`` is the herald outcome, one count per herald variable.
     ``embed(u, v)`` maps an element to (class key, counts of the element's
-    own sieve variables), or to None when a selection rule makes it exactly
-    zero, and ``build(key)`` maps a class to (log series, variable-to-mode
-    matrix), the herald variables first.  Elements of one class are one
-    generating function read out at different count patterns: one
-    ``sieve_reduce`` call per class.  An element is ``vacuum`` times its
-    sieve value over prod(counts!) sqrt(u! v!).  The diagonal comes first:
-    the trace sets the scale of the state, and off-diagonal elements only
-    need absolute accuracy 1e-9 * trace.
+    own sieve variables, norm factor), or to None when a selection rule
+    makes it exactly zero, and ``build(key)`` maps a class to (log series,
+    variable-to-mode matrix, sieve groups or None), the herald variables
+    first.  Elements of one class are one generating function read out at
+    different count patterns: one ``sieve_reduce`` call per class.  An
+    element is ``vacuum`` times its sieve value over prod(counts!) sqrt(u!
+    v!) and its norm factor (the e! of e lost photons for a Fock input, 1
+    for a Gaussian state).  The diagonal comes first: the trace sets the
+    scale of the state, and off-diagonal elements only need absolute
+    accuracy 1e-9 * trace.
     """
     patterns = list(product(range(cutoff + 1), repeat=nkept))
     dim = len(patterns)
@@ -269,18 +271,19 @@ def herald_density(nkept, cutoff, counts, embed, build, vacuum=1.0):
         for i, j in pairs:
             element = embed(patterns[j], patterns[i])
             if element is not None:
-                classes.setdefault(element[0], []).append(
-                    (i, j, list(counts) + element[1]))
+                key, own, norm = element
+                norm *= hfact * math.sqrt(factorial_product(patterns[i])
+                                          * factorial_product(patterns[j]))
+                classes.setdefault(key, []).append(
+                    (i, j, list(counts) + own, norm))
         for key, members in classes.items():
-            norms = [hfact * math.sqrt(factorial_product(patterns[i])
-                                       * factorial_product(patterns[j]))
-                     for i, j, _ in members]
             tols = [None if abs_tol is None or vacuum == 0
-                    else abs_tol * n / abs(vacuum) for n in norms]
-            series, expand = build(key)
-            values = sieve_reduce(series, [ks for _, _, ks in members],
-                                  expand, tols)
-            for (i, j, _), value, norm in zip(members, values, norms):
+                    else abs_tol * norm / abs(vacuum)
+                    for *_, norm in members]
+            series, expand, groups = build(key)
+            values = sieve_reduce(series, [ks for _, _, ks, _ in members],
+                                  expand, tols, groups)
+            for (i, j, _, norm), value in zip(members, values):
                 val = complex(vacuum * value / norm)
                 if j == i:
                     entries[i, i] = val.real  # a probability, up to rounding
@@ -317,14 +320,14 @@ def herald_grouped(rep, spec):
         for k, a, b in zip(kept, u, v):
             ket[k], bra[k] = a, b
         tags, t = _merged_modes(ket, bra)
-        return tags, [c for k, c in enumerate(t) if k not in in_herald]
+        return tags, [c for k, c in enumerate(t) if k not in in_herald], 1
 
     def build(tags):
         mprime = len(tags) // 2
         singles = [(k,) for k in range(mprime) if k not in in_herald]
         return (partial(g_coefficients,
                         *_embedded_matrix(sub.a, sub.gamma, tags)),
-                block_expansion(herald + singles, mprime))
+                block_expansion(herald + singles, mprime), None)
 
     return herald_density(len(kept), spec.cutoff, counts, embed, build,
                           sub.vacuum_prob)

@@ -14,7 +14,7 @@ from photonsieve.distributions import CoarsePattern
 from photonsieve.errors import (DomainError, IndexOutOfRange, NonFinite,
                                 NotPositiveDefinite, NotSubunitary,
                                 PartitionMismatch, TooLarge,
-                                ValidationFailure)
+                                ValidationFailure, ZeroProbability)
 from photonsieve.hafnian import compatible_patterns, factorial_product
 from photonsieve.heralding import HeraldSpec
 
@@ -529,6 +529,35 @@ def test_herald_hermitian_with_complex_circuit():
     assert np.allclose(dm.entries, dm.entries.conj().T)
     evals = np.linalg.eigvalsh(dm.entries)
     assert evals.min() > -1e-10
+
+
+def test_herald_without_input_photons():
+    """No input photons leave the vacuum on the kept ports under an
+    all-zero herald, and a zero matrix under any other herald."""
+    fi = fc.FockInput((0, 0, 0), 0.9 * haar_unitary(
+        3, np.random.default_rng(7)))
+    dm = fc.fock_herald(fi, HeraldSpec([0], [0], cutoff=2, trace_out=[2]))
+    want = np.zeros((3, 3))
+    want[0, 0] = 1.0
+    assert np.array_equal(dm.entries, want)
+    dm = fc.fock_herald(fi, HeraldSpec([0, 1], [0, 1], cutoff=2))
+    assert dm.entries.shape == (3, 3) and not dm.entries.any()
+    with pytest.raises(ZeroProbability):
+        dm.normalized()
+
+
+def test_herald_class_with_two_distinct_pairs():
+    """Bra (0, 1, 1) against ket (2, 0, 0) pairs port 1's and port 2's
+    surplus rows with port 0's surplus columns: two distinct pairs in one
+    class, checked with every other element against Ryser's formula."""
+    fi = fc.FockInput((1, 1, 1, 0), 0.9 * haar_unitary(
+        4, np.random.default_rng(41)))
+    spec = HeraldSpec([3], [1], cutoff=2)
+    dm = fc.fock_herald(fi, spec).entries
+    want = permanent_density(fi, spec)
+    trace = np.trace(want).real
+    assert abs(want[4, 18]) > 1e-3 * trace   # <0, 1, 1|rho|2, 0, 0>
+    assert np.max(np.abs(dm - want)) <= 1e-12 * trace
 
 
 def random_fock_herald(seed):

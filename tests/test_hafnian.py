@@ -376,7 +376,8 @@ def test_grid_coefficients_two_groups_match_brute_force():
     degree N in x and degree N in y: with two groups, every pattern up to
     N = 3 from one grid equals its coefficient in the expanded series
     sum_n P^n, P = 1 - det(I - X B(y)).  With x_2, y_2 and y_3 limited to
-    one, the grid pins x_1 and must raise x_2's size above x_1's count."""
+    one, the grid pins the variable of the smallest largest count in each
+    group, x_2 and y_2, and no live size exceeds its count plus one."""
     rng = np.random.default_rng(60)
     w = rand_gamma(rng, (3, 2, 2)) / 2
 
