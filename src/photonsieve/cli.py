@@ -18,11 +18,13 @@ from .errors import (
     DomainError,
     LayoutMismatch,
     NonFinite,
+    NotNormalized,
     NumericFailure,
     PartitionMismatch,
     ValidationFailure,
 )
 from .heralding import HeraldSpec
+from .linalg import require_finite
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +174,11 @@ def _herald_target(task, dm):
         vec = np.zeros(dm.entries.shape[0])
         vec[dm.index_of([int(target["fock"])] * dm.modes)] = 1.0
     else:
-        vec = _vector(target)
-        vec = vec / np.linalg.norm(vec)
+        vec = require_finite(_vector(target), "target state")
+        norm = np.linalg.norm(vec)
+        if norm == 0:
+            raise NotNormalized("target state has zero norm")
+        vec = vec / norm
     return {"fidelity": heralding.fidelity(dm.normalized(), vec)}
 
 

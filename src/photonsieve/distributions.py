@@ -102,8 +102,11 @@ def prob_fine(rep, n):
 
 def prob_total(rep, subset, n_total):
     """Probability of n_total photons in the subset and vacuum elsewhere."""
+    n_total = int(n_total)
+    if n_total < 0:
+        raise DomainError("total must be non-negative")
     sub = reduce_modes(rep, subset)
-    val = rep.vacuum_prob * f_n(sub.a, sub.gamma, int(n_total))
+    val = rep.vacuum_prob * f_n(sub.a, sub.gamma, n_total)
     return _real_prob(val)
 
 
@@ -113,6 +116,8 @@ def total_distribution(rep, subset=None, cutoff=None, tail=_DEFAULT_TAIL):
     With no explicit cutoff the support is extended until the missing
     probability mass drops below ``tail``.
     """
+    if cutoff is not None and cutoff < 0:
+        raise DomainError("cutoff must be non-negative")
     t = rep.layout.total
     subset = list(range(t)) if subset is None else list(subset)
     sub = reduce_modes(rep, subset)
@@ -187,9 +192,9 @@ def prob_external_distinguishable(blocks, n):
     They follow from e1 = z . d_l and e2 = (e1^2 - z^T C_l z) / 2 by the
     recurrence p_k = e1 p_(k-1) - e2 p_(k-2), with no matrix powers, and
     the log series sum_l p_k / (2k) goes through the same grid, circle
-    dilations and FFT as every other probability.  A displaced state has a
-    loop term that this series leaves out; ``extract_distinguishable_blocks``
-    rejects it.
+    dilations and read-out as every other probability.  A displaced state
+    has a loop term that this series leaves out;
+    ``extract_distinguishable_blocks`` rejects it.
     """
     n = [int(x) for x in n]
     m = len(n)

@@ -14,12 +14,12 @@ Eight layers, from slow-and-certain to fast:
                          g_k into the Taylor coefficients f_0..f_N;
 * ``grid_coefficients``  the sieve engine: f_0..f_N on one roots-of-unity
                          grid with one pinned variable per homogeneous
-                         group, the one of the smallest count, then one FFT
-                         per total N reads out every count pattern the grid
-                         resolves, each with its rounding bound; the log
-                         series is an argument.  What depends only on the
-                         count rows and groups (pins, sizes, scale,
-                         read-out) is planned once per rows and groups
+                         group, the one of the smallest count, then one dot
+                         product per grid axis reads out each count pattern
+                         from f_N of its total N, with its rounding bound;
+                         the log series is an argument.  What depends only
+                         on the count rows and groups (pins, sizes, scale,
+                         phases) is planned once per rows and groups
                          (``_grid_plan``), and the unit-circle points once
                          per grid shape (``_unit_grid``);
 * ``sieve_reduce``       the one fold-and-certify routine: rows of count
@@ -42,7 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFinite, OddDimension, PartitionMismatch, TooLarge
+from .errors import (DomainError, NonFinite, OddDimension, PartitionMismatch,
+                     TooLarge)
 from .linalg import require_finite
 
 _ORACLE_LIMIT = 14
@@ -242,9 +243,9 @@ def grid_coefficients(series, expand, targets, radii=None, groups=None):
     zero).  ``groups`` partitions the variables into homogeneous groups
     (default: one group of all): f_N has degree N in each group, as 1 /
     det(I - X B(y)) has in x and in y.  A pattern k with every k_j < L_j
-    aliases with no other pattern of the same group totals, so one ``fftn``
-    of f_N yields all patterns of total N (that of the first group) at once;
-    a total with one pattern is read by one dot product per axis instead.
+    aliases with no other pattern of the same group totals, so f_N (N the
+    total of the first group) read by one dot product per axis with the
+    conj phases exp(-2 pi i m k_j / L_j) yields pattern k exactly.
 
     Homogeneity also pins one variable e per group at r_e: a pattern of
     the same totals then aliases onto k only through a variable of e's
@@ -277,11 +278,7 @@ def grid_coefficients(series, expand, targets, radii=None, groups=None):
     f = f_coefficients(series(plan.nmax, zgrid))
     values = np.empty(len(targets), dtype=complex)
     masses = np.empty(len(targets))
-    for n, sel, index, scale in plan.folds:
-        spectrum = np.fft.fftn(f[:, n].reshape(plan.shape)).ravel()
-        values[sel] = spectrum[index] * scale
-        masses[sel] = np.abs(f[:, n]).sum() * scale
-    for n, row, scale, phases in plan.dots:
+    for row, (n, scale, phases) in enumerate(plan.reads):
         value = f[:, n].reshape(plan.shape)
         for phase in phases[::-1]:
             value = value @ phase
@@ -296,15 +293,13 @@ def grid_coefficients(series, expand, targets, radii=None, groups=None):
 
 class _GridPlan(NamedTuple):
     """What ``grid_coefficients`` needs of its count rows and groups.
-    ``folds`` holds, per total read by FFT, (total, rows, flat spectrum
-    indices, prod k_j! / prod L_j per row); ``dots``, per total of one row,
-    (total, row, its scale, conj unit phases per live axis)."""
+    ``reads`` holds, per row, (its total, prod k_j! / prod L_j, conj unit
+    phases per live axis)."""
     live: tuple     # the variables with one grid axis each, in order
     pinned: tuple   # one variable per group, held at its radius
     shape: tuple    # L_j over the live variables
     nmax: int       # the largest total
-    folds: tuple
-    dots: tuple
+    reads: tuple
 
 
 def _frozen(arr):
@@ -315,8 +310,8 @@ def _frozen(arr):
 @lru_cache(maxsize=1024)
 def _grid_plan(rows, groups):
     """The ``_GridPlan`` of the count ``rows`` (tuples) and the ``groups``
-    (tuples or None).  It holds nothing of the size of the grid; one-row
-    read-outs share their phases through ``_phases``."""
+    (tuples or None).  It holds nothing of the size of the grid; the rows
+    share their phases through ``_phases``."""
     targets = np.array(rows, dtype=int)
     nvar = targets.shape[1]
     kmax = targets.max(axis=0).tolist()
@@ -327,22 +322,10 @@ def _grid_plan(rows, groups):
     shape = tuple(kmax[j] + 1 for j in live)
     facts = np.array([float(math.factorial(k)) for k in range(max(kmax) + 1)])
     scale = np.prod(facts[targets], axis=1) / math.prod(shape)
-    counts = targets[:, list(live)]
-    totals = targets[:, list(groups[0])].sum(axis=1)
-    strides = np.array([math.prod(shape[j + 1:]) for j in range(len(shape))],
-                       dtype=int)
-    folds, dots = [], []
-    for n in sorted(set(totals.tolist())):
-        sel = np.flatnonzero(totals == n)
-        if len(sel) > 1:
-            folds.append((n, _frozen(sel), _frozen(counts[sel] @ strides),
-                          _frozen(scale[sel])))
-        else:
-            row = int(sel[0])
-            phases = map(_phases, shape, counts[row].tolist())
-            dots.append((n, row, float(scale[row]), tuple(phases)))
-    return _GridPlan(live, pinned, shape, int(totals.max()), tuple(folds),
-                     tuple(dots))
+    totals = targets[:, list(groups[0])].sum(axis=1).tolist()
+    reads = tuple((n, s, tuple(map(_phases, shape, k))) for n, s, k in
+                  zip(totals, scale.tolist(), targets[:, list(live)].tolist()))
+    return _GridPlan(live, pinned, shape, max(totals), reads)
 
 
 @lru_cache(maxsize=256)
@@ -395,9 +378,11 @@ def sieve_reduce(series, targets, expand, abs_tol=None, groups=None):
     coefficient is homogeneous.  Unit circles come first because the
     herald class grids need them: on the cutoff-26 herald pipeline, radii
     4**(k_j/k_max) left all 27 diagonal elements unsound and unit circles
-    none.
+    none.  A negative count is a ``DomainError``.
     """
     targets = np.asarray(targets, dtype=int).reshape(-1, expand.shape[0])
+    if targets.min(initial=0) < 0:
+        raise DomainError("counts must be non-negative")
     tols = [None] * len(targets) if abs_tol is None else list(abs_tol)
     values, masses = grid_coefficients(series, expand, targets,
                                        groups=groups)

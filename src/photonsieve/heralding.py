@@ -19,6 +19,7 @@ from itertools import product
 import numpy as np
 
 from .errors import (
+    DomainError,
     IndexOutOfRange,
     LengthMismatch,
     NotNormalized,
@@ -36,7 +37,7 @@ from .hafnian import (
     lhaf_sieve,
     sieve_reduce,
 )
-from .linalg import xmat
+from .linalg import require_finite, xmat
 
 PAD = "pad"
 
@@ -90,6 +91,8 @@ class HeraldSpec:
             raise PartitionMismatch("measurement blocks must cover herald modes")
         if len(blocks) != len(counts):
             raise PartitionMismatch("one count per herald block")
+        if any(c < 0 for c in counts):
+            raise DomainError("counts must be non-negative")
         object.__setattr__(self, "measurement", (blocks, counts))
 
 
@@ -351,7 +354,8 @@ def partial_trace(dm, drop):
 
 def fidelity(dm, target):
     """sqrt(<psi|rho|psi>) between a normalized dm and a pure target."""
-    target = np.asarray(target, dtype=complex).reshape(-1)
+    target = require_finite(np.asarray(target, dtype=complex).reshape(-1),
+                            "target state")
     if target.shape[0] != dm.entries.shape[0]:
         raise LengthMismatch("target length must match the dm dimension")
     if abs(dm.trace.real - 1) > 1e-9:

@@ -384,3 +384,42 @@ def test_distinguishable_external_prob_rejects_displacement(tmp_path):
     assert not out.exists()
     err = json.loads(proc.stderr.strip().splitlines()[-1])
     assert err["error"] == "LayoutMismatch"
+
+
+@pytest.mark.parametrize("task", [
+    {"kind": "fine-prob", "pattern": [-2, 0]},
+    {"kind": "fine-prob", "pattern": [-1, 1]},
+    {"kind": "herald", "herald_modes": [0], "measurement": [-1],
+     "cutoff": 2},
+    {"kind": "fock-herald", "input": [1, 1], "herald_modes": [0],
+     "measurement": [-1], "cutoff": 2},
+    {"kind": "total-dist", "max_total": -1},
+])
+def test_negative_counts_exit_code(tmp_path, capsys, task):
+    config = {"circuit": tmsv_circuit(), "task": task}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--config", write_config(tmp_path, config),
+                     "--output", str(out)]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DomainError"
+    assert "non-negative" in err["message"]
+
+
+@pytest.mark.parametrize("target, code, error", [
+    ([0.0] * 5, 2, "NotNormalized"),
+    ([float("nan")] + [0.0] * 4, 3, "NonFinite"),
+])
+def test_bad_herald_target_exit_code(tmp_path, capsys, target, code, error):
+    config = {"circuit": {"modes": 2, "squeezing": [0.8, 0.0],
+                          "transmission": {"haar_seed": 2,
+                                           "efficiency": 0.9}},
+              "task": {"kind": "herald", "herald_modes": [0],
+                       "measurement": [1], "cutoff": 4, "target": target}}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--config", write_config(tmp_path, config),
+                     "--output", str(out)]) == code
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == error
+    assert "target" in err["message"]

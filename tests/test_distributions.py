@@ -10,6 +10,7 @@ from photonsieve import distributions as dist
 from photonsieve import gaussian, hafnian
 from photonsieve.cli import haar_unitary
 from photonsieve.errors import (
+    DomainError,
     LayoutMismatch,
     NumericFailure,
     PartitionMismatch,
@@ -427,3 +428,22 @@ def test_partition_validation():
         dist.coarse_moment(s, [[0], [0]])
     with pytest.raises(LayoutMismatch):
         dist.prob_external(gaussian.to_adjacency(s), [1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda rep, blocks: dist.prob_fine(rep, [-2, 0]),
+    lambda rep, blocks: dist.prob_fine(rep, [-1, 1]),
+    lambda rep, blocks: hafnian.lhaf_sieve(rep.a, rep.gamma, [1, -1]),
+    lambda rep, blocks: hafnian.blocked_lhaf(rep.a, rep.gamma, [(0, 1)],
+                                             [-2]),
+    lambda rep, blocks: dist.prob_external_distinguishable(blocks, [-1, 1]),
+    lambda rep, blocks: dist.total_distribution(rep, cutoff=-1),
+    lambda rep, blocks: dist.prob_total(rep, [0, 1], -1),
+], ids=["fine", "fine-factorial", "lhaf-sieve", "blocked-lhaf",
+        "distinguishable", "total-distribution", "prob-total"])
+def test_negative_counts_are_domain_errors(call):
+    rep = gaussian.to_adjacency(tmsv(0.5))
+    blocks = dist.extract_distinguishable_blocks(
+        gaussian.to_adjacency(distinguishable_state()))
+    with pytest.raises(DomainError):
+        call(rep, blocks)

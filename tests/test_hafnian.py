@@ -478,9 +478,8 @@ def test_grid_plan_caches_are_safe():
     arrays = [hafnian._unit_grid(plan.shape),
               hafnian.block_expansion([(0, 1), (2,)], 3),
               hafnian.partition_expansion([(0,), (1, 2)], 3)]
-    arrays += [a for fold in plan.folds for a in fold[1:]]
-    arrays += [a for *_, phases in plan.dots for a in phases]
-    assert plan.folds and plan.dots
+    arrays += [a for *_, phases in plan.reads for a in phases]
+    assert len(plan.reads) == len(rows) and arrays[3:]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0

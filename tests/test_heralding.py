@@ -10,8 +10,10 @@ from photonsieve import distributions as dist
 from photonsieve import gaussian, hafnian, heralding
 from photonsieve.cli import haar_unitary
 from photonsieve.errors import (
+    DomainError,
     IndexOutOfRange,
     LengthMismatch,
+    NonFinite,
     NotNormalized,
     PartitionMismatch,
     ZeroProbability,
@@ -278,6 +280,8 @@ def test_fidelity():
                            psi)
     with pytest.raises(LengthMismatch):
         heralding.fidelity(dm, np.ones(3))
+    with pytest.raises(NonFinite):
+        heralding.fidelity(dm, [np.nan, 0, 0, 0])
 
 
 # -- shared-grid assembly -----------------------------------------------------
@@ -407,3 +411,6 @@ def test_herald_spec_normalizes_measurement():
         heralding.HeraldSpec([0, 1], ([(0,)], (1,)), cutoff=1)
     with pytest.raises(PartitionMismatch):
         heralding.HeraldSpec([0, 1], [1], cutoff=1)
+    for negative in ([-1], ([(0,)], (-1,))):
+        with pytest.raises(DomainError):
+            heralding.HeraldSpec([0], negative, cutoff=2)
