@@ -16,7 +16,9 @@ from . import distributions as dist
 from . import fock_channel, gaussian, heralding, phasespace
 from .errors import (
     DomainError,
+    IndexOutOfRange,
     LayoutMismatch,
+    LengthMismatch,
     NonFinite,
     NotNormalized,
     NumericFailure,
@@ -136,23 +138,7 @@ def build_state(circ):
 
 def _measurement(task):
     m = task["measurement"]
-    if isinstance(m, dict):
-        return ([tuple(b) for b in m["blocks"]], tuple(m["counts"]))
-    return [int(x) for x in m]
-
-
-def _dm_result(dm, extra=None):
-    rows = [[i, j, v.real, v.imag]
-            for (i, j), v in np.ndenumerate(dm.entries) if v != 0]
-    out = {
-        "modes": dm.modes,
-        "cutoff": dm.cutoff,
-        "trace": [dm.trace.real, dm.trace.imag],
-        "entries": rows,
-    }
-    if extra:
-        out.update(extra)
-    return out
+    return (m["blocks"], m["counts"]) if isinstance(m, dict) else m
 
 
 def _herald_spec(task):
@@ -160,26 +146,44 @@ def _herald_spec(task):
                       int(task["cutoff"]), task.get("trace_out", ()))
 
 
-def _herald_result(task, dm):
-    if task.get("normalize", True):
-        dm = dm.normalized()
-    return _dm_result(dm, _herald_target(task, dm))
-
-
-def _herald_target(task, dm):
+def _herald_target(task, spec, nmodes):
+    """The normalized fidelity target of a herald task, or None; checked
+    before the herald runs, against the kept modes of ``spec``."""
     target = task.get("target")
     if target is None:
-        return {}
+        return None
+    shape = (spec.cutoff + 1,) * len(heralding.kept_modes(spec, nmodes))
     if isinstance(target, dict) and "fock" in target:
-        vec = np.zeros(dm.entries.shape[0])
-        vec[dm.index_of([int(target["fock"])] * dm.modes)] = 1.0
-    else:
-        vec = require_finite(_vector(target), "target state")
-        norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise NotNormalized("target state has zero norm")
-        vec = vec / norm
-    return {"fidelity": heralding.fidelity(dm.normalized(), vec)}
+        n = int(target["fock"])
+        if not 0 <= n <= spec.cutoff:
+            raise IndexOutOfRange(f"Fock index {n} beyond cutoff")
+        vec = np.zeros(shape)
+        vec[(n,) * len(shape)] = 1.0
+        return vec.reshape(-1)
+    vec = require_finite(_vector(target), "target state")
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        raise NotNormalized("target state has zero norm")
+    if vec.size != np.prod(shape, dtype=int):
+        raise LengthMismatch("target length must match the dm dimension")
+    return vec / norm
+
+
+def _herald_result(task, dm, target):
+    """The herald's density matrix as nonzero [i, j, re, im] entries, and
+    its fidelity to ``target`` when there is one."""
+    if task.get("normalize", True):
+        dm = dm.normalized()
+    out = {
+        "modes": dm.modes,
+        "cutoff": dm.cutoff,
+        "trace": [dm.trace.real, dm.trace.imag],
+        "entries": [[i, j, v.real, v.imag]
+                    for (i, j), v in np.ndenumerate(dm.entries) if v != 0],
+    }
+    if target is not None:
+        out["fidelity"] = heralding.fidelity(dm.normalized(), target)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +230,9 @@ def _run_external_prob(circ, task):
 
 def _run_herald(circ, task):
     rep = gaussian.to_adjacency(build_state(circ))
-    return _herald_result(
-        task, heralding.herald_grouped(rep, _herald_spec(task)))
+    spec = _herald_spec(task)
+    target = _herald_target(task, spec, rep.layout.total)
+    return _herald_result(task, heralding.herald_grouped(rep, spec), target)
 
 
 def _fock_input(circ, task):
@@ -246,8 +251,9 @@ def _run_fock_prob(circ, task):
 
 def _run_fock_herald(circ, task):
     fi = _fock_input(circ, task)
-    return _herald_result(task,
-                          fock_channel.fock_herald(fi, _herald_spec(task)))
+    spec = _herald_spec(task)
+    target = _herald_target(task, spec, len(fi.p))
+    return _herald_result(task, fock_channel.fock_herald(fi, spec), target)
 
 
 def _run_moments(circ, task):

@@ -20,7 +20,7 @@ from .errors import (
     RankViolation,
     SingularResolvent,
 )
-from .gaussian import reduce_modes
+from .gaussian import marginal_rep, reduce_modes
 from .hafnian import (
     block_expansion,
     blocked_lhaf,
@@ -111,22 +111,28 @@ def prob_total(rep, subset, n_total):
 
 
 def total_distribution(rep, subset=None, cutoff=None, tail=_DEFAULT_TAIL):
-    """Distribution of the total photon number in the subset.
+    """Distribution of the total photon number in the subset, with vacuum
+    on every other mode.
 
-    With no explicit cutoff the support is extended until the missing
-    probability mass drops below ``tail``.
+    Entry n is Pr(n photons in the subset and none elsewhere), as in
+    ``prob_total``, so the entries sum to the vacuum probability of the
+    other modes' marginal (1 when the subset holds every mode); the deficit
+    is measured against that sum.  With no explicit cutoff the support is
+    extended until the deficit drops below ``tail``.
     """
     if cutoff is not None and cutoff < 0:
         raise DomainError("cutoff must be non-negative")
     t = rep.layout.total
     subset = list(range(t)) if subset is None else list(subset)
     sub = reduce_modes(rep, subset)
+    rest = [i for i in range(t) if i not in subset]
+    mass = marginal_rep(rep, rest).vacuum_prob.real if rest else 1.0
     nmax = cutoff if cutoff is not None else 16
     while True:
         g = g_coefficients(sub.a, sub.gamma, nmax=nmax)
         coeffs = f_coefficients(g)
         probs = np.array([_real_prob(rep.vacuum_prob * c) for c in coeffs])
-        deficit = 1.0 - probs.sum()
+        deficit = mass - probs.sum()
         if cutoff is not None or deficit < tail or nmax > 512:
             break
         nmax *= 2

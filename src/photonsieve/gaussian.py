@@ -225,6 +225,22 @@ def reduce_modes(rep, keep):
     )
 
 
+def marginal_rep(rep, keep):
+    """Partial trace at the Gaussian level: reduce the covariance, re-derive.
+
+    Unlike ``reduce_modes`` (which asserts vacuum on the excluded modes),
+    this sums over all outcomes of the excluded modes exactly.
+    """
+    t = rep.layout.total
+    keep = list(keep)
+    cov = np.linalg.inv(np.eye(2 * t) - xmat(t) @ rep.a)
+    means = cov @ xmat(t) @ rep.gamma
+    idx = keep + [t + i for i in keep]
+    return adjacency_from_cov(
+        cov[np.ix_(idx, idx)], means[idx], ModeLayout(len(keep), 1)
+    )
+
+
 def marginal_state(state, keep):
     """Partial trace of a Gaussian state: submatrix of covariance and means."""
     keep = list(keep)

@@ -26,7 +26,7 @@ from .errors import (
     PartitionMismatch,
     ZeroProbability,
 )
-from .gaussian import ModeLayout, adjacency_from_cov
+from .gaussian import marginal_rep
 # lhaf_sieve and blocked_lhaf are not called here: the benchmark tracer
 # rebinds them here
 from .hafnian import (
@@ -37,7 +37,7 @@ from .hafnian import (
     lhaf_sieve,
     sieve_reduce,
 )
-from .linalg import require_finite, xmat
+from .linalg import require_finite
 
 PAD = "pad"
 
@@ -77,11 +77,12 @@ class HeraldSpec:
         object.__setattr__(self, "herald_modes", tuple(self.herald_modes))
         object.__setattr__(self, "trace_out", tuple(self.trace_out))
         if self.cutoff < 0:
-            raise PartitionMismatch("cutoff must be non-negative")
+            raise DomainError("cutoff must be non-negative")
         if set(self.herald_modes) & set(self.trace_out):
             raise PartitionMismatch("herald and traced modes must be disjoint")
         m = self.measurement
-        if isinstance(m, tuple) and len(m) == 2 and not np.isscalar(m[0]):
+        if isinstance(m, (tuple, list)) and len(m) == 2 \
+                and not np.isscalar(m[0]):
             blocks, counts = m
         else:
             blocks, counts = [(h,) for h in self.herald_modes], m
@@ -206,22 +207,6 @@ def build_embedding(rep, n, m):
 # heralded density matrices
 # ---------------------------------------------------------------------------
 
-def _marginal_rep(rep, keep):
-    """Partial trace at the Gaussian level: reduce the covariance, re-derive.
-
-    Unlike ``reduce_modes`` (which asserts vacuum on the excluded modes),
-    this sums over all outcomes of the excluded modes exactly.
-    """
-    t = rep.layout.total
-    keep = list(keep)
-    cov = np.linalg.inv(np.eye(2 * t) - xmat(t) @ rep.a)
-    means = cov @ xmat(t) @ rep.gamma
-    idx = keep + [t + i for i in keep]
-    return adjacency_from_cov(
-        cov[np.ix_(idx, idx)], means[idx], ModeLayout(len(keep), 1)
-    )
-
-
 def kept_modes(spec, nmodes):
     """The modes of ``range(nmodes)`` that ``spec`` neither heralds nor
     traces out: the one range check of a herald spec."""
@@ -241,7 +226,7 @@ def _herald_parts(rep, spec):
     kept = kept_modes(spec, t)
     survivors = sorted(set(spec.herald_modes) | set(kept))
     renum = {old: new for new, old in enumerate(survivors)}
-    sub = _marginal_rep(rep, survivors) if len(survivors) < t else rep
+    sub = marginal_rep(rep, survivors) if len(survivors) < t else rep
     blocks = [tuple(renum[i] for i in b) for b in blocks]
     kept = [renum[i] for i in kept]
     return sub, blocks, list(counts), kept

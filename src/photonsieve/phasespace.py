@@ -17,20 +17,20 @@ built by a stable recursion from e^{-n'} instead of an explicit N!. Where
 e^{-n'} would leave the normal range of doubles (Re n' > 700), the weights
 of those samples are computed in log space instead.
 
-The normals are drawn on one helper thread, ahead of the arithmetic: NumPy's
-draws, matrix products and ufuncs release the GIL, so the two overlap. The
-helper draws the stream in its original order, per chunk u, then v, in
+The normals are drawn by a one-worker thread pool, ahead of the arithmetic:
+NumPy's draws, matrix products and ufuncs release the GIL, so the two
+overlap. The stream keeps its original order, per chunk u, then v, in
 consecutive row blocks, which hold the same values as one draw of the whole
-chunk. The main thread pairs each u block with its v block as it arrives.
-So a seed gives the same samples as a single-threaded draw, and the same
+chunk; the single worker runs the draws in the order they are submitted.
+The main thread pairs each u block with its v block as it arrives. So a
+seed gives the same samples as a single-threaded draw, and the same
 estimates up to the order of summation. The blocks go into a fixed set of
-slots, one chunk of u and v, which the helper refills once the main thread
-has multiplied them; a call touches no fresh memory per block.
+slots, one chunk of u and v; a slot's next draw is submitted only once the
+main thread has multiplied it, so a call touches no fresh memory per block.
 """
 
 import math
-import queue
-import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,29 +110,31 @@ def pp_estimate(run):
     # Room for one chunk of u and v blocks, and for the products of one pair.
     slots = np.empty((2 * len(chunks[0]), chunks[0][0], xi.size))
     pq = np.empty((2, chunks[0][0], s_real.shape[1]))
-    free = queue.SimpleQueue()
-    for k in range(len(slots)):
-        free.put(k)
-    drawn = queue.SimpleQueue()
-    helper = threading.Thread(
-        target=_draw, daemon=True,
-        args=(np.random.default_rng(run.seed), slots,
-              [rows for blocks in chunks for rows in blocks + blocks],
-              free, drawn))
-    helper.start()
-    try:
+    rng = np.random.default_rng(run.seed)
+    order = iter([rows for blocks in chunks for rows in blocks + blocks])
+    drawn = deque()
+    # imported here: concurrent.futures imports logging, which every CLI
+    # process would otherwise pay for at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def refill(k):
+            """Submit the draw of the stream's next block into slot k."""
+            rows = next(order, 0)
+            if rows:
+                drawn.append(pool.submit(_draw, rng, slots, k, rows))
+
+        for k in range(len(slots)):
+            refill(k)
         for blocks in chunks:
-            us = [_take(drawn) for _ in blocks]
+            us = [drawn.popleft().result() for _ in blocks]
             for k, rows in zip(us, blocks):
                 p = np.matmul(slots[k, :rows], s_real, out=pq[0, :rows])
-                free.put(k)
-                k = _take(drawn)
+                refill(k)
+                k = drawn.popleft().result()
                 q = np.matmul(slots[k, :rows], d_real, out=pq[1, :rows])
-                free.put(k)
+                refill(k)
                 _add_block(p, q, wanted, sums, sqsums)
-    finally:
-        free.put(None)
-        helper.join()
     # a finite weight above about 1e154 has an infinite square, which
     # would turn its standard error into NaN
     if not np.isfinite(sqsums).all():
@@ -143,28 +145,10 @@ def pp_estimate(run):
     return estimates, errors
 
 
-def _draw(rng, slots, order, free, drawn):
-    """Per entry ``rows`` of ``order``, draw the stream's next rows of
-    normals into a slot from ``free`` and pass its index on to ``drawn``;
-    stop at a ``None`` from ``free``. Any exception of a draw is passed on
-    in place of an index, for the caller to raise: it would otherwise wait
-    forever."""
-    try:
-        for rows in order:
-            k = free.get()
-            if k is None:
-                return
-            rng.standard_normal(out=slots[k, :rows])
-            drawn.put(k)
-    except BaseException as exc:
-        drawn.put(exc)
-
-
-def _take(drawn):
-    item = drawn.get()
-    if isinstance(item, BaseException):
-        raise item
-    return item
+def _draw(rng, slots, k, rows):
+    """Draw the stream's next ``rows`` rows of normals into slot ``k``."""
+    rng.standard_normal(out=slots[k, :rows])
+    return k
 
 
 def _add_block(p, q, wanted, sums, sqsums):

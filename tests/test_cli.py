@@ -2,11 +2,12 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from photonsieve import cli, gaussian
+from photonsieve import cli, fock_channel, gaussian, heralding
 from photonsieve import distributions as dist
 
 
@@ -394,6 +395,8 @@ def test_distinguishable_external_prob_rejects_displacement(tmp_path):
     {"kind": "fock-herald", "input": [1, 1], "herald_modes": [0],
      "measurement": [-1], "cutoff": 2},
     {"kind": "total-dist", "max_total": -1},
+    {"kind": "herald", "herald_modes": [0], "measurement": [1],
+     "cutoff": -1},
 ])
 def test_negative_counts_exit_code(tmp_path, capsys, task):
     config = {"circuit": tmsv_circuit(), "task": task}
@@ -423,3 +426,28 @@ def test_bad_herald_target_exit_code(tmp_path, capsys, target, code, error):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == error
     assert "target" in err["message"]
+
+
+@pytest.mark.parametrize("kind, target, code", [
+    ("herald", [0.0] * 5, 2),
+    ("herald", [float("nan")] + [0.0] * 4, 3),
+    ("herald", [1.0] * 4, 2),
+    ("herald", {"fock": 5}, 2),
+    ("fock-herald", [1.0] * 6, 2),
+    ("fock-herald", {"fock": -1}, 2),
+])
+def test_bad_herald_target_is_rejected_before_the_herald(tmp_path, kind,
+                                                         target, code):
+    config = {"circuit": {"modes": 2, "squeezing": [0.8, 0.0],
+                          "transmission": {"haar_seed": 2,
+                                           "efficiency": 0.9}},
+              "task": {"kind": kind, "input": [1, 1], "herald_modes": [0],
+                       "measurement": [1], "cutoff": 4, "target": target}}
+    path = write_config(tmp_path, config)
+    with mock.patch.object(heralding, "herald_grouped",
+                           wraps=heralding.herald_grouped) as grouped, \
+            mock.patch.object(fock_channel, "fock_herald",
+                              wraps=fock_channel.fock_herald) as fock:
+        assert cli.main(["run", "--config", path]) == code
+    assert not grouped.called
+    assert not fock.called

@@ -16,6 +16,7 @@ from photonsieve.errors import (
     PartitionMismatch,
     ProbabilityOutOfRange,
     RankViolation,
+    SingularResolvent,
 )
 
 L1 = gaussian.ModeLayout(1)
@@ -76,6 +77,19 @@ def test_total_distribution_auto_cutoff():
     assert d.deficit < 1e-7
     assert np.all(d.probabilities >= 0)
     assert np.isclose(d.probabilities[0], 1 / np.cosh(0.6), atol=1e-12)
+
+
+def test_total_distribution_on_a_subset_stops():
+    # Vacuum on mode 1 is part of every entry, so the entries sum to
+    # Pr(vacuum on mode 1) = 0.79, and 1 - sum never falls below the tail.
+    bs = np.sqrt(0.9) * np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    rep = gaussian.to_adjacency(
+        gaussian.apply_channel(gaussian.from_squeezing([0.8, 0.6], L2), bs))
+    d = dist.total_distribution(rep, [0])
+    assert len(d.support) <= 64
+    assert 0 <= d.deficit < 1e-7
+    want = [dist.prob_total(rep, [0], n) for n in d.support]
+    assert np.allclose(d.probabilities, want, rtol=1e-12, atol=1e-15)
 
 
 def test_total_distribution_matches_convolution():
@@ -428,6 +442,37 @@ def test_partition_validation():
         dist.coarse_moment(s, [[0], [0]])
     with pytest.raises(LayoutMismatch):
         dist.prob_external(gaussian.to_adjacency(s), [1])
+
+
+def coupled_internal_state():
+    """Two spectral modes per external mode, mixed by the circuit."""
+    s = gaussian.from_squeezing([0.5, 0.0, 0.0, 0.6],
+                                gaussian.ModeLayout(2, 2))
+    return gaussian.apply_channel(s, 0.9 * haar_unitary(4, 3))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: dist.CoarsePattern([[0], [1]], [1]), PartitionMismatch),
+    (lambda: dist.CoarsePattern([[0]], [-1]), DomainError),
+    (lambda: dist.prob_fine(gaussian.AdjacencyRep(
+        np.zeros((2, 2)), np.zeros(2), 1j, L1), [0]), DomainError),
+    (lambda: dist.extract_distinguishable_blocks(
+        gaussian.to_adjacency(coupled_internal_state())), LayoutMismatch),
+    (lambda: dist.prob_external_distinguishable([np.eye(4)], [1, 1, 1]),
+     LayoutMismatch),
+    (lambda: dist.prob_external_distinguishable(
+        [np.triu(np.ones((4, 4))) / 8], [1, 1]), RankViolation),
+    (lambda: dist.moment_mgf(tmsv(0.4), [0.1]), LayoutMismatch),
+    # a thermal mode with nbar = 1 has E[e^{tn}] = 1 / (2 - e^t)
+    (lambda: dist.moment_mgf(gaussian.thermal_state([1.0], L1),
+                             [math.log(2)]), SingularResolvent),
+    (lambda: dist.block_cumulant(tmsv(0.4), [0], 0), DomainError),
+], ids=["pattern-length", "pattern-count", "complex-value",
+        "coupled-internals", "block-shape", "non-hermitian-block",
+        "mgf-length", "mgf-diverges", "cumulant-order"])
+def test_validation_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("call", [

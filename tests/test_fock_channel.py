@@ -355,6 +355,8 @@ def test_perm_oracle_small():
     assert np.isclose(fc.perm_oracle(np.ones((4, 4))), math.factorial(4))
     with pytest.raises(TooLarge):
         fc.perm_oracle(np.ones((17, 17)))
+    with pytest.raises(TooLarge):
+        fc.fock_perm_oracle(fc.FockInput((9, 0), np.eye(2)), fine_cp([9, 0]))
 
 
 @pytest.mark.parametrize("seed", range(5))

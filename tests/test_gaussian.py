@@ -9,8 +9,11 @@ from photonsieve.errors import (
     IndexOutOfRange,
     LayoutMismatch,
     LengthMismatch,
+    NotHermitian,
     NotPositiveDefinite,
     NotSubunitary,
+    NotSymmetric,
+    SingularCovariance,
 )
 from photonsieve.linalg import xmat
 
@@ -198,3 +201,39 @@ def test_length_checks():
     with pytest.raises(LayoutMismatch):
         gaussian.apply_channel(gaussian.from_squeezing([0.0], L1),
                                np.eye(2))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: gaussian.ModeLayout(0), LayoutMismatch),
+    (lambda: L2.internal_indices(2), IndexOutOfRange),
+    (lambda: gaussian.GaussianState(np.eye(2), np.zeros(4), L1),
+     LayoutMismatch),
+    (lambda: gaussian.GaussianState([[1, 0.5], [0, 1]], np.zeros(2), L1),
+     NotHermitian),
+    (lambda: gaussian.GaussianState(-np.eye(2), np.zeros(2), L1),
+     NotPositiveDefinite),
+    (lambda: gaussian.GaussianState(np.eye(2), [1, 1j], L1), LayoutMismatch),
+    (lambda: gaussian.AdjacencyRep(np.zeros((2, 2)), np.zeros(4), 1, L1),
+     LayoutMismatch),
+    (lambda: gaussian.AdjacencyRep([[0, 1], [0, 0]], np.zeros(2), 1, L1),
+     NotSymmetric),
+    (lambda: gaussian.thermal_state([0.1], L2), LengthMismatch),
+    (lambda: gaussian.thermal_state([-0.1], L1), DomainError),
+    (lambda: gaussian.adjacency_from_cov(np.diag([1, 1e-14]), np.zeros(2),
+                                         L1), SingularCovariance),
+    (lambda: gaussian.reduce_modes(
+        gaussian.to_adjacency(gaussian.from_squeezing([0.5], L1)), []),
+     IndexOutOfRange),
+    (lambda: gaussian.marginal_state(gaussian.from_squeezing([0.5], L1), [1]),
+     IndexOutOfRange),
+    (lambda: gaussian.impure_source([-0.1, 0.5], 0.9,
+                                    gaussian.ModeLayout(2, 2)), DomainError),
+    (lambda: gaussian.impure_source([0.5], 0.9, gaussian.ModeLayout(2, 2)),
+     LengthMismatch),
+], ids=["layout", "internal-index", "state-shape", "not-hermitian",
+        "not-positive", "means-halves", "rep-shape", "not-symmetric",
+        "thermal-length", "thermal-negative", "singular-covariance",
+        "reduce-empty", "marginal-mode", "impure-negative", "impure-length"])
+def test_validation_errors(call, error):
+    with pytest.raises(error):
+        call()

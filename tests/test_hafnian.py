@@ -658,6 +658,10 @@ def test_blocked_partition_validation():
         hafnian.blocked_lhaf(a, None, [[0, 1], [1, 2]], [1, 1])  # overlap
     with pytest.raises(PartitionMismatch):
         hafnian.blocked_lhaf(a, None, [[0, 1, 2], []], [1, 0])  # empty block
+    with pytest.raises(PartitionMismatch):
+        hafnian.blocked_lhaf(a, None, [[0, 1, 2]], [1, 1])  # count per block
+    with pytest.raises(PartitionMismatch):
+        hafnian.lhaf_sieve(a, None, [1, 1])  # one count per mode
 
 
 def test_compatible_patterns_count():

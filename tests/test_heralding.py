@@ -278,10 +278,29 @@ def test_fidelity():
     with pytest.raises(NotNormalized):
         heralding.fidelity(heralding.DensityMatrix(1, 3, 2 * np.outer(psi, psi)),
                            psi)
+    with pytest.raises(NotNormalized):
+        heralding.fidelity(dm, 2 * psi)
     with pytest.raises(LengthMismatch):
         heralding.fidelity(dm, np.ones(3))
     with pytest.raises(NonFinite):
         heralding.fidelity(dm, [np.nan, 0, 0, 0])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: heralding.HeraldSpec([0], [1], cutoff=1, trace_out=[0]),
+     PartitionMismatch),
+    (lambda: heralding.DensityMatrix(1, 1, np.eye(3)), LengthMismatch),
+    (lambda: heralding.DensityMatrix(1, 2, np.eye(3)).index_of([3]),
+     IndexOutOfRange),
+    (lambda: heralding.build_embedding(tmsv(0.5), [1], [1, 0]),
+     LengthMismatch),
+    (lambda: heralding.partial_trace(
+        heralding.DensityMatrix(2, 1, np.eye(4)), [2]), IndexOutOfRange),
+], ids=["herald-traced-overlap", "entries-shape", "fock-index",
+        "embedding-length", "trace-mode"])
+def test_validation_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 # -- shared-grid assembly -----------------------------------------------------
@@ -407,6 +426,8 @@ def test_herald_spec_normalizes_measurement():
     assert fine.measurement == (((2,), (0,)), (1, 3))
     grouped = heralding.HeraldSpec([0, 2], ([[0, 2]], [4]), cutoff=1)
     assert grouped.measurement == (((0, 2),), (4,))
+    listed = heralding.HeraldSpec([0, 1], [[(0, 1)], [2]], cutoff=1)
+    assert listed.measurement == (((0, 1),), (2,))
     with pytest.raises(PartitionMismatch):
         heralding.HeraldSpec([0, 1], ([(0,)], (1,)), cutoff=1)
     with pytest.raises(PartitionMismatch):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -257,6 +258,24 @@ def test_concurrent_calls_keep_their_streams():
     for est, err in got:
         assert np.array_equal(est, want[0])
         assert np.array_equal(err, want[1])
+
+
+def test_slot_is_refilled_only_after_its_product():
+    # A slow product gives the worker time to run every queued draw, so a
+    # slot refilled before its product was taken would be overwritten
+    # first, and the estimates would change.
+    run = mixed_run(phasespace._CHUNK + 17)
+    want = phasespace.pp_estimate(run)
+    matmul = np.matmul
+
+    def slow_matmul(*args, **kwargs):
+        time.sleep(0.02)
+        return matmul(*args, **kwargs)
+
+    with mock.patch.object(phasespace.np, "matmul", slow_matmul):
+        est, err = phasespace.pp_estimate(run)
+    assert np.array_equal(est, want[0])
+    assert np.array_equal(err, want[1])
 
 
 def test_prefetch_memory_is_bounded():
