@@ -26,7 +26,7 @@ from .errors import (
     ValidationFailure,
 )
 from .heralding import HeraldSpec
-from .linalg import require_finite
+from .linalg import require_counts, require_finite
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def _measurement(task):
 
 def _herald_spec(task):
     return HeraldSpec(task["herald_modes"], _measurement(task),
-                      int(task["cutoff"]), task.get("trace_out", ()))
+                      task["cutoff"], task.get("trace_out", ()))
 
 
 def _herald_target(task, spec, nmodes):
@@ -154,8 +154,8 @@ def _herald_target(task, spec, nmodes):
         return None
     shape = (spec.cutoff + 1,) * len(heralding.kept_modes(spec, nmodes))
     if isinstance(target, dict) and "fock" in target:
-        n = int(target["fock"])
-        if not 0 <= n <= spec.cutoff:
+        (n,) = require_counts([target["fock"]], "Fock index")
+        if n > spec.cutoff:
             raise IndexOutOfRange(f"Fock index {n} beyond cutoff")
         vec = np.zeros(shape)
         vec[(n,) * len(shape)] = 1.0
@@ -205,7 +205,7 @@ def _run_total_dist(circ, task):
     rep = gaussian.to_adjacency(build_state(circ))
     modes = task.get("modes", list(range(rep.layout.total)))
     if "max_total" in task:
-        d = dist.total_distribution(rep, modes, cutoff=int(task["max_total"]))
+        d = dist.total_distribution(rep, modes, cutoff=task["max_total"])
         d = dist.Distribution(d.support, np.clip(d.probabilities, 0, None),
                               max(d.deficit, 0.0))
     else:
@@ -219,9 +219,8 @@ def _run_total_dist(circ, task):
 
 
 def _run_external_prob(circ, task):
-    state = build_state(circ)
-    rep = gaussian.to_adjacency(state)
-    n = [int(x) for x in task["pattern"]]
+    rep = gaussian.to_adjacency(build_state(circ))
+    n = task["pattern"]
     if task.get("distinguishable"):
         blocks = dist.extract_distinguishable_blocks(rep)
         return {"probability": dist.prob_external_distinguishable(blocks, n)}
@@ -239,7 +238,7 @@ def _fock_input(circ, task):
     modes = int(circ["modes"])
     t = _transmission_or_identity(circ, modes, modes)
     gram = task.get("gram")
-    return fock_channel.FockInput(tuple(task["input"]), t,
+    return fock_channel.FockInput(task["input"], t,
                                   None if gram is None else _matrix(gram))
 
 
@@ -267,7 +266,7 @@ def _run_moments(circ, task):
     elif kind == "block-cumulant":
         if len(blocks) != 1:
             raise PartitionMismatch("block-cumulant takes a single block")
-        value = dist.block_cumulant(state, blocks[0], int(task["order"]))
+        value = dist.block_cumulant(state, blocks[0], task["order"])
     else:
         raise DomainError(f"unknown statistic {kind!r}")
     return {"value": value}
@@ -277,13 +276,16 @@ def _run_pp_estimate(circ, task):
     modes = int(circ["modes"])
     if int(circ.get("internals", 1)) != 1:
         raise LayoutMismatch("phase-space estimation needs one internal mode")
+    for key in ("displacements", "husimi_cov", "spectral_purity"):
+        if key in circ:
+            raise LayoutMismatch(f"phase-space estimation cannot model {key}")
     xi = [float(x) for x in circ["squeezing"]]
     t = _transmission_or_identity(circ, modes, modes)
-    run = phasespace.PPRun(tuple(xi), t, int(task["samples"]),
-                           int(task.get("seed", 0)), tuple(task["n_values"]))
+    run = phasespace.PPRun(tuple(xi), t, task["samples"],
+                           int(task.get("seed", 0)), task["n_values"])
     est, err = phasespace.pp_estimate(run)
     return {
-        "n_values": sorted(set(int(n) for n in task["n_values"])),
+        "n_values": sorted(set(run.n_values)),
         "estimates": est.tolist(),
         "standard_errors": err.tolist(),
     }

@@ -32,7 +32,7 @@ from .hafnian import (
     lhaf_sieve,
     sieve_reduce,
 )
-from .linalg import xmat
+from .linalg import require_counts, require_finite, xmat
 
 _DEFAULT_TAIL = 1e-7
 # rounding slack allowed outside [0, 1] before a probability is an error
@@ -50,11 +50,9 @@ class CoarsePattern:
         object.__setattr__(
             self, "blocks", tuple(tuple(b) for b in self.blocks)
         )
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", require_counts(self.counts))
         if len(self.blocks) != len(self.counts):
             raise PartitionMismatch("one count per block required")
-        if any(c < 0 for c in self.counts):
-            raise DomainError("counts must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -95,16 +93,14 @@ def _real_prob(value):
 
 def prob_fine(rep, n):
     """Probability of the exact per-mode photon pattern n."""
-    n = [int(k) for k in n]
+    n = require_counts(n, "pattern")
     val = rep.vacuum_prob * lhaf_sieve(rep.a, rep.gamma, n)
     return _real_prob(val / factorial_product(n))
 
 
 def prob_total(rep, subset, n_total):
     """Probability of n_total photons in the subset and vacuum elsewhere."""
-    n_total = int(n_total)
-    if n_total < 0:
-        raise DomainError("total must be non-negative")
+    (n_total,) = require_counts([n_total], "total")
     sub = reduce_modes(rep, subset)
     val = rep.vacuum_prob * f_n(sub.a, sub.gamma, n_total)
     return _real_prob(val)
@@ -120,14 +116,12 @@ def total_distribution(rep, subset=None, cutoff=None, tail=_DEFAULT_TAIL):
     is measured against that sum.  With no explicit cutoff the support is
     extended until the deficit drops below ``tail``.
     """
-    if cutoff is not None and cutoff < 0:
-        raise DomainError("cutoff must be non-negative")
+    nmax = 16 if cutoff is None else require_counts([cutoff], "cutoff")[0]
     t = rep.layout.total
     subset = list(range(t)) if subset is None else list(subset)
     sub = reduce_modes(rep, subset)
     rest = [i for i in range(t) if i not in subset]
     mass = marginal_rep(rep, rest).vacuum_prob.real if rest else 1.0
-    nmax = cutoff if cutoff is not None else 16
     while True:
         g = g_coefficients(sub.a, sub.gamma, nmax=nmax)
         coeffs = f_coefficients(g)
@@ -148,7 +142,7 @@ def prob_coarse(rep, cp):
 def prob_external(rep, n):
     """Pattern probability at external detectors, internal modes unresolved."""
     lay = rep.layout
-    n = [int(k) for k in n]
+    n = require_counts(n, "pattern")
     if len(n) != lay.externals:
         raise LayoutMismatch(
             f"need {lay.externals} external counts, got {len(n)}"
@@ -202,7 +196,7 @@ def prob_external_distinguishable(blocks, n):
     has a loop term that this series leaves out;
     ``extract_distinguishable_blocks`` rejects it.
     """
-    n = [int(x) for x in n]
+    n = require_counts(n, "pattern")
     m = len(n)
     if any(np.shape(b) != (2 * m, 2 * m) for b in blocks):
         raise LayoutMismatch("each block must be 2M x 2M")
@@ -247,7 +241,7 @@ def _normal_cov(state):
 
 def moment_mgf(state, t):
     """Moment generating function E[exp(sum t_i n_i)] of the photon counts."""
-    t = np.asarray(t, dtype=float)
+    t = require_finite(np.asarray(t, dtype=float), "exponents")
     nm = state.layout.total
     if len(t) != nm:
         raise LayoutMismatch(f"need {nm} exponents, got {len(t)}")
@@ -311,6 +305,7 @@ def _stirling2(p):
 
 def block_cumulant(state, block, p):
     """p-th cumulant of the photon total in one block of modes."""
+    (p,) = require_counts([p], "cumulant order")
     if p < 1:
         raise DomainError("cumulant order must be at least 1")
     a, gamma, expand = _moment_generator(state, [block])

@@ -28,7 +28,7 @@ from .errors import (DomainError, NotPositiveDefinite, PartitionMismatch,
 from .hafnian import (blocked_lhaf, compatible_patterns, factorial_product,
                       partition_expansion, power_trace_series, sieve_reduce)
 from .heralding import herald_density, kept_modes
-from .linalg import STRUCTURE_TOL, require_subunitary
+from .linalg import STRUCTURE_TOL, require_counts, require_subunitary
 
 _PERM_LIMIT = 16
 
@@ -45,11 +45,9 @@ class FockInput:
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=complex)
-        p = tuple(int(x) for x in self.p)
+        p = require_counts(self.p, "photon counts")
         if t.ndim != 2 or t.shape[0] != t.shape[1] or len(p) != t.shape[0]:
             raise PartitionMismatch("one photon count per circuit port")
-        if any(x < 0 for x in p):
-            raise PartitionMismatch("photon counts must be non-negative")
         require_subunitary(t)
         s = np.ones(t.shape, complex) if self.gram is None else _gram(
             self.gram, len(p))

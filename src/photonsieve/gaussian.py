@@ -20,7 +20,8 @@ from .errors import (
     NotSymmetric,
     SingularCovariance,
 )
-from .linalg import STRUCTURE_TOL, require_finite, require_subunitary, xmat
+from .linalg import (STRUCTURE_TOL, require_finite, require_modes,
+                     require_subunitary, xmat)
 
 _COND_LIMIT = 1e12
 _UNCERTAINTY_TOL = -1e-9
@@ -211,13 +212,10 @@ def reduce_modes(rep, keep):
     This is the "vacuum elsewhere" reduction used inside generating-function
     identities, not a partial trace.
     """
-    keep = list(keep)
     t = rep.layout.total
+    keep = require_modes(keep, t)
     if not keep:
         raise IndexOutOfRange("keep set must be non-empty")
-    for i in keep:
-        if not 0 <= i < t:
-            raise IndexOutOfRange(f"mode {i} out of range")
     idx = keep + [t + i for i in keep]
     sub = rep.a[np.ix_(idx, idx)]
     return AdjacencyRep(
@@ -243,11 +241,8 @@ def marginal_rep(rep, keep):
 
 def marginal_state(state, keep):
     """Partial trace of a Gaussian state: submatrix of covariance and means."""
-    keep = list(keep)
     t = state.layout.total
-    for i in keep:
-        if not 0 <= i < t:
-            raise IndexOutOfRange(f"mode {i} out of range")
+    keep = require_modes(keep, t)
     idx = keep + [t + i for i in keep]
     return GaussianState(
         state.husimi_cov[np.ix_(idx, idx)],

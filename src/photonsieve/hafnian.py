@@ -6,8 +6,8 @@ Eight layers, from slow-and-certain to fast:
                          loops, exponential, guarded to 14 rows;
 * ``power_trace_series`` the one matrix-power loop: tr(P^k) / k and a loop
                          term, about 2 sqrt(N) products per point from baby
-                         and giant steps, for per-point first powers P:
-                         D(z) XA here, X (S o B(y)) for every Fock routine;
+                         and giant steps; its callers form the first powers
+                         P: D(z) XA (``g_coefficients``), X (S o B(y)) (Fock);
 * ``g_coefficients``     the power-trace log series g_1..g_N, batched over
                          diagonal scalings D(z) of XA;
 * ``f_coefficients``     batched exp series turning log-series coefficients
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import (DomainError, NonFinite, OddDimension, PartitionMismatch,
                      TooLarge)
-from .linalg import require_finite
+from .linalg import require_counts, require_finite
 
 _ORACLE_LIMIT = 14
 
@@ -188,13 +188,6 @@ def power_trace_series(first, dim, nmax, npts, loop=None):
     return out
 
 
-def scaled_power_traces(mat, nmax, scale, loop=None):
-    """``power_trace_series`` of P = D(z) mat at every row z of ``scale``."""
-    def first(lo, hi, out):
-        np.multiply(scale[lo:hi, :, None], mat, out=out)
-    return power_trace_series(first, len(mat), nmax, len(scale), loop)
-
-
 def g_coefficients(a, gamma=None, nmax=1, scale=None):
     """Log-series coefficients g_1..g_nmax of the generating function.
 
@@ -215,7 +208,10 @@ def g_coefficients(a, gamma=None, nmax=1, scale=None):
         gamma = np.asarray(gamma, dtype=complex)
         loop = (gamma, d * np.concatenate([gamma[nmodes:], gamma[:nmodes]]))
     xa = np.concatenate([a[nmodes:], a[:nmodes]])   # X A: halves swapped
-    g = scaled_power_traces(xa, nmax, d, loop) / 2
+
+    def first(lo, hi, out):
+        np.multiply(d[lo:hi, :, None], xa, out=out)
+    g = power_trace_series(first, 2 * nmodes, nmax, len(d), loop) / 2
     require_finite(g, "g coefficients")
     return g.reshape(batch + (nmax,))
 
@@ -438,7 +434,7 @@ def blocked_lhaf(a, gamma, blocks, b):
     """Blocked loop Hafnian: one sieve variable per block."""
     a = np.asarray(a, dtype=complex)
     expand = partition_expansion(blocks, a.shape[0] // 2)
-    b = [int(x) for x in b]
+    b = require_counts(b)
     if len(b) != len(blocks):
         raise PartitionMismatch("one count per block required")
     return sieve_reduce(partial(g_coefficients, a, gamma), [b], expand)[0]

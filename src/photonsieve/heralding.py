@@ -19,8 +19,6 @@ from itertools import product
 import numpy as np
 
 from .errors import (
-    DomainError,
-    IndexOutOfRange,
     LengthMismatch,
     NotNormalized,
     PartitionMismatch,
@@ -37,7 +35,7 @@ from .hafnian import (
     lhaf_sieve,
     sieve_reduce,
 )
-from .linalg import require_finite
+from .linalg import require_counts, require_finite, require_modes
 
 PAD = "pad"
 
@@ -76,8 +74,8 @@ class HeraldSpec:
     def __post_init__(self):
         object.__setattr__(self, "herald_modes", tuple(self.herald_modes))
         object.__setattr__(self, "trace_out", tuple(self.trace_out))
-        if self.cutoff < 0:
-            raise DomainError("cutoff must be non-negative")
+        (cutoff,) = require_counts([self.cutoff], "cutoff")
+        object.__setattr__(self, "cutoff", cutoff)
         if set(self.herald_modes) & set(self.trace_out):
             raise PartitionMismatch("herald and traced modes must be disjoint")
         m = self.measurement
@@ -86,14 +84,11 @@ class HeraldSpec:
             blocks, counts = m
         else:
             blocks, counts = [(h,) for h in self.herald_modes], m
-        blocks = tuple(tuple(int(i) for i in b) for b in blocks)
-        counts = tuple(int(c) for c in counts)
+        blocks, counts = tuple(map(tuple, blocks)), require_counts(counts)
         if sorted(i for b in blocks for i in b) != sorted(self.herald_modes):
             raise PartitionMismatch("measurement blocks must cover herald modes")
         if len(blocks) != len(counts):
             raise PartitionMismatch("one count per herald block")
-        if any(c < 0 for c in counts):
-            raise DomainError("counts must be non-negative")
         object.__setattr__(self, "measurement", (blocks, counts))
 
 
@@ -130,14 +125,6 @@ class DensityMatrix:
                 f"cannot normalize a density matrix of trace {trace:.3e}"
             )
         return DensityMatrix(self.modes, self.cutoff, self.entries / trace)
-
-    def index_of(self, pattern):
-        idx = 0
-        for p in pattern:
-            if not 0 <= p <= self.cutoff:
-                raise IndexOutOfRange(f"Fock index {p} beyond cutoff")
-            idx = idx * (self.cutoff + 1) + p
-        return idx
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +181,7 @@ def build_embedding(rep, n, m):
     """Square-repetition embedding of the (ket n, bra m) repetition, with
     the modes ``_merged_modes`` describes."""
     nmodes = rep.layout.total
-    n = [int(x) for x in n]
-    m = [int(x) for x in m]
+    n, m = require_counts(n, "ket pattern"), require_counts(m, "bra pattern")
     if len(n) != nmodes or len(m) != nmodes:
         raise LengthMismatch("patterns must cover all modes")
     tags, t = _merged_modes(n, m)
@@ -209,12 +195,10 @@ def build_embedding(rep, n, m):
 
 def kept_modes(spec, nmodes):
     """The modes of ``range(nmodes)`` that ``spec`` neither heralds nor
-    traces out: the one range check of a herald spec."""
-    named = spec.herald_modes + spec.trace_out
-    if len(set(named)) < len(named) or not all(0 <= i < nmodes
-                                               for i in named):
-        raise IndexOutOfRange(f"herald and traced modes {named} must be "
-                              f"distinct indices below {nmodes}")
+    traces out: the one range check of a herald spec.  The indices of the
+    measurement blocks, which cover the herald modes, stand for them."""
+    named = [i for b in spec.measurement[0] for i in b] + list(spec.trace_out)
+    named = require_modes(named, nmodes)
     return [i for i in range(nmodes) if i not in named]
 
 
@@ -224,7 +208,7 @@ def _herald_parts(rep, spec):
     t = rep.layout.total
     blocks, counts = spec.measurement
     kept = kept_modes(spec, t)
-    survivors = sorted(set(spec.herald_modes) | set(kept))
+    survivors = [i for i in range(t) if i not in spec.trace_out]
     renum = {old: new for new, old in enumerate(survivors)}
     sub = marginal_rep(rep, survivors) if len(survivors) < t else rep
     blocks = [tuple(renum[i] for i in b) for b in blocks]
@@ -323,10 +307,7 @@ def herald_grouped(rep, spec):
 
 def partial_trace(dm, drop):
     """Fock-basis partial trace over the dropped modes."""
-    drop = sorted(set(drop))
-    for i in drop:
-        if not 0 <= i < dm.modes:
-            raise IndexOutOfRange(f"mode {i} out of range")
+    drop = sorted(require_modes(drop, dm.modes))
     if not drop:
         return dm
     g, c1 = dm.modes, dm.cutoff + 1

@@ -1,13 +1,17 @@
-"""Dense complex linear algebra used by every other module.
+"""Dense complex linear algebra and the input checks of every other module.
 
 Matrices are plain numpy arrays of complex doubles. Structure checks use an
 absolute entrywise tolerance (default 1e-10) and raise instead of silently
-symmetrizing, so callers always know what they are holding.
+symmetrizing, so callers always know what they are holding. Every photon
+count, total, cutoff, order and sample count a caller passes goes through
+``require_counts``, and every mode list through ``require_modes``.
 """
+
+import operator
 
 import numpy as np
 
-from .errors import NonFinite, NotSubunitary
+from .errors import DomainError, IndexOutOfRange, NonFinite, NotSubunitary
 
 STRUCTURE_TOL = 1e-10
 
@@ -24,6 +28,34 @@ def require_subunitary(t):
     require_finite(t, "transmission")
     if np.max(np.linalg.svd(t, compute_uv=False)) > 1 + 1e-10:
         raise NotSubunitary("transmission has a singular value above 1")
+
+
+def require_counts(values, what="counts"):
+    """``values`` as a tuple of ints, or a ``DomainError`` for an entry that
+    is negative or not a whole number: 2.0 becomes 2, 1.5 raises."""
+    values = tuple(values)
+    try:
+        counts = tuple(map(int, values))
+        if all(c == v and c >= 0 for c, v in zip(counts, values)):
+            return counts
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{what} must be non-negative integers, "
+                      f"got {list(values)}")
+
+
+def require_modes(modes, nmodes):
+    """``modes`` as a list of distinct integer indices below ``nmodes``, or
+    an ``IndexOutOfRange``."""
+    modes = list(modes)
+    try:
+        idx = [operator.index(i) for i in modes]
+        if len(set(idx)) == len(idx) and all(0 <= i < nmodes for i in idx):
+            return idx
+    except TypeError:
+        pass
+    raise IndexOutOfRange(f"modes {modes} must be distinct indices "
+                          f"below {nmodes}")
 
 
 def xmat(m):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, NonFinite, PartitionMismatch
-from .linalg import require_subunitary
+from .linalg import require_counts, require_subunitary
 
 _CHUNK = 1 << 15
 # rows per drawn block; a chunk's u blocks wait for its v blocks
@@ -66,14 +66,13 @@ class PPRun:
         if t.ndim != 2 or t.shape[1] != len(xi):
             raise LengthMismatch("one squeezing parameter per input port")
         require_subunitary(t)
-        if self.samples < 1:
+        (samples,) = require_counts([self.samples], "samples")
+        if samples < 1:
             raise PartitionMismatch("samples must be positive")
-        nv = tuple(int(n) for n in self.n_values)
-        if any(n < 0 for n in nv):
-            raise PartitionMismatch("photon numbers must be non-negative")
         object.__setattr__(self, "squeeze_params", xi)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "n_values", nv)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "n_values", require_counts(self.n_values))
 
 
 def pp_estimate(run):

@@ -24,6 +24,16 @@ def run_cli(args):
     )
 
 
+def rejected_as(tmp_path, capsys, config):
+    """The stderr error object of an in-process run that must exit 2 and
+    write no output."""
+    out = tmp_path / "rejected.json"
+    assert cli.main(["run", "--config", write_config(tmp_path, config),
+                     "--output", str(out)]) == 2
+    assert not out.exists()
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
 def tmsv_circuit():
     return {
         "modes": 2,
@@ -222,7 +232,7 @@ def test_pp_estimate_deterministic(tmp_path):
     assert o1.read_text() == o2.read_text()
 
 
-def test_malformed_partition_exit_code(tmp_path):
+def test_malformed_partition_exit_code(tmp_path, capsys):
     config = {"circuit": {"modes": 2, "squeezing": [0.3, 0.3]},
               "task": {"kind": "coarse-prob", "blocks": [[0], [0]],
                        "counts": [1, 1]}}
@@ -230,9 +240,19 @@ def test_malformed_partition_exit_code(tmp_path):
     assert proc.returncode == 2
     err = json.loads(proc.stderr.strip().splitlines()[-1])
     assert err["error"] == "PartitionMismatch"
+    moments = {"kind": "moments", "blocks": [[0], [1]],
+               "statistic": "block-cumulant", "order": 2}
+    fine = {"kind": "fine-prob", "pattern": [0]}
+    for circuit, task in (
+            ({"modes": 2, "squeezing": [0.3, 0.3]}, moments),
+            ({"modes": 1}, fine),
+            ({"modes": 1, "squeezing": [0.3], "husimi_cov": [[1, 0], [0, 1]]},
+             fine)):
+        err = rejected_as(tmp_path, capsys, {"circuit": circuit, "task": task})
+        assert err["error"] == "PartitionMismatch"
 
 
-def test_unknown_kind_and_missing_field(tmp_path):
+def test_unknown_kind_and_missing_field(tmp_path, capsys):
     config = {"circuit": {"modes": 1, "squeezing": [0.1]},
               "task": {"kind": "nope"}}
     assert cli.main(["run", "--config",
@@ -240,6 +260,24 @@ def test_unknown_kind_and_missing_field(tmp_path):
     config = {"task": {"kind": "fine-prob"}}
     assert cli.main(["run", "--config",
                      write_config(tmp_path, config)]) == 2
+    assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+    fine = {"kind": "fine-prob", "pattern": [0, 0]}
+    for config, error in (
+            ([fine], "DomainError"),
+            ({"circuit": tmsv_circuit()}, "DomainError"),
+            ({"circuit": {"modes": 1, "squeezing": [0.1]},
+              "task": {"kind": "moments", "blocks": [[0]],
+                       "statistic": "median"}}, "DomainError"),
+            ({"circuit": {"modes": 2, "squeezing": ["0.1", 0.1]},
+              "task": fine}, "DomainError"),
+            ({"circuit": {"modes": 2, "squeezing": [0.1, 0.1],
+                          "transmission": {"haar_seed": 1,
+                                           "efficiency": 1.5}},
+              "task": fine}, "DomainError"),
+            ({"circuit": {"modes": 2, "squeezing": [0.1, 0.1],
+                          "transmission": np.eye(3).tolist()},
+              "task": fine}, "LayoutMismatch")):
+        assert rejected_as(tmp_path, capsys, config)["error"] == error
 
 
 def test_seed_override(tmp_path):
@@ -325,6 +363,8 @@ def test_non_finite_result_is_a_numeric_error(tmp_path, capsys):
     payload = {"result": {"probability": float("nan")}}
     with pytest.raises(cli.NonFinite):
         cli._write_output(payload, None)
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        cli._write_output({"result": {"probability": object()}}, None)
     assert capsys.readouterr().out == ""
 
 
@@ -369,7 +409,8 @@ def test_removed_bench_command_is_rejected(tmp_path):
     assert exc.value.code == 2
 
 
-def test_distinguishable_external_prob_rejects_displacement(tmp_path):
+def test_distinguishable_external_prob_rejects_displacement(tmp_path,
+                                                           capsys):
     # the rank-two fast path has no loop term, so a displaced state is a
     # validation error, never a probability without its displacement
     config = {"circuit": {"modes": 3, "internals": 3,
@@ -385,6 +426,16 @@ def test_distinguishable_external_prob_rejects_displacement(tmp_path):
     assert not out.exists()
     err = json.loads(proc.stderr.strip().splitlines()[-1])
     assert err["error"] == "LayoutMismatch"
+    # nor does the phase-space estimator model anything but squeezed vacua
+    # in one internal mode: it rejects the rest, never drops it
+    pp = {"kind": "pp-estimate", "samples": 1000, "n_values": [0]}
+    sq = {"modes": 2, "squeezing": [0.5, 0.3]}
+    for circuit in ({**sq, "displacements": [1.0, 0.5]},
+                    {**sq, "spectral_purity": 0.5},
+                    {"modes": 2, "husimi_cov": np.eye(4).tolist()},
+                    {**sq, "internals": 2}):
+        err = rejected_as(tmp_path, capsys, {"circuit": circuit, "task": pp})
+        assert err["error"] == "LayoutMismatch"
 
 
 @pytest.mark.parametrize("task", [
@@ -397,6 +448,24 @@ def test_distinguishable_external_prob_rejects_displacement(tmp_path):
     {"kind": "total-dist", "max_total": -1},
     {"kind": "herald", "herald_modes": [0], "measurement": [1],
      "cutoff": -1},
+    # a fractional count is an error too, never truncated
+    {"kind": "fine-prob", "pattern": [1.5, 0]},
+    {"kind": "coarse-prob", "blocks": [[0, 1]], "counts": [1.5]},
+    {"kind": "external-prob", "pattern": [0.5, 0]},
+    {"kind": "external-prob", "pattern": [0.5, 0], "distinguishable": True},
+    {"kind": "total-dist", "max_total": 2.5},
+    {"kind": "moments", "blocks": [[0]], "statistic": "block-cumulant",
+     "order": 2.7},
+    {"kind": "herald", "herald_modes": [0], "measurement": [2.9],
+     "cutoff": 3},
+    {"kind": "herald", "herald_modes": [0], "measurement": [1],
+     "cutoff": 2.5},
+    {"kind": "herald", "herald_modes": [0], "measurement": [1],
+     "cutoff": 3, "target": {"fock": 1.5}},
+    {"kind": "fock-prob", "input": [1.5, 0], "blocks": [[0], [1]],
+     "counts": [1, 0]},
+    {"kind": "pp-estimate", "samples": 100.5, "n_values": [0]},
+    {"kind": "pp-estimate", "samples": 100, "n_values": [0.5]},
 ])
 def test_negative_counts_exit_code(tmp_path, capsys, task):
     config = {"circuit": tmsv_circuit(), "task": task}
@@ -407,6 +476,19 @@ def test_negative_counts_exit_code(tmp_path, capsys, task):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "DomainError"
     assert "non-negative" in err["message"]
+
+
+def test_repeated_total_dist_modes_exit_code(tmp_path, capsys):
+    """A mode counted twice once gave a "distribution" summing to 1.31."""
+    config = {"circuit": {"modes": 2, "squeezing": [0.5, 0.3],
+                          "transmission": (0.9 * np.eye(2)).tolist()},
+              "task": {"kind": "total-dist", "modes": [0, 0],
+                       "max_total": 4}}
+    assert rejected_as(tmp_path, capsys, config)["error"] == "IndexOutOfRange"
+    config["task"]["modes"] = [0]
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--config", write_config(tmp_path, config),
+                     "--output", str(out)]) == 0
 
 
 @pytest.mark.parametrize("target, code, error", [
@@ -435,6 +517,7 @@ def test_bad_herald_target_exit_code(tmp_path, capsys, target, code, error):
     ("herald", {"fock": 5}, 2),
     ("fock-herald", [1.0] * 6, 2),
     ("fock-herald", {"fock": -1}, 2),
+    ("herald", ["x"] * 5, 2),
 ])
 def test_bad_herald_target_is_rejected_before_the_herald(tmp_path, kind,
                                                          target, code):

@@ -11,7 +11,9 @@ from photonsieve import gaussian, hafnian
 from photonsieve.cli import haar_unitary
 from photonsieve.errors import (
     DomainError,
+    IndexOutOfRange,
     LayoutMismatch,
+    NonFinite,
     NumericFailure,
     PartitionMismatch,
     ProbabilityOutOfRange,
@@ -467,9 +469,32 @@ def coupled_internal_state():
     (lambda: dist.moment_mgf(gaussian.thermal_state([1.0], L1),
                              [math.log(2)]), SingularResolvent),
     (lambda: dist.block_cumulant(tmsv(0.4), [0], 0), DomainError),
+    (lambda: dist.moment_mgf(tmsv(0.4), [np.nan, 0.1]), NonFinite),
+    # a fractional count is an error, never truncated
+    (lambda: dist.CoarsePattern([[0]], [1.5]), DomainError),
+    (lambda: dist.prob_fine(gaussian.to_adjacency(tmsv(0.4)), [1.5, 0]),
+     DomainError),
+    (lambda: dist.prob_external(gaussian.to_adjacency(tmsv(0.4)), [0.5, 0]),
+     DomainError),
+    (lambda: dist.prob_external_distinguishable(
+        dist.extract_distinguishable_blocks(gaussian.to_adjacency(tmsv(0.4))),
+        [1.5, 0]), DomainError),
+    (lambda: dist.prob_total(gaussian.to_adjacency(tmsv(0.4)), [0], 1.5),
+     DomainError),
+    (lambda: dist.total_distribution(gaussian.to_adjacency(tmsv(0.4)),
+                                     cutoff=2.5), DomainError),
+    (lambda: dist.block_cumulant(tmsv(0.4), [0], 2.7), DomainError),
+    # a repeated mode is an error, never counted twice
+    (lambda: dist.prob_total(gaussian.to_adjacency(tmsv(0.4)), [0, 0], 1),
+     IndexOutOfRange),
+    (lambda: dist.total_distribution(gaussian.to_adjacency(tmsv(0.4)),
+                                     [0, 0], cutoff=4), IndexOutOfRange),
 ], ids=["pattern-length", "pattern-count", "complex-value",
         "coupled-internals", "block-shape", "non-hermitian-block",
-        "mgf-length", "mgf-diverges", "cumulant-order"])
+        "mgf-length", "mgf-diverges", "cumulant-order", "mgf-nan",
+        "pattern-fraction", "fine-fraction", "external-fraction",
+        "distinguishable-fraction", "total-fraction", "cutoff-fraction",
+        "order-fraction", "total-repeat", "distribution-repeat"])
 def test_validation_errors(call, error):
     with pytest.raises(error):
         call()

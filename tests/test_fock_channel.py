@@ -114,8 +114,10 @@ def test_input_validation():
         fc.FockInput((1, 0), 1.1 * np.eye(2))
     with pytest.raises(PartitionMismatch):
         fc.FockInput((1,), np.eye(2))
-    with pytest.raises(PartitionMismatch):
+    with pytest.raises(DomainError):
         fc.FockInput((-1, 0), np.eye(2))
+    with pytest.raises(DomainError):
+        fc.FockInput((1.5, 0), np.eye(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -226,6 +226,10 @@ def test_length_checks():
      IndexOutOfRange),
     (lambda: gaussian.marginal_state(gaussian.from_squeezing([0.5], L1), [1]),
      IndexOutOfRange),
+    (lambda: gaussian.reduce_modes(gaussian.to_adjacency(
+        gaussian.from_squeezing([0.5, 0.3], L2)), [1, 1]), IndexOutOfRange),
+    (lambda: gaussian.marginal_state(
+        gaussian.from_squeezing([0.5, 0.3], L2), [0, 0]), IndexOutOfRange),
     (lambda: gaussian.impure_source([-0.1, 0.5], 0.9,
                                     gaussian.ModeLayout(2, 2)), DomainError),
     (lambda: gaussian.impure_source([0.5], 0.9, gaussian.ModeLayout(2, 2)),
@@ -233,7 +237,8 @@ def test_length_checks():
 ], ids=["layout", "internal-index", "state-shape", "not-hermitian",
         "not-positive", "means-halves", "rep-shape", "not-symmetric",
         "thermal-length", "thermal-negative", "singular-covariance",
-        "reduce-empty", "marginal-mode", "impure-negative", "impure-length"])
+        "reduce-empty", "marginal-mode", "reduce-repeat", "marginal-repeat",
+        "impure-negative", "impure-length"])
 def test_validation_errors(call, error):
     with pytest.raises(error):
         call()

@@ -13,7 +13,8 @@ from photonsieve import distributions as dist
 from photonsieve import fock_channel, gaussian, hafnian
 from photonsieve.cli import haar_unitary
 from photonsieve.distributions import CoarsePattern
-from photonsieve.errors import OddDimension, PartitionMismatch, TooLarge
+from photonsieve.errors import (DomainError, OddDimension, PartitionMismatch,
+                                TooLarge)
 from photonsieve.linalg import xmat
 
 
@@ -186,6 +187,9 @@ def test_power_trace_series_matches_matrix_powers(seed, dim, pinned,
     if pinned:
         scale[rng.random((5, dim)) < 0.3] = 0.0
         scale[3] = 0.0
+    def first(lo, hi, out):
+        np.multiply(scale[lo:hi, :, None], mat, out=out)
+
     want = np.empty((5, 40), dtype=complex)
     for row, z in enumerate(scale):
         power = np.eye(dim)
@@ -198,7 +202,7 @@ def test_power_trace_series_matches_matrix_powers(seed, dim, pinned,
             b = math.isqrt(max(nmax - 1, 0)) + 1
             budget = per_chunk * 16 * dim ** 2 * (b + 3)
         with mock.patch.object(hafnian, "_CHUNK_BYTES", budget):
-            g = hafnian.scaled_power_traces(mat, nmax, scale)
+            g = hafnian.power_trace_series(first, dim, nmax, 5)
         assert g.shape == (5, nmax)
         for row in range(5):
             ref = want[row, :nmax]
@@ -217,9 +221,13 @@ def test_power_trace_series_memory_is_bounded(dim, nmax, npts, limit):
     mat = rand_gamma(rng, (dim, dim))
     mat *= 0.9 / np.linalg.norm(mat, 2)
     scale = np.exp(2j * np.pi * rng.random((npts, dim)))
+
+    def first(lo, hi, out):
+        np.multiply(scale[lo:hi, :, None], mat, out=out)
+
     tracemalloc.start()
     try:
-        hafnian.scaled_power_traces(mat, nmax, scale)
+        hafnian.power_trace_series(first, dim, nmax, npts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -662,6 +670,8 @@ def test_blocked_partition_validation():
         hafnian.blocked_lhaf(a, None, [[0, 1, 2]], [1, 1])  # count per block
     with pytest.raises(PartitionMismatch):
         hafnian.lhaf_sieve(a, None, [1, 1])  # one count per mode
+    with pytest.raises(DomainError):
+        hafnian.blocked_lhaf(a, None, [[0, 1], [2]], [1.5, 0])  # fractional
 
 
 def test_compatible_patterns_count():

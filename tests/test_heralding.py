@@ -109,11 +109,17 @@ def test_merged_embedding_is_compact():
 
 # -- fock elements ------------------------------------------------------------
 
+def fock_index(dm, pattern):
+    """Row of the Fock pattern in ``dm``: row-major over cutoff + 1 photon
+    numbers per mode."""
+    return np.ravel_multi_index(pattern, (dm.cutoff + 1,) * dm.modes)
+
+
 def fock_element(rep, m, n, cutoff=2):
     """<m|rho|n>, read off the state over every mode of ``rep``: a herald
     with no herald modes."""
     dm = heralding.herald_grouped(rep, heralding.HeraldSpec((), (), cutoff))
-    return dm.entries[dm.index_of(m), dm.index_of(n)]
+    return dm.entries[fock_index(dm, m), fock_index(dm, n)]
 
 
 def test_fock_element_vacuum_and_diagonal():
@@ -171,7 +177,7 @@ def test_herald_tmsv_collapse():
         spec = heralding.HeraldSpec(herald_modes=[1], measurement=[n],
                                     cutoff=4)
         dm = heralding.herald_grouped(rep, spec)
-        idx = dm.index_of([n])
+        idx = fock_index(dm, [n])
         assert np.isclose(dm.entries[idx, idx].real,
                           np.tanh(r) ** (2 * n) / np.cosh(r) ** 2,
                           atol=1e-10)
@@ -187,10 +193,11 @@ def test_herald_fine_matches_fock_elements():
     for u in range(4):
         for v in range(4):
             want = fock_element(rep, [v, 1], [u, 1], cutoff=3)
-            assert np.isclose(dm.entries[dm.index_of([v]), dm.index_of([u])],
+            assert np.isclose(dm.entries[fock_index(dm, [v]),
+                                         fock_index(dm, [u])],
                               want, atol=1e-10)
     # lossy herald arm: support leaks above the heralded photon number
-    assert dm.entries[dm.index_of([2]), dm.index_of([2])].real > 1e-6
+    assert dm.entries[fock_index(dm, [2]), fock_index(dm, [2])].real > 1e-6
 
 
 def test_herald_grouped_singletons_equal_fine():
@@ -290,14 +297,20 @@ def test_fidelity():
     (lambda: heralding.HeraldSpec([0], [1], cutoff=1, trace_out=[0]),
      PartitionMismatch),
     (lambda: heralding.DensityMatrix(1, 1, np.eye(3)), LengthMismatch),
-    (lambda: heralding.DensityMatrix(1, 2, np.eye(3)).index_of([3]),
-     IndexOutOfRange),
     (lambda: heralding.build_embedding(tmsv(0.5), [1], [1, 0]),
      LengthMismatch),
     (lambda: heralding.partial_trace(
         heralding.DensityMatrix(2, 1, np.eye(4)), [2]), IndexOutOfRange),
-], ids=["herald-traced-overlap", "entries-shape", "fock-index",
-        "embedding-length", "trace-mode"])
+    (lambda: heralding.partial_trace(
+        heralding.DensityMatrix(2, 1, np.eye(4)), [1, 1]), IndexOutOfRange),
+    (lambda: heralding.HeraldSpec([0], [2.9], cutoff=3), DomainError),
+    (lambda: heralding.HeraldSpec([0], [1], cutoff=2.5), DomainError),
+    (lambda: heralding.kept_modes(
+        heralding.HeraldSpec([0], ([[0.0]], [1]), cutoff=1), 2),
+     IndexOutOfRange),
+], ids=["herald-traced-overlap", "entries-shape", "embedding-length",
+        "trace-mode", "trace-repeat", "herald-fraction", "cutoff-fraction",
+        "block-index-type"])
 def test_validation_errors(call, error):
     with pytest.raises(error):
         call()

@@ -14,6 +14,7 @@ from photonsieve import distributions as dist
 from photonsieve import gaussian, phasespace
 from photonsieve.cli import haar_unitary
 from photonsieve.errors import (
+    DomainError,
     LengthMismatch,
     NonFinite,
     NotSubunitary,
@@ -87,8 +88,12 @@ def test_validation():
         phasespace.PPRun((0.5, 0.5), 1.2 * np.eye(2), 10, 0, (0,))
     with pytest.raises(PartitionMismatch):
         phasespace.PPRun((0.5,), np.eye(1), 0, 0, (0,))
-    with pytest.raises(PartitionMismatch):
+    with pytest.raises(DomainError):
         phasespace.PPRun((0.5,), np.eye(1), 10, 0, (-1,))
+    with pytest.raises(DomainError):
+        phasespace.PPRun((0.5,), np.eye(1), 10, 0, (1.5,))
+    with pytest.raises(DomainError):
+        phasespace.PPRun((0.5,), np.eye(1), 10.5, 0, (0,))
 
 
 def test_vacuum_is_exact():
