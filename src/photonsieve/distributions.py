@@ -19,6 +19,7 @@ from .errors import (
     ProbabilityOutOfRange,
     RankViolation,
     SingularResolvent,
+    TooLarge,
 )
 from .gaussian import marginal_rep, reduce_modes
 from .hafnian import (
@@ -35,6 +36,8 @@ from .hafnian import (
 from .linalg import require_counts, require_finite, xmat
 
 _DEFAULT_TAIL = 1e-7
+# the largest support an automatic cutoff extends to
+_AUTO_CUTOFF_CAP = 1024
 # rounding slack allowed outside [0, 1] before a probability is an error
 _PROB_SLACK = 1e-9
 
@@ -94,7 +97,7 @@ def _real_prob(value):
 def prob_fine(rep, n):
     """Probability of the exact per-mode photon pattern n."""
     n = require_counts(n, "pattern")
-    val = rep.vacuum_prob * lhaf_sieve(rep.a, rep.gamma, n)
+    val = rep.vacuum_prob * lhaf_sieve(rep.a, rep.gamma, n, real=True)
     return _real_prob(val / factorial_product(n))
 
 
@@ -114,7 +117,8 @@ def total_distribution(rep, subset=None, cutoff=None, tail=_DEFAULT_TAIL):
     ``prob_total``, so the entries sum to the vacuum probability of the
     other modes' marginal (1 when the subset holds every mode); the deficit
     is measured against that sum.  With no explicit cutoff the support is
-    extended until the deficit drops below ``tail``.
+    doubled until the deficit drops below ``tail``; a deficit still at or
+    above it at a cutoff of 1024 is ``TooLarge``.
     """
     nmax = 16 if cutoff is None else require_counts([cutoff], "cutoff")[0]
     t = rep.layout.total
@@ -127,15 +131,21 @@ def total_distribution(rep, subset=None, cutoff=None, tail=_DEFAULT_TAIL):
         coeffs = f_coefficients(g)
         probs = np.array([_real_prob(rep.vacuum_prob * c) for c in coeffs])
         deficit = mass - probs.sum()
-        if cutoff is not None or deficit < tail or nmax > 512:
+        if cutoff is not None or deficit < tail:
             break
+        if nmax >= _AUTO_CUTOFF_CAP:
+            raise TooLarge(
+                f"the deficit is still {deficit:.3g} at the automatic "
+                f"cutoff cap {_AUTO_CUTOFF_CAP}, above the tail {tail:.3g}; "
+                "give an explicit cutoff")
         nmax *= 2
     return Distribution(tuple(range(nmax + 1)), probs, deficit)
 
 
 def prob_coarse(rep, cp):
     """Probability of the coarse-grained counts over detector blocks."""
-    val = rep.vacuum_prob * blocked_lhaf(rep.a, rep.gamma, cp.blocks, cp.counts)
+    val = rep.vacuum_prob * blocked_lhaf(rep.a, rep.gamma, cp.blocks,
+                                         cp.counts, real=True)
     return _real_prob(val / factorial_product(cp.counts))
 
 
@@ -204,17 +214,20 @@ def prob_external_distinguishable(blocks, n):
     bt = b.transpose(0, 2, 1)
     if np.max(np.abs(b - bt.conj()), initial=0.0) > 1e-10:
         raise RankViolation("blocks must be Hermitian")
-    sv = np.linalg.svd(b, compute_uv=False)
-    if sv.shape[1] > 2 and np.any(sv[:, 2] > 1e-8
-                                  * np.maximum(sv[:, 0], 1e-300)):
+    # B is Hermitian: its singular values are the |eigenvalues|, and
+    # det(I - B) = prod(1 - eigenvalue)
+    eig = np.linalg.eigvalsh(b)
+    sv = np.sort(np.abs(eig))
+    if sv.shape[1] > 2 and np.any(sv[:, -3] > 1e-8
+                                  * np.maximum(sv[:, -1], 1e-300)):
         raise RankViolation("block has rank above two")
-    vac = np.prod(np.sqrt(np.linalg.det(np.eye(2 * m) - b).real))
+    vac = np.prod(np.sqrt(np.prod(1 - eig, axis=1)))
     d = np.diagonal(b, axis1=1, axis2=2)
     diag = d[:, :m] + d[:, m:]
     bb = b * bt
     cross = bb[:, :m, :m] + bb[:, m:, m:] + bb[:, m:, :m] + bb[:, :m, m:]
     value = sieve_reduce(partial(_rank_two_series, diag, cross), [n],
-                         np.eye(m))[0]
+                         np.eye(m), real=True)[0]
     return _real_prob(vac * value / factorial_product(n))
 
 
@@ -223,12 +236,12 @@ def _rank_two_series(diag, cross, nmax, z):
     from d_l = ``diag[l]`` and C_l = ``cross[l]``."""
     e1 = z @ diag.T                                            # (G, K)
     e2 = (e1 ** 2 - np.einsum("gi,lij,gj->gl", z, cross, z)) / 2
-    g = np.empty((len(z), nmax), dtype=complex)
-    prev, power = 2.0, e1
-    for k in range(1, nmax + 1):
-        g[:, k - 1] = power.sum(axis=1) / (2 * k)
-        prev, power = power, e1 * power - e2 * prev
-    return g
+    p = np.empty((nmax + 1,) + e1.shape, dtype=complex)       # p_0..p_nmax
+    p[0], p[1:2] = 2.0, e1                  # p_1 is absent when nmax = 0
+    for k in range(2, nmax + 1):
+        np.multiply(e1, p[k - 1], out=p[k])
+        p[k] -= e2 * p[k - 2]
+    return p[1:].sum(axis=2).T / (2 * np.arange(1, nmax + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +286,7 @@ def coarse_moment(state, blocks):
     if not len(expand):
         return 1.0
     values, _ = grid_coefficients(partial(g_coefficients, a, gamma), expand,
-                                  [[1] * len(expand)])
+                                  [[1] * len(expand)], real=True)
     return _real(values[0])
 
 

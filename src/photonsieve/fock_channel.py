@@ -103,7 +103,7 @@ def fock_coarse_prob(fi, cp):
                           np.einsum("ai,ja,al->jil", t.conj(), expand, t))
     counts = [fi.p[i] for i in occ] + list(cp.counts) + [nin - nout]
     val = sieve_reduce(series, [counts], np.eye(len(counts)),
-                       groups=[range(d), range(d, len(counts))])
+                       groups=[range(d), range(d, len(counts))], real=True)
     return _real_prob(val[0] / factorial_product(counts))
 
 

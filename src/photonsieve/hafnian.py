@@ -20,8 +20,11 @@ Eight layers, from slow-and-certain to fast:
                          the log series is an argument.  What depends only
                          on the count rows and groups (pins, sizes, scale,
                          phases) is planned once per rows and groups
-                         (``_grid_plan``), and the unit-circle points once
-                         per grid shape (``_unit_grid``);
+                         (``_grid_plan``), and the unit-circle points and
+                         their conjugate pairs once per grid shape
+                         (``_unit_grid``, ``_conj_pairs``); a real series
+                         (every probability and moment, and the diagonal
+                         herald class) runs on one point per pair;
 * ``sieve_reduce``       the one fold-and-certify routine: rows of count
                          patterns from one unit-circle grid, each row that
                          drowns in cancellation folded again on its own
@@ -118,16 +121,15 @@ def f_coefficients(g):
 
     Leading axes of ``g`` are a batch.  Differentiating f = exp(sum g_k
     eta^k) gives the Newton recurrence f_n = (1/n) sum_k k g_k f_(n-k),
-    N steps of one batched dot product each.
+    N steps of one batched row-by-column ``matmul`` each.
     """
     g = np.asarray(g)
     n = g.shape[-1]
     c = np.zeros(g.shape[:-1] + (n + 1,), dtype=np.result_type(g, float))
     c[..., 0] = 1.0
-    kg = g * np.arange(1, n + 1)
+    kg = (g * np.arange(1, n + 1))[..., None, :]
     for i in range(1, n + 1):
-        c[..., i] = np.einsum("...k,...k->...", kg[..., :i],
-                              c[..., i - 1::-1]) / i
+        c[..., i] = (kg[..., :i] @ c[..., i - 1::-1, None])[..., 0, 0] / i
     return c
 
 
@@ -227,7 +229,8 @@ def f_n(a, gamma=None, n=0):
 # roots-of-unity sieve
 # ---------------------------------------------------------------------------
 
-def grid_coefficients(series, expand, targets, radii=None, groups=None):
+def grid_coefficients(series, expand, targets, radii=None, groups=None,
+                      real=False):
     """Blocked loop Hafnians of many count patterns from one sieve grid.
 
     ``series(nmax, scale)`` returns g_1..g_nmax at every row of ``scale``
@@ -257,6 +260,14 @@ def grid_coefficients(series, expand, targets, radii=None, groups=None):
     ``_unit_grid``; a call then forms the points, evaluates the series and
     reads out.
 
+    ``real`` declares real Taylor coefficients, as every probability and
+    moment has.  The pins and radii are real, so point m and its partner
+    -m mod L_j carry conjugate values, f_N(conj z) = conj f_N(z): the
+    series runs on one point of each pair (``_conj_pairs``), each partner
+    is filled by conjugation, and the fold and mass are the full grid's.
+    Complex coefficients, as of an off-diagonal herald class, need every
+    point.
+
     Returns (values, masses) over the rows of ``targets``: value =
     prod k_j! [z^k] f_N, and mass = prod(k_j! / (L_j r_j^k_j)) times
     sum_m |f_N(z_m)| over the grid (L_e = 1), the absolute fold mass,
@@ -270,16 +281,26 @@ def grid_coefficients(series, expand, targets, radii=None, groups=None):
         radii = np.asarray(radii, float)
         live = radii[list(plan.live), None] * live
         pinned = radii[list(plan.pinned), None] * pinned
-    zgrid = _unit_grid(plan.shape) @ live + pinned.sum(axis=0)
-    f = f_coefficients(series(plan.nmax, zgrid))
+    units = _unit_grid(plan.shape)
+    half = _conj_pairs(plan.shape) if real else None
+    if half is not None:
+        units = units[half.reps]
+    f = f_coefficients(series(plan.nmax, units @ live + pinned.sum(axis=0)))
     values = np.empty(len(targets), dtype=complex)
     masses = np.empty(len(targets))
+    columns = {}
     for row, (n, scale, phases) in enumerate(plan.reads):
-        value = f[:, n].reshape(plan.shape)
+        if n not in columns:
+            column = f[:, n]
+            if half is not None:   # each partner takes its conjugate
+                column = column[half.source]
+                np.conjugate(column, out=column, where=half.flip)
+            columns[n] = column
+        value = columns[n].reshape(plan.shape)
         for phase in phases[::-1]:
             value = value @ phase
         values[row] = value * scale
-        masses[row] = np.abs(f[:, n]).sum() * scale
+        masses[row] = np.abs(columns[n]).sum() * scale
     if radii is not None:
         dilation = np.prod(radii ** targets, axis=1)
         values /= dilation
@@ -339,6 +360,30 @@ def _unit_grid(shape):
     return _frozen(grid.reshape(len(shape), math.prod(shape)).T.copy())
 
 
+class _ConjPairs(NamedTuple):
+    """One point of each conjugate pair of a grid shape, in C order."""
+    reps: np.ndarray     # the grid indices of the representatives
+    source: np.ndarray   # per grid point, its representative's position
+    flip: np.ndarray     # per grid point, whether it is the conjugate
+
+
+@lru_cache(maxsize=128)
+def _conj_pairs(shape):
+    """The ``_ConjPairs`` of a grid of ``shape``, the lower C index of
+    each pair m, -m mod L_j representing it; None when no axis exceeds 2
+    points, where every point is its own conjugate."""
+    if max(shape, default=0) <= 2:
+        return None
+    index = np.arange(math.prod(shape), dtype=np.int32).reshape(shape)
+    partner = index[np.ix_(*(-np.arange(size) % size for size in shape))]
+    index, partner = index.ravel(), partner.ravel()
+    keep = index <= partner
+    position = np.cumsum(keep, dtype=np.int32) - 1
+    return _ConjPairs(_frozen(np.flatnonzero(keep).astype(np.int32)),
+                      _frozen(position[np.minimum(index, partner)]),
+                      _frozen(~keep))
+
+
 # circle dilations of the fold: unit circles first, then radii
 # d**(k_j/k_max) for a row whose fold is still dominated by cancellation;
 # and the fraction of the absolute fold mass a result must exceed to count
@@ -358,11 +403,13 @@ def fold_is_sound(value, mass, abs_tol=None):
     return abs_tol is not None and _EPS * mass <= abs_tol
 
 
-def sieve_reduce(series, targets, expand, abs_tol=None, groups=None):
+def sieve_reduce(series, targets, expand, abs_tol=None, groups=None,
+                 real=False):
     """The rows of ``targets`` (count patterns over the variables) of the
     log series ``series``, folded and certified; ``expand`` maps variable
     columns to mode columns, ``abs_tol`` is None or one absolute tolerance
-    (or None) per row, and ``groups`` are as in ``grid_coefficients``.
+    (or None) per row, and ``groups`` and ``real`` (for every grid,
+    re-folds included) are as in ``grid_coefficients``.
 
     Every row is read off one grid on unit circles.  The absolute fold mass
     bounds the rounding error of the fold, so it doubles as a condition
@@ -381,7 +428,7 @@ def sieve_reduce(series, targets, expand, abs_tol=None, groups=None):
         raise DomainError("counts must be non-negative")
     tols = [None] * len(targets) if abs_tol is None else list(abs_tol)
     values, masses = grid_coefficients(series, expand, targets,
-                                       groups=groups)
+                                       groups=groups, real=real)
     for row, (k, tol) in enumerate(zip(targets, tols)):
         if len(set(k.tolist()) - {0}) < 2:
             continue
@@ -389,7 +436,8 @@ def sieve_reduce(series, targets, expand, abs_tol=None, groups=None):
             if fold_is_sound(values[row], masses[row], tol):
                 break
             cand, cmass = grid_coefficients(series, expand, [k],
-                                            boost ** (k / k.max()), groups)
+                                            boost ** (k / k.max()), groups,
+                                            real)
             if cmass[0] < masses[row]:
                 values[row], masses[row] = cand[0], cmass[0]
     if not np.isfinite(values).all():
@@ -397,14 +445,16 @@ def sieve_reduce(series, targets, expand, abs_tol=None, groups=None):
     return values
 
 
-def lhaf_sieve(a, gamma, pattern):
-    """Loop Hafnian of the repeated matrix A_{n (+) n} via the sieve."""
+def lhaf_sieve(a, gamma, pattern, real=False):
+    """Loop Hafnian of the repeated matrix A_{n (+) n} via the sieve;
+    ``real`` as in ``blocked_lhaf``."""
     nmodes = np.shape(a)[0] // 2
     if len(pattern) != nmodes:
         raise PartitionMismatch(
             f"pattern length {len(pattern)} != mode count {nmodes}"
         )
-    return blocked_lhaf(a, gamma, [(j,) for j in range(nmodes)], pattern)
+    return blocked_lhaf(a, gamma, [(j,) for j in range(nmodes)], pattern,
+                        real)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +480,17 @@ def compatible_patterns(blocks, b, nmodes):
         yield tuple(fine)
 
 
-def blocked_lhaf(a, gamma, blocks, b):
-    """Blocked loop Hafnian: one sieve variable per block."""
+def blocked_lhaf(a, gamma, blocks, b, real=False):
+    """Blocked loop Hafnian: one sieve variable per block.  ``real``, as
+    in ``grid_coefficients``, holds for the adjacency of a physical state,
+    not for an arbitrary complex matrix."""
     a = np.asarray(a, dtype=complex)
     expand = partition_expansion(blocks, a.shape[0] // 2)
     b = require_counts(b)
     if len(b) != len(blocks):
         raise PartitionMismatch("one count per block required")
-    return sieve_reduce(partial(g_coefficients, a, gamma), [b], expand)[0]
+    return sieve_reduce(partial(g_coefficients, a, gamma), [b], expand,
+                        real=real)[0]
 
 
 def block_expansion(blocks, nmodes):

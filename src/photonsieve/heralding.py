@@ -231,14 +231,16 @@ def herald_density(nkept, cutoff, counts, embed, build, vacuum=1.0):
     v!) and its norm factor (the e! of e lost photons for a Fock input, 1
     for a Gaussian state).  The diagonal comes first: the trace sets the
     scale of the state, and off-diagonal elements only need absolute
-    accuracy 1e-9 * trace.
+    accuracy 1e-9 * trace.  A diagonal class generates joint probabilities,
+    real coefficients, and takes the half grid (``grid_coefficients``); an
+    off-diagonal class does not.
     """
     patterns = list(product(range(cutoff + 1), repeat=nkept))
     dim = len(patterns)
     entries = np.zeros((dim, dim), dtype=complex)
     hfact = factorial_product(counts)
 
-    def fill(pairs, abs_tol):
+    def fill(pairs, abs_tol, real):
         classes = {}
         for i, j in pairs:
             element = embed(patterns[j], patterns[i])
@@ -254,7 +256,7 @@ def herald_density(nkept, cutoff, counts, embed, build, vacuum=1.0):
                     for *_, norm in members]
             series, expand, groups = build(key)
             values = sieve_reduce(series, [ks for _, _, ks, _ in members],
-                                  expand, tols, groups)
+                                  expand, tols, groups, real)
             for (i, j, _, norm), value in zip(members, values):
                 val = complex(vacuum * value / norm)
                 if j == i:
@@ -263,10 +265,10 @@ def herald_density(nkept, cutoff, counts, embed, build, vacuum=1.0):
                     entries[i, j] = val
                     entries[j, i] = np.conj(val)
 
-    fill([(i, i) for i in range(dim)], None)
+    fill([(i, i) for i in range(dim)], None, True)
     tol = 1e-9 * abs(np.trace(entries).real)
     fill([(i, j) for i in range(dim) for j in range(i + 1, dim)],
-         tol if tol > 0 else None)
+         tol if tol > 0 else None, False)
     return DensityMatrix(nkept, cutoff, entries)
 
 

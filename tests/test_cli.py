@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from unittest import mock
@@ -18,9 +19,11 @@ def write_config(tmp_path, config, name="config.json"):
 
 
 def run_cli(args):
+    # the child imports photonsieve from where this process found it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     return subprocess.run(
         [sys.executable, "-m", "photonsieve.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
 
 
@@ -489,6 +492,15 @@ def test_repeated_total_dist_modes_exit_code(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert cli.main(["run", "--config", write_config(tmp_path, config),
                      "--output", str(out)]) == 0
+
+
+def test_total_dist_above_its_tail_exit_code(tmp_path, capsys):
+    """A total-dist task without max_total once returned a deficit of
+    1.4e-3 against its 1e-7 tail with exit 0."""
+    config = {"circuit": {"modes": 1, "squeezing": [3.0]},
+              "task": {"kind": "total-dist"}}
+    err = rejected_as(tmp_path, capsys, config)
+    assert err["error"] == "TooLarge" and "cutoff" in err["message"]
 
 
 @pytest.mark.parametrize("target, code, error", [

@@ -19,6 +19,7 @@ from photonsieve.errors import (
     ProbabilityOutOfRange,
     RankViolation,
     SingularResolvent,
+    TooLarge,
 )
 
 L1 = gaussian.ModeLayout(1)
@@ -79,6 +80,18 @@ def test_total_distribution_auto_cutoff():
     assert d.deficit < 1e-7
     assert np.all(d.probabilities >= 0)
     assert np.isclose(d.probabilities[0], 1 / np.cosh(0.6), atol=1e-12)
+
+
+def test_total_distribution_raises_above_its_tail():
+    """Without a cutoff the support doubles up to 1024 photons; a deficit
+    still at or above the tail there is an error, never a result."""
+    rep = gaussian.to_adjacency(gaussian.from_squeezing([2.0], L1))
+    d = dist.total_distribution(rep)
+    assert len(d.support) == 513 and 0 <= d.deficit < 1e-7
+    rep = gaussian.to_adjacency(gaussian.from_squeezing([3.0], L1))
+    with pytest.raises(TooLarge, match="1024.*cutoff"):
+        dist.total_distribution(rep)
+    assert len(dist.total_distribution(rep, cutoff=2048).support) == 2049
 
 
 def test_total_distribution_on_a_subset_stops():

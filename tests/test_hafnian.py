@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonsieve import distributions as dist
-from photonsieve import fock_channel, gaussian, hafnian
+from photonsieve import fock_channel, gaussian, hafnian, heralding
 from photonsieve.cli import haar_unitary
 from photonsieve.distributions import CoarsePattern
 from photonsieve.errors import (DomainError, OddDimension, PartitionMismatch,
@@ -455,9 +456,110 @@ def test_grid_has_fewest_points_over_every_pin(rows, split):
     assert seen == [want]
 
 
+def fock_gram_series():
+    """The real-coefficient Fock series of two occupied inputs with a
+    complex Gram matrix, two output blocks and the loss variable: five
+    variables in the homogeneous groups (x_1, x_2), (y_1, y_2, y_env)."""
+    t = np.sqrt(0.8) * haar_unitary(3, 4)[:, :2]
+    gram = np.array([[1.0, 0.6 * np.exp(0.7j)], [0.6 * np.exp(-0.7j), 1.0]])
+    w = [t[b].conj().T @ t[b] for b in ([0], [1, 2])]
+    return fock_channel._fock_series(t, gram, np.array(w))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(two_groups=st.booleans(),
+       rows=st.lists(st.lists(st.integers(0, 5), min_size=5, max_size=5),
+                     min_size=1, max_size=3),
+       radii=st.none() | st.lists(st.floats(0.5, 2.0), min_size=5,
+                                  max_size=5))
+def test_half_grid_equals_full_grid(two_groups, rows, radii):
+    """A real generating function folds on one point per conjugate pair
+    to the full grid's values and masses: odd and even axes, one-point
+    grids, pinned variables, one group (a displaced lossy Gaussian state)
+    or two (a Fock series with a complex Gram matrix), on unit or dilated
+    circles.  The two grids differ at each partner point by the series'
+    own rounding, a few eps of |f_N| on either grid (the full grid's
+    imaginary part alone, which is exactly zero, reaches 1.3e-15 * mass on
+    these series), so they agree within 16 eps * mass; the half grid is
+    conjugate-symmetric, so its values are real to the fold's rounding."""
+    nvar = 5 if two_groups else 3
+    series, groups = ((fock_gram_series(), [range(2), range(2, 5)])
+                      if two_groups else (displaced_lossy_series(), None))
+    rows = [row[:nvar] for row in rows]
+    radii = None if radii is None else radii[:nvar]
+    args = (series, np.eye(nvar), rows, radii, groups)
+    half, half_mass = hafnian.grid_coefficients(*args, real=True)
+    full, full_mass = hafnian.grid_coefficients(*args)
+    assert np.all(np.abs(half - full) <= 16 * hafnian._EPS * full_mass)
+    assert np.all(np.abs(half_mass - full_mass) <= 16 * hafnian._EPS
+                  * full_mass)
+    assert np.all(np.abs(half.imag) <= 1e-15 * full_mass)
+
+
+@contextlib.contextmanager
+def grid_spy():
+    """Per ``grid_coefficients`` call: (its grid shape, ``real``, the
+    point counts its series saw)."""
+    calls, original = [], hafnian.grid_coefficients
+
+    def spy(series, expand, targets, radii=None, groups=None, real=False):
+        seen = []
+
+        def counted(nmax, z):
+            seen.append(len(z))
+            return series(nmax, z)
+        rows = np.asarray(targets, dtype=int).reshape(-1, expand.shape[0])
+        plan = hafnian._grid_plan(
+            tuple(map(tuple, rows.tolist())),
+            None if groups is None else tuple(map(tuple, groups)))
+        calls.append((plan.shape, real, seen))
+        return original(counted, expand, targets, radii, groups, real)
+    with mock.patch.object(hafnian, "grid_coefficients", spy):
+        yield calls
+
+
+def test_real_grids_evaluate_one_point_per_conjugate_pair():
+    """A real call evaluates its series at (G + s) / 2 of its G points, s
+    of them self-conjugate (m_j = 0 or L_j / 2 on every axis): fine and
+    Fock probabilities and diagonal herald classes.  A default
+    ``blocked_lhaf`` call and every off-diagonal herald class, whose
+    coefficients are complex, evaluate all G."""
+    def points(shape, real):
+        g = math.prod(shape)
+        s = math.prod(2 - size % 2 for size in shape)
+        return (g + s) // 2 if real else g
+
+    rep = displaced_lossy_rep()
+    fi = fock_channel.FockInput((2, 1, 0), np.sqrt(0.8) * haar_unitary(3, 4))
+    runs = [
+        (lambda: dist.prob_fine(rep, (6, 5, 3)), True),
+        (lambda: hafnian.blocked_lhaf(rep.a, rep.gamma, [(0,), (1,), (2,)],
+                                      (6, 5, 3)), False),
+        (lambda: fock_channel.fock_coarse_prob(
+            fi, CoarsePattern([[0], [1, 2]], (1, 1))), True),
+    ]
+    for run, real in runs:
+        with grid_spy() as calls:
+            run()
+        assert calls and points(calls[0][0], True) < points(calls[0][0],
+                                                            False)
+        for shape, flag, seen in calls:
+            assert flag == real and seen == [points(shape, real)]
+    spec = heralding.HeraldSpec([0], [2], cutoff=3)
+    with grid_spy() as calls:
+        heralding.herald_grouped(rep, spec)
+    flags = [flag for _, flag, _ in calls]
+    assert flags == sorted(flags, reverse=True) and len(set(flags)) == 2
+    for shape, flag, seen in calls:
+        assert seen == [points(shape, flag)]
+    assert any(points(shape, True) < points(shape, False)
+               for shape, flag, _ in calls if not flag)
+
+
 def clear_plan_caches():
     for cache in (hafnian._grid_plan, hafnian._unit_grid, hafnian._phases,
-                  hafnian._block_expansion, hafnian._partition_expansion):
+                  hafnian._conj_pairs, hafnian._block_expansion,
+                  hafnian._partition_expansion):
         cache.cache_clear()
 
 
@@ -468,13 +570,14 @@ def test_grid_plan_caches_are_safe():
     series = displaced_lossy_series()
     expand = np.eye(3)
     rows = [[2, 1, 3], [1, 2, 3], [4, 0, 2], [0, 0, 0], [1, 1, 1]]
-    clear_plan_caches()
-    fresh = hafnian.grid_coefficients(series, expand, rows)
-    cached = hafnian.grid_coefficients(series, expand, rows)
-    clear_plan_caches()
-    again = hafnian.grid_coefficients(series, expand, rows)
-    for got in (cached, again):
-        assert all(np.array_equal(x, y) for x, y in zip(got, fresh))
+    for real in (False, True):
+        clear_plan_caches()
+        fresh = hafnian.grid_coefficients(series, expand, rows, real=real)
+        cached = hafnian.grid_coefficients(series, expand, rows, real=real)
+        clear_plan_caches()
+        again = hafnian.grid_coefficients(series, expand, rows, real=real)
+        for got in (cached, again):
+            assert all(np.array_equal(x, y) for x, y in zip(got, fresh))
     radii = [2.0, 0.5, 1.5]
     clear_plan_caches()
     dilated = hafnian.grid_coefficients(series, expand, rows[:1], radii)
@@ -485,9 +588,10 @@ def test_grid_plan_caches_are_safe():
     plan = hafnian._grid_plan(tuple(map(tuple, rows)), None)
     arrays = [hafnian._unit_grid(plan.shape),
               hafnian.block_expansion([(0, 1), (2,)], 3),
-              hafnian.partition_expansion([(0,), (1, 2)], 3)]
+              hafnian.partition_expansion([(0,), (1, 2)], 3),
+              *hafnian._conj_pairs(plan.shape)]
     arrays += [a for *_, phases in plan.reads for a in phases]
-    assert len(plan.reads) == len(rows) and arrays[3:]
+    assert len(plan.reads) == len(rows) and arrays[6:]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0
@@ -575,10 +679,14 @@ def test_fold_is_sound_rules():
 HARD = [20, 1, 5]
 
 
-def displaced_lossy_series():
+def displaced_lossy_rep():
     s = gaussian.from_squeezing([1.0, 0.8, 0.6], gaussian.ModeLayout(3))
     s = gaussian.apply_channel(s, np.sqrt(0.85) * haar_unitary(3, 0))
-    rep = gaussian.to_adjacency(gaussian.displace(s, [0.1, 0.1, 0.1]))
+    return gaussian.to_adjacency(gaussian.displace(s, [0.1, 0.1, 0.1]))
+
+
+def displaced_lossy_series():
+    rep = displaced_lossy_rep()
     return partial(hafnian.g_coefficients, rep.a, rep.gamma)
 
 
