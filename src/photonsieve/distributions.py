@@ -33,7 +33,7 @@ from .hafnian import (
     lhaf_sieve,
     sieve_reduce,
 )
-from .linalg import require_counts, require_finite, xmat
+from .linalg import require_counts, require_finite, swap_halves
 
 _DEFAULT_TAIL = 1e-7
 # the largest support an automatic cutoff extends to
@@ -177,19 +177,15 @@ def extract_distinguishable_blocks(rep):
                              "fast path")
     lay = rep.layout
     m, k = lay.externals, lay.internals_per_external
-    t = lay.total
-    xa = xmat(t) @ rep.a
-    blocks = []
-    # entries outside every extracted block must vanish
-    mask = np.zeros((2 * t, 2 * t), dtype=bool)
-    for l in range(k):
-        idx = [i * k + l for i in range(m)]
-        idx += [t + i for i in idx]
-        blocks.append(xa[np.ix_(idx, idx)])
-        mask[np.ix_(idx, idx)] = True
-    if np.max(np.abs(np.where(mask, 0, xa))) > 1e-10:
+    # X A over (half, external, internal) x (half, external, internal)
+    xa = swap_halves(rep.a).reshape(2, m, k, 2, m, k)
+    # entries between distinct internal modes must vanish
+    if np.max(np.abs(xa), where=~np.eye(k, dtype=bool)[:, None, None, :],
+              initial=0.0) > 1e-10:
         raise LayoutMismatch("internal modes are coupled; blocks do not split")
-    return blocks
+    # the blocks: the diagonal over the two internal axes, internal first
+    r = np.arange(k)
+    return list(xa[:, :, r, :, :, r].reshape(k, 2 * m, 2 * m))
 
 
 def prob_external_distinguishable(blocks, n):
@@ -273,8 +269,8 @@ def _moment_generator(state, blocks):
     scaled by w_i, this (A, gamma) generates E[prod_i (1 + w_i)^n_i]."""
     nm = state.layout.total
     blocks = [tuple(b) for b in blocks]
-    x = xmat(nm)
-    return x @ _normal_cov(state), x @ state.means, block_expansion(blocks, nm)
+    return (swap_halves(_normal_cov(state)), swap_halves(state.means),
+            block_expansion(blocks, nm))
 
 
 def coarse_moment(state, blocks):

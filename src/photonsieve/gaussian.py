@@ -4,6 +4,11 @@ States live in the ladder-operator ordering (a_1..a_T, a_1^†..a_T^†) with th
 Husimi covariance convention: vacuum has covariance I. The adjacency
 representation (A, gamma, vacuum probability) is what the Hafnian kernels
 consume.
+
+A covariance is Hermitian (to 1e-10), so every check factorizes it once and
+reads one triangle: a state is positive definite and obeys the uncertainty
+bound when two Cholesky factors exist, and the adjacency conversion reads
+its condition number and log-determinant off one ``eigvalsh``.
 """
 
 from dataclasses import dataclass
@@ -20,11 +25,11 @@ from .errors import (
     NotSymmetric,
     SingularCovariance,
 )
-from .linalg import (STRUCTURE_TOL, require_finite, require_modes,
-                     require_subunitary, xmat)
+from .linalg import (STRUCTURE_TOL, require_counts, require_finite,
+                     require_modes, require_subunitary, swap_halves)
 
 _COND_LIMIT = 1e12
-_UNCERTAINTY_TOL = -1e-9
+_UNCERTAINTY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,8 +44,12 @@ class ModeLayout:
     internals_per_external: int = 1
 
     def __post_init__(self):
-        if self.externals < 1 or self.internals_per_external < 1:
+        counts = (self.externals, self.internals_per_external)
+        if any(c < 1 for c in counts):
             raise LayoutMismatch("layout needs positive mode counts")
+        m, k = require_counts(counts, "mode counts")
+        object.__setattr__(self, "externals", m)
+        object.__setattr__(self, "internals_per_external", k)
 
     @property
     def total(self):
@@ -53,11 +62,13 @@ class ModeLayout:
         return list(range(external * k, (external + 1) * k))
 
 
-def _zmat(t):
-    z = np.zeros((2 * t, 2 * t), dtype=complex)
-    z[:t, :t] = np.eye(t)
-    z[t:, t:] = -np.eye(t)
-    return z
+def _require_cholesky(mat, message):
+    """Raise ``NotPositiveDefinite(message)`` unless ``mat`` has a Cholesky
+    factor."""
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(message) from None
 
 
 @dataclass(frozen=True)
@@ -81,12 +92,12 @@ class GaussianState:
         require_finite(z, "means")
         if np.max(np.abs(cov - cov.conj().T)) > STRUCTURE_TOL:
             raise NotHermitian("Husimi covariance is not Hermitian")
-        if np.min(np.linalg.eigvalsh(cov)) <= 0:
-            raise NotPositiveDefinite("Husimi covariance is not positive definite")
-        # physicality: normal-ordered covariance plus commutator term is PSD
-        phys = cov + (_zmat(t) - np.eye(2 * t)) / 2
-        if np.min(np.linalg.eigvalsh(phys)) < _UNCERTAINTY_TOL:
-            raise NotPositiveDefinite("state violates the uncertainty bound")
+        _require_cholesky(cov, "Husimi covariance is not positive definite")
+        # physicality: cov + (Z - I)/2, the normal-ordered covariance plus
+        # the commutator term, is PSD down to -1e-9
+        shift = np.repeat([_UNCERTAINTY_SLACK, _UNCERTAINTY_SLACK - 1], t)
+        _require_cholesky(cov + np.diag(shift),
+                          "state violates the uncertainty bound")
         if np.max(np.abs(z[t:] - z[:t].conj())) > STRUCTURE_TOL:
             raise LayoutMismatch("means halves are not conjugate")
         object.__setattr__(self, "husimi_cov", cov)
@@ -125,16 +136,14 @@ def from_squeezing(xi, layout):
     t = layout.total
     if len(xi) != t:
         raise LengthMismatch(f"need {t} squeeze parameters, got {len(xi)}")
+    r = np.abs(xi)
+    phase = np.divide(xi, r, out=np.ones_like(xi), where=r > 0)
+    c, s = np.cosh(r), np.sinh(r)
+    k = np.arange(t)
     cov = np.eye(2 * t, dtype=complex)
-    for k in range(t):
-        r = abs(xi[k])
-        if r == 0:
-            continue
-        phase = xi[k] / r
-        c, s = np.cosh(r), np.sinh(r)
-        cov[k, k] = cov[t + k, t + k] = c * c
-        cov[k, t + k] = phase * s * c
-        cov[t + k, k] = np.conj(phase) * s * c
+    cov[k, k] = cov[t + k, t + k] = c * c
+    cov[k, t + k] = phase * s * c
+    cov[t + k, k] = phase.conj() * s * c
     return GaussianState(cov, np.zeros(2 * t, dtype=complex), layout)
 
 
@@ -184,20 +193,25 @@ def apply_channel(state, t):
 # ---------------------------------------------------------------------------
 
 def adjacency_from_cov(cov, means, layout):
-    """A = X(I - Sigma^-1), gamma = X Sigma^-1 means, and Pr(vacuum)."""
+    """A = X(I - Sigma^-1), gamma = X Sigma^-1 means, and Pr(vacuum).
+
+    ``cov`` must be Hermitian; its spectrum, read from one triangle, gives
+    both the conditioning check (largest over smallest eigenvalue at most
+    1e12) and log det Sigma.
+    """
     cov = np.asarray(cov, dtype=complex)
     means = np.asarray(means, dtype=complex)
-    t = layout.total
-    if np.linalg.cond(cov) > _COND_LIMIT:
+    lam = np.linalg.eigvalsh(cov)
+    if lam[0] <= 0:
+        raise NotPositiveDefinite("Husimi covariance is not positive definite")
+    if lam[-1] > _COND_LIMIT * lam[0]:
         raise SingularCovariance("Husimi covariance is numerically singular")
     inv = np.linalg.inv(cov)
-    x = xmat(t)
-    a = x @ (np.eye(2 * t) - inv)
+    a = swap_halves(np.eye(len(cov)) - inv)
     a = (a + a.T) / 2  # remove roundoff asymmetry
-    gamma = x @ inv @ means
-    sign, logdet = np.linalg.slogdet(cov)
+    gamma = swap_halves(inv @ means)
     quad = means.conj() @ inv @ means
-    vac = np.exp(-quad / 2 - logdet / 2) / np.sqrt(sign)
+    vac = np.exp(-quad / 2 - np.sum(np.log(lam)) / 2)
     return AdjacencyRep(a, gamma, complex(vac), layout)
 
 
@@ -230,9 +244,9 @@ def marginal_rep(rep, keep):
     this sums over all outcomes of the excluded modes exactly.
     """
     t = rep.layout.total
-    keep = list(keep)
-    cov = np.linalg.inv(np.eye(2 * t) - xmat(t) @ rep.a)
-    means = cov @ xmat(t) @ rep.gamma
+    keep = require_modes(keep, t)
+    cov = np.linalg.inv(np.eye(2 * t) - swap_halves(rep.a))
+    means = cov @ swap_halves(rep.gamma)
     idx = keep + [t + i for i in keep]
     return adjacency_from_cov(
         cov[np.ix_(idx, idx)], means[idx], ModeLayout(len(keep), 1)

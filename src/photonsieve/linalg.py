@@ -64,3 +64,10 @@ def xmat(m):
     x[:m, m:] = np.eye(m)
     x[m:, :m] = np.eye(m)
     return x
+
+
+def swap_halves(m):
+    """``xmat(len(m) // 2) @ m`` without the product: the two halves of the
+    rows of ``m`` (a vector or a matrix) swapped."""
+    t = len(m) // 2
+    return np.concatenate([m[t:], m[:t]])

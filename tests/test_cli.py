@@ -18,11 +18,11 @@ def write_config(tmp_path, config, name="config.json"):
     return str(path)
 
 
-def run_cli(args):
+def run_cli(args, module="photonsieve.cli"):
     # the child imports photonsieve from where this process found it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     return subprocess.run(
-        [sys.executable, "-m", "photonsieve.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True, text=True, env=env,
     )
 
@@ -281,6 +281,44 @@ def test_unknown_kind_and_missing_field(tmp_path, capsys):
                           "transmission": np.eye(3).tolist()},
               "task": fine}, "LayoutMismatch")):
         assert rejected_as(tmp_path, capsys, config)["error"] == error
+
+
+def test_package_runs_as_a_module(tmp_path, capsys):
+    config = {"circuit": tmsv_circuit(),
+              "task": {"kind": "fine-prob", "pattern": [1, 1]}}
+    path = write_config(tmp_path, config)
+    proc = run_cli(["run", "--config", path], module="photonsieve")
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["run", "--config", path]) == 0
+    assert json.loads(proc.stdout) == json.loads(capsys.readouterr().out)
+
+
+def test_state_factorization_budget():
+    """build_state and to_adjacency of a 4 x 4 distinguishable circuit, a
+    32 x 32 covariance: one Cholesky factor per check (two checks for each
+    of the two states built), one eigvalsh and one inverse of the final
+    covariance, and the one SVD of the 16 x 16 transmission."""
+    u = np.sqrt(0.85) * cli.haar_unitary(4, 11)
+    xi = np.zeros(16)
+    xi[[0, 5, 10, 15]] = [0.9, 0.8, 0.7, 0.6]
+    circ = {"modes": 4, "internals": 4, "squeezing": xi.tolist(),
+            "transmission": [[[v.real, v.imag] for v in row] for row in u]}
+    names = ["cholesky", "cond", "det", "eig", "eigh", "eigvals", "eigvalsh",
+             "inv", "lstsq", "matrix_rank", "pinv", "qr", "slogdet", "solve",
+             "svd"]
+    calls = []
+
+    def spy(name, real):
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+        return call
+
+    with mock.patch.multiple(np.linalg, **{
+            n: spy(n, getattr(np.linalg, n)) for n in names}):
+        gaussian.to_adjacency(cli.build_state(circ))
+    assert sorted(calls) == [("cholesky", (32, 32))] * 4 + [
+        ("eigvalsh", (32, 32)), ("inv", (32, 32)), ("svd", (16, 16))]
 
 
 def test_seed_override(tmp_path):

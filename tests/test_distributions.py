@@ -21,6 +21,7 @@ from photonsieve.errors import (
     SingularResolvent,
     TooLarge,
 )
+from photonsieve.linalg import xmat
 
 L1 = gaussian.ModeLayout(1)
 L2 = gaussian.ModeLayout(2)
@@ -238,6 +239,43 @@ def test_distinguishable_blocks_reject_displacement():
     s = gaussian.displace(distinguishable_state(), [0.2, 0.0, 0.0, 0.1j])
     with pytest.raises(LayoutMismatch):
         dist.extract_distinguishable_blocks(gaussian.to_adjacency(s))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(1, 4), k=st.integers(1, 4))
+def test_distinguishable_blocks_match_per_internal_mode_indexing(seed, m, k):
+    """Random squeezers on an (M, K) layout, each internal mode through its
+    own sub-unitary: the blocks equal the rows and columns of X A of one
+    internal mode each, and a 1e-9 coupling between two internal modes is
+    rejected."""
+    rng = np.random.default_rng(seed)
+    lay = gaussian.ModeLayout(m, k)
+    t = lay.total
+    xi = rng.uniform(0, 1, t) * np.exp(2j * np.pi * rng.random(t))
+    trans = sum(np.kron(rng.uniform(0.5, 1) * haar_unitary(m, rng),
+                        np.diag(np.eye(k)[l])) for l in range(k))
+    s = gaussian.apply_channel(gaussian.from_squeezing(xi, lay), trans)
+    rep = gaussian.to_adjacency(s)
+    xa = xmat(t) @ rep.a
+    want = []
+    for l in range(k):
+        idx = [i * k + l for i in range(m)]
+        idx += [t + i for i in idx]
+        want.append(xa[np.ix_(idx, idx)])
+    got = dist.extract_distinguishable_blocks(rep)
+    assert len(got) == k
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    if k == 1:
+        return
+    l1, l2 = rng.choice(k, 2, replace=False)
+    p = rng.integers(2) * t + rng.integers(m) * k + l1
+    q = rng.integers(2) * t + rng.integers(m) * k + l2
+    a = rep.a.copy()
+    a[p, q] += 1e-9
+    a[q, p] += 1e-9
+    coupled = gaussian.AdjacencyRep(a, rep.gamma, rep.vacuum_prob, lay)
+    with pytest.raises(LayoutMismatch):
+        dist.extract_distinguishable_blocks(coupled)
 
 
 def single_squeezer_state(rng, m, ports, r, eta):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonsieve import gaussian, hafnian
+from photonsieve.cli import haar_unitary
 from photonsieve.errors import (
     DomainError,
     IndexOutOfRange,
@@ -221,6 +224,9 @@ def test_length_checks():
     (lambda: gaussian.thermal_state([-0.1], L1), DomainError),
     (lambda: gaussian.adjacency_from_cov(np.diag([1, 1e-14]), np.zeros(2),
                                          L1), SingularCovariance),
+    # an indefinite covariance has no vacuum probability, not a complex one
+    (lambda: gaussian.adjacency_from_cov(np.diag([1.0, -1.0]), np.zeros(2),
+                                         L1), NotPositiveDefinite),
     (lambda: gaussian.reduce_modes(
         gaussian.to_adjacency(gaussian.from_squeezing([0.5], L1)), []),
      IndexOutOfRange),
@@ -237,8 +243,111 @@ def test_length_checks():
 ], ids=["layout", "internal-index", "state-shape", "not-hermitian",
         "not-positive", "means-halves", "rep-shape", "not-symmetric",
         "thermal-length", "thermal-negative", "singular-covariance",
-        "reduce-empty", "marginal-mode", "reduce-repeat", "marginal-repeat",
-        "impure-negative", "impure-length"])
+        "indefinite-covariance", "reduce-empty", "marginal-mode",
+        "reduce-repeat", "marginal-repeat", "impure-negative",
+        "impure-length"])
 def test_validation_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("keep", [[-1], [0, 5], [0, 0]],
+                         ids=["negative", "beyond", "repeat"])
+def test_marginal_rep_checks_its_modes(keep):
+    rep = gaussian.to_adjacency(gaussian.from_squeezing([0.5, 0.3], L2))
+    with pytest.raises(IndexOutOfRange):
+        gaussian.marginal_rep(rep, keep)
+
+
+def test_mode_layout_counts_are_whole_numbers():
+    lay = gaussian.ModeLayout(2.0, 1)
+    assert lay == gaussian.ModeLayout(2, 1)
+    assert type(lay.externals) is int and type(lay.total) is int
+    assert gaussian.from_squeezing([0.1, 0.2], lay).layout.total == 2
+    with pytest.raises(DomainError):
+        gaussian.ModeLayout(1.5, 2)
+    with pytest.raises(DomainError):
+        gaussian.ModeLayout(2, 1.5)
+    for counts in [(0.5,), (-1,), (2, 0)]:
+        with pytest.raises(LayoutMismatch):
+            gaussian.ModeLayout(*counts)
+
+
+# -- checks against the eigenvalue forms --------------------------------------
+
+def squeezed_thermal(xi, nbar, layout):
+    """Squeezers xi acting on thermal states of occupation nbar: the
+    symmetric covariance S S^dag / 2 of each squeezed vacuum grows by
+    2 nbar + 1, and the Husimi covariance is that plus I/2."""
+    pure = gaussian.from_squeezing(xi, layout).husimi_cov
+    d = np.sqrt(np.tile(2 * np.asarray(nbar) + 1, 2))
+    cov = (d[:, None] * (2 * pure - np.eye(len(d))) * d + np.eye(len(d))) / 2
+    return gaussian.GaussianState(cov, np.zeros(len(d)), layout)
+
+
+def random_subunitary(rng, n):
+    sv = rng.uniform(0, 1, n)
+    return haar_unitary(n, rng) * sv @ haar_unitary(n, rng)
+
+
+def uncertainty_eigenvalues(cov):
+    """Eigenvalues of cov + (Z - I)/2, which are >= 0 for a physical state."""
+    t = len(cov) // 2
+    return np.linalg.eigvalsh(cov + np.diag(np.repeat([0.0, -1.0], t)))
+
+
+def reference_adjacency(state):
+    """The state checks and the adjacency conversion by eigenvalues, a
+    condition number, an LU inverse and an LU log-determinant."""
+    cov, z, t = state.husimi_cov, state.means, state.layout.total
+    assert np.linalg.eigvalsh(cov).min() > 0
+    assert uncertainty_eigenvalues(cov).min() >= -1e-9
+    assert np.linalg.cond(cov) <= 1e12
+    inv = np.linalg.inv(cov)
+    x = xmat(t)
+    a = x @ (np.eye(2 * t) - inv)
+    sign, logdet = np.linalg.slogdet(cov)
+    vac = np.exp(-(z.conj() @ inv @ z) / 2 - logdet / 2) / np.sqrt(sign)
+    return (a + a.T) / 2, x @ inv @ z, vac
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), nmodes=st.integers(1, 5),
+       displaced=st.booleans())
+def test_physical_states_match_the_eigenvalue_reference(seed, nmodes,
+                                                        displaced):
+    """Squeezing |xi| <= 2 at random phases, thermal occupation <= 1, a
+    random sub-unitary channel and an optional displacement: the state is
+    accepted, and A, gamma and the vacuum probability agree with the
+    eigenvalue-based reference to 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    layout = gaussian.ModeLayout(nmodes)
+    xi = rng.uniform(0, 2, nmodes) * np.exp(2j * np.pi * rng.random(nmodes))
+    s = squeezed_thermal(xi, rng.uniform(0, 1, nmodes), layout)
+    s = gaussian.apply_channel(s, random_subunitary(rng, nmodes))
+    if displaced:
+        s = gaussian.displace(s, rng.normal(size=nmodes)
+                              + 1j * rng.normal(size=nmodes))
+    rep = gaussian.to_adjacency(s)
+    a, gamma, vac = reference_adjacency(s)
+    assert np.max(np.abs(rep.a - a)) <= 1e-12 * np.max(np.abs(a))
+    assert np.max(np.abs(rep.gamma - gamma)) <= 1e-12 * max(
+        np.max(np.abs(gamma)), 1e-300)
+    assert abs(rep.vacuum_prob - vac) <= 1e-12 * abs(vac)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), nmodes=st.integers(1, 5),
+       delta=st.floats(1e-6, 0.5))
+def test_pure_states_saturate_the_uncertainty_bound(seed, nmodes, delta):
+    """Pure squeezed states up to r = 3 through a random unitary sit on
+    the uncertainty bound and are accepted; (1 - delta) times their
+    covariance is still positive definite but unphysical."""
+    rng = np.random.default_rng(seed)
+    layout = gaussian.ModeLayout(nmodes)
+    xi = rng.uniform(0, 3, nmodes) * np.exp(2j * np.pi * rng.random(nmodes))
+    s = gaussian.apply_channel(gaussian.from_squeezing(xi, layout),
+                               haar_unitary(nmodes, rng))
+    assert abs(uncertainty_eigenvalues(s.husimi_cov).min()) < 1e-9
+    with pytest.raises(NotPositiveDefinite, match="uncertainty bound"):
+        gaussian.GaussianState((1 - delta) * s.husimi_cov, s.means, layout)
