@@ -106,12 +106,16 @@ def _transmission_or_identity(circ, total, externals):
     return np.eye(total) if t is None else t
 
 
+def _layout(circ):
+    """The mode layout of a circuit config section, its counts unconverted:
+    a fractional count is rejected, never truncated."""
+    return gaussian.ModeLayout(circ["modes"], circ.get("internals", 1))
+
+
 def build_state(circ):
     """Gaussian state described by a circuit config section."""
-    modes = int(circ["modes"])
-    internals = int(circ.get("internals", 1))
-    layout = gaussian.ModeLayout(modes, internals)
-    total = layout.total
+    layout = _layout(circ)
+    modes, total = layout.externals, layout.total
     has_sq = "squeezing" in circ
     has_cov = "husimi_cov" in circ
     if has_sq == has_cov:
@@ -235,7 +239,7 @@ def _run_herald(circ, task):
 
 
 def _fock_input(circ, task):
-    modes = int(circ["modes"])
+    modes = _layout(circ).externals
     t = _transmission_or_identity(circ, modes, modes)
     gram = task.get("gram")
     return fock_channel.FockInput(task["input"], t,
@@ -273,8 +277,9 @@ def _run_moments(circ, task):
 
 
 def _run_pp_estimate(circ, task):
-    modes = int(circ["modes"])
-    if int(circ.get("internals", 1)) != 1:
+    layout = _layout(circ)
+    modes = layout.externals
+    if layout.internals_per_external != 1:
         raise LayoutMismatch("phase-space estimation needs one internal mode")
     for key in ("displacements", "husimi_cov", "spectral_purity"):
         if key in circ:

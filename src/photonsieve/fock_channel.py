@@ -13,11 +13,18 @@ becomes S o B with the Gram matrix S_il = <c_i|c_l> (Tichy, PRA 91,
 022316, 2015; Shchesnovich, PRA 91, 013844, 2015).  ``fock_herald`` reads
 its elements off the same form (``_fock_series``); K itself is formed only
 by the permanent oracle that cross-checks both.
+
+``fock_coarse_prob`` prepares this form once per input and output
+partition and keeps it on the input: the series with its W terms, the
+identity expand, the groups [inputs] [outputs + y_env], the input counts
+of the occupied ports and |p|.  Every output pattern over that partition
+then forms only its count row and folds it.  The input holds read-only
+copies of T and S, so what it prepared cannot go stale.
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,35 +38,45 @@ from .heralding import herald_density, kept_modes
 from .linalg import STRUCTURE_TOL, require_counts, require_subunitary
 
 _PERM_LIMIT = 16
+_RECORDS = 8   # output partitions prepared per input, oldest dropped first
 
 
 @dataclass(frozen=True)
 class FockInput:
     """Photon counts per input port, the circuit transmission matrix and
     the Gram matrix S_il = <c_i|c_l> of the ports' internal states (all
-    ones by default: indistinguishable photons)."""
+    ones by default: indistinguishable photons).  ``t`` and ``gram`` are
+    kept as read-only copies."""
 
     p: tuple
     t: np.ndarray
     gram: np.ndarray = None
+    _records: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=complex)
+        t = np.array(self.t, dtype=complex)
         p = require_counts(self.p, "photon counts")
         if t.ndim != 2 or t.shape[0] != t.shape[1] or len(p) != t.shape[0]:
             raise PartitionMismatch("one photon count per circuit port")
         require_subunitary(t)
         s = np.ones(t.shape, complex) if self.gram is None else _gram(
             self.gram, len(p))
+        t.flags.writeable = s.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "gram", s)
+
+    def __reduce__(self):
+        # pickled and copied through the constructor: the prepared series
+        # are closures, and the arrays come back read-only
+        return FockInput, (self.p, self.t, self.gram)
 
 
 def _gram(s, m):
     """``s`` as an M x M Gram matrix: finite, with a unit diagonal,
     Hermitian and positive semidefinite, or a validation error."""
-    s = np.asarray(s, dtype=complex)
+    s = np.array(s, dtype=complex)
     if s.shape != (m, m) or not np.isfinite(s).all() or np.abs(
             np.diagonal(s) - 1).max() > STRUCTURE_TOL:
         raise DomainError(f"Gram matrix must be finite, {m} x {m}, with a "
@@ -88,22 +105,40 @@ def _fock_series(t, gram, w):
     return series
 
 
+def _coarse_record(fi, blocks):
+    """The log series of ``fi`` with one y per output block of ``blocks``,
+    prepared once and kept on ``fi``, with the identity expand, the groups,
+    the counts of the occupied inputs and |p|.  A partition that fails
+    ``partition_expansion`` raises here on every call and is never kept."""
+    rec = fi._records.get(blocks)
+    if rec is None:
+        proj = partition_expansion(blocks, len(fi.p)).real   # E_j by row
+        occ = [i for i, k in enumerate(fi.p) if k]
+        t, d = fi.t[:, occ], len(occ)
+        series = _fock_series(t, fi.gram[np.ix_(occ, occ)],
+                              np.einsum("ai,ja,al->jil", t.conj(), proj, t))
+        nvar = d + len(blocks) + 1
+        rec = (series, np.eye(nvar), (tuple(range(d)), tuple(range(d, nvar))),
+               [fi.p[i] for i in occ], sum(fi.p))
+        if len(fi._records) >= _RECORDS:
+            del fi._records[next(iter(fi._records))]
+        fi._records[blocks] = rec
+    return rec
+
+
 def fock_coarse_prob(fi, cp):
     """Probability of coarse output counts b for Fock input p through t: the
     coefficient of x^p y^b y_env^(|p| - |b|) in 1 / det(I - X (S o B(y)))
     with one y per output block, read off one sieve grid (module
-    docstring)."""
-    expand = partition_expansion(cp.blocks, len(fi.p)).real
-    nin, nout = sum(fi.p), sum(cp.counts)
+    docstring).  The series, expand and groups are prepared once per input
+    and output partition (``_coarse_record``); a call forms its count row
+    and folds it."""
+    series, expand, groups, prefix, nin = _coarse_record(fi, cp.blocks)
+    nout = sum(cp.counts)
     if nout > nin or nin == 0:
         return float(nout == 0)  # a lossy circuit cannot create photons
-    occ = [i for i, k in enumerate(fi.p) if k]
-    t, d = fi.t[:, occ], len(occ)
-    series = _fock_series(t, fi.gram[np.ix_(occ, occ)],
-                          np.einsum("ai,ja,al->jil", t.conj(), expand, t))
-    counts = [fi.p[i] for i in occ] + list(cp.counts) + [nin - nout]
-    val = sieve_reduce(series, [counts], np.eye(len(counts)),
-                       groups=[range(d), range(d, len(counts))], real=True)
+    counts = prefix + list(cp.counts) + [nin - nout]
+    val = sieve_reduce(series, [counts], expand, groups=groups, real=True)
     return _real_prob(val[0] / factorial_product(counts))
 
 

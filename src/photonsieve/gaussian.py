@@ -220,6 +220,15 @@ def to_adjacency(state):
     return adjacency_from_cov(state.husimi_cov, state.means, state.layout)
 
 
+def _keep_set(keep, nmodes):
+    """``keep`` as a non-empty list of distinct mode indices below
+    ``nmodes``, or an ``IndexOutOfRange``."""
+    keep = require_modes(keep, nmodes)
+    if not keep:
+        raise IndexOutOfRange("keep set must be non-empty")
+    return keep
+
+
 def reduce_modes(rep, keep):
     """Submatrix rep on the kept modes; vacuum probability unchanged.
 
@@ -227,9 +236,7 @@ def reduce_modes(rep, keep):
     identities, not a partial trace.
     """
     t = rep.layout.total
-    keep = require_modes(keep, t)
-    if not keep:
-        raise IndexOutOfRange("keep set must be non-empty")
+    keep = _keep_set(keep, t)
     idx = keep + [t + i for i in keep]
     sub = rep.a[np.ix_(idx, idx)]
     return AdjacencyRep(
@@ -244,7 +251,7 @@ def marginal_rep(rep, keep):
     this sums over all outcomes of the excluded modes exactly.
     """
     t = rep.layout.total
-    keep = require_modes(keep, t)
+    keep = _keep_set(keep, t)
     cov = np.linalg.inv(np.eye(2 * t) - swap_halves(rep.a))
     means = cov @ swap_halves(rep.gamma)
     idx = keep + [t + i for i in keep]
@@ -256,7 +263,7 @@ def marginal_rep(rep, keep):
 def marginal_state(state, keep):
     """Partial trace of a Gaussian state: submatrix of covariance and means."""
     t = state.layout.total
-    keep = require_modes(keep, t)
+    keep = _keep_set(keep, t)
     idx = keep + [t + i for i in keep]
     return GaussianState(
         state.husimi_cov[np.ix_(idx, idx)],

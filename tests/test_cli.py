@@ -283,6 +283,25 @@ def test_unknown_kind_and_missing_field(tmp_path, capsys):
         assert rejected_as(tmp_path, capsys, config)["error"] == error
 
 
+@pytest.mark.parametrize("circuit, task", [
+    ({"modes": 1.5, "squeezing": [0.3]},
+     {"kind": "fine-prob", "pattern": [1]}),
+    ({"modes": 1, "internals": 1.9, "squeezing": [0.3]},
+     {"kind": "fine-prob", "pattern": [1]}),
+    ({"modes": 2.7},
+     {"kind": "fock-prob", "input": [1, 1], "blocks": [[0], [1]],
+      "counts": [1, 1]}),
+    ({"modes": 2.5, "squeezing": [0.5, 0.3]},
+     {"kind": "pp-estimate", "samples": 1000, "n_values": [0]}),
+], ids=["state-modes", "state-internals", "fock-modes", "pp-modes"])
+def test_fractional_mode_counts_are_rejected(tmp_path, capsys, circuit,
+                                             task):
+    """Mode counts reach ``ModeLayout`` as given, so a fractional one is a
+    validation error, never truncated to a smaller circuit."""
+    err = rejected_as(tmp_path, capsys, {"circuit": circuit, "task": task})
+    assert err["error"] == "DomainError"
+
+
 def test_package_runs_as_a_module(tmp_path, capsys):
     config = {"circuit": tmsv_circuit(),
               "task": {"kind": "fine-prob", "pattern": [1, 1]}}

@@ -1,5 +1,8 @@
 import itertools
+import copy
 import math
+import pickle
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -389,10 +392,106 @@ def test_cross_oracle_random(seed):
     [[0, 1, 2], []],    # empty block
 ])
 def test_malformed_output_blocks_raise(blocks):
+    """On every repeat: a partition that fails its check is never kept as a
+    prepared series of the input, not even after a valid read."""
     fi = fc.FockInput((1, 1, 0), 0.9 * haar_unitary(3,
                                                     np.random.default_rng(5)))
-    with pytest.raises(PartitionMismatch):
-        fc.fock_coarse_prob(fi, CoarsePattern(blocks, [1, 0]))
+    for _ in range(2):
+        with pytest.raises(PartitionMismatch):
+            fc.fock_coarse_prob(fi, CoarsePattern(blocks, [1, 0]))
+        fc.fock_coarse_prob(fi, fine_cp([1, 0, 1]))
+
+
+def test_input_keeps_read_only_copies():
+    """Changing the caller's complex arrays after construction changes no
+    result, and the input's own arrays cannot be written."""
+    t = 0.9 * haar_unitary(2, np.random.default_rng(6))
+    gram = np.array([[1, 0.6], [0.6, 1]], dtype=complex)
+    fi = fc.FockInput((1, 1), t, gram)
+    fresh = fc.FockInput((1, 1), t.copy(), gram.copy())
+    t[0, 0] = 0.3
+    gram[0, 1] = gram[1, 0] = 0.0
+    for b in ([1, 1], [2, 0], [1, 0]):
+        assert fc.fock_coarse_prob(fi, fine_cp(b)) == fc.fock_coarse_prob(
+            fresh, fine_cp(b))
+    assert not fi.t.flags.writeable and not fi.gram.flags.writeable
+    assert not fc.FockInput((1, 1), BS).gram.flags.writeable
+
+
+def test_used_input_pickles_and_copies():
+    """An input that has prepared series still pickles and copies; the copy
+    prepares its own and keeps read-only arrays."""
+    fi = fc.FockInput((1, 1), 0.9 * BS, [[1, 0.3], [0.3, 1]])
+    want = fc.fock_coarse_prob(fi, fine_cp([1, 1]))
+    for twin in (pickle.loads(pickle.dumps(fi)), copy.deepcopy(fi)):
+        assert not twin._records and not twin.t.flags.writeable
+        assert fc.fock_coarse_prob(twin, fine_cp([1, 1])) == want
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 4),
+       distinguishable=st.booleans())
+def test_prepared_reads_equal_fresh_inputs(seed, m, distinguishable):
+    """Reads from one input over interleaved output partitions (one of them
+    also with its blocks reversed) are bitwise equal to reads from a fresh
+    ``FockInput`` per call, with and without a Gram matrix."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.6, 0.95) * haar_unitary(m, rng)
+    p = tuple(int(x) for x in rng.integers(0, 3, m))
+    gram = None
+    if distinguishable:
+        c = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        gram = c.conj() @ c.T
+    partitions = []
+    for _ in range(3):
+        labels = rng.integers(0, m, m)
+        partitions.append([[int(i) for i in np.flatnonzero(labels == j)]
+                           for j in np.unique(labels)])
+    partitions.append(partitions[0][::-1])
+    fi = fc.FockInput(p, t, gram)
+    for _ in range(16):
+        blocks = partitions[rng.integers(len(partitions))]
+        total = int(rng.integers(0, sum(p) + 2))
+        counts = [int(k) for k in rng.multinomial(total, [1 / len(blocks)]
+                                                  * len(blocks))]
+        cp = CoarsePattern(blocks, counts)
+        assert fc.fock_coarse_prob(fi, cp) == fc.fock_coarse_prob(
+            fc.FockInput(p, t, gram), cp)
+
+
+def test_one_series_per_input_and_partition():
+    """All 126 outputs of (2, 2, 1, 0) over the fine partition read one
+    prepared series, a second partition prepares a second, and an input
+    keeps at most ``_RECORDS`` of them."""
+    fi = fc.FockInput((2, 2, 1, 0),
+                      np.sqrt(0.9) * haar_unitary(4, np.random.default_rng(3)))
+    outputs = [b for b in itertools.product(range(6), repeat=4)
+               if sum(b) <= 5]
+    assert len(outputs) == 126
+    with mock.patch.object(fc, "_fock_series", wraps=fc._fock_series) as spy:
+        total = sum(fc.fock_coarse_prob(fi, fine_cp(b)) for b in outputs)
+        assert spy.call_count == 1
+        fc.fock_coarse_prob(fi, CoarsePattern([[0, 1], [2, 3]], [1, 1]))
+        assert spy.call_count == 2
+    assert np.isclose(total, 1.0, atol=1e-12)
+    orders = itertools.islice(itertools.permutations(range(4)),
+                              2 * fc._RECORDS)
+    for order in orders:
+        fc.fock_coarse_prob(fi, CoarsePattern([[i] for i in order],
+                                              [1, 1, 1, 0]))
+    assert len(fi._records) == fc._RECORDS
+
+
+def test_input_is_freed_after_use():
+    """What an input prepares stays with it and holds no reference back to
+    it: the input is freed as soon as its last reference goes."""
+    fi = fc.FockInput((2, 1, 0), 0.9 * haar_unitary(3,
+                                                    np.random.default_rng(7)))
+    fc.fock_coarse_prob(fi, fine_cp([1, 1, 0]))
+    ref = weakref.ref(fi)
+    del fi
+    assert ref() is None
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

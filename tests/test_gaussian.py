@@ -230,6 +230,8 @@ def test_length_checks():
     (lambda: gaussian.reduce_modes(
         gaussian.to_adjacency(gaussian.from_squeezing([0.5], L1)), []),
      IndexOutOfRange),
+    (lambda: gaussian.marginal_state(gaussian.from_squeezing([0.5], L1), []),
+     IndexOutOfRange),
     (lambda: gaussian.marginal_state(gaussian.from_squeezing([0.5], L1), [1]),
      IndexOutOfRange),
     (lambda: gaussian.reduce_modes(gaussian.to_adjacency(
@@ -243,7 +245,8 @@ def test_length_checks():
 ], ids=["layout", "internal-index", "state-shape", "not-hermitian",
         "not-positive", "means-halves", "rep-shape", "not-symmetric",
         "thermal-length", "thermal-negative", "singular-covariance",
-        "indefinite-covariance", "reduce-empty", "marginal-mode",
+        "indefinite-covariance", "reduce-empty", "marginal-empty",
+        "marginal-mode",
         "reduce-repeat", "marginal-repeat", "impure-negative",
         "impure-length"])
 def test_validation_errors(call, error):
@@ -251,8 +254,8 @@ def test_validation_errors(call, error):
         call()
 
 
-@pytest.mark.parametrize("keep", [[-1], [0, 5], [0, 0]],
-                         ids=["negative", "beyond", "repeat"])
+@pytest.mark.parametrize("keep", [[-1], [0, 5], [0, 0], []],
+                         ids=["negative", "beyond", "repeat", "empty"])
 def test_marginal_rep_checks_its_modes(keep):
     rep = gaussian.to_adjacency(gaussian.from_squeezing([0.5, 0.3], L2))
     with pytest.raises(IndexOutOfRange):
