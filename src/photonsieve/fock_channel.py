@@ -18,7 +18,8 @@ by the permanent oracle that cross-checks both.
 partition and keeps it on the input: the series with its W terms, the
 identity expand, the groups [inputs] [outputs + y_env], the input counts
 of the occupied ports and |p|.  Every output pattern over that partition
-then forms only its count row and folds it.  The input holds read-only
+then forms only its count row and folds it.  The input keeps one such
+record, for the partition it read last.  The input holds read-only
 copies of T and S, so what it prepared cannot go stale.
 """
 
@@ -38,7 +39,6 @@ from .heralding import herald_density, kept_modes
 from .linalg import STRUCTURE_TOL, require_counts, require_subunitary
 
 _PERM_LIMIT = 16
-_RECORDS = 8   # output partitions prepared per input, oldest dropped first
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class FockInput:
     p: tuple
     t: np.ndarray
     gram: np.ndarray = None
-    _records: dict = field(default_factory=dict, init=False, repr=False,
+    _record: tuple = field(default=None, init=False, repr=False,
                            compare=False)
 
     def __post_init__(self):
@@ -107,22 +107,23 @@ def _fock_series(t, gram, w):
 
 def _coarse_record(fi, blocks):
     """The log series of ``fi`` with one y per output block of ``blocks``,
-    prepared once and kept on ``fi``, with the identity expand, the groups,
-    the counts of the occupied inputs and |p|.  A partition that fails
-    ``partition_expansion`` raises here on every call and is never kept."""
-    rec = fi._records.get(blocks)
-    if rec is None:
-        proj = partition_expansion(blocks, len(fi.p)).real   # E_j by row
-        occ = [i for i, k in enumerate(fi.p) if k]
-        t, d = fi.t[:, occ], len(occ)
-        series = _fock_series(t, fi.gram[np.ix_(occ, occ)],
-                              np.einsum("ai,ja,al->jil", t.conj(), proj, t))
-        nvar = d + len(blocks) + 1
-        rec = (series, np.eye(nvar), (tuple(range(d)), tuple(range(d, nvar))),
-               [fi.p[i] for i in occ], sum(fi.p))
-        if len(fi._records) >= _RECORDS:
-            del fi._records[next(iter(fi._records))]
-        fi._records[blocks] = rec
+    with the identity expand, the groups, the counts of the occupied inputs
+    and |p|.  ``fi`` keeps the record of the partition it read last, so a
+    run of outputs over one partition prepares it once.  A partition that
+    fails ``partition_expansion`` raises here on every call and is never
+    kept."""
+    kept = fi._record   # read once: one assignment replaces it whole
+    if kept is not None and kept[0] == blocks:
+        return kept[1]
+    proj = partition_expansion(blocks, len(fi.p)).real   # E_j by row
+    occ = [i for i, k in enumerate(fi.p) if k]
+    t, d = fi.t[:, occ], len(occ)
+    series = _fock_series(t, fi.gram[np.ix_(occ, occ)],
+                          np.einsum("ai,ja,al->jil", t.conj(), proj, t))
+    nvar = d + len(blocks) + 1
+    rec = (series, np.eye(nvar), (tuple(range(d)), tuple(range(d, nvar))),
+           [fi.p[i] for i in occ], sum(fi.p))
+    object.__setattr__(fi, "_record", (blocks, rec))
     return rec
 
 
@@ -130,9 +131,9 @@ def fock_coarse_prob(fi, cp):
     """Probability of coarse output counts b for Fock input p through t: the
     coefficient of x^p y^b y_env^(|p| - |b|) in 1 / det(I - X (S o B(y)))
     with one y per output block, read off one sieve grid (module
-    docstring).  The series, expand and groups are prepared once per input
-    and output partition (``_coarse_record``); a call forms its count row
-    and folds it."""
+    docstring).  The input keeps the series, expand and groups of the
+    output partition it read last (``_coarse_record``), so a call over that
+    partition forms only its count row and folds it."""
     series, expand, groups, prefix, nin = _coarse_record(fi, cp.blocks)
     nout = sum(cp.counts)
     if nout > nin or nin == 0:

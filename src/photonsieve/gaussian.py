@@ -11,6 +11,7 @@ bound when two Cholesky factors exist, and the adjacency conversion reads
 its condition number and log-determinant off one ``eigvalsh``.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,8 @@ class ModeLayout:
 
     def __post_init__(self):
         counts = (self.externals, self.internals_per_external)
-        if any(c < 1 for c in counts):
+        # only numbers are compared: require_counts names any other value
+        if any(isinstance(c, numbers.Real) and c < 1 for c in counts):
             raise LayoutMismatch("layout needs positive mode counts")
         m, k = require_counts(counts, "mode counts")
         object.__setattr__(self, "externals", m)

@@ -293,13 +293,19 @@ def test_unknown_kind_and_missing_field(tmp_path, capsys):
       "counts": [1, 1]}),
     ({"modes": 2.5, "squeezing": [0.5, 0.3]},
      {"kind": "pp-estimate", "samples": 1000, "n_values": [0]}),
-], ids=["state-modes", "state-internals", "fock-modes", "pp-modes"])
+    ({"modes": "2"},
+     {"kind": "fock-prob", "input": [1, 1], "blocks": [[0], [1]],
+      "counts": [1, 1]}),
+], ids=["state-modes", "state-internals", "fock-modes", "pp-modes",
+        "string-modes"])
 def test_fractional_mode_counts_are_rejected(tmp_path, capsys, circuit,
                                              task):
-    """Mode counts reach ``ModeLayout`` as given, so a fractional one is a
-    validation error, never truncated to a smaller circuit."""
+    """Mode counts reach ``ModeLayout`` as given, so a fractional or
+    non-numeric one is a validation error that names the mode counts, never
+    truncated or converted."""
     err = rejected_as(tmp_path, capsys, {"circuit": circuit, "task": task})
     assert err["error"] == "DomainError"
+    assert "mode counts" in err["message"]
 
 
 def test_package_runs_as_a_module(tmp_path, capsys):

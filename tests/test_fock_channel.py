@@ -424,7 +424,7 @@ def test_used_input_pickles_and_copies():
     fi = fc.FockInput((1, 1), 0.9 * BS, [[1, 0.3], [0.3, 1]])
     want = fc.fock_coarse_prob(fi, fine_cp([1, 1]))
     for twin in (pickle.loads(pickle.dumps(fi)), copy.deepcopy(fi)):
-        assert not twin._records and not twin.t.flags.writeable
+        assert twin._record is None and not twin.t.flags.writeable
         assert fc.fock_coarse_prob(twin, fine_cp([1, 1])) == want
 
 
@@ -462,8 +462,8 @@ def test_prepared_reads_equal_fresh_inputs(seed, m, distinguishable):
 
 def test_one_series_per_input_and_partition():
     """All 126 outputs of (2, 2, 1, 0) over the fine partition read one
-    prepared series, a second partition prepares a second, and an input
-    keeps at most ``_RECORDS`` of them."""
+    prepared series; an input keeps only the partition it read last, so a
+    second partition, and then the first again, each prepare anew."""
     fi = fc.FockInput((2, 2, 1, 0),
                       np.sqrt(0.9) * haar_unitary(4, np.random.default_rng(3)))
     outputs = [b for b in itertools.product(range(6), repeat=4)
@@ -474,13 +474,9 @@ def test_one_series_per_input_and_partition():
         assert spy.call_count == 1
         fc.fock_coarse_prob(fi, CoarsePattern([[0, 1], [2, 3]], [1, 1]))
         assert spy.call_count == 2
+        fc.fock_coarse_prob(fi, fine_cp([1, 1, 1, 0]))
+        assert spy.call_count == 3
     assert np.isclose(total, 1.0, atol=1e-12)
-    orders = itertools.islice(itertools.permutations(range(4)),
-                              2 * fc._RECORDS)
-    for order in orders:
-        fc.fock_coarse_prob(fi, CoarsePattern([[i] for i in order],
-                                              [1, 1, 1, 0]))
-    assert len(fi._records) == fc._RECORDS
 
 
 def test_input_is_freed_after_use():

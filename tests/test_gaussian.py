@@ -208,6 +208,7 @@ def test_length_checks():
 
 @pytest.mark.parametrize("call, error", [
     (lambda: gaussian.ModeLayout(0), LayoutMismatch),
+    (lambda: gaussian.ModeLayout("3"), DomainError),
     (lambda: L2.internal_indices(2), IndexOutOfRange),
     (lambda: gaussian.GaussianState(np.eye(2), np.zeros(4), L1),
      LayoutMismatch),
@@ -242,7 +243,7 @@ def test_length_checks():
                                     gaussian.ModeLayout(2, 2)), DomainError),
     (lambda: gaussian.impure_source([0.5], 0.9, gaussian.ModeLayout(2, 2)),
      LengthMismatch),
-], ids=["layout", "internal-index", "state-shape", "not-hermitian",
+], ids=["layout", "layout-string", "internal-index", "state-shape", "not-hermitian",
         "not-positive", "means-halves", "rep-shape", "not-symmetric",
         "thermal-length", "thermal-negative", "singular-covariance",
         "indefinite-covariance", "reduce-empty", "marginal-empty",
