@@ -112,6 +112,19 @@ def _layout(circ):
     return gaussian.ModeLayout(circ["modes"], circ.get("internals", 1))
 
 
+def _plain_layout(circ, what, unmodeled):
+    """The layout of a circuit config section for a path that models one
+    internal mode per port and none of the circuit keys ``unmodeled``: any
+    of them is rejected, never dropped."""
+    layout = _layout(circ)
+    if layout.internals_per_external != 1:
+        raise LayoutMismatch(f"{what} needs one internal mode")
+    for key in unmodeled:
+        if key in circ:
+            raise LayoutMismatch(f"{what} cannot model {key}")
+    return layout
+
+
 def build_state(circ):
     """Gaussian state described by a circuit config section."""
     layout = _layout(circ)
@@ -239,7 +252,9 @@ def _run_herald(circ, task):
 
 
 def _fock_input(circ, task):
-    modes = _layout(circ).externals
+    modes = _plain_layout(circ, "a Fock input", (
+        "squeezing", "husimi_cov", "means", "spectral_purity",
+        "displacements")).externals
     t = _transmission_or_identity(circ, modes, modes)
     gram = task.get("gram")
     return fock_channel.FockInput(task["input"], t,
@@ -277,13 +292,8 @@ def _run_moments(circ, task):
 
 
 def _run_pp_estimate(circ, task):
-    layout = _layout(circ)
-    modes = layout.externals
-    if layout.internals_per_external != 1:
-        raise LayoutMismatch("phase-space estimation needs one internal mode")
-    for key in ("displacements", "husimi_cov", "spectral_purity"):
-        if key in circ:
-            raise LayoutMismatch(f"phase-space estimation cannot model {key}")
+    modes = _plain_layout(circ, "phase-space estimation", (
+        "displacements", "husimi_cov", "spectral_purity")).externals
     xi = [float(x) for x in circ["squeezing"]]
     t = _transmission_or_identity(circ, modes, modes)
     run = phasespace.PPRun(tuple(xi), t, task["samples"],

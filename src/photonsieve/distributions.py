@@ -28,6 +28,7 @@ from .hafnian import (
     f_coefficients,
     f_n,
     factorial_product,
+    from_log_series,
     g_coefficients,
     grid_coefficients,
     lhaf_sieve,
@@ -222,8 +223,8 @@ def prob_external_distinguishable(blocks, n):
     diag = d[:, :m] + d[:, m:]
     bb = b * bt
     cross = bb[:, :m, :m] + bb[:, m:, m:] + bb[:, m:, :m] + bb[:, :m, m:]
-    value = sieve_reduce(partial(_rank_two_series, diag, cross), [n],
-                         np.eye(m), real=True)[0]
+    model = from_log_series(partial(_rank_two_series, diag, cross))
+    value = sieve_reduce(model, [n], np.eye(m), real=True)[0]
     return _real_prob(vac * value / factorial_product(n))
 
 
@@ -281,8 +282,9 @@ def coarse_moment(state, blocks):
     a, gamma, expand = _moment_generator(state, blocks)
     if not len(expand):
         return 1.0
-    values, _ = grid_coefficients(partial(g_coefficients, a, gamma), expand,
-                                  [[1] * len(expand)], real=True)
+    values, _ = grid_coefficients(
+        from_log_series(partial(g_coefficients, a, gamma)), expand,
+        [[1] * len(expand)], real=True)
     return _real(values[0])
 
 

@@ -5,22 +5,28 @@ output port (y), the Schur complement of the 2M x 2M K = [[I - T^dag T,
 T^dag], [T, 0]] gives det(I - diag(x, y) K) = det(I - X B(y)), B(y) =
 y_env (I - T^dag T) + sum_j y_j W_j, W_j = T^dag E_j T, E_j the projector
 onto output block j and y_env marking lost photons.  So 1 / det(I - X
-B(y)) = sum Pr(b | p) x^p y^b y_env^(|p| - |b|), with log series tr([X
-B(y)]^k) / k on the |occ| x |occ| block of the occupied inputs; it has
-degree |p| in x and again in (y, y_env), so the sieve pins one variable of
-each group.  If the photons of port i share the internal state c_i, B
+B(y)) = sum Pr(b | p) x^p y^b y_env^(|p| - |b|).  The theorem's other
+side (P. A. MacMahon, Combinatory Analysis, 1915) has the same x^p
+coefficient: F(x, y) = prod_i ((B(y) x)_i)^p_i over the occupied inputs,
+the multiplicity form behind Glynn's permanent formula (D. G. Glynn, Eur.
+J. Combin. 31, 2010).  F has degree |p| in x and again in (y, y_env), so
+the sieve pins one variable of each group, and F is its own part of
+degree |p| in x, the one column the sieve reads: a grid point costs one
+B(y), one matrix-vector product and the powers, with no matrix powers and
+no exp series.  F's other coefficients are complex, so its grids take
+every point.  If the photons of port i share the internal state c_i, B
 becomes S o B with the Gram matrix S_il = <c_i|c_l> (Tichy, PRA 91,
 022316, 2015; Shchesnovich, PRA 91, 013844, 2015).  ``fock_herald`` reads
 its elements off the same form (``_fock_series``); K itself is formed only
 by the permanent oracle that cross-checks both.
 
 ``fock_coarse_prob`` prepares this form once per input and output
-partition and keeps it on the input: the series with its W terms, the
-identity expand, the groups [inputs] [outputs + y_env], the input counts
-of the occupied ports and |p|.  Every output pattern over that partition
-then forms only its count row and folds it.  The input keeps one such
-record, for the partition it read last.  The input holds read-only
-copies of T and S, so what it prepared cannot go stale.
+partition and keeps it on the input: F with its W terms, the identity
+expand, the groups [inputs] [outputs + y_env], the input counts of the
+occupied ports and |p|.  Every output pattern over that partition then
+forms only its count row and folds it.  The input keeps one such record,
+for the partition it read last.  The input holds read-only copies of T
+and S, so what it prepared cannot go stale.
 """
 
 import math
@@ -33,8 +39,8 @@ from .distributions import _real_prob
 from .errors import (DomainError, NotPositiveDefinite, PartitionMismatch,
                      TooLarge)
 # blocked_lhaf is not called here: the benchmark tracer rebinds it here
-from .hafnian import (blocked_lhaf, compatible_patterns, factorial_product,
-                      partition_expansion, power_trace_series, sieve_reduce)
+from .hafnian import (_CHUNK_BYTES, blocked_lhaf, compatible_patterns,
+                      factorial_product, partition_expansion, sieve_reduce)
 from .heralding import herald_density, kept_modes
 from .linalg import STRUCTURE_TOL, require_counts, require_subunitary
 
@@ -88,28 +94,33 @@ def _gram(s, m):
     return s
 
 
-def _fock_series(t, gram, w):
-    """The log series of 1 / det(I - X (S o B(y))) (module docstring) for
-    the occupied input columns ``t`` of T, their block ``gram`` of S and the
-    output terms ``w``, with the loss term last: a grid row holds x, the
-    y_j, then y_env.  X (S o B(y)) is formed chunk by chunk."""
+def _fock_series(t, gram, w, p):
+    """F(x, y) = prod_i ((S o B(y)) x)_i^p_i (module docstring) as a sieve
+    model, for the occupied input columns ``t`` of T, their block ``gram``
+    of S, the output terms ``w`` and the input counts ``p``, with the loss
+    term last: a grid row holds x, the y_j, then y_env.  Every row read
+    has the x total |p|, and F is its own part of that degree: the model
+    gives f_|p| = F alone, formed chunk by chunk."""
     d = t.shape[1]
     w = np.concatenate([w, [np.eye(d) - t.conj().T @ t]])
     w = (w * gram).reshape(len(w), d * d)
+    chunk = max(1, _CHUNK_BYTES // (16 * d * d or 1))
 
-    def series(nmax, z):
-        def first(lo, hi, out):
-            np.multiply(z[lo:hi, :d, None],
-                        (z[lo:hi, d:] @ w).reshape(-1, d, d), out=out)
-        return power_trace_series(first, d, nmax, len(z))
-    return series
+    def model(totals, z):
+        f = np.empty(len(z), dtype=complex)
+        for lo in range(0, len(z), chunk):
+            x, y = z[lo:lo + chunk, :d], z[lo:lo + chunk, d:]
+            v = ((y @ w).reshape(len(y), d, d) @ x[:, :, None])[:, :, 0]
+            f[lo:lo + chunk] = math.prod(vi ** k for vi, k in zip(v.T, p))
+        return [f]
+    return model
 
 
 def _coarse_record(fi, blocks):
-    """The log series of ``fi`` with one y per output block of ``blocks``,
-    with the identity expand, the groups, the counts of the occupied inputs
-    and |p|.  ``fi`` keeps the record of the partition it read last, so a
-    run of outputs over one partition prepares it once.  A partition that
+    """The model of ``fi`` with one y per output block of ``blocks``, with
+    the identity expand, the groups, the counts of the occupied inputs and
+    |p|.  ``fi`` keeps the record of the partition it read last, so a run
+    of outputs over one partition prepares it once.  A partition that
     fails ``partition_expansion`` raises here on every call and is never
     kept."""
     kept = fi._record   # read once: one assignment replaces it whole
@@ -118,28 +129,29 @@ def _coarse_record(fi, blocks):
     proj = partition_expansion(blocks, len(fi.p)).real   # E_j by row
     occ = [i for i, k in enumerate(fi.p) if k]
     t, d = fi.t[:, occ], len(occ)
-    series = _fock_series(t, fi.gram[np.ix_(occ, occ)],
-                          np.einsum("ai,ja,al->jil", t.conj(), proj, t))
+    prefix = [fi.p[i] for i in occ]
+    model = _fock_series(t, fi.gram[np.ix_(occ, occ)],
+                         np.einsum("ai,ja,al->jil", t.conj(), proj, t), prefix)
     nvar = d + len(blocks) + 1
-    rec = (series, np.eye(nvar), (tuple(range(d)), tuple(range(d, nvar))),
-           [fi.p[i] for i in occ], sum(fi.p))
+    rec = (model, np.eye(nvar), (tuple(range(d)), tuple(range(d, nvar))),
+           prefix, sum(fi.p))
     object.__setattr__(fi, "_record", (blocks, rec))
     return rec
 
 
 def fock_coarse_prob(fi, cp):
     """Probability of coarse output counts b for Fock input p through t: the
-    coefficient of x^p y^b y_env^(|p| - |b|) in 1 / det(I - X (S o B(y)))
-    with one y per output block, read off one sieve grid (module
-    docstring).  The input keeps the series, expand and groups of the
-    output partition it read last (``_coarse_record``), so a call over that
-    partition forms only its count row and folds it."""
-    series, expand, groups, prefix, nin = _coarse_record(fi, cp.blocks)
+    coefficient of x^p y^b y_env^(|p| - |b|) in prod_i ((S o B(y)) x)_i^p_i
+    with one y per output block, read off one full sieve grid (module
+    docstring).  The input keeps the model, expand and groups of the
+    output partition it read last (``_coarse_record``), so a call over
+    that partition forms only its count row and folds it."""
+    model, expand, groups, prefix, nin = _coarse_record(fi, cp.blocks)
     nout = sum(cp.counts)
     if nout > nin or nin == 0:
         return float(nout == 0)  # a lossy circuit cannot create photons
     counts = prefix + list(cp.counts) + [nin - nout]
-    val = sieve_reduce(series, [counts], expand, groups=groups, real=True)
+    val = sieve_reduce(model, [counts], expand, groups=groups)
     return _real_prob(val[0] / factorial_product(counts))
 
 
@@ -198,11 +210,12 @@ def fock_herald(fi, spec):
     surplus column of a port c.  The Schur complement of K on these rows
     and columns is B(y) of the module docstring, with one y W per herald
     block of nonzero count, per kept port and per distinct pair (W =
-    T^dag e_c e_r^T T), read at y_env^e, e = |p| - |h| - |u|.  Elements
-    that share their pairs form one class on one sieve grid.  Traced ports
-    get zero rows of T, so their photons join the loss term exactly.  A
-    lossy circuit conserves or loses photons, so an element with |u| !=
-    |v|, or with more than the unheralded photons, is exactly zero.
+    T^dag e_c e_r^T T), read at y_env^e, e = |p| - |h| - |u|, off the
+    product form F of that B(y).  Elements that share their pairs form one
+    class on one full sieve grid.  Traced ports get zero rows of T, so
+    their photons join the loss term exactly.  A lossy circuit conserves
+    or loses photons, so an element with |u| != |v|, or with more than the
+    unheralded photons, is exactly zero.
     """
     if not (fi.gram == 1).all():
         raise DomainError("Fock heralds take no Gram matrix")
@@ -210,12 +223,12 @@ def fock_herald(fi, spec):
     kept = kept_modes(spec, m)
     hblocks, hcounts = spec.measurement
     occ = [i for i in range(m) if fi.p[i]]
-    t, d = fi.t[:, occ], len(occ)
+    t, d, p = fi.t[:, occ], len(occ), [fi.p[i] for i in occ]
     t[list(spec.trace_out)] = 0.0
     # herald blocks of zero count drop out: their y would be pinned at zero
     blocks = [b for b, c in zip(hblocks, hcounts) if c] + [(k,) for k in kept]
     diag = [t[list(b)].conj().T @ t[list(b)] for b in blocks]
-    counts = [fi.p[i] for i in occ] + [c for c in hcounts if c]
+    counts = p + [c for c in hcounts if c]
     budget = sum(fi.p) - sum(hcounts)
 
     def embed(u, v):
@@ -231,7 +244,7 @@ def fock_herald(fi, spec):
     def build(pairs):
         w = diag + [np.outer(t[c].conj(), t[r]) for r, c in pairs]
         nvar = d + len(w) + 1
-        return (_fock_series(t, 1.0, np.reshape(w, (len(w), d, d))),
-                np.eye(nvar), [range(d), range(d, nvar)])
+        return (_fock_series(t, 1.0, np.reshape(w, (len(w), d, d)), p),
+                np.eye(nvar), [range(d), range(d, nvar)], False)
 
     return herald_density(len(kept), spec.cutoff, counts, embed, build)

@@ -6,25 +6,30 @@ Eight layers, from slow-and-certain to fast:
                          loops, exponential, guarded to 14 rows;
 * ``power_trace_series`` the one matrix-power loop: tr(P^k) / k and a loop
                          term, about 2 sqrt(N) products per point from baby
-                         and giant steps; its callers form the first powers
-                         P: D(z) XA (``g_coefficients``), X (S o B(y)) (Fock);
+                         and giant steps, for the first powers P = D(z) XA
+                         that ``g_coefficients`` forms;
 * ``g_coefficients``     the power-trace log series g_1..g_N, batched over
                          diagonal scalings D(z) of XA;
 * ``f_coefficients``     batched exp series turning log-series coefficients
                          g_k into the Taylor coefficients f_0..f_N;
-* ``grid_coefficients``  the sieve engine: f_0..f_N on one roots-of-unity
-                         grid with one pinned variable per homogeneous
-                         group, the one of the smallest count, then one dot
+                         ``from_log_series`` makes a log series a model;
+* ``grid_coefficients``  the sieve engine: f on one roots-of-unity grid
+                         with one pinned variable per homogeneous group,
+                         the one of the smallest count, then one dot
                          product per grid axis reads out each count pattern
                          from f_N of its total N, with its rounding bound;
-                         the log series is an argument.  What depends only
-                         on the count rows and groups (pins, sizes, scale,
-                         phases) is planned once per rows and groups
-                         (``_grid_plan``), and the unit-circle points and
-                         their conjugate pairs once per grid shape
-                         (``_unit_grid``, ``_conj_pairs``); a real series
-                         (every probability and moment, and the diagonal
-                         herald class) runs on one point per pair;
+                         the model, which gives f_N at the grid points for
+                         the totals N the rows read, is an argument (a
+                         Gaussian log series through ``f_coefficients``, or
+                         the Fock product form of ``fock_channel``).  What
+                         depends only on the count rows and groups (pins,
+                         sizes, scale, phases) is planned once per rows and
+                         groups (``_grid_plan``), and the unit-circle points
+                         and their conjugate pairs once per grid shape
+                         (``_unit_grid``, ``_conj_pairs``); a model with
+                         real coefficients (every Gaussian probability and
+                         moment, and the diagonal Gaussian herald class)
+                         runs on one point per pair;
 * ``sieve_reduce``       the one fold-and-certify routine: rows of count
                          patterns from one unit-circle grid, each row that
                          drowns in cancellation folded again on its own
@@ -133,10 +138,22 @@ def f_coefficients(g):
     return c
 
 
+def from_log_series(series):
+    """The sieve model of a log series: ``series(nmax, z)`` gives
+    g_1..g_nmax at the rows of ``z``, and the model gives f_n at them for
+    each n of ``totals`` (ascending), columns of one ``f_coefficients``
+    block."""
+    def model(totals, z):
+        f = f_coefficients(series(totals[-1], z))
+        return [f[:, n] for n in totals]
+    return model
+
+
 # memory budget (bytes) for one batch chunk of ``power_trace_series``: its
 # b baby-step powers plus the giant step, its transpose and the next giant
 # step, b + 3 stacks of (chunk, d, d); a chunk of a few hundred points
-# already amortizes the per-call overhead
+# already amortizes the per-call overhead.  The Fock product form chunks
+# its one (chunk, d, d) stack of B(y) by it too
 _CHUNK_BYTES = 1 << 22
 
 
@@ -229,22 +246,25 @@ def f_n(a, gamma=None, n=0):
 # roots-of-unity sieve
 # ---------------------------------------------------------------------------
 
-def grid_coefficients(series, expand, targets, radii=None, groups=None,
+def grid_coefficients(model, expand, targets, radii=None, groups=None,
                       real=False):
     """Blocked loop Hafnians of many count patterns from one sieve grid.
 
-    ``series(nmax, scale)`` returns g_1..g_nmax at every row of ``scale``
-    (one entry per mode), as ``g_coefficients`` does with its matrix and
-    loop vector bound.  ``expand`` maps variable columns to mode columns,
-    and each row of ``targets`` is a count pattern over the variables.
-    Variable j runs over L_j points r_j exp(2 pi i m / L_j), L_j = 1 + its
-    largest count k_j (a variable whose counts are all zero is pinned at
-    zero).  ``groups`` partitions the variables into homogeneous groups
-    (default: one group of all): f_N has degree N in each group, as 1 /
-    det(I - X B(y)) has in x and in y.  A pattern k with every k_j < L_j
-    aliases with no other pattern of the same group totals, so f_N (N the
-    total of the first group) read by one dot product per axis with the
-    conj phases exp(-2 pi i m k_j / L_j) yields pattern k exactly.
+    ``model(totals, scale)`` returns, for each total N of ``totals``
+    (ascending), f_N at every row of ``scale`` (one entry per mode): the
+    part of the generating function of degree N in the first group
+    (``from_log_series`` gives it for a log series, as of
+    ``g_coefficients`` with its matrix and loop vector bound).
+    ``expand`` maps variable columns to mode columns, and each row of
+    ``targets`` is a count pattern over the variables.  Variable j runs
+    over L_j points r_j exp(2 pi i m / L_j), L_j = 1 + its largest count
+    k_j (a variable whose counts are all zero is pinned at zero).
+    ``groups`` partitions the variables into homogeneous groups (default:
+    one group of all): f_N has degree N in each group, as 1 / det(I - X
+    B(y)) has in x and in y.  A pattern k with every k_j < L_j aliases
+    with no other pattern of the same group totals, so f_N (N the total of
+    the first group) read by one dot product per axis with the conj phases
+    exp(-2 pi i m k_j / L_j) yields pattern k exactly.
 
     Homogeneity also pins one variable e per group at r_e: a pattern of
     the same totals then aliases onto k only through a variable of e's
@@ -254,19 +274,19 @@ def grid_coefficients(series, expand, targets, radii=None, groups=None,
     L_e >= k_e' + 1, so its grid has at least (k_e' + 1) prod_(j != e, e')
     (k_j + 1) = prod_(j != e) (k_j + 1) points.
 
-    Everything but the radii and the series depends only on the count rows
+    Everything but the radii and the model depends only on the count rows
     and the groups: it is planned once per (rows, groups) by
     ``_grid_plan``, on a unit-circle grid shared per shape by
-    ``_unit_grid``; a call then forms the points, evaluates the series and
+    ``_unit_grid``; a call then forms the points, evaluates the model and
     reads out.
 
-    ``real`` declares real Taylor coefficients, as every probability and
-    moment has.  The pins and radii are real, so point m and its partner
-    -m mod L_j carry conjugate values, f_N(conj z) = conj f_N(z): the
-    series runs on one point of each pair (``_conj_pairs``), each partner
-    is filled by conjugation, and the fold and mass are the full grid's.
-    Complex coefficients, as of an off-diagonal herald class, need every
-    point.
+    ``real`` declares real Taylor coefficients of every f_N the model
+    gives, as a Gaussian probability or moment has.  The pins and radii
+    are real, so point m and its partner -m mod L_j carry conjugate
+    values, f_N(conj z) = conj f_N(z): the model runs on one point of each
+    pair (``_conj_pairs``), each partner is filled by conjugation, and the
+    fold and mass are the full grid's.  Complex coefficients, as of an
+    off-diagonal herald class or the Fock product form, need every point.
 
     Returns (values, masses) over the rows of ``targets``: value =
     prod k_j! [z^k] f_N, and mass = prod(k_j! / (L_j r_j^k_j)) times
@@ -285,17 +305,14 @@ def grid_coefficients(series, expand, targets, radii=None, groups=None,
     half = _conj_pairs(plan.shape) if real else None
     if half is not None:
         units = units[half.reps]
-    f = f_coefficients(series(plan.nmax, units @ live + pinned.sum(axis=0)))
+    columns = model(plan.totals, units @ live + pinned.sum(axis=0))
+    if half is not None:   # each partner takes its conjugate
+        columns = [column[half.source] for column in columns]
+        for column in columns:
+            np.conjugate(column, out=column, where=half.flip)
     values = np.empty(len(targets), dtype=complex)
     masses = np.empty(len(targets))
-    columns = {}
     for row, (n, scale, phases) in enumerate(plan.reads):
-        if n not in columns:
-            column = f[:, n]
-            if half is not None:   # each partner takes its conjugate
-                column = column[half.source]
-                np.conjugate(column, out=column, where=half.flip)
-            columns[n] = column
         value = columns[n].reshape(plan.shape)
         for phase in phases[::-1]:
             value = value @ phase
@@ -310,12 +327,12 @@ def grid_coefficients(series, expand, targets, radii=None, groups=None,
 
 class _GridPlan(NamedTuple):
     """What ``grid_coefficients`` needs of its count rows and groups.
-    ``reads`` holds, per row, (its total, prod k_j! / prod L_j, conj unit
-    phases per live axis)."""
+    ``reads`` holds, per row, (the position of its total in ``totals``,
+    prod k_j! / prod L_j, conj unit phases per live axis)."""
     live: tuple     # the variables with one grid axis each, in order
     pinned: tuple   # one variable per group, held at its radius
     shape: tuple    # L_j over the live variables
-    nmax: int       # the largest total
+    totals: tuple   # the distinct totals the rows read, ascending
     reads: tuple
 
 
@@ -340,9 +357,11 @@ def _grid_plan(rows, groups):
     facts = np.array([float(math.factorial(k)) for k in range(max(kmax) + 1)])
     scale = np.prod(facts[targets], axis=1) / math.prod(shape)
     totals = targets[:, list(groups[0])].sum(axis=1).tolist()
-    reads = tuple((n, s, tuple(map(_phases, shape, k))) for n, s, k in
-                  zip(totals, scale.tolist(), targets[:, list(live)].tolist()))
-    return _GridPlan(live, pinned, shape, max(totals), reads)
+    distinct = sorted(set(totals))
+    reads = tuple((distinct.index(n), s, tuple(map(_phases, shape, k)))
+                  for n, s, k in zip(totals, scale.tolist(),
+                                     targets[:, list(live)].tolist()))
+    return _GridPlan(live, pinned, shape, tuple(distinct), reads)
 
 
 @lru_cache(maxsize=256)
@@ -403,13 +422,13 @@ def fold_is_sound(value, mass, abs_tol=None):
     return abs_tol is not None and _EPS * mass <= abs_tol
 
 
-def sieve_reduce(series, targets, expand, abs_tol=None, groups=None,
+def sieve_reduce(model, targets, expand, abs_tol=None, groups=None,
                  real=False):
     """The rows of ``targets`` (count patterns over the variables) of the
-    log series ``series``, folded and certified; ``expand`` maps variable
-    columns to mode columns, ``abs_tol`` is None or one absolute tolerance
-    (or None) per row, and ``groups`` and ``real`` (for every grid,
-    re-folds included) are as in ``grid_coefficients``.
+    generating function ``model``, folded and certified; ``expand`` maps
+    variable columns to mode columns, ``abs_tol`` is None or one absolute
+    tolerance (or None) per row, and ``model``, ``groups`` and ``real``
+    (for every grid, re-folds included) are as in ``grid_coefficients``.
 
     Every row is read off one grid on unit circles.  The absolute fold mass
     bounds the rounding error of the fold, so it doubles as a condition
@@ -427,7 +446,7 @@ def sieve_reduce(series, targets, expand, abs_tol=None, groups=None,
     if targets.min(initial=0) < 0:
         raise DomainError("counts must be non-negative")
     tols = [None] * len(targets) if abs_tol is None else list(abs_tol)
-    values, masses = grid_coefficients(series, expand, targets,
+    values, masses = grid_coefficients(model, expand, targets,
                                        groups=groups, real=real)
     for row, (k, tol) in enumerate(zip(targets, tols)):
         if len(set(k.tolist()) - {0}) < 2:
@@ -435,7 +454,7 @@ def sieve_reduce(series, targets, expand, abs_tol=None, groups=None,
         for boost in _DILATIONS[1:]:
             if fold_is_sound(values[row], masses[row], tol):
                 break
-            cand, cmass = grid_coefficients(series, expand, [k],
+            cand, cmass = grid_coefficients(model, expand, [k],
                                             boost ** (k / k.max()), groups,
                                             real)
             if cmass[0] < masses[row]:
@@ -489,8 +508,8 @@ def blocked_lhaf(a, gamma, blocks, b, real=False):
     b = require_counts(b)
     if len(b) != len(blocks):
         raise PartitionMismatch("one count per block required")
-    return sieve_reduce(partial(g_coefficients, a, gamma), [b], expand,
-                        real=real)[0]
+    return sieve_reduce(from_log_series(partial(g_coefficients, a, gamma)),
+                        [b], expand, real=real)[0]
 
 
 def block_expansion(blocks, nmodes):

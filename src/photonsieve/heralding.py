@@ -31,6 +31,7 @@ from .hafnian import (
     block_expansion,
     blocked_lhaf,
     factorial_product,
+    from_log_series,
     g_coefficients,
     lhaf_sieve,
     sieve_reduce,
@@ -223,24 +224,24 @@ def herald_density(nkept, cutoff, counts, embed, build, vacuum=1.0):
     ``counts`` is the herald outcome, one count per herald variable.
     ``embed(u, v)`` maps an element to (class key, counts of the element's
     own sieve variables, norm factor), or to None when a selection rule
-    makes it exactly zero, and ``build(key)`` maps a class to (log series,
-    variable-to-mode matrix, sieve groups or None), the herald variables
-    first.  Elements of one class are one generating function read out at
+    makes it exactly zero, and ``build(key)`` maps a class to (sieve
+    model, variable-to-mode matrix, sieve groups or None, ``real``), the
+    herald variables first; ``real`` says whether the model's coefficients
+    are real, so that the class takes the half grid (``grid_coefficients``).
+    Elements of one class are one generating function read out at
     different count patterns: one ``sieve_reduce`` call per class.  An
     element is ``vacuum`` times its sieve value over prod(counts!) sqrt(u!
     v!) and its norm factor (the e! of e lost photons for a Fock input, 1
     for a Gaussian state).  The diagonal comes first: the trace sets the
     scale of the state, and off-diagonal elements only need absolute
-    accuracy 1e-9 * trace.  A diagonal class generates joint probabilities,
-    real coefficients, and takes the half grid (``grid_coefficients``); an
-    off-diagonal class does not.
+    accuracy 1e-9 * trace.
     """
     patterns = list(product(range(cutoff + 1), repeat=nkept))
     dim = len(patterns)
     entries = np.zeros((dim, dim), dtype=complex)
     hfact = factorial_product(counts)
 
-    def fill(pairs, abs_tol, real):
+    def fill(pairs, abs_tol):
         classes = {}
         for i, j in pairs:
             element = embed(patterns[j], patterns[i])
@@ -254,8 +255,8 @@ def herald_density(nkept, cutoff, counts, embed, build, vacuum=1.0):
             tols = [None if abs_tol is None or vacuum == 0
                     else abs_tol * norm / abs(vacuum)
                     for *_, norm in members]
-            series, expand, groups = build(key)
-            values = sieve_reduce(series, [ks for _, _, ks, _ in members],
+            model, expand, groups, real = build(key)
+            values = sieve_reduce(model, [ks for _, _, ks, _ in members],
                                   expand, tols, groups, real)
             for (i, j, _, norm), value in zip(members, values):
                 val = complex(vacuum * value / norm)
@@ -265,10 +266,10 @@ def herald_density(nkept, cutoff, counts, embed, build, vacuum=1.0):
                     entries[i, j] = val
                     entries[j, i] = np.conj(val)
 
-    fill([(i, i) for i in range(dim)], None, True)
+    fill([(i, i) for i in range(dim)], None)
     tol = 1e-9 * abs(np.trace(entries).real)
     fill([(i, j) for i in range(dim) for j in range(i + 1, dim)],
-         tol if tol > 0 else None, False)
+         tol if tol > 0 else None)
     return DensityMatrix(nkept, cutoff, entries)
 
 
@@ -279,7 +280,9 @@ def herald_grouped(rep, spec):
     (``_merged_modes``), which fixes a' and gamma'.  With a zero loop
     vector, an element of odd |u| + |v| is a loop Hafnian of odd size and
     so exactly zero.  After the herald blocks, every embedded mode outside
-    them is one sieve variable of its own.
+    them is one sieve variable of its own.  The diagonal class, the one
+    that embeds no new mode, generates joint probabilities: real
+    coefficients.
     """
     sub, blocks, counts, kept = _herald_parts(rep, spec)
     nmodes = sub.layout.total
@@ -299,9 +302,11 @@ def herald_grouped(rep, spec):
     def build(tags):
         mprime = len(tags) // 2
         singles = [(k,) for k in range(mprime) if k not in in_herald]
-        return (partial(g_coefficients,
-                        *_embedded_matrix(sub.a, sub.gamma, tags)),
-                block_expansion(herald + singles, mprime), None)
+        series = partial(g_coefficients,
+                         *_embedded_matrix(sub.a, sub.gamma, tags))
+        return (from_log_series(series),
+                block_expansion(herald + singles, mprime), None,
+                mprime == nmodes)
 
     return herald_density(len(kept), spec.cutoff, counts, embed, build,
                           sub.vacuum_prob)

@@ -81,6 +81,14 @@ def test_total_dist_csv(tmp_path):
     assert np.isclose(float(lines[1].split(",")[1]), 1 / math.cosh(0.5))
 
 
+def fock_ready(circuit, kind):
+    """``circuit`` for a task of ``kind``: a Fock task rejects the keys of
+    a Gaussian state, so it gets the circuit without its squeezing."""
+    if kind.startswith("fock"):
+        return {k: v for k, v in circuit.items() if k != "squeezing"}
+    return circuit
+
+
 def test_fine_and_coarse_prob(tmp_path):
     config = {"circuit": tmsv_circuit(),
               "task": {"kind": "fine-prob", "pattern": [1, 1]}}
@@ -413,7 +421,7 @@ def test_zero_probability_herald_exits_numeric_error(tmp_path):
 
 @pytest.mark.parametrize("kind", ["herald", "fock-herald"])
 def test_herald_mode_out_of_range_exit_code(tmp_path, kind):
-    config = {"circuit": tmsv_circuit(),
+    config = {"circuit": fock_ready(tmsv_circuit(), kind),
               "task": {"kind": kind, "input": [1, 1], "herald_modes": [0],
                        "measurement": [1], "cutoff": 2, "trace_out": [-1]}}
     out = tmp_path / "r.json"
@@ -504,6 +512,30 @@ def test_distinguishable_external_prob_rejects_displacement(tmp_path,
         assert err["error"] == "LayoutMismatch"
 
 
+@pytest.mark.parametrize("extra", [
+    {"squeezing": [0.5, 0.3]},
+    {"husimi_cov": np.eye(4).tolist()},
+    {"means": [0.1, 0.0, 0.1, 0.0]},
+    {"spectral_purity": 0.9},
+    {"displacements": [0.3, 0.3]},
+    {"internals": 3},
+], ids=["squeezing", "husimi_cov", "means", "spectral_purity",
+        "displacements", "internals"])
+def test_fock_tasks_reject_what_they_cannot_model(tmp_path, capsys, extra):
+    # a Fock input has one internal mode per port and no Gaussian state:
+    # a key it cannot model is rejected, never dropped for the value of
+    # indistinguishable photons
+    circuit = {"modes": 2, **extra,
+               "transmission": tmsv_circuit()["transmission"]["unitary"]}
+    for task in ({"kind": "fock-prob", "input": [1, 1],
+                  "blocks": [[0], [1]], "counts": [1, 1]},
+                 {"kind": "fock-herald", "input": [1, 1],
+                  "herald_modes": [0], "measurement": [1], "cutoff": 1}):
+        err = rejected_as(tmp_path, capsys, {"circuit": circuit,
+                                             "task": task})
+        assert err["error"] == "LayoutMismatch"
+
+
 @pytest.mark.parametrize("task", [
     {"kind": "fine-prob", "pattern": [-2, 0]},
     {"kind": "fine-prob", "pattern": [-1, 1]},
@@ -534,7 +566,8 @@ def test_distinguishable_external_prob_rejects_displacement(tmp_path,
     {"kind": "pp-estimate", "samples": 100, "n_values": [0.5]},
 ])
 def test_negative_counts_exit_code(tmp_path, capsys, task):
-    config = {"circuit": tmsv_circuit(), "task": task}
+    config = {"circuit": fock_ready(tmsv_circuit(), task["kind"]),
+              "task": task}
     out = tmp_path / "r.json"
     assert cli.main(["run", "--config", write_config(tmp_path, config),
                      "--output", str(out)]) == 2
@@ -596,9 +629,10 @@ def test_bad_herald_target_exit_code(tmp_path, capsys, target, code, error):
 ])
 def test_bad_herald_target_is_rejected_before_the_herald(tmp_path, kind,
                                                          target, code):
-    config = {"circuit": {"modes": 2, "squeezing": [0.8, 0.0],
-                          "transmission": {"haar_seed": 2,
-                                           "efficiency": 0.9}},
+    config = {"circuit": fock_ready({"modes": 2, "squeezing": [0.8, 0.0],
+                                     "transmission": {"haar_seed": 2,
+                                                      "efficiency": 0.9}},
+                                    kind),
               "task": {"kind": kind, "input": [1, 1], "herald_modes": [0],
                        "measurement": [1], "cutoff": 4, "target": target}}
     path = write_config(tmp_path, config)

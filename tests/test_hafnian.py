@@ -299,9 +299,9 @@ def test_lhaf_sieve_node_independence():
     pattern = [2, 1, 2]
     default = hafnian.lhaf_sieve(a, gam, pattern)  # unit circles first
     expand = hafnian.block_expansion([(0,), (1,), (2,)], 3)
+    model = hafnian.from_log_series(partial(hafnian.g_coefficients, a, gam))
     for radii in ([4.0, 2.0, 4.0], [0.5, 2.0, 1.3]):
-        values, _ = hafnian.grid_coefficients(
-            partial(hafnian.g_coefficients, a, gam), expand, [pattern], radii)
+        values, _ = hafnian.grid_coefficients(model, expand, [pattern], radii)
         assert np.isclose(default, values[0], rtol=1e-8)
 
 
@@ -361,7 +361,8 @@ def test_grid_coefficients_match_per_pattern_sieve(seed, with_gamma, sizes):
     targets = list(itertools.product(*(range(s) for s in sizes)))
     radii = rng.uniform(0.5, 2.0, len(sizes))
     values, masses = hafnian.grid_coefficients(
-        partial(hafnian.g_coefficients, a, gam), expand, targets, radii)
+        hafnian.from_log_series(partial(hafnian.g_coefficients, a, gam)),
+        expand, targets, radii)
     for k, value, mass in zip(targets, values, masses):
         want = hafnian.blocked_lhaf(a, gam, blocks, k)
         assert np.isclose(value, want, rtol=1e-9, atol=1e-12)
@@ -421,7 +422,8 @@ def test_grid_coefficients_two_groups_match_brute_force():
                    if sum(k[:2]) == sum(k[2:]) <= 3
                    and max(k[1], k[3], k[4]) <= limit]
         values, _ = hafnian.grid_coefficients(
-            series, np.eye(5), targets, groups=[range(2), range(2, 5)])
+            hafnian.from_log_series(series), np.eye(5), targets,
+            groups=[range(2), range(2, 5)])
         for k, value in zip(targets, values):
             got = value / hafnian.factorial_product(k)
             assert abs(got - want.get(k, 0)) <= 1e-12 * scale
@@ -452,18 +454,27 @@ def test_grid_has_fewest_points_over_every_pin(rows, split):
         seen.append(len(z))
         return np.zeros((len(z), nmax))
 
-    hafnian.grid_coefficients(series, np.eye(nvar), rows, groups=groups)
+    hafnian.grid_coefficients(hafnian.from_log_series(series), np.eye(nvar),
+                              rows, groups=groups)
     assert seen == [want]
 
 
 def fock_gram_series():
-    """The real-coefficient Fock series of two occupied inputs with a
-    complex Gram matrix, two output blocks and the loss variable: five
-    variables in the homogeneous groups (x_1, x_2), (y_1, y_2, y_env)."""
+    """The real-coefficient Fock series 1 / det(I - X (S o B(y))) of two
+    occupied inputs with a complex Gram matrix, two output blocks and the
+    loss variable, from its power traces: five variables in the
+    homogeneous groups (x_1, x_2), (y_1, y_2, y_env)."""
     t = np.sqrt(0.8) * haar_unitary(3, 4)[:, :2]
     gram = np.array([[1.0, 0.6 * np.exp(0.7j)], [0.6 * np.exp(-0.7j), 1.0]])
     w = [t[b].conj().T @ t[b] for b in ([0], [1, 2])]
-    return fock_channel._fock_series(t, gram, np.array(w))
+    w = np.array(w + [np.eye(2) - t.conj().T @ t]) * gram
+
+    def series(nmax, z):
+        def first(lo, hi, out):
+            out[:] = z[lo:hi, :2, None] * np.einsum("gj,jab->gab",
+                                                     z[lo:hi, 2:], w)
+        return hafnian.power_trace_series(first, 2, nmax, len(z))
+    return hafnian.from_log_series(series)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -502,12 +513,12 @@ def grid_spy():
     point counts its series saw)."""
     calls, original = [], hafnian.grid_coefficients
 
-    def spy(series, expand, targets, radii=None, groups=None, real=False):
+    def spy(model, expand, targets, radii=None, groups=None, real=False):
         seen = []
 
-        def counted(nmax, z):
+        def counted(totals, z):
             seen.append(len(z))
-            return series(nmax, z)
+            return model(totals, z)
         rows = np.asarray(targets, dtype=int).reshape(-1, expand.shape[0])
         plan = hafnian._grid_plan(
             tuple(map(tuple, rows.tolist())),
@@ -519,11 +530,11 @@ def grid_spy():
 
 
 def test_real_grids_evaluate_one_point_per_conjugate_pair():
-    """A real call evaluates its series at (G + s) / 2 of its G points, s
-    of them self-conjugate (m_j = 0 or L_j / 2 on every axis): fine and
-    Fock probabilities and diagonal herald classes.  A default
-    ``blocked_lhaf`` call and every off-diagonal herald class, whose
-    coefficients are complex, evaluate all G."""
+    """A real call evaluates its model at (G + s) / 2 of its G points, s
+    of them self-conjugate (m_j = 0 or L_j / 2 on every axis): fine
+    probabilities and diagonal Gaussian herald classes.  A default
+    ``blocked_lhaf`` call, every off-diagonal herald class and the Fock
+    product form, whose coefficients are complex, evaluate all G."""
     def points(shape, real):
         g = math.prod(shape)
         s = math.prod(2 - size % 2 for size in shape)
@@ -536,7 +547,7 @@ def test_real_grids_evaluate_one_point_per_conjugate_pair():
         (lambda: hafnian.blocked_lhaf(rep.a, rep.gamma, [(0,), (1,), (2,)],
                                       (6, 5, 3)), False),
         (lambda: fock_channel.fock_coarse_prob(
-            fi, CoarsePattern([[0], [1, 2]], (1, 1))), True),
+            fi, CoarsePattern([[0], [1, 2]], (1, 1))), False),
     ]
     for run, real in runs:
         with grid_spy() as calls:
@@ -687,7 +698,8 @@ def displaced_lossy_rep():
 
 def displaced_lossy_series():
     rep = displaced_lossy_rep()
-    return partial(hafnian.g_coefficients, rep.a, rep.gamma)
+    return hafnian.from_log_series(
+        partial(hafnian.g_coefficients, rep.a, rep.gamma))
 
 
 def folded_rows(series, rows, abs_tol=None):
