@@ -312,12 +312,12 @@ def grid_coefficients(model, expand, targets, radii=None, groups=None,
             np.conjugate(column, out=column, where=half.flip)
     values = np.empty(len(targets), dtype=complex)
     masses = np.empty(len(targets))
-    for row, (n, scale, phases) in enumerate(plan.reads):
-        value = columns[n].reshape(plan.shape)
+    for row, (col, scale, phases) in enumerate(plan.reads):
+        value = columns[col].reshape(plan.shape)
         for phase in phases[::-1]:
             value = value @ phase
         values[row] = value * scale
-        masses[row] = np.abs(columns[n]).sum() * scale
+        masses[row] = np.abs(columns[col]).sum() * scale
     if radii is not None:
         dilation = np.prod(radii ** targets, axis=1)
         values /= dilation
