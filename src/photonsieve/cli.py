@@ -112,16 +112,21 @@ def _layout(circ):
     return gaussian.ModeLayout(circ["modes"], circ.get("internals", 1))
 
 
-def _plain_layout(circ, what, unmodeled):
-    """The layout of a circuit config section for a path that models one
-    internal mode per port and none of the circuit keys ``unmodeled``: any
-    of them is rejected, never dropped."""
-    layout = _layout(circ)
-    if layout.internals_per_external != 1:
-        raise LayoutMismatch(f"{what} needs one internal mode")
+def _reject_unmodeled(circ, what, unmodeled):
+    """Raise ``LayoutMismatch`` for any of the circuit keys ``unmodeled``
+    in ``circ``: a key a path cannot model is rejected, never dropped."""
     for key in unmodeled:
         if key in circ:
             raise LayoutMismatch(f"{what} cannot model {key}")
+
+
+def _plain_layout(circ, what, unmodeled):
+    """The layout of a circuit config section for a path that models one
+    internal mode per port and none of the circuit keys ``unmodeled``."""
+    layout = _layout(circ)
+    if layout.internals_per_external != 1:
+        raise LayoutMismatch(f"{what} needs one internal mode")
+    _reject_unmodeled(circ, what, unmodeled)
     return layout
 
 
@@ -136,15 +141,19 @@ def build_state(circ):
             "exactly one of squeezing or husimi_cov must be given"
         )
     if has_cov:
+        _reject_unmodeled(circ, "a Husimi covariance", ("spectral_purity",))
         means = _vector(circ.get("means", [0.0] * (2 * total)))
         state = gaussian.GaussianState(_matrix(circ["husimi_cov"]), means,
                                        layout)
-    elif "spectral_purity" in circ:
-        xi = [float(x) for x in circ["squeezing"]]
-        state = gaussian.impure_source(xi, float(circ["spectral_purity"]),
-                                      layout)
     else:
-        state = gaussian.from_squeezing(_vector(circ["squeezing"]), layout)
+        _reject_unmodeled(circ, "a squeezed source", ("means",))
+        if "spectral_purity" in circ:
+            xi = [float(x) for x in circ["squeezing"]]
+            state = gaussian.impure_source(
+                xi, float(circ["spectral_purity"]), layout)
+        else:
+            state = gaussian.from_squeezing(_vector(circ["squeezing"]),
+                                            layout)
     t = _transmission(circ, total, modes)
     if t is not None:
         state = gaussian.apply_channel(state, t)
@@ -293,7 +302,7 @@ def _run_moments(circ, task):
 
 def _run_pp_estimate(circ, task):
     modes = _plain_layout(circ, "phase-space estimation", (
-        "displacements", "husimi_cov", "spectral_purity")).externals
+        "displacements", "husimi_cov", "means", "spectral_purity")).externals
     xi = [float(x) for x in circ["squeezing"]]
     t = _transmission_or_identity(circ, modes, modes)
     run = phasespace.PPRun(tuple(xi), t, task["samples"],

@@ -22,6 +22,8 @@ from .errors import (
     TooLarge,
 )
 from .gaussian import marginal_rep, reduce_modes
+# lhaf_sieve and blocked_lhaf are not called here: the benchmark tracer
+# rebinds them here
 from .hafnian import (
     block_expansion,
     blocked_lhaf,
@@ -30,8 +32,10 @@ from .hafnian import (
     factorial_product,
     from_log_series,
     g_coefficients,
+    gaussian_model,
     grid_coefficients,
     lhaf_sieve,
+    partition_expansion,
     sieve_reduce,
 )
 from .linalg import require_counts, require_finite, swap_halves
@@ -95,11 +99,39 @@ def _real_prob(value):
 # probabilities
 # ---------------------------------------------------------------------------
 
+def _state_record(rep, blocks):
+    """The sieve record of ``rep`` over the detector ``blocks`` (None: one
+    block per mode): its ``gaussian_model``, the checked partition
+    expansion and the vacuum prefactor; a state's coefficients are real.
+    ``rep`` keeps the record of the partition it read last.  A partition
+    that fails ``partition_expansion`` raises on every call and is never
+    kept."""
+    kept = rep._record   # read once: one assignment replaces it whole
+    if kept is not None and kept[0] == blocks:
+        return kept[1]
+    t = rep.layout.total
+    expand = partition_expansion(
+        [(j,) for j in range(t)] if blocks is None else blocks, t)
+    rec = (gaussian_model(rep.a, rep.gamma), expand, rep.vacuum_prob)
+    object.__setattr__(rep, "_record", (blocks, rec))
+    return rec
+
+
+def _record_prob(rep, blocks, counts):
+    """The probability of ``counts`` over ``blocks`` (as in
+    ``_state_record``), one row folded on the record of ``rep``."""
+    model, expand, vacuum = _state_record(rep, blocks)
+    val = vacuum * sieve_reduce(model, (counts,), expand, real=True)[0]
+    return _real_prob(val / factorial_product(counts))
+
+
 def prob_fine(rep, n):
     """Probability of the exact per-mode photon pattern n."""
     n = require_counts(n, "pattern")
-    val = rep.vacuum_prob * lhaf_sieve(rep.a, rep.gamma, n, real=True)
-    return _real_prob(val / factorial_product(n))
+    if len(n) != rep.layout.total:
+        raise PartitionMismatch(
+            f"pattern length {len(n)} != mode count {rep.layout.total}")
+    return _record_prob(rep, None, n)
 
 
 def prob_total(rep, subset, n_total):
@@ -145,9 +177,7 @@ def total_distribution(rep, subset=None, cutoff=None, tail=_DEFAULT_TAIL):
 
 def prob_coarse(rep, cp):
     """Probability of the coarse-grained counts over detector blocks."""
-    val = rep.vacuum_prob * blocked_lhaf(rep.a, rep.gamma, cp.blocks,
-                                         cp.counts, real=True)
-    return _real_prob(val / factorial_product(cp.counts))
+    return _record_prob(rep, cp.blocks, cp.counts)
 
 
 def prob_external(rep, n):
@@ -282,9 +312,8 @@ def coarse_moment(state, blocks):
     a, gamma, expand = _moment_generator(state, blocks)
     if not len(expand):
         return 1.0
-    values, _ = grid_coefficients(
-        from_log_series(partial(g_coefficients, a, gamma)), expand,
-        [[1] * len(expand)], real=True)
+    values, _ = grid_coefficients(gaussian_model(a, gamma), expand,
+                                  ((1,) * len(expand),), real=True)
     return _real(values[0])
 
 

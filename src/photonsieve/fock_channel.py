@@ -129,7 +129,7 @@ def _coarse_record(fi, blocks):
     proj = partition_expansion(blocks, len(fi.p)).real   # E_j by row
     occ = [i for i, k in enumerate(fi.p) if k]
     t, d = fi.t[:, occ], len(occ)
-    prefix = [fi.p[i] for i in occ]
+    prefix = tuple(fi.p[i] for i in occ)
     model = _fock_series(t, fi.gram[np.ix_(occ, occ)],
                          np.einsum("ai,ja,al->jil", t.conj(), proj, t), prefix)
     nvar = d + len(blocks) + 1
@@ -150,8 +150,8 @@ def fock_coarse_prob(fi, cp):
     nout = sum(cp.counts)
     if nout > nin or nin == 0:
         return float(nout == 0)  # a lossy circuit cannot create photons
-    counts = prefix + list(cp.counts) + [nin - nout]
-    val = sieve_reduce(model, [counts], expand, groups=groups)
+    counts = prefix + cp.counts + (nin - nout,)
+    val = sieve_reduce(model, (counts,), expand, groups=groups)
     return _real_prob(val[0] / factorial_product(counts))
 
 
@@ -245,6 +245,7 @@ def fock_herald(fi, spec):
         w = diag + [np.outer(t[c].conj(), t[r]) for r, c in pairs]
         nvar = d + len(w) + 1
         return (_fock_series(t, 1.0, np.reshape(w, (len(w), d, d)), p),
-                np.eye(nvar), [range(d), range(d, nvar)], False)
+                np.eye(nvar), (tuple(range(d)), tuple(range(d, nvar))),
+                False)
 
     return herald_density(len(kept), spec.cutoff, counts, embed, build)

@@ -12,7 +12,7 @@ its condition number and log-determinant off one ``eigvalsh``.
 """
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,23 +108,35 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class AdjacencyRep:
-    """Adjacency matrix A, loop vector gamma, and cached vacuum probability."""
+    """Adjacency matrix A, loop vector gamma, and cached vacuum probability.
+    ``a`` and ``gamma`` are kept as read-only copies, so the probability
+    routines can keep what they prepare from them on the representation
+    (``distributions._state_record``)."""
 
     a: np.ndarray
     gamma: np.ndarray
     vacuum_prob: complex
     layout: ModeLayout
+    _record: tuple = field(default=None, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        g = np.asarray(self.gamma, dtype=complex)
+        a = np.array(self.a, dtype=complex)
+        g = np.array(self.gamma, dtype=complex)
         t = self.layout.total
         if a.shape != (2 * t, 2 * t) or g.shape != (2 * t,):
             raise LayoutMismatch("adjacency shapes do not match layout")
         if np.max(np.abs(a - a.T)) > STRUCTURE_TOL:
             raise NotSymmetric("adjacency matrix is not symmetric")
+        a.flags.writeable = g.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "gamma", g)
+
+    def __reduce__(self):
+        # pickled and copied through the constructor: the prepared model
+        # is a closure, and the arrays come back read-only
+        return AdjacencyRep, (self.a, self.gamma, self.vacuum_prob,
+                              self.layout)
 
 
 # ---------------------------------------------------------------------------

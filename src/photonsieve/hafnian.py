@@ -12,7 +12,8 @@ Eight layers, from slow-and-certain to fast:
                          diagonal scalings D(z) of XA;
 * ``f_coefficients``     batched exp series turning log-series coefficients
                          g_k into the Taylor coefficients f_0..f_N;
-                         ``from_log_series`` makes a log series a model;
+                         ``from_log_series`` makes a log series a model,
+                         and ``gaussian_model`` that of an (A, gamma);
 * ``grid_coefficients``  the sieve engine: f on one roots-of-unity grid
                          with one pinned variable per homogeneous group,
                          the one of the smallest count, then one dot
@@ -39,12 +40,16 @@ Eight layers, from slow-and-certain to fast:
 * ``blocked_lhaf``       the grouped-detector generalization, one sieve
                          variable per block.
 
+``prob_fine`` and ``prob_coarse`` call neither of the last two: they fold
+their one row with one ``sieve_reduce`` call on a record that the state
+keeps (``distributions._state_record``).
+
 Moments and cumulants of photon counts are multilinear coefficients read
 off the same grid and log series.
 """
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -133,8 +138,11 @@ def f_coefficients(g):
     c = np.zeros(g.shape[:-1] + (n + 1,), dtype=np.result_type(g, float))
     c[..., 0] = 1.0
     kg = (g * np.arange(1, n + 1))[..., None, :]
+    column = c[..., None]
+    dot = np.empty(g.shape[:-1] + (1, 1), dtype=c.dtype)
     for i in range(1, n + 1):
-        c[..., i] = (kg[..., :i] @ c[..., i - 1::-1, None])[..., 0, 0] / i
+        np.matmul(kg[..., :i], column[..., i - 1::-1, :], out=dot)
+        np.divide(dot[..., 0, 0], i, out=c[..., i])
     return c
 
 
@@ -185,7 +193,7 @@ def power_trace_series(first, dim, nmax, npts, loop=None):
         for j in range(1, b):
             np.matmul(powers[:, j - 1], powers[:, 0], out=powers[:, j])
         rows = out[lo:lo + n]
-        rows[:, :b] = np.einsum("ghii->gh", powers)
+        np.einsum("ghii->gh", powers, out=rows[:, :b])
         flat = powers.reshape(n, b, dim * dim)
         if loop is not None:   # stored times k, as the traces are
             left, right = loop[0], loop[1][lo:lo + n]
@@ -216,23 +224,44 @@ def g_coefficients(a, gamma=None, nmax=1, scale=None):
     of ``scale`` are a batch: the result has shape scale.shape[:-1] +
     (nmax,); traces and loop term come from ``power_trace_series``.
     """
+    nmodes = np.shape(a)[0] // 2
+    scale = np.ones(nmodes) if scale is None else np.asarray(scale)
+    g = _gaussian_series(a, gamma)(
+        nmax, scale.reshape(-1, nmodes).astype(complex))
+    return g.reshape(scale.shape[:-1] + (nmax,))
+
+
+def _gaussian_series(a, gamma):
+    """``series(nmax, z)``: g_1..g_nmax of ``g_coefficients`` at the
+    complex rows of ``z``, with XA as swapped halves and the loop pair
+    (gamma, X gamma), or none when gamma is zero, prepared once."""
     a = np.asarray(a, dtype=complex)
     nmodes = a.shape[0] // 2
-    scale = np.ones(nmodes) if scale is None else np.asarray(scale)
-    batch = scale.shape[:-1]
-    scale = scale.reshape(-1, nmodes).astype(complex)
-    d = np.concatenate([scale, scale], axis=1)                  # (G, 2M)
-    loop = None
+    xa = np.concatenate([a[nmodes:], a[:nmodes]])
+    xgamma = None
     if gamma is not None and np.any(gamma):
         gamma = np.asarray(gamma, dtype=complex)
-        loop = (gamma, d * np.concatenate([gamma[nmodes:], gamma[:nmodes]]))
-    xa = np.concatenate([a[nmodes:], a[:nmodes]])   # X A: halves swapped
+        xgamma = np.concatenate([gamma[nmodes:], gamma[:nmodes]])
 
-    def first(lo, hi, out):
-        np.multiply(d[lo:hi, :, None], xa, out=out)
-    g = power_trace_series(first, 2 * nmodes, nmax, len(d), loop) / 2
-    require_finite(g, "g coefficients")
-    return g.reshape(batch + (nmax,))
+    def series(nmax, z):
+        d = np.concatenate([z, z], axis=1)                      # (G, 2M)
+        loop = None if xgamma is None else (gamma, d * xgamma)
+
+        def first(lo, hi, out):
+            np.multiply(d[lo:hi, :, None], xa, out=out)
+        g = power_trace_series(first, 2 * nmodes, nmax, len(d), loop)
+        g /= 2
+        require_finite(g, "g coefficients")
+        return g
+    return series
+
+
+def gaussian_model(a, gamma=None):
+    """The sieve model of the Gaussian generating function of ``a`` and
+    ``gamma``: the log series of ``g_coefficients`` through
+    ``f_coefficients``, its XA and loop pair prepared once, so that a
+    model read by many grids forms only its scaled points."""
+    return from_log_series(_gaussian_series(a, gamma))
 
 
 def f_n(a, gamma=None, n=0):
@@ -253,8 +282,8 @@ def grid_coefficients(model, expand, targets, radii=None, groups=None,
     ``model(totals, scale)`` returns, for each total N of ``totals``
     (ascending), f_N at every row of ``scale`` (one entry per mode): the
     part of the generating function of degree N in the first group
-    (``from_log_series`` gives it for a log series, as of
-    ``g_coefficients`` with its matrix and loop vector bound).
+    (``from_log_series`` gives it for a log series, and
+    ``gaussian_model`` for that of an adjacency matrix and loop vector).
     ``expand`` maps variable columns to mode columns, and each row of
     ``targets`` is a count pattern over the variables.  Variable j runs
     over L_j points r_j exp(2 pi i m / L_j), L_j = 1 + its largest count
@@ -278,7 +307,9 @@ def grid_coefficients(model, expand, targets, radii=None, groups=None,
     and the groups: it is planned once per (rows, groups) by
     ``_grid_plan``, on a unit-circle grid shared per shape by
     ``_unit_grid``; a call then forms the points, evaluates the model and
-    reads out.
+    reads out.  Rows given as a tuple of count tuples, and groups as a
+    tuple of tuples, are the plan's key as they stand; any other form is
+    converted first.
 
     ``real`` declares real Taylor coefficients of every f_N the model
     gives, as a Gaussian probability or moment has.  The pins and radii
@@ -293,25 +324,24 @@ def grid_coefficients(model, expand, targets, radii=None, groups=None,
     sum_m |f_N(z_m)| over the grid (L_e = 1), the absolute fold mass,
     whose product with the machine epsilon bounds the rounding error.
     """
-    targets = np.asarray(targets, dtype=int).reshape(-1, expand.shape[0])
-    plan = _grid_plan(tuple(map(tuple, targets.tolist())),
-                      None if groups is None else tuple(map(tuple, groups)))
-    live, pinned = expand[list(plan.live)], expand[list(plan.pinned)]
+    rows = _count_rows(targets, expand.shape[0])
+    if groups is not None and type(groups) is not tuple:
+        groups = tuple(map(tuple, groups))
+    plan = _grid_plan(rows, groups)
+    live, pin = expand[plan.live], plan.pin
     if radii is not None:
         radii = np.asarray(radii, float)
-        live = radii[list(plan.live), None] * live
-        pinned = radii[list(plan.pinned), None] * pinned
-    units = _unit_grid(plan.shape)
+        live = radii[plan.live, None] * live
+        pin = pin * radii
     half = _conj_pairs(plan.shape) if real else None
-    if half is not None:
-        units = units[half.reps]
-    columns = model(plan.totals, units @ live + pinned.sum(axis=0))
+    units = _unit_grid(plan.shape) if half is None else half.units
+    columns = model(plan.totals, units @ live + pin @ expand)
     if half is not None:   # each partner takes its conjugate
         columns = [column[half.source] for column in columns]
         for column in columns:
             np.conjugate(column, out=column, where=half.flip)
-    values = np.empty(len(targets), dtype=complex)
-    masses = np.empty(len(targets))
+    values = np.empty(len(rows), dtype=complex)
+    masses = np.empty(len(rows))
     for row, (col, scale, phases) in enumerate(plan.reads):
         value = columns[col].reshape(plan.shape)
         for phase in phases[::-1]:
@@ -319,7 +349,7 @@ def grid_coefficients(model, expand, targets, radii=None, groups=None,
         values[row] = value * scale
         masses[row] = np.abs(columns[col]).sum() * scale
     if radii is not None:
-        dilation = np.prod(radii ** targets, axis=1)
+        dilation = np.prod(radii ** np.array(rows), axis=1)
         values /= dilation
         masses /= dilation
     return values, masses
@@ -329,11 +359,21 @@ class _GridPlan(NamedTuple):
     """What ``grid_coefficients`` needs of its count rows and groups.
     ``reads`` holds, per row, (the position of its total in ``totals``,
     prod k_j! / prod L_j, conj unit phases per live axis)."""
-    live: tuple     # the variables with one grid axis each, in order
-    pinned: tuple   # one variable per group, held at its radius
-    shape: tuple    # L_j over the live variables
-    totals: tuple   # the distinct totals the rows read, ascending
+    live: np.ndarray   # the variables with one grid axis each, in order
+    pin: np.ndarray    # per variable, 1 where it is pinned at its radius
+    shape: tuple       # L_j over the live variables
+    totals: tuple      # the distinct totals the rows read, ascending
     reads: tuple
+
+
+def _count_rows(targets, nvar):
+    """``targets`` as the key of its plan: a tuple of count tuples of
+    ``nvar`` ints each.  Such a tuple is its own key, and is kept."""
+    if type(targets) is tuple and all(type(k) is tuple and len(k) == nvar
+                                      for k in targets):
+        return targets
+    return tuple(map(tuple, np.asarray(targets, dtype=int)
+                     .reshape(-1, nvar).tolist()))
 
 
 def _frozen(arr):
@@ -361,7 +401,10 @@ def _grid_plan(rows, groups):
     reads = tuple((distinct.index(n), s, tuple(map(_phases, shape, k)))
                   for n, s, k in zip(totals, scale.tolist(),
                                      targets[:, list(live)].tolist()))
-    return _GridPlan(live, pinned, shape, tuple(distinct), reads)
+    pin = np.zeros(nvar)
+    pin[list(pinned)] = 1.0
+    return _GridPlan(_frozen(np.array(live, dtype=np.intp)), _frozen(pin),
+                     shape, tuple(distinct), reads)
 
 
 @lru_cache(maxsize=256)
@@ -384,6 +427,7 @@ class _ConjPairs(NamedTuple):
     reps: np.ndarray     # the grid indices of the representatives
     source: np.ndarray   # per grid point, its representative's position
     flip: np.ndarray     # per grid point, whether it is the conjugate
+    units: np.ndarray    # the ``_unit_grid`` rows of the representatives
 
 
 @lru_cache(maxsize=128)
@@ -398,9 +442,10 @@ def _conj_pairs(shape):
     index, partner = index.ravel(), partner.ravel()
     keep = index <= partner
     position = np.cumsum(keep, dtype=np.int32) - 1
-    return _ConjPairs(_frozen(np.flatnonzero(keep).astype(np.int32)),
+    reps = np.flatnonzero(keep).astype(np.int32)
+    return _ConjPairs(_frozen(reps),
                       _frozen(position[np.minimum(index, partner)]),
-                      _frozen(~keep))
+                      _frozen(~keep), _frozen(_unit_grid(shape)[reps]))
 
 
 # circle dilations of the fold: unit circles first, then radii
@@ -442,21 +487,22 @@ def sieve_reduce(model, targets, expand, abs_tol=None, groups=None,
     4**(k_j/k_max) left all 27 diagonal elements unsound and unit circles
     none.  A negative count is a ``DomainError``.
     """
-    targets = np.asarray(targets, dtype=int).reshape(-1, expand.shape[0])
-    if targets.min(initial=0) < 0:
+    rows = _count_rows(targets, expand.shape[0])
+    if any(c < 0 for k in rows for c in k):
         raise DomainError("counts must be non-negative")
-    tols = [None] * len(targets) if abs_tol is None else list(abs_tol)
-    values, masses = grid_coefficients(model, expand, targets,
-                                       groups=groups, real=real)
-    for row, (k, tol) in enumerate(zip(targets, tols)):
-        if len(set(k.tolist()) - {0}) < 2:
+    tols = [None] * len(rows) if abs_tol is None else list(abs_tol)
+    values, masses = grid_coefficients(model, expand, rows, groups=groups,
+                                       real=real)
+    for row, (k, tol) in enumerate(zip(rows, tols)):
+        if len(set(k) - {0}) < 2:
             continue
         for boost in _DILATIONS[1:]:
             if fold_is_sound(values[row], masses[row], tol):
                 break
-            cand, cmass = grid_coefficients(model, expand, [k],
-                                            boost ** (k / k.max()), groups,
-                                            real)
+            counts = np.array(k)
+            cand, cmass = grid_coefficients(model, expand, (k,),
+                                            boost ** (counts / counts.max()),
+                                            groups, real)
             if cmass[0] < masses[row]:
                 values[row], masses[row] = cand[0], cmass[0]
     if not np.isfinite(values).all():
@@ -503,13 +549,12 @@ def blocked_lhaf(a, gamma, blocks, b, real=False):
     """Blocked loop Hafnian: one sieve variable per block.  ``real``, as
     in ``grid_coefficients``, holds for the adjacency of a physical state,
     not for an arbitrary complex matrix."""
-    a = np.asarray(a, dtype=complex)
-    expand = partition_expansion(blocks, a.shape[0] // 2)
+    expand = partition_expansion(blocks, np.shape(a)[0] // 2)
     b = require_counts(b)
     if len(b) != len(blocks):
         raise PartitionMismatch("one count per block required")
-    return sieve_reduce(from_log_series(partial(g_coefficients, a, gamma)),
-                        [b], expand, real=real)[0]
+    return sieve_reduce(gaussian_model(a, gamma), (b,), expand,
+                        real=real)[0]
 
 
 def block_expansion(blocks, nmodes):

@@ -13,7 +13,6 @@ Gaussian heralds marginalize traced modes at the Gaussian level first.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -31,8 +30,7 @@ from .hafnian import (
     block_expansion,
     blocked_lhaf,
     factorial_product,
-    from_log_series,
-    g_coefficients,
+    gaussian_model,
     lhaf_sieve,
     sieve_reduce,
 )
@@ -302,9 +300,7 @@ def herald_grouped(rep, spec):
     def build(tags):
         mprime = len(tags) // 2
         singles = [(k,) for k in range(mprime) if k not in in_herald]
-        series = partial(g_coefficients,
-                         *_embedded_matrix(sub.a, sub.gamma, tags))
-        return (from_log_series(series),
+        return (gaussian_model(*_embedded_matrix(sub.a, sub.gamma, tags)),
                 block_expansion(herald + singles, mprime), None,
                 mprime == nmodes)
 

@@ -17,7 +17,7 @@ STRUCTURE_TOL = 1e-10
 
 
 def require_finite(arr, what="array"):
-    if not np.all(np.isfinite(np.asarray(arr))):
+    if not np.isfinite(arr).all():
         raise NonFinite(f"{what} contains NaN or Inf")
     return arr
 

@@ -536,6 +536,33 @@ def test_fock_tasks_reject_what_they_cannot_model(tmp_path, capsys, extra):
         assert err["error"] == "LayoutMismatch"
 
 
+@pytest.mark.parametrize("circuit", [
+    {"modes": 1, "squeezing": [0.3], "means": [2.0, 2.0]},
+    {"modes": 1, "internals": 2, "squeezing": [0.3],
+     "spectral_purity": 0.9, "means": [2.0] * 4},
+    {"modes": 1, "husimi_cov": np.eye(2).tolist(), "spectral_purity": 0.9},
+], ids=["squeezing-means", "impure-means", "husimi-purity"])
+@pytest.mark.parametrize("kind", ["fine-prob", "moments"])
+def test_gaussian_tasks_reject_what_their_state_cannot_model(
+        tmp_path, capsys, circuit, kind):
+    # a squeezed source has zero means and a Husimi covariance no spectral
+    # purity: either key is rejected, never dropped (the squeezed state with
+    # means [2, 2] gave P(1) = 0.0 with exit 0, the undisplaced value)
+    task = ({"kind": kind, "pattern": [1] * circuit.get("internals", 1)}
+            if kind == "fine-prob" else {"kind": kind, "blocks": [[0]]})
+    err = rejected_as(tmp_path, capsys, {"circuit": circuit, "task": task})
+    assert err["error"] == "LayoutMismatch"
+
+
+def test_pp_estimate_rejects_means(tmp_path, capsys):
+    config = {"circuit": {"modes": 1, "squeezing": [0.3],
+                          "means": [0.0, 0.0]},
+              "task": {"kind": "pp-estimate", "samples": 1000,
+                       "n_values": [0]}}
+    err = rejected_as(tmp_path, capsys, config)
+    assert err["error"] == "LayoutMismatch"
+
+
 @pytest.mark.parametrize("task", [
     {"kind": "fine-prob", "pattern": [-2, 0]},
     {"kind": "fine-prob", "pattern": [-1, 1]},

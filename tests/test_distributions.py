@@ -167,6 +167,93 @@ def test_prob_coarse_refinement_of_total():
     assert np.isclose(acc, total, rtol=1e-9)
 
 
+# -- the prepared record of a state ---------------------------------------------
+
+def kernel_prob(rep, blocks, counts):
+    """A probability through ``blocked_lhaf``, with no record."""
+    value = hafnian.blocked_lhaf(rep.a, rep.gamma, blocks, counts, real=True)
+    return dist._real_prob(rep.vacuum_prob * value
+                           / hafnian.factorial_product(counts))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 4),
+       displaced=st.booleans())
+def test_record_reads_equal_kernel_reads(seed, m, displaced):
+    """Fine and coarse reads of one state, interleaved over its partitions
+    (one of them also with its blocks reversed), are bitwise equal to
+    ``blocked_lhaf`` reads, displaced and undisplaced."""
+    rng = np.random.default_rng(seed)
+    s = gaussian.from_squeezing(rng.uniform(0.1, 0.6, m),
+                                gaussian.ModeLayout(m))
+    s = gaussian.apply_channel(s, rng.uniform(0.6, 0.95)
+                               * haar_unitary(m, rng))
+    if displaced:
+        s = gaussian.displace(s, 0.3 * (rng.normal(size=m)
+                                        + 1j * rng.normal(size=m)))
+    rep = gaussian.to_adjacency(s)
+    partitions = [None]   # fine
+    for _ in range(2):
+        labels = rng.integers(0, m, m)
+        partitions.append([tuple(int(i) for i in np.flatnonzero(labels == j))
+                           for j in np.unique(labels)])
+    partitions.append(partitions[1][::-1])
+    for _ in range(12):
+        blocks = partitions[rng.integers(len(partitions))]
+        nblocks = m if blocks is None else len(blocks)
+        counts = [int(k) for k in rng.integers(0, 4, nblocks)]
+        if blocks is None:
+            got = dist.prob_fine(rep, counts)
+            want = kernel_prob(rep, [(j,) for j in range(m)], counts)
+        else:
+            got = dist.prob_coarse(rep, dist.CoarsePattern(blocks, counts))
+            want = kernel_prob(rep, blocks, counts)
+        assert got == want
+
+
+def test_one_model_per_state_and_partition(monkeypatch):
+    """All 343 fine patterns up to 6 per mode of one state read one
+    prepared model; a state keeps only the partition it read last, so a
+    coarse read, and then the fine partition again, each prepare anew."""
+    s = gaussian.from_squeezing([0.2, 0.15, 0.1], gaussian.ModeLayout(3))
+    s = gaussian.apply_channel(s, 0.9 * haar_unitary(3, 1))
+    rep = gaussian.to_adjacency(gaussian.displace(s, [0.1, -0.1j, 0.05]))
+    built = []
+
+    def spy(a, gamma):
+        built.append(1)
+        return hafnian.gaussian_model(a, gamma)
+    monkeypatch.setattr(dist, "gaussian_model", spy)
+    total = sum(dist.prob_fine(rep, n)
+                for n in itertools.product(range(7), repeat=3))
+    assert len(built) == 1
+    cp = dist.CoarsePattern([[0, 1], [2]], [1, 1])
+    assert dist.prob_coarse(rep, cp) == kernel_prob(rep, cp.blocks, cp.counts)
+    assert len(built) == 2
+    dist.prob_fine(rep, [1, 1, 1])
+    assert len(built) == 3
+    mass = dist.total_distribution(rep, cutoff=18).probabilities.sum()
+    assert 0.99 < total <= mass + 1e-12
+
+
+def test_malformed_blocks_are_never_kept(monkeypatch):
+    """A partition that fails its check raises on every read, also after a
+    valid one, and leaves the record of the valid partition in place."""
+    rep = lossy_three_mode_rep()
+    good = dist.prob_fine(rep, [1, 0, 1])
+    built = []
+
+    def spy(a, gamma):
+        built.append(1)
+        return hafnian.gaussian_model(a, gamma)
+    monkeypatch.setattr(dist, "gaussian_model", spy)
+    for _ in range(2):
+        with pytest.raises(PartitionMismatch):
+            dist.prob_coarse(rep, dist.CoarsePattern([[0, 1]], [1]))
+        assert dist.prob_fine(rep, [1, 0, 1]) == good
+    assert not built
+
+
 # -- external detectors -------------------------------------------------------
 
 def two_internal_state(seed=5, eta=0.9):

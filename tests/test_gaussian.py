@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonsieve import distributions as dist
 from photonsieve import gaussian, hafnian
 from photonsieve.cli import haar_unitary
 from photonsieve.errors import (
@@ -166,6 +169,44 @@ def test_reduce_modes_block_extraction():
     assert np.isclose(sub.vacuum_prob, rep.vacuum_prob)
     with pytest.raises(IndexOutOfRange):
         gaussian.reduce_modes(rep, [5])
+
+
+def displaced_lossy_rep():
+    s = gaussian.from_squeezing([0.4, 0.3], L2)
+    s = gaussian.apply_channel(s, 0.9 * haar_unitary(2, 3))
+    return gaussian.to_adjacency(gaussian.displace(s, [0.2, -0.1j]))
+
+
+def test_rep_keeps_read_only_copies():
+    """Changing the caller's arrays after construction changes no result,
+    read before or after the change, and the representation's own arrays
+    cannot be written."""
+    base = displaced_lossy_rep()
+    a, gamma = base.a.copy(), base.gamma.copy()
+    rep = gaussian.AdjacencyRep(a, gamma, base.vacuum_prob, L2)
+    before = dist.prob_fine(rep, [1, 1])
+    a[0, 1] = a[1, 0] = 0.5
+    gamma[0] = 0.0
+    fresh = gaussian.AdjacencyRep(base.a, base.gamma, base.vacuum_prob, L2)
+    for n in ([1, 1], [2, 0], [0, 3]):
+        assert dist.prob_fine(rep, n) == dist.prob_fine(fresh, n)
+    assert dist.prob_fine(rep, [1, 1]) == before
+    assert not rep.a.flags.writeable and not rep.gamma.flags.writeable
+    with pytest.raises(ValueError):
+        rep.a[0, 0] = 1.0
+
+
+def test_used_rep_pickles_and_copies():
+    """A representation that has prepared a record still pickles and
+    copies; the copy prepares its own and keeps read-only arrays."""
+    rep = displaced_lossy_rep()
+    want = dist.prob_fine(rep, [1, 2])
+    for twin in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+        assert twin._record is None and not twin.a.flags.writeable
+        assert not twin.gamma.flags.writeable
+        assert twin.vacuum_prob == rep.vacuum_prob
+        assert twin.layout == rep.layout
+        assert dist.prob_fine(twin, [1, 2]) == want
 
 
 def test_tmsv_marginal_is_thermal():
