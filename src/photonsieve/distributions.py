@@ -27,6 +27,7 @@ from .gaussian import marginal_rep, reduce_modes
 from .hafnian import (
     block_expansion,
     blocked_lhaf,
+    certified,
     f_coefficients,
     f_n,
     factorial_product,
@@ -36,7 +37,6 @@ from .hafnian import (
     grid_coefficients,
     lhaf_sieve,
     partition_expansion,
-    sieve_reduce,
 )
 from .linalg import require_counts, require_finite, swap_halves
 
@@ -117,12 +117,13 @@ def _state_record(rep, blocks):
     return rec
 
 
-def _record_prob(rep, blocks, counts):
-    """The probability of ``counts`` over ``blocks`` (as in
-    ``_state_record``), one row folded on the record of ``rep``."""
-    model, expand, vacuum = _state_record(rep, blocks)
-    val = vacuum * sieve_reduce(model, (counts,), expand, real=True)[0]
-    return _real_prob(val / factorial_product(counts))
+def _read_prob(model, expand, prefactor, counts, groups=None, real=False):
+    """The one reader of every one-row probability: ``prefactor`` times
+    the row ``counts`` (a tuple) of ``model``, certified as by
+    ``sieve_reduce``, over prod k!, range-checked once; the other
+    arguments are those of ``grid_coefficients``."""
+    value = certified(model, expand, counts, groups=groups, real=real)
+    return _real_prob(prefactor * value / factorial_product(counts))
 
 
 def prob_fine(rep, n):
@@ -131,7 +132,7 @@ def prob_fine(rep, n):
     if len(n) != rep.layout.total:
         raise PartitionMismatch(
             f"pattern length {len(n)} != mode count {rep.layout.total}")
-    return _record_prob(rep, None, n)
+    return _read_prob(*_state_record(rep, None), n, real=True)
 
 
 def prob_total(rep, subset, n_total):
@@ -177,7 +178,7 @@ def total_distribution(rep, subset=None, cutoff=None, tail=_DEFAULT_TAIL):
 
 def prob_coarse(rep, cp):
     """Probability of the coarse-grained counts over detector blocks."""
-    return _record_prob(rep, cp.blocks, cp.counts)
+    return _read_prob(*_state_record(rep, cp.blocks), cp.counts, real=True)
 
 
 def prob_external(rep, n):
@@ -254,8 +255,7 @@ def prob_external_distinguishable(blocks, n):
     bb = b * bt
     cross = bb[:, :m, :m] + bb[:, m:, m:] + bb[:, m:, :m] + bb[:, :m, m:]
     model = from_log_series(partial(_rank_two_series, diag, cross))
-    value = sieve_reduce(model, [n], np.eye(m), real=True)[0]
-    return _real_prob(vac * value / factorial_product(n))
+    return _read_prob(model, np.eye(m), vac, n, real=True)
 
 
 def _rank_two_series(diag, cross, nmax, z):

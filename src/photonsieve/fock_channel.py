@@ -35,12 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import _real_prob
+from .distributions import _read_prob
 from .errors import (DomainError, NotPositiveDefinite, PartitionMismatch,
                      TooLarge)
 # blocked_lhaf is not called here: the benchmark tracer rebinds it here
 from .hafnian import (_CHUNK_BYTES, blocked_lhaf, compatible_patterns,
-                      factorial_product, partition_expansion, sieve_reduce)
+                      factorial_product, partition_expansion)
 from .heralding import herald_density, kept_modes
 from .linalg import STRUCTURE_TOL, require_counts, require_subunitary
 
@@ -150,9 +150,8 @@ def fock_coarse_prob(fi, cp):
     nout = sum(cp.counts)
     if nout > nin or nin == 0:
         return float(nout == 0)  # a lossy circuit cannot create photons
-    counts = prefix + cp.counts + (nin - nout,)
-    val = sieve_reduce(model, (counts,), expand, groups=groups)
-    return _real_prob(val[0] / factorial_product(counts))
+    return _read_prob(model, expand, 1.0, prefix + cp.counts + (nin - nout,),
+                      groups)
 
 
 def perm_oracle(mat):

@@ -16,40 +16,39 @@ Eight layers, from slow-and-certain to fast:
                          and ``gaussian_model`` that of an (A, gamma);
 * ``grid_coefficients``  the sieve engine: f on one roots-of-unity grid
                          with one pinned variable per homogeneous group,
-                         the one of the smallest count, then one dot
-                         product per grid axis reads out each count pattern
-                         from f_N of its total N, with its rounding bound;
-                         the model, which gives f_N at the grid points for
-                         the totals N the rows read, is an argument (a
-                         Gaussian log series through ``f_coefficients``, or
-                         the Fock product form of ``fock_channel``).  What
-                         depends only on the count rows and groups (pins,
-                         sizes, scale, phases) is planned once per rows and
-                         groups (``_grid_plan``), and the unit-circle points
-                         and their conjugate pairs once per grid shape
-                         (``_unit_grid``, ``_conj_pairs``); a model with
-                         real coefficients (every Gaussian probability and
-                         moment, and the diagonal Gaussian herald class)
-                         runs on one point per pair;
+                         the one of the smallest count, then one
+                         matrix-vector product per grid axis reads out each
+                         count pattern from f_N of its total N, with its
+                         rounding bound; the model, which gives f_N at the
+                         grid points for the totals N the rows read, is an
+                         argument (a Gaussian log series through
+                         ``f_coefficients``, or the Fock product form of
+                         ``fock_channel``).  What depends only on the count
+                         rows, groups and ``real`` is planned once
+                         (``_grid_plan``), the unit points and conjugate
+                         pairs once per grid shape (``_unit_grid``,
+                         ``_conj_pairs``); a model with real coefficients
+                         runs on one point per pair and folds its weighted
+                         representatives;
 * ``sieve_reduce``       the one fold-and-certify routine: rows of count
                          patterns from one unit-circle grid, each row that
                          drowns in cancellation folded again on its own
-                         grid on dilated circles;
+                         grid on dilated circles (``certified``);
 * ``lhaf_sieve``         one pattern through ``sieve_reduce``, equal to
                          the oracle on the repeated matrix;
 * ``blocked_lhaf``       the grouped-detector generalization, one sieve
                          variable per block.
 
-``prob_fine`` and ``prob_coarse`` call neither of the last two: they fold
-their one row with one ``sieve_reduce`` call on a record that the state
-keeps (``distributions._state_record``).
+Every one-row probability calls neither of the last two: it reads its
+row through ``certified`` (``distributions._read_prob``).
 
 Moments and cumulants of photon counts are multilinear coefficients read
 off the same grid and log series.
 """
 
+import cmath
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from typing import NamedTuple
 
@@ -64,8 +63,13 @@ _ORACLE_LIMIT = 14
 
 def factorial_product(counts):
     """prod k! over ``counts`` as a float, formed exactly in Python ints:
-    a NumPy int64 product wraps once it passes 2**63."""
-    return float(math.prod(math.factorial(int(k)) for k in counts))
+    a NumPy int64 product wraps once it passes 2**63; beyond the double
+    range it is ``TooLarge``."""
+    try:
+        return float(math.prod(math.factorial(int(k)) for k in counts))
+    except OverflowError:
+        raise TooLarge(f"prod k! of the counts {list(counts)} exceeds the "
+                       "double range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -184,27 +188,28 @@ def power_trace_series(first, dim, nmax, npts, loop=None):
         return out
     b = math.isqrt(nmax - 1) + 1
     chunk = max(1, min(npts, _CHUNK_BYTES // (16 * dim ** 2 * (b + 3))))
-    buf = np.empty((chunk, b, dim, dim), dtype=complex)
+    buf = np.empty((b, chunk, dim, dim), dtype=complex)
     ks = np.arange(1, nmax + 1)
     for lo in range(0, npts, chunk):
         n = min(chunk, npts - lo)
-        powers = buf[:n]
-        first(lo, lo + n, powers[:, 0])
+        powers = buf[:, :n]   # P^(j+1) at j, each a contiguous stack
+        first(lo, lo + n, powers[0])
         for j in range(1, b):
-            np.matmul(powers[:, j - 1], powers[:, 0], out=powers[:, j])
+            np.matmul(powers[j - 1], powers[0], out=powers[j])
         rows = out[lo:lo + n]
-        np.einsum("ghii->gh", powers, out=rows[:, :b])
-        flat = powers.reshape(n, b, dim * dim)
+        np.einsum("hgii->gh", powers, out=rows[:, :b])
+        flat = powers.reshape(b, n, dim * dim).transpose(1, 0, 2)
         if loop is not None:   # stored times k, as the traces are
             left, right = loop[0], loop[1][lo:lo + n]
             vecs = np.empty((n, b, dim), dtype=complex)   # P^j r, j < b
             vecs[:, 0] = right
-            vecs[:, 1:] = (powers[:, :b - 1] @ right[:, None, :, None])[..., 0]
+            vecs[:, 1:] = (powers[:b - 1]
+                           @ right[:, :, None])[..., 0].transpose(1, 0, 2)
             rows[:, :b] += ks[:b] * (vecs @ left)
-        giant = powers[:, b - 1]
+        giant = powers[b - 1]
         for k0 in range(b, nmax, b):
             if k0 > b:
-                giant = giant @ powers[:, b - 1]
+                giant = giant @ powers[b - 1]
             m = min(b, nmax - k0)
             flipped = giant.transpose(0, 2, 1).reshape(n, dim * dim, 1)
             rows[:, k0:k0 + m] = (flat[:, :m] @ flipped)[:, :, 0]
@@ -292,8 +297,8 @@ def grid_coefficients(model, expand, targets, radii=None, groups=None,
     one group of all): f_N has degree N in each group, as 1 / det(I - X
     B(y)) has in x and in y.  A pattern k with every k_j < L_j aliases
     with no other pattern of the same group totals, so f_N (N the total of
-    the first group) read by one dot product per axis with the conj phases
-    exp(-2 pi i m k_j / L_j) yields pattern k exactly.
+    the first group) folded with the conj phases exp(-2 pi i m k_j / L_j),
+    one matrix-vector product per axis, yields pattern k exactly.
 
     Homogeneity also pins one variable e per group at r_e: a pattern of
     the same totals then aliases onto k only through a variable of e's
@@ -303,21 +308,23 @@ def grid_coefficients(model, expand, targets, radii=None, groups=None,
     L_e >= k_e' + 1, so its grid has at least (k_e' + 1) prod_(j != e, e')
     (k_j + 1) = prod_(j != e) (k_j + 1) points.
 
-    Everything but the radii and the model depends only on the count rows
-    and the groups: it is planned once per (rows, groups) by
-    ``_grid_plan``, on a unit-circle grid shared per shape by
-    ``_unit_grid``; a call then forms the points, evaluates the model and
-    reads out.  Rows given as a tuple of count tuples, and groups as a
-    tuple of tuples, are the plan's key as they stand; any other form is
-    converted first.
+    Everything but the radii and the model depends only on the count
+    rows, the groups and ``real``: it is planned once by ``_grid_plan``,
+    on unit points over the live and pinned variables shared per shape by
+    ``_unit_grid``; a call then forms its points as one product with those
+    rows of ``expand``, evaluates the model and folds.  Rows given as a
+    tuple of count tuples, and groups as a tuple of tuples, are the plan's
+    key as they stand; any other form is converted first.
 
     ``real`` declares real Taylor coefficients of every f_N the model
     gives, as a Gaussian probability or moment has.  The pins and radii
     are real, so point m and its partner -m mod L_j carry conjugate
-    values, f_N(conj z) = conj f_N(z): the model runs on one point of each
-    pair (``_conj_pairs``), each partner is filled by conjugation, and the
-    fold and mass are the full grid's.  Complex coefficients, as of an
-    off-diagonal herald class or the Fock product form, need every point.
+    values, f_N(conj z) = conj f_N(z), and conjugate terms of the fold:
+    the model runs on one point of each pair (``_conj_pairs``), and the
+    fold is the real part of their sum, each weighted 2, or 1 for a point
+    that is its own conjugate; the mass is weighted alike.  Complex
+    coefficients, as of an off-diagonal herald class or the Fock product
+    form, need every point.
 
     Returns (values, masses) over the rows of ``targets``: value =
     prod k_j! [z^k] f_N, and mass = prod(k_j! / (L_j r_j^k_j)) times
@@ -327,27 +334,26 @@ def grid_coefficients(model, expand, targets, radii=None, groups=None,
     rows = _count_rows(targets, expand.shape[0])
     if groups is not None and type(groups) is not tuple:
         groups = tuple(map(tuple, groups))
-    plan = _grid_plan(rows, groups)
-    live, pin = expand[plan.live], plan.pin
+    plan = _grid_plan(rows, groups, real)
+    points = plan.points
     if radii is not None:
         radii = np.asarray(radii, float)
-        live = radii[plan.live, None] * live
-        pin = pin * radii
-    half = _conj_pairs(plan.shape) if real else None
-    units = _unit_grid(plan.shape) if half is None else half.units
-    columns = model(plan.totals, units @ live + pin @ expand)
-    if half is not None:   # each partner takes its conjugate
-        columns = [column[half.source] for column in columns]
-        for column in columns:
-            np.conjugate(column, out=column, where=half.flip)
+        points = points * radii[plan.vars]
+    columns = model(plan.totals, points @ expand.take(plan.vars, 0))
+    weights = plan.weights
+    sums = [np.abs(column).sum() if weights is None
+            else weights @ np.abs(column) for column in columns]
     values = np.empty(len(rows), dtype=complex)
     masses = np.empty(len(rows))
-    for row, (col, scale, phases) in enumerate(plan.reads):
-        value = columns[col].reshape(plan.shape)
-        for phase in phases[::-1]:
-            value = value @ phase
-        values[row] = value * scale
-        masses[row] = np.abs(columns[col]).sum() * scale
+    for row, (col, scale, fold) in enumerate(plan.reads):
+        if weights is None:   # one conj phase vector per live axis
+            value = columns[col]
+            for phase in fold:
+                value = value.reshape(-1, len(phase)) @ phase
+            values[row] = value[0] * scale
+        else:                 # the weighted conj phases of the reps
+            values[row] = (fold @ columns[col]).real * scale
+        masses[row] = sums[col] * scale
     if radii is not None:
         dilation = np.prod(radii ** np.array(rows), axis=1)
         values /= dilation
@@ -356,13 +362,16 @@ def grid_coefficients(model, expand, targets, radii=None, groups=None,
 
 
 class _GridPlan(NamedTuple):
-    """What ``grid_coefficients`` needs of its count rows and groups.
-    ``reads`` holds, per row, (the position of its total in ``totals``,
-    prod k_j! / prod L_j, conj unit phases per live axis)."""
-    live: np.ndarray   # the variables with one grid axis each, in order
-    pin: np.ndarray    # per variable, 1 where it is pinned at its radius
-    shape: tuple       # L_j over the live variables
-    totals: tuple      # the distinct totals the rows read, ascending
+    """What ``grid_coefficients`` needs of its count rows, groups and
+    ``real``.  ``reads`` holds, per row, (the position of its total in
+    ``totals``, prod k_j! / prod L_j, its fold): on a full grid the conj
+    unit phases of its live axes, last axis first; on a half grid the
+    weighted conj phases at the representatives."""
+    vars: np.ndarray     # the live variables in axis order, then the pins
+    points: np.ndarray   # the unit points over ``vars`` (``_unit_grid``)
+    shape: tuple         # L_j over the live variables
+    totals: tuple        # the distinct totals the rows read, ascending
+    weights: np.ndarray  # half grid: 2 or 1 per representative; else None
     reads: tuple
 
 
@@ -382,29 +391,35 @@ def _frozen(arr):
 
 
 @lru_cache(maxsize=1024)
-def _grid_plan(rows, groups):
-    """The ``_GridPlan`` of the count ``rows`` (tuples) and the ``groups``
-    (tuples or None).  It holds nothing of the size of the grid; the rows
-    share their phases through ``_phases``."""
+def _grid_plan(rows, groups, real=False):
+    """The ``_GridPlan`` of the count ``rows`` (tuples), the ``groups``
+    (tuples or None) and ``real``.  Of the size of the grid it holds only
+    a half grid's weighted phases per row; a full grid's rows share their
+    phases through ``_phases``.  A prod k! beyond doubles is ``TooLarge``."""
     targets = np.array(rows, dtype=int)
     nvar = targets.shape[1]
     kmax = targets.max(axis=0).tolist()
     groups = (range(nvar),) if groups is None else groups
-    pinned = tuple(min((j for j in g if kmax[j]), key=kmax.__getitem__)
-                   for g in groups if any(kmax[j] for j in g))
-    live = tuple(j for j in range(nvar) if kmax[j] and j not in pinned)
+    pinned = [min((j for j in g if kmax[j]), key=kmax.__getitem__)
+              for g in groups if any(kmax[j] for j in g)]
+    live = [j for j in range(nvar) if kmax[j] and j not in pinned]
     shape = tuple(kmax[j] + 1 for j in live)
-    facts = np.array([float(math.factorial(k)) for k in range(max(kmax) + 1)])
-    scale = np.prod(facts[targets], axis=1) / math.prod(shape)
+    scale = [factorial_product(k) / math.prod(shape) for k in rows]
     totals = targets[:, list(groups[0])].sum(axis=1).tolist()
     distinct = sorted(set(totals))
-    reads = tuple((distinct.index(n), s, tuple(map(_phases, shape, k)))
-                  for n, s, k in zip(totals, scale.tolist(),
-                                     targets[:, list(live)].tolist()))
-    pin = np.zeros(nvar)
-    pin[list(pinned)] = 1.0
-    return _GridPlan(_frozen(np.array(live, dtype=np.intp)), _frozen(pin),
-                     shape, tuple(distinct), reads)
+    phases = [[_phases(size, k) for size, k in zip(shape, counts)]
+              for counts in targets[:, live].tolist()]
+    half = _conj_pairs(shape) if real else None
+    if half is None:
+        weights, folds = None, [tuple(p[::-1]) for p in phases]
+    else:
+        weights = half.weights
+        folds = [_frozen(weights * reduce(np.multiply.outer, p).ravel()
+                         [half.reps]) for p in phases]
+    return _GridPlan(_frozen(np.array(live + pinned, dtype=np.intp)),
+                     _unit_grid(shape, len(pinned), half is not None),
+                     shape, tuple(distinct), weights,
+                     tuple(zip(map(distinct.index, totals), scale, folds)))
 
 
 @lru_cache(maxsize=256)
@@ -414,38 +429,37 @@ def _phases(size, k):
 
 
 @lru_cache(maxsize=128)
-def _unit_grid(shape):
+def _unit_grid(shape, pins=0, half=False):
     """exp(2 pi i m_j / L_j) at every point m of a grid of ``shape`` (L_j),
-    one row per point in C order, one column per axis."""
+    one row per point in C order, one column per axis, then ``pins``
+    columns of ones; with ``half``, only the rows of the representatives
+    of ``_conj_pairs``."""
     axes = [np.exp(2j * np.pi * np.arange(size) / size) for size in shape]
     grid = np.array(np.meshgrid(*axes, indexing="ij"), dtype=complex)
-    return _frozen(grid.reshape(len(shape), math.prod(shape)).T.copy())
+    grid = grid.reshape(len(shape), math.prod(shape)).T
+    grid = np.concatenate([grid, np.ones((len(grid), pins))], axis=1)
+    return _frozen(grid[_conj_pairs(shape).reps] if half else grid)
 
 
 class _ConjPairs(NamedTuple):
     """One point of each conjugate pair of a grid shape, in C order."""
-    reps: np.ndarray     # the grid indices of the representatives
-    source: np.ndarray   # per grid point, its representative's position
-    flip: np.ndarray     # per grid point, whether it is the conjugate
-    units: np.ndarray    # the ``_unit_grid`` rows of the representatives
+    reps: np.ndarray      # the grid indices of the representatives
+    weights: np.ndarray   # 2 where the partner is another point, else 1
 
 
 @lru_cache(maxsize=128)
 def _conj_pairs(shape):
-    """The ``_ConjPairs`` of a grid of ``shape``, the lower C index of
-    each pair m, -m mod L_j representing it; None when no axis exceeds 2
-    points, where every point is its own conjugate."""
+    """The representatives of a grid of ``shape``, the lower C index of
+    each pair m, -m mod L_j, with their weights in a half grid's fold; None
+    when no axis exceeds 2 points, where every point is its own conjugate."""
     if max(shape, default=0) <= 2:
         return None
-    index = np.arange(math.prod(shape), dtype=np.int32).reshape(shape)
+    index = np.arange(math.prod(shape)).reshape(shape)
     partner = index[np.ix_(*(-np.arange(size) % size for size in shape))]
     index, partner = index.ravel(), partner.ravel()
-    keep = index <= partner
-    position = np.cumsum(keep, dtype=np.int32) - 1
-    reps = np.flatnonzero(keep).astype(np.int32)
+    reps = np.flatnonzero(index <= partner)
     return _ConjPairs(_frozen(reps),
-                      _frozen(position[np.minimum(index, partner)]),
-                      _frozen(~keep), _frozen(_unit_grid(shape)[reps]))
+                      _frozen(np.where(index[reps] < partner[reps], 2.0, 1.0)))
 
 
 # circle dilations of the fold: unit circles first, then radii
@@ -460,11 +474,37 @@ _EPS = float(np.finfo(float).eps)
 def fold_is_sound(value, mass, abs_tol=None):
     """Whether a fold result clearly exceeds its rounding bound eps * mass,
     or the bound is below the absolute tolerance ``abs_tol``."""
-    if not (np.isfinite(value) and np.isfinite(mass)):
+    if not (cmath.isfinite(value) and math.isfinite(mass)):
         return False
     if abs(value) >= _CANCEL_GUARD * mass:
         return True
     return abs_tol is not None and _EPS * mass <= abs_tol
+
+
+def certified(model, expand, k, fold=None, abs_tol=None, groups=None,
+              real=False):
+    """The value of the count row ``k`` (a tuple), as ``sieve_reduce``
+    certifies it, from its unit-circle ``fold`` (value, mass), or folded
+    here when None; the re-folds keep their results here, apart from any
+    grid's.  A value that is not finite is ``NonFinite``."""
+    if fold is None:
+        (value,), (mass,) = grid_coefficients(model, expand, (k,),
+                                              groups=groups, real=real)
+    else:
+        value, mass = fold
+    if len(set(k) - {0}) > 1:
+        for boost in _DILATIONS[1:]:
+            if fold_is_sound(value, mass, abs_tol):
+                break
+            counts = np.array(k)
+            (cand,), (cmass,) = grid_coefficients(
+                model, expand, (k,), boost ** (counts / counts.max()),
+                groups, real)
+            if cmass < mass:
+                value, mass = cand, cmass
+    if not cmath.isfinite(value):
+        raise NonFinite("sieve accumulation overflowed")
+    return value
 
 
 def sieve_reduce(model, targets, expand, abs_tol=None, groups=None,
@@ -480,12 +520,12 @@ def sieve_reduce(model, targets, expand, abs_tol=None, groups=None,
     estimate.  A row that is not sound there (``fold_is_sound`` under its
     own tolerance) and whose nonzero counts differ is folded again on its
     own smallest grid, on circles of radius d**(k_j/k_max) for each further
-    dilation d, until it is sound; the fold with the smallest mass wins.
-    Every dilation evaluates the same exact quantity, because the target
-    coefficient is homogeneous.  Unit circles come first because the
-    herald class grids need them: on the cutoff-26 herald pipeline, radii
-    4**(k_j/k_max) left all 27 diagonal elements unsound and unit circles
-    none.  A negative count is a ``DomainError``.
+    dilation d, until it is sound; the fold with the smallest mass wins
+    (``certified``).  Every dilation evaluates the same exact quantity,
+    because the target coefficient is homogeneous.  Unit circles come
+    first because the herald class grids need them: on the cutoff-26
+    herald pipeline, radii 4**(k_j/k_max) left all 27 diagonal elements
+    unsound and unit circles none.  A negative count is a ``DomainError``.
     """
     rows = _count_rows(targets, expand.shape[0])
     if any(c < 0 for k in rows for c in k):
@@ -493,21 +533,9 @@ def sieve_reduce(model, targets, expand, abs_tol=None, groups=None,
     tols = [None] * len(rows) if abs_tol is None else list(abs_tol)
     values, masses = grid_coefficients(model, expand, rows, groups=groups,
                                        real=real)
-    for row, (k, tol) in enumerate(zip(rows, tols)):
-        if len(set(k) - {0}) < 2:
-            continue
-        for boost in _DILATIONS[1:]:
-            if fold_is_sound(values[row], masses[row], tol):
-                break
-            counts = np.array(k)
-            cand, cmass = grid_coefficients(model, expand, (k,),
-                                            boost ** (counts / counts.max()),
-                                            groups, real)
-            if cmass[0] < masses[row]:
-                values[row], masses[row] = cand[0], cmass[0]
-    if not np.isfinite(values).all():
-        raise NonFinite("sieve accumulation overflowed")
-    return values
+    return np.array([certified(model, expand, k, fold, tol, groups, real)
+                     for k, fold, tol in zip(rows, zip(values, masses), tols)],
+                    dtype=complex)
 
 
 def lhaf_sieve(a, gamma, pattern, real=False):

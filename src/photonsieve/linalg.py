@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DomainError, IndexOutOfRange, NonFinite, NotSubunitary
 
 STRUCTURE_TOL = 1e-10
+_BOOLS = (bool, np.bool_)   # ints to Python, but no count and no index
 
 
 def require_finite(arr, what="array"):
@@ -32,11 +33,13 @@ def require_subunitary(t):
 
 def require_counts(values, what="counts"):
     """``values`` as a tuple of ints, or a ``DomainError`` for an entry that
-    is negative or not a whole number: 2.0 becomes 2, 1.5 raises."""
+    is negative, a boolean or not a whole number: 2.0 becomes 2, 1.5 and
+    True raise."""
     values = tuple(values)
     try:
         counts = tuple(map(int, values))
-        if all(c == v and c >= 0 for c, v in zip(counts, values)):
+        if all(c == v and c >= 0 and not isinstance(v, _BOOLS)
+               for c, v in zip(counts, values)):
             return counts
     except (TypeError, ValueError, OverflowError):
         pass
@@ -46,11 +49,12 @@ def require_counts(values, what="counts"):
 
 def require_modes(modes, nmodes):
     """``modes`` as a list of distinct integer indices below ``nmodes``, or
-    an ``IndexOutOfRange``."""
+    an ``IndexOutOfRange``; a boolean is no index."""
     modes = list(modes)
     try:
         idx = [operator.index(i) for i in modes]
-        if len(set(idx)) == len(idx) and all(0 <= i < nmodes for i in idx):
+        if (len(set(idx)) == len(idx) and all(0 <= i < nmodes for i in idx)
+                and not any(isinstance(i, _BOOLS) for i in modes)):
             return idx
     except TypeError:
         pass

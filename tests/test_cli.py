@@ -316,6 +316,21 @@ def test_fractional_mode_counts_are_rejected(tmp_path, capsys, circuit,
     assert "mode counts" in err["message"]
 
 
+@pytest.mark.parametrize("squeezing, pattern, error", [
+    ([0.3], [200], "TooLarge"),
+    ([0.3, 0.2], [100, 100], "TooLarge"),
+    ([0.3, 0.2], [True, False], "DomainError"),
+], ids=["factorial-200", "factorials-100-100", "booleans"])
+def test_unreadable_patterns_exit_code(tmp_path, capsys, squeezing, pattern,
+                                       error):
+    """A pattern whose prod k! exceeds the double range, or one of
+    booleans, is a validation error (exit 2), not a traceback, a numeric
+    failure or a read of ones and zeros."""
+    config = {"circuit": {"modes": len(squeezing), "squeezing": squeezing},
+              "task": {"kind": "fine-prob", "pattern": pattern}}
+    assert rejected_as(tmp_path, capsys, config)["error"] == error
+
+
 def test_package_runs_as_a_module(tmp_path, capsys):
     config = {"circuit": tmsv_circuit(),
               "task": {"kind": "fine-prob", "pattern": [1, 1]}}

@@ -167,6 +167,28 @@ def test_prob_coarse_refinement_of_total():
     assert np.isclose(acc, total, rtol=1e-9)
 
 
+def test_counts_beyond_the_double_range_are_too_large():
+    """A row whose prod k! exceeds the double range is ``TooLarge`` before
+    its model sees a point; 170! still fits."""
+    assert math.isfinite(hafnian.factorial_product((170,)))
+    with pytest.raises(TooLarge):
+        hafnian.factorial_product((171,))
+    with pytest.raises(TooLarge):
+        dist.prob_fine(gaussian.to_adjacency(
+            gaussian.from_squeezing([0.3], L1)), [200])
+    with pytest.raises(TooLarge):
+        dist.prob_fine(gaussian.to_adjacency(
+            gaussian.from_squeezing([0.3, 0.2], L2)), [100, 100])
+    seen = []
+
+    def model(totals, z):
+        seen.append(len(z))
+        return [np.ones(len(z))] * len(totals)
+    with pytest.raises(TooLarge):
+        hafnian.grid_coefficients(model, np.eye(2), [(100, 100)])
+    assert not seen
+
+
 # -- the prepared record of a state ---------------------------------------------
 
 def kernel_prob(rep, blocks, counts):

@@ -741,6 +741,139 @@ def test_sieve_reduce_tolerance_is_per_row():
         assert folds[1:] == [[HARD]] * (len(folds) - 1)
 
 
+def full_grid_fold(model, expand, rows, radii, groups):
+    """The rows folded one point at a time over the full grid of their
+    largest counts, with no variable pinned: variable j runs over r_j
+    times the (k_j + 1)-th roots of unity, k_j its largest count, or sits
+    at zero when all its counts are zero.  (values, masses) as
+    ``grid_coefficients`` defines them, on this larger grid."""
+    rows = np.array(rows)
+    nvar = rows.shape[1]
+    radii = np.ones(nvar) if radii is None else np.asarray(radii, float)
+    sizes = rows.max(axis=0) + 1
+    m = np.array(list(itertools.product(*(range(s) for s in sizes))))
+    z = np.where(sizes > 1, radii * np.exp(2j * np.pi * m / sizes), 0.0)
+    first = list(range(nvar)) if groups is None else list(groups[0])
+    totals = sorted(set(rows[:, first].sum(axis=1).tolist()))
+    f = dict(zip(totals, model(totals, z @ expand)))
+    values, masses = [], []
+    for k in rows:
+        column = f[k[first].sum()]
+        weight = math.prod(math.factorial(c) / (s * r ** c)
+                           for c, s, r in zip(k, sizes, radii))
+        phases = np.exp(-2j * np.pi * ((m * k % sizes) / sizes).sum(axis=1))
+        values.append(weight * (phases * column).sum())
+        masses.append(weight * np.abs(column).sum())
+    return np.array(values), np.array(masses)
+
+
+def composition(data, total, parts, cap=3):
+    """``parts`` counts of at most ``cap`` each that sum to ``total``
+    (at most parts * cap)."""
+    counts = []
+    for j in range(parts - 1, 0, -1):
+        rest = total - sum(counts)
+        counts.append(data.draw(st.integers(max(0, rest - j * cap),
+                                            min(cap, rest))))
+    return counts + [total - sum(counts)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["gaussian", "complex", "gram", "fock"]),
+       dilated=st.booleans(), data=st.data())
+def test_grid_coefficients_match_full_grid_fold(kind, dilated, data):
+    """Every row equals its fold over the full, unpinned grid within
+    16 eps times the larger mass: a real model on its representatives (a
+    displaced lossy state; a Fock series with a complex Gram matrix, in two
+    groups) and a complex model on every point (a random complex adjacency
+    with loops; the Fock product form, in two groups, as ``fock_coarse_prob``
+    reads it), one row or many, on unit or dilated circles."""
+    groups = None
+    if kind in ("gaussian", "complex"):
+        if kind == "gaussian":
+            model, real = displaced_lossy_series(), True
+        else:
+            rng = np.random.default_rng(5)
+            model = hafnian.gaussian_model(rand_symmetric(rng, 6) / 3,
+                                           rand_gamma(rng, 6))
+            real = False
+        expand = np.eye(3)
+        rows = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=3,
+                                           max_size=3), min_size=1,
+                                  max_size=4))
+    elif kind == "gram":   # x_1, x_2, then y_1, y_2, y_env of equal total
+        model, expand, real = fock_gram_series(), np.eye(5), True
+        groups = [range(2), range(2, 5)]
+        xs = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=2,
+                                         max_size=2), min_size=1, max_size=3))
+        rows = [x + composition(data, sum(x), 3) for x in xs]
+    else:   # the occupied inputs, then three outputs and the loss
+        fi = fock_channel.FockInput((2, 1, 0),
+                                    np.sqrt(0.8) * haar_unitary(3, 4))
+        model, expand, groups, prefix, nin = fock_channel._coarse_record(
+            fi, ((0,), (1,), (2,)))
+        real = False
+        rows = [list(prefix) + composition(data, nin, 4)
+                for _ in range(data.draw(st.integers(1, 3)))]
+    nvar = len(rows[0])
+    radii = (data.draw(st.lists(st.floats(0.5, 2.0), min_size=nvar,
+                                max_size=nvar)) if dilated else None)
+    values, masses = hafnian.grid_coefficients(model, expand, rows, radii,
+                                               groups, real)
+    want, want_mass = full_grid_fold(model, expand, rows, radii, groups)
+    bound = 16 * hafnian._EPS * np.maximum(masses, want_mass)
+    assert np.all(np.abs(values - want) <= bound)
+
+
+def test_one_row_reader_equals_sieve_reduce():
+    """The one-row reader gives bitwise what ``sieve_reduce`` gives, scaled
+    and range-checked alike: Gaussian rows, among them HARD, which is
+    unsound on unit circles and folded again, and two Fock outputs, one of
+    which is folded again too."""
+    rep = displaced_lossy_rep()
+    model, expand, vacuum = dist._state_record(rep, None)
+    fi = fock_channel.FockInput((2, 2, 1, 0), np.sqrt(0.9) * haar_unitary(
+        4, np.random.default_rng(3)))
+    fmodel, fexpand, groups, prefix, nin = fock_channel._coarse_record(
+        fi, ((0,), (1,), (2,), (3,)))
+    cases = [(model, expand, k, vacuum, None, True)
+             for k in ((2, 1, 3), (0, 0, 4), tuple(HARD))]
+    cases += [(fmodel, fexpand, prefix + b + (nin - sum(b),), 1.0, groups,
+               False) for b in ((0, 2, 0, 3), (1, 1, 0, 0))]
+    refolded = []
+    for model, expand, k, pre, groups, real in cases:
+        with mock.patch.object(hafnian, "grid_coefficients",
+                               wraps=hafnian.grid_coefficients) as spy:
+            got = dist._read_prob(model, expand, pre, k, groups, real)
+        refolded.append(spy.call_count > 1)
+        value = hafnian.sieve_reduce(model, [k], expand, groups=groups,
+                                     real=real)[0]
+        assert got == dist._real_prob(pre * value
+                                      / hafnian.factorial_product(k))
+    assert refolded == [False, False, True, True, False]
+
+
+def test_refolds_leave_grid_results_unchanged():
+    """A row folded again on dilated circles keeps its result apart from
+    the grids it reads: every (values, masses) that ``grid_coefficients``
+    returned reads the same after ``sieve_reduce`` and after the one-row
+    reader."""
+    returned, original = [], hafnian.grid_coefficients
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        returned.append((out, [a.copy() for a in out]))
+        return out
+    rep = displaced_lossy_rep()
+    model, expand, vacuum = dist._state_record(rep, None)
+    with mock.patch.object(hafnian, "grid_coefficients", spy):
+        hafnian.sieve_reduce(model, [HARD, [1, 2, 0]], expand, real=True)
+        dist._read_prob(model, expand, vacuum, tuple(HARD), real=True)
+    assert len(returned) > 2
+    for out, kept in returned:
+        assert all(np.array_equal(a, b) for a, b in zip(out, kept))
+
+
 # -- blocked ------------------------------------------------------------------
 
 def test_blocked_singleton_reduces_to_sieve():

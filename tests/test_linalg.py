@@ -24,7 +24,7 @@ def test_require_counts_takes_whole_numbers_only():
     assert all(type(c) is int for c in counts)
     assert linalg.require_counts(iter([1, 2])) == (1, 2)
     for bad in ([1.5], [-1], [0, -0.5], [np.nan], [np.inf], ["2"], [1j],
-                [None], [[1]]):
+                [None], [[1]], [True, False], [2, False], [np.True_]):
         with pytest.raises(DomainError, match="non-negative integers"):
             linalg.require_counts(bad, "counts")
 
@@ -33,7 +33,8 @@ def test_require_modes_takes_distinct_indices_in_range():
     assert linalg.require_modes((2, np.int64(0)), 3) == [2, 0]
     assert linalg.require_modes(iter([1]), 2) == [1]
     assert linalg.require_modes([], 2) == []
-    for bad in ([0, 0], [3], [-1], [1.0], [0.5], ["0"], [None]):
+    for bad in ([0, 0], [3], [-1], [1.0], [0.5], ["0"], [None], [True, 0],
+                [2, False], [np.True_]):
         with pytest.raises(IndexOutOfRange):
             linalg.require_modes(bad, 3)
 
