@@ -25,18 +25,18 @@ from .gaussian import marginal_rep, reduce_modes
 # lhaf_sieve and blocked_lhaf are not called here: the benchmark tracer
 # rebinds them here
 from .hafnian import (
+    Sieve,
     block_expansion,
     blocked_lhaf,
-    certified,
     f_coefficients,
     f_n,
     factorial_product,
     from_log_series,
     g_coefficients,
     gaussian_model,
-    grid_coefficients,
     lhaf_sieve,
     partition_expansion,
+    sieve_reduce,
 )
 from .linalg import require_counts, require_finite, swap_halves
 
@@ -100,29 +100,27 @@ def _real_prob(value):
 # ---------------------------------------------------------------------------
 
 def _state_record(rep, blocks):
-    """The sieve record of ``rep`` over the detector ``blocks`` (None: one
-    block per mode): its ``gaussian_model``, the checked partition
-    expansion and the vacuum prefactor; a state's coefficients are real.
-    ``rep`` keeps the record of the partition it read last.  A partition
-    that fails ``partition_expansion`` raises on every call and is never
-    kept."""
+    """The ``Sieve`` of ``rep`` over the detector ``blocks`` (None: one
+    block per mode): its ``gaussian_model`` and the checked partition
+    expansion; a state's coefficients are real.  ``rep`` keeps the record
+    of the partition it read last.  A partition that fails
+    ``partition_expansion`` raises on every call and is never kept."""
     kept = rep._record   # read once: one assignment replaces it whole
     if kept is not None and kept[0] == blocks:
         return kept[1]
     t = rep.layout.total
     expand = partition_expansion(
         [(j,) for j in range(t)] if blocks is None else blocks, t)
-    rec = (gaussian_model(rep.a, rep.gamma), expand, rep.vacuum_prob)
+    rec = Sieve(gaussian_model(rep.a, rep.gamma), expand, real=True)
     object.__setattr__(rep, "_record", (blocks, rec))
     return rec
 
 
-def _read_prob(model, expand, prefactor, counts, groups=None, real=False):
-    """The one reader of every one-row probability: ``prefactor`` times
-    the row ``counts`` (a tuple) of ``model``, certified as by
-    ``sieve_reduce``, over prod k!, range-checked once; the other
-    arguments are those of ``grid_coefficients``."""
-    value = certified(model, expand, counts, groups=groups, real=real)
+def _read_prob(sieve, prefactor, counts):
+    """A one-row probability: ``prefactor`` times the row ``counts`` (a
+    tuple) that ``sieve_reduce`` reads of ``sieve``, over prod k!,
+    range-checked."""
+    value = sieve_reduce(sieve, (counts,))[0]
     return _real_prob(prefactor * value / factorial_product(counts))
 
 
@@ -132,7 +130,7 @@ def prob_fine(rep, n):
     if len(n) != rep.layout.total:
         raise PartitionMismatch(
             f"pattern length {len(n)} != mode count {rep.layout.total}")
-    return _read_prob(*_state_record(rep, None), n, real=True)
+    return _read_prob(_state_record(rep, None), rep.vacuum_prob, n)
 
 
 def prob_total(rep, subset, n_total):
@@ -178,7 +176,8 @@ def total_distribution(rep, subset=None, cutoff=None, tail=_DEFAULT_TAIL):
 
 def prob_coarse(rep, cp):
     """Probability of the coarse-grained counts over detector blocks."""
-    return _read_prob(*_state_record(rep, cp.blocks), cp.counts, real=True)
+    return _read_prob(_state_record(rep, cp.blocks), rep.vacuum_prob,
+                      cp.counts)
 
 
 def prob_external(rep, n):
@@ -255,7 +254,7 @@ def prob_external_distinguishable(blocks, n):
     bb = b * bt
     cross = bb[:, :m, :m] + bb[:, m:, m:] + bb[:, m:, :m] + bb[:, :m, m:]
     model = from_log_series(partial(_rank_two_series, diag, cross))
-    return _read_prob(model, np.eye(m), vac, n, real=True)
+    return _read_prob(Sieve(model, np.eye(m), real=True), vac, n)
 
 
 def _rank_two_series(diag, cross, nmax, z):
@@ -308,13 +307,12 @@ def coarse_moment(state, blocks):
     """Expectation of the product of block photon totals, one per block.
 
     It is the multilinear coefficient of f_p, p = len(blocks), in one sieve
-    variable per block, read off the sieve grid."""
+    variable per block, read by ``sieve_reduce``."""
     a, gamma, expand = _moment_generator(state, blocks)
     if not len(expand):
         return 1.0
-    values, _ = grid_coefficients(gaussian_model(a, gamma), expand,
-                                  ((1,) * len(expand),), real=True)
-    return _real(values[0])
+    sieve = Sieve(gaussian_model(a, gamma), expand, real=True)
+    return _real(sieve_reduce(sieve, ((1,) * len(expand),))[0])
 
 
 def coarse_cumulant(state, blocks):

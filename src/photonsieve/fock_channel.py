@@ -21,12 +21,12 @@ its elements off the same form (``_fock_series``); K itself is formed only
 by the permanent oracle that cross-checks both.
 
 ``fock_coarse_prob`` prepares this form once per input and output
-partition and keeps it on the input: F with its W terms, the identity
-expand, the groups [inputs] [outputs + y_env], the input counts of the
-occupied ports and |p|.  Every output pattern over that partition then
-forms only its count row and folds it.  The input keeps one such record,
-for the partition it read last.  The input holds read-only copies of T
-and S, so what it prepared cannot go stale.
+partition and keeps it on the input as a ``Sieve``: F with its W terms,
+the identity expand and the groups [inputs] [outputs + y_env].  Every
+output pattern over that partition then forms only its count row and
+folds it.  The input keeps one such record, for the partition it read
+last.  The input holds read-only copies of T and S, so what it prepared
+cannot go stale.
 """
 
 import math
@@ -39,7 +39,7 @@ from .distributions import _read_prob
 from .errors import (DomainError, NotPositiveDefinite, PartitionMismatch,
                      TooLarge)
 # blocked_lhaf is not called here: the benchmark tracer rebinds it here
-from .hafnian import (_CHUNK_BYTES, blocked_lhaf, compatible_patterns,
+from .hafnian import (_CHUNK_BYTES, Sieve, blocked_lhaf, compatible_patterns,
                       factorial_product, partition_expansion)
 from .heralding import herald_density, kept_modes
 from .linalg import STRUCTURE_TOL, require_counts, require_subunitary
@@ -117,24 +117,22 @@ def _fock_series(t, gram, w, p):
 
 
 def _coarse_record(fi, blocks):
-    """The model of ``fi`` with one y per output block of ``blocks``, with
-    the identity expand, the groups, the counts of the occupied inputs and
-    |p|.  ``fi`` keeps the record of the partition it read last, so a run
-    of outputs over one partition prepares it once.  A partition that
-    fails ``partition_expansion`` raises here on every call and is never
-    kept."""
+    """The ``Sieve`` of ``fi`` with one y per output block of ``blocks``:
+    its product form, the identity expand and the groups.  ``fi`` keeps
+    the record of the partition it read last, so a run of outputs over
+    one partition prepares it once.  A partition that fails
+    ``partition_expansion`` raises here on every call and is never kept."""
     kept = fi._record   # read once: one assignment replaces it whole
     if kept is not None and kept[0] == blocks:
         return kept[1]
     proj = partition_expansion(blocks, len(fi.p)).real   # E_j by row
     occ = [i for i, k in enumerate(fi.p) if k]
     t, d = fi.t[:, occ], len(occ)
-    prefix = tuple(fi.p[i] for i in occ)
     model = _fock_series(t, fi.gram[np.ix_(occ, occ)],
-                         np.einsum("ai,ja,al->jil", t.conj(), proj, t), prefix)
+                         np.einsum("ai,ja,al->jil", t.conj(), proj, t),
+                         [fi.p[i] for i in occ])
     nvar = d + len(blocks) + 1
-    rec = (model, np.eye(nvar), (tuple(range(d)), tuple(range(d, nvar))),
-           prefix, sum(fi.p))
+    rec = Sieve(model, np.eye(nvar), (range(d), range(d, nvar)))
     object.__setattr__(fi, "_record", (blocks, rec))
     return rec
 
@@ -143,15 +141,16 @@ def fock_coarse_prob(fi, cp):
     """Probability of coarse output counts b for Fock input p through t: the
     coefficient of x^p y^b y_env^(|p| - |b|) in prod_i ((S o B(y)) x)_i^p_i
     with one y per output block, read off one full sieve grid (module
-    docstring).  The input keeps the model, expand and groups of the
-    output partition it read last (``_coarse_record``), so a call over
-    that partition forms only its count row and folds it."""
-    model, expand, groups, prefix, nin = _coarse_record(fi, cp.blocks)
-    nout = sum(cp.counts)
+    docstring).  The input keeps the record of the output partition it
+    read last (``_coarse_record``), so a call over that partition forms
+    only its count row (the counts of the occupied inputs, b, |p| - |b|)
+    and folds it."""
+    sieve = _coarse_record(fi, cp.blocks)
+    nin, nout = sum(fi.p), sum(cp.counts)
     if nout > nin or nin == 0:
         return float(nout == 0)  # a lossy circuit cannot create photons
-    return _read_prob(model, expand, 1.0, prefix + cp.counts + (nin - nout,),
-                      groups)
+    return _read_prob(sieve, 1.0,
+                      tuple(filter(None, fi.p)) + cp.counts + (nin - nout,))
 
 
 def perm_oracle(mat):
@@ -243,8 +242,7 @@ def fock_herald(fi, spec):
     def build(pairs):
         w = diag + [np.outer(t[c].conj(), t[r]) for r, c in pairs]
         nvar = d + len(w) + 1
-        return (_fock_series(t, 1.0, np.reshape(w, (len(w), d, d)), p),
-                np.eye(nvar), (tuple(range(d)), tuple(range(d, nvar))),
-                False)
+        return Sieve(_fock_series(t, 1.0, np.reshape(w, (len(w), d, d)), p),
+                     np.eye(nvar), (range(d), range(d, nvar)))
 
     return herald_density(len(kept), spec.cutoff, counts, embed, build)

@@ -1,6 +1,6 @@
 """Loop-Hafnian kernels.
 
-Eight layers, from slow-and-certain to fast:
+Nine layers, from slow-and-certain to fast:
 
 * ``lhaf_oracle``        exact enumeration of single-pair matchings with
                          loops, exponential, guarded to 14 rows;
@@ -14,33 +14,23 @@ Eight layers, from slow-and-certain to fast:
                          g_k into the Taylor coefficients f_0..f_N;
                          ``from_log_series`` makes a log series a model,
                          and ``gaussian_model`` that of an (A, gamma);
-* ``grid_coefficients``  the sieve engine: f on one roots-of-unity grid
-                         with one pinned variable per homogeneous group,
-                         the one of the smallest count, then one
-                         matrix-vector product per grid axis reads out each
-                         count pattern from f_N of its total N, with its
-                         rounding bound; the model, which gives f_N at the
-                         grid points for the totals N the rows read, is an
-                         argument (a Gaussian log series through
-                         ``f_coefficients``, or the Fock product form of
-                         ``fock_channel``).  What depends only on the count
-                         rows, groups and ``real`` is planned once
-                         (``_grid_plan``), the unit points and conjugate
-                         pairs once per grid shape (``_unit_grid``,
-                         ``_conj_pairs``); a model with real coefficients
-                         runs on one point per pair and folds its weighted
-                         representatives;
-* ``sieve_reduce``       the one fold-and-certify routine: rows of count
-                         patterns from one unit-circle grid, each row that
-                         drowns in cancellation folded again on its own
-                         grid on dilated circles (``certified``);
+* ``Sieve``              the record of one generating function: its model,
+                         variables, groups and realness, fixed once where
+                         the model is built;
+* ``grid_coefficients``  the sieve engine: a record's f on one
+                         roots-of-unity grid with one pinned variable per
+                         homogeneous group (a half grid for a real one),
+                         then one matrix-vector product per grid axis reads
+                         out each count pattern, with its rounding bound;
+* ``sieve_reduce``       the one reader: rows of a record from one
+                         unit-circle grid, each row that drowns in
+                         cancellation folded again on its own grid on
+                         dilated circles.  Every probability, Fock output,
+                         herald class and moment reads its rows here;
 * ``lhaf_sieve``         one pattern through ``sieve_reduce``, equal to
                          the oracle on the repeated matrix;
 * ``blocked_lhaf``       the grouped-detector generalization, one sieve
                          variable per block.
-
-Every one-row probability calls neither of the last two: it reads its
-row through ``certified`` (``distributions._read_prob``).
 
 Moments and cumulants of photon counts are multilinear coefficients read
 off the same grid and log series.
@@ -48,6 +38,8 @@ off the same grid and log series.
 
 import cmath
 import math
+import operator
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from typing import NamedTuple
@@ -56,7 +48,7 @@ import numpy as np
 
 from .errors import (DomainError, NonFinite, OddDimension, PartitionMismatch,
                      TooLarge)
-from .linalg import require_counts, require_finite
+from .linalg import _BOOLS, require_counts, require_finite
 
 _ORACLE_LIMIT = 14
 
@@ -280,25 +272,45 @@ def f_n(a, gamma=None, n=0):
 # roots-of-unity sieve
 # ---------------------------------------------------------------------------
 
-def grid_coefficients(model, expand, targets, radii=None, groups=None,
-                      real=False):
-    """Blocked loop Hafnians of many count patterns from one sieve grid.
+@dataclass(frozen=True, eq=False)
+class Sieve:
+    """The record of one generating function, built where its model is
+    built and passed whole to every read.
 
-    ``model(totals, scale)`` returns, for each total N of ``totals``
+    ``model(totals, scale)`` gives, for each total N of ``totals``
     (ascending), f_N at every row of ``scale`` (one entry per mode): the
-    part of the generating function of degree N in the first group
-    (``from_log_series`` gives it for a log series, and
-    ``gaussian_model`` for that of an adjacency matrix and loop vector).
-    ``expand`` maps variable columns to mode columns, and each row of
-    ``targets`` is a count pattern over the variables.  Variable j runs
-    over L_j points r_j exp(2 pi i m / L_j), L_j = 1 + its largest count
-    k_j (a variable whose counts are all zero is pinned at zero).
-    ``groups`` partitions the variables into homogeneous groups (default:
-    one group of all): f_N has degree N in each group, as 1 / det(I - X
-    B(y)) has in x and in y.  A pattern k with every k_j < L_j aliases
-    with no other pattern of the same group totals, so f_N (N the total of
-    the first group) folded with the conj phases exp(-2 pi i m k_j / L_j),
-    one matrix-vector product per axis, yields pattern k exactly.
+    part of degree N in the first group (``from_log_series`` makes it of
+    a log series, ``gaussian_model`` of an adjacency matrix and loop
+    vector).  ``expand`` maps variable columns to mode columns; a count
+    row has one count per variable.  ``groups`` partitions the variables
+    into homogeneous groups, kept as tuples (None: one group of all): f_N
+    has degree N in each, as 1 / det(I - X B(y)) has in x and in y.
+    ``real`` declares real Taylor coefficients, as a Gaussian probability
+    or moment has, so that every grid of the record is a half grid; an
+    off-diagonal herald class and the Fock product form are complex.
+    """
+
+    model: object
+    expand: np.ndarray
+    groups: tuple = None
+    real: bool = False
+
+    def __post_init__(self):
+        if self.groups is not None:
+            object.__setattr__(self, "groups", tuple(map(tuple, self.groups)))
+
+
+def grid_coefficients(sieve, targets, radii=None):
+    """Blocked loop Hafnians of many count patterns of the ``Sieve``
+    record ``sieve`` from one grid.
+
+    Each row of ``targets`` is a count pattern over the variables.
+    Variable j runs over L_j points r_j exp(2 pi i m / L_j), L_j = 1 + its
+    largest count k_j (a variable whose counts are all zero is pinned at
+    zero).  A pattern k with every k_j < L_j aliases with no other pattern
+    of the same group totals, so f_N (N the total of the first group)
+    folded with the conj phases exp(-2 pi i m k_j / L_j), one
+    matrix-vector product per axis, yields pattern k exactly.
 
     Homogeneity also pins one variable e per group at r_e: a pattern of
     the same totals then aliases onto k only through a variable of e's
@@ -309,37 +321,32 @@ def grid_coefficients(model, expand, targets, radii=None, groups=None,
     (k_j + 1) = prod_(j != e) (k_j + 1) points.
 
     Everything but the radii and the model depends only on the count
-    rows, the groups and ``real``: it is planned once by ``_grid_plan``,
-    on unit points over the live and pinned variables shared per shape by
-    ``_unit_grid``; a call then forms its points as one product with those
-    rows of ``expand``, evaluates the model and folds.  Rows given as a
-    tuple of count tuples, and groups as a tuple of tuples, are the plan's
-    key as they stand; any other form is converted first.
+    rows and the record's groups and realness: it is planned once by
+    ``_grid_plan``, on unit points over the live and pinned variables
+    shared per shape by ``_unit_grid``; a call then forms its points as
+    one product with those rows of ``expand``, evaluates the model and
+    folds.  Rows given as a tuple of count tuples are the plan's key as
+    they stand.
 
-    ``real`` declares real Taylor coefficients of every f_N the model
-    gives, as a Gaussian probability or moment has.  The pins and radii
-    are real, so point m and its partner -m mod L_j carry conjugate
-    values, f_N(conj z) = conj f_N(z), and conjugate terms of the fold:
+    On a real record the pins and radii are real, so point m and its
+    partner -m mod L_j carry conjugate values, f_N(conj z) = conj f_N(z):
     the model runs on one point of each pair (``_conj_pairs``), and the
     fold is the real part of their sum, each weighted 2, or 1 for a point
-    that is its own conjugate; the mass is weighted alike.  Complex
-    coefficients, as of an off-diagonal herald class or the Fock product
-    form, need every point.
+    that is its own conjugate; the mass is weighted alike.
 
     Returns (values, masses) over the rows of ``targets``: value =
     prod k_j! [z^k] f_N, and mass = prod(k_j! / (L_j r_j^k_j)) times
     sum_m |f_N(z_m)| over the grid (L_e = 1), the absolute fold mass,
     whose product with the machine epsilon bounds the rounding error.
     """
+    expand = sieve.expand
     rows = _count_rows(targets, expand.shape[0])
-    if groups is not None and type(groups) is not tuple:
-        groups = tuple(map(tuple, groups))
-    plan = _grid_plan(rows, groups, real)
+    plan = _grid_plan(rows, sieve.groups, sieve.real)
     points = plan.points
     if radii is not None:
         radii = np.asarray(radii, float)
         points = points * radii[plan.vars]
-    columns = model(plan.totals, points @ expand.take(plan.vars, 0))
+    columns = sieve.model(plan.totals, points @ expand.take(plan.vars, 0))
     weights = plan.weights
     sums = [np.abs(column).sum() if weights is None
             else weights @ np.abs(column) for column in columns]
@@ -363,7 +370,7 @@ def grid_coefficients(model, expand, targets, radii=None, groups=None,
 
 class _GridPlan(NamedTuple):
     """What ``grid_coefficients`` needs of its count rows, groups and
-    ``real``.  ``reads`` holds, per row, (the position of its total in
+    realness.  ``reads`` holds, per row, (the position of its total in
     ``totals``, prod k_j! / prod L_j, its fold): on a full grid the conj
     unit phases of its live axes, last axis first; on a half grid the
     weighted conj phases at the representatives."""
@@ -395,8 +402,12 @@ def _grid_plan(rows, groups, real=False):
     """The ``_GridPlan`` of the count ``rows`` (tuples), the ``groups``
     (tuples or None) and ``real``.  Of the size of the grid it holds only
     a half grid's weighted phases per row; a full grid's rows share their
-    phases through ``_phases``.  A prod k! beyond doubles is ``TooLarge``."""
+    phases through ``_phases``.  A negative count is a ``DomainError``, a
+    prod k! beyond doubles ``TooLarge``: neither is kept, so every call
+    with such rows raises."""
     targets = np.array(rows, dtype=int)
+    if targets.min() < 0:
+        raise DomainError("counts must be non-negative")
     nvar = targets.shape[1]
     kmax = targets.max(axis=0).tolist()
     groups = (range(nvar),) if groups is None else groups
@@ -481,25 +492,18 @@ def fold_is_sound(value, mass, abs_tol=None):
     return abs_tol is not None and _EPS * mass <= abs_tol
 
 
-def certified(model, expand, k, fold=None, abs_tol=None, groups=None,
-              real=False):
-    """The value of the count row ``k`` (a tuple), as ``sieve_reduce``
-    certifies it, from its unit-circle ``fold`` (value, mass), or folded
-    here when None; the re-folds keep their results here, apart from any
-    grid's.  A value that is not finite is ``NonFinite``."""
-    if fold is None:
-        (value,), (mass,) = grid_coefficients(model, expand, (k,),
-                                              groups=groups, real=real)
-    else:
-        value, mass = fold
+def _certified(sieve, k, value, mass, abs_tol):
+    """The value of the count row ``k`` (a tuple) of ``sieve``, as
+    ``sieve_reduce`` certifies it from its unit-circle fold (``value``,
+    ``mass``) under ``abs_tol``; the re-folds keep their results here,
+    apart from any grid's.  A value that is not finite is ``NonFinite``."""
     if len(set(k) - {0}) > 1:
         for boost in _DILATIONS[1:]:
             if fold_is_sound(value, mass, abs_tol):
                 break
             counts = np.array(k)
             (cand,), (cmass,) = grid_coefficients(
-                model, expand, (k,), boost ** (counts / counts.max()),
-                groups, real)
+                sieve, (k,), boost ** (counts / counts.max()))
             if cmass < mass:
                 value, mass = cand, cmass
     if not cmath.isfinite(value):
@@ -507,13 +511,10 @@ def certified(model, expand, k, fold=None, abs_tol=None, groups=None,
     return value
 
 
-def sieve_reduce(model, targets, expand, abs_tol=None, groups=None,
-                 real=False):
+def sieve_reduce(sieve, targets, abs_tol=None):
     """The rows of ``targets`` (count patterns over the variables) of the
-    generating function ``model``, folded and certified; ``expand`` maps
-    variable columns to mode columns, ``abs_tol`` is None or one absolute
-    tolerance (or None) per row, and ``model``, ``groups`` and ``real``
-    (for every grid, re-folds included) are as in ``grid_coefficients``.
+    ``Sieve`` record ``sieve``, one or many, folded and certified into a
+    fresh array; ``abs_tol`` is None or one tolerance (or None) per row.
 
     Every row is read off one grid on unit circles.  The absolute fold mass
     bounds the rounding error of the fold, so it doubles as a condition
@@ -521,21 +522,19 @@ def sieve_reduce(model, targets, expand, abs_tol=None, groups=None,
     own tolerance) and whose nonzero counts differ is folded again on its
     own smallest grid, on circles of radius d**(k_j/k_max) for each further
     dilation d, until it is sound; the fold with the smallest mass wins
-    (``certified``).  Every dilation evaluates the same exact quantity,
+    (``_certified``).  Every dilation evaluates the same exact quantity,
     because the target coefficient is homogeneous.  Unit circles come
     first because the herald class grids need them: on the cutoff-26
     herald pipeline, radii 4**(k_j/k_max) left all 27 diagonal elements
     unsound and unit circles none.  A negative count is a ``DomainError``.
     """
-    rows = _count_rows(targets, expand.shape[0])
-    if any(c < 0 for k in rows for c in k):
-        raise DomainError("counts must be non-negative")
-    tols = [None] * len(rows) if abs_tol is None else list(abs_tol)
-    values, masses = grid_coefficients(model, expand, rows, groups=groups,
-                                       real=real)
-    return np.array([certified(model, expand, k, fold, tol, groups, real)
-                     for k, fold, tol in zip(rows, zip(values, masses), tols)],
-                    dtype=complex)
+    rows = _count_rows(targets, sieve.expand.shape[0])
+    values, masses = grid_coefficients(sieve, rows)
+    out = np.empty(len(rows), dtype=complex)
+    for i, k in enumerate(rows):
+        out[i] = _certified(sieve, k, values[i], masses[i],
+                            None if abs_tol is None else abs_tol[i])
+    return out
 
 
 def lhaf_sieve(a, gamma, pattern, real=False):
@@ -575,14 +574,14 @@ def compatible_patterns(blocks, b, nmodes):
 
 def blocked_lhaf(a, gamma, blocks, b, real=False):
     """Blocked loop Hafnian: one sieve variable per block.  ``real``, as
-    in ``grid_coefficients``, holds for the adjacency of a physical state,
-    not for an arbitrary complex matrix."""
+    in ``Sieve``, holds for the adjacency of a physical state, not for an
+    arbitrary complex matrix."""
     expand = partition_expansion(blocks, np.shape(a)[0] // 2)
     b = require_counts(b)
     if len(b) != len(blocks):
         raise PartitionMismatch("one count per block required")
-    return sieve_reduce(gaussian_model(a, gamma), (b,), expand,
-                        real=real)[0]
+    return sieve_reduce(Sieve(gaussian_model(a, gamma), expand, real=real),
+                        (b,))[0]
 
 
 def block_expansion(blocks, nmodes):
@@ -590,14 +589,26 @@ def block_expansion(blocks, nmodes):
     read-only and shared by every call with the same blocks.
 
     It is the one partition check: the blocks must be non-empty, disjoint
-    and within range(nmodes).  Callers that need every mode covered use
-    ``partition_expansion``."""
-    return _block_expansion(tuple(map(tuple, blocks)), nmodes)
+    and within range(nmodes), of integer indices.  Callers that need every
+    mode covered use ``partition_expansion``."""
+    return _block_expansion(_block_key(blocks), nmodes)
 
 
 def partition_expansion(blocks, nmodes):
     """``block_expansion`` of blocks that must also cover every mode."""
-    return _partition_expansion(tuple(map(tuple, blocks)), nmodes)
+    return _partition_expansion(_block_key(blocks), nmodes)
+
+
+def _block_key(blocks):
+    """``blocks`` as tuples of int indices, their expansion's key; a bool or
+    non-integer entry (1.0 hashes as 1) is a ``PartitionMismatch``."""
+    try:
+        blocks = tuple(map(tuple, blocks))
+        if not any(isinstance(i, _BOOLS) for blk in blocks for i in blk):
+            return tuple(tuple(map(operator.index, blk)) for blk in blocks)
+    except TypeError:
+        pass
+    raise PartitionMismatch(f"blocks {blocks} must hold integer indices")
 
 
 # lru_cache keeps no exceptions: malformed blocks raise on every call

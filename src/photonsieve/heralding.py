@@ -21,12 +21,14 @@ from .errors import (
     LengthMismatch,
     NotNormalized,
     PartitionMismatch,
+    TooLarge,
     ZeroProbability,
 )
 from .gaussian import marginal_rep
 # lhaf_sieve and blocked_lhaf are not called here: the benchmark tracer
 # rebinds them here
 from .hafnian import (
+    Sieve,
     block_expansion,
     blocked_lhaf,
     factorial_product,
@@ -37,6 +39,7 @@ from .hafnian import (
 from .linalg import require_counts, require_finite, require_modes
 
 PAD = "pad"
+_HERALD_DIM_LIMIT = 4096   # (cutoff + 1)^kept: a 256 MiB density matrix
 
 
 @dataclass(frozen=True)
@@ -222,20 +225,20 @@ def herald_density(nkept, cutoff, counts, embed, build, vacuum=1.0):
     ``counts`` is the herald outcome, one count per herald variable.
     ``embed(u, v)`` maps an element to (class key, counts of the element's
     own sieve variables, norm factor), or to None when a selection rule
-    makes it exactly zero, and ``build(key)`` maps a class to (sieve
-    model, variable-to-mode matrix, sieve groups or None, ``real``), the
-    herald variables first; ``real`` says whether the model's coefficients
-    are real, so that the class takes the half grid (``grid_coefficients``).
-    Elements of one class are one generating function read out at
-    different count patterns: one ``sieve_reduce`` call per class.  An
-    element is ``vacuum`` times its sieve value over prod(counts!) sqrt(u!
-    v!) and its norm factor (the e! of e lost photons for a Fock input, 1
-    for a Gaussian state).  The diagonal comes first: the trace sets the
-    scale of the state, and off-diagonal elements only need absolute
-    accuracy 1e-9 * trace.
+    makes it exactly zero, and ``build(key)`` maps a class to its
+    ``Sieve``, the herald variables first.  Elements of one class are one
+    generating function read out at different count patterns: one
+    ``sieve_reduce`` call per class.  An element is ``vacuum`` times its
+    sieve value over prod(counts!) sqrt(u! v!) and its norm factor (the
+    e! of e lost photons for a Fock input, 1 for a Gaussian state).  The
+    diagonal comes first: the trace sets the scale of the state, and
+    off-diagonal elements only need absolute accuracy 1e-9 * trace.  A
+    dimension above 4096 is ``TooLarge``.
     """
+    dim = (cutoff + 1) ** nkept
+    if dim > _HERALD_DIM_LIMIT:
+        raise TooLarge(f"herald dimension {dim} exceeds {_HERALD_DIM_LIMIT}")
     patterns = list(product(range(cutoff + 1), repeat=nkept))
-    dim = len(patterns)
     entries = np.zeros((dim, dim), dtype=complex)
     hfact = factorial_product(counts)
 
@@ -253,9 +256,8 @@ def herald_density(nkept, cutoff, counts, embed, build, vacuum=1.0):
             tols = [None if abs_tol is None or vacuum == 0
                     else abs_tol * norm / abs(vacuum)
                     for *_, norm in members]
-            model, expand, groups, real = build(key)
-            values = sieve_reduce(model, [ks for _, _, ks, _ in members],
-                                  expand, tols, groups, real)
+            values = sieve_reduce(build(key),
+                                  [ks for _, _, ks, _ in members], tols)
             for (i, j, _, norm), value in zip(members, values):
                 val = complex(vacuum * value / norm)
                 if j == i:
@@ -300,9 +302,9 @@ def herald_grouped(rep, spec):
     def build(tags):
         mprime = len(tags) // 2
         singles = [(k,) for k in range(mprime) if k not in in_herald]
-        return (gaussian_model(*_embedded_matrix(sub.a, sub.gamma, tags)),
-                block_expansion(herald + singles, mprime), None,
-                mprime == nmodes)
+        return Sieve(gaussian_model(*_embedded_matrix(sub.a, sub.gamma, tags)),
+                     block_expansion(herald + singles, mprime),
+                     real=mprime == nmodes)
 
     return herald_density(len(kept), spec.cutoff, counts, embed, build,
                           sub.vacuum_prob)

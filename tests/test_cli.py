@@ -448,6 +448,36 @@ def test_herald_mode_out_of_range_exit_code(tmp_path, kind):
     assert err["error"] == "IndexOutOfRange"
 
 
+@pytest.mark.parametrize("task", [
+    {"kind": "coarse-prob", "blocks": [[0], [1.0]], "counts": [1, 1]},
+    {"kind": "fock-prob", "input": [1, 1], "blocks": [[0.5], [1]],
+     "counts": [1, 0]},
+    {"kind": "moments", "blocks": [[0], [1.0]], "statistic": "moment"},
+], ids=["coarse-prob", "fock-prob", "moments"])
+def test_block_entries_that_are_no_indices_exit_code(tmp_path, capsys, task):
+    """A block entry that is no integer index is a ``PartitionMismatch``
+    (exit 2), never an ``IndexError``, before and after the same task has
+    run on the integer blocks in this process."""
+    config = {"circuit": fock_ready(tmsv_circuit(), task["kind"]),
+              "task": task}
+    assert rejected_as(tmp_path, capsys, config)["error"] == \
+        "PartitionMismatch"
+    ok = {**config, "task": {**task, "blocks": [[0], [1]]}}
+    assert cli.main(["run", "--config",
+                     write_config(tmp_path, ok, "ok.json")]) == 0
+    assert rejected_as(tmp_path, capsys, config)["error"] == \
+        "PartitionMismatch"
+
+
+def test_herald_too_large_to_allocate_exit_code(tmp_path, capsys):
+    """A herald whose density matrix could not be allocated exits 2 with
+    ``TooLarge``."""
+    config = {"circuit": {"modes": 3, "squeezing": [0.3, 0.2, 0.1]},
+              "task": {"kind": "herald", "herald_modes": [0],
+                       "measurement": [1], "cutoff": 1000}}
+    assert rejected_as(tmp_path, capsys, config)["error"] == "TooLarge"
+
+
 def test_non_finite_result_is_a_numeric_error(tmp_path, capsys):
     payload = {"result": {"probability": float("nan")}}
     with pytest.raises(cli.NonFinite):

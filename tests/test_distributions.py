@@ -185,7 +185,8 @@ def test_counts_beyond_the_double_range_are_too_large():
         seen.append(len(z))
         return [np.ones(len(z))] * len(totals)
     with pytest.raises(TooLarge):
-        hafnian.grid_coefficients(model, np.eye(2), [(100, 100)])
+        hafnian.grid_coefficients(hafnian.Sieve(model, np.eye(2)),
+                                  [(100, 100)])
     assert not seen
 
 

@@ -573,15 +573,14 @@ def test_product_form_equals_determinant_series(seed, m, photons, rank,
     fi = fc.FockInput(p, t, c.conj() @ c.T)
     occ = [i for i in range(m) if p[i]]
     row = [p[i] for i in occ] + b + [photons - sum(b)]
-    model, expand, groups, *_ = fc._coarse_record(fi, blocks)
+    sieve = fc._coarse_record(fi, blocks)
     det = determinant_series(
         t[:, occ], fi.gram[np.ix_(occ, occ)],
         np.array([t[bl][:, occ].conj().T @ t[bl][:, occ] for bl in blocks]))
     for radii in (rng.uniform(0.5, 2.0, len(row)), None):
-        got, got_mass = hafnian.grid_coefficients(model, expand, [row],
-                                                  radii, groups)
-        want, want_mass = hafnian.grid_coefficients(det, expand, [row],
-                                                    radii, groups)
+        got, got_mass = hafnian.grid_coefficients(sieve, [row], radii)
+        want, want_mass = hafnian.grid_coefficients(
+            hafnian.Sieve(det, sieve.expand, sieve.groups), [row], radii)
         bound = 4 * hafnian._EPS * (got_mass[0] + want_mass[0])
         assert abs(got[0] - want[0]) <= bound
     prob = fc.fock_coarse_prob(fi, CoarsePattern(blocks, b))
@@ -589,6 +588,14 @@ def test_product_form_equals_determinant_series(seed, m, photons, rank,
 
 
 # -- heralded states ----------------------------------------------------------
+
+def test_fock_herald_dimension_is_bounded():
+    """A Fock herald over two kept ports at cutoff 1000, whose density
+    matrix could not be allocated, is ``TooLarge``."""
+    fi = fc.FockInput((1, 1, 1), np.eye(3))
+    with pytest.raises(TooLarge):
+        fc.fock_herald(fi, HeraldSpec([0], [1], cutoff=1000))
+
 
 def test_herald_splitter_vacuum_outcome():
     # |1,0> on a balanced splitter, heralding vacuum on port 1 leaves

@@ -301,7 +301,8 @@ def test_lhaf_sieve_node_independence():
     expand = hafnian.block_expansion([(0,), (1,), (2,)], 3)
     model = hafnian.from_log_series(partial(hafnian.g_coefficients, a, gam))
     for radii in ([4.0, 2.0, 4.0], [0.5, 2.0, 1.3]):
-        values, _ = hafnian.grid_coefficients(model, expand, [pattern], radii)
+        values, _ = hafnian.grid_coefficients(hafnian.Sieve(model, expand),
+                                              [pattern], radii)
         assert np.isclose(default, values[0], rtol=1e-8)
 
 
@@ -360,9 +361,9 @@ def test_grid_coefficients_match_per_pattern_sieve(seed, with_gamma, sizes):
     expand = hafnian.block_expansion(blocks, nmodes)
     targets = list(itertools.product(*(range(s) for s in sizes)))
     radii = rng.uniform(0.5, 2.0, len(sizes))
-    values, masses = hafnian.grid_coefficients(
+    values, masses = hafnian.grid_coefficients(hafnian.Sieve(
         hafnian.from_log_series(partial(hafnian.g_coefficients, a, gam)),
-        expand, targets, radii)
+        expand), targets, radii)
     for k, value, mass in zip(targets, values, masses):
         want = hafnian.blocked_lhaf(a, gam, blocks, k)
         assert np.isclose(value, want, rtol=1e-9, atol=1e-12)
@@ -421,9 +422,9 @@ def test_grid_coefficients_two_groups_match_brute_force():
         targets = [k for k in itertools.product(range(4), repeat=5)
                    if sum(k[:2]) == sum(k[2:]) <= 3
                    and max(k[1], k[3], k[4]) <= limit]
-        values, _ = hafnian.grid_coefficients(
-            hafnian.from_log_series(series), np.eye(5), targets,
-            groups=[range(2), range(2, 5)])
+        values, _ = hafnian.grid_coefficients(hafnian.Sieve(
+            hafnian.from_log_series(series), np.eye(5),
+            groups=[range(2), range(2, 5)]), targets)
         for k, value in zip(targets, values):
             got = value / hafnian.factorial_product(k)
             assert abs(got - want.get(k, 0)) <= 1e-12 * scale
@@ -454,8 +455,8 @@ def test_grid_has_fewest_points_over_every_pin(rows, split):
         seen.append(len(z))
         return np.zeros((len(z), nmax))
 
-    hafnian.grid_coefficients(hafnian.from_log_series(series), np.eye(nvar),
-                              rows, groups=groups)
+    hafnian.grid_coefficients(hafnian.Sieve(hafnian.from_log_series(series),
+                                            np.eye(nvar), groups), rows)
     assert seen == [want]
 
 
@@ -498,9 +499,10 @@ def test_half_grid_equals_full_grid(two_groups, rows, radii):
                       if two_groups else (displaced_lossy_series(), None))
     rows = [row[:nvar] for row in rows]
     radii = None if radii is None else radii[:nvar]
-    args = (series, np.eye(nvar), rows, radii, groups)
-    half, half_mass = hafnian.grid_coefficients(*args, real=True)
-    full, full_mass = hafnian.grid_coefficients(*args)
+    half, half_mass = hafnian.grid_coefficients(
+        hafnian.Sieve(series, np.eye(nvar), groups, real=True), rows, radii)
+    full, full_mass = hafnian.grid_coefficients(
+        hafnian.Sieve(series, np.eye(nvar), groups), rows, radii)
     assert np.all(np.abs(half - full) <= 16 * hafnian._EPS * full_mass)
     assert np.all(np.abs(half_mass - full_mass) <= 16 * hafnian._EPS
                   * full_mass)
@@ -513,18 +515,19 @@ def grid_spy():
     point counts its series saw)."""
     calls, original = [], hafnian.grid_coefficients
 
-    def spy(model, expand, targets, radii=None, groups=None, real=False):
+    def spy(sieve, targets, radii=None):
         seen = []
 
         def counted(totals, z):
             seen.append(len(z))
-            return model(totals, z)
-        rows = np.asarray(targets, dtype=int).reshape(-1, expand.shape[0])
-        plan = hafnian._grid_plan(
-            tuple(map(tuple, rows.tolist())),
-            None if groups is None else tuple(map(tuple, groups)))
-        calls.append((plan.shape, real, seen))
-        return original(counted, expand, targets, radii, groups, real)
+            return sieve.model(totals, z)
+        rows = np.asarray(targets, dtype=int).reshape(-1,
+                                                      sieve.expand.shape[0])
+        plan = hafnian._grid_plan(tuple(map(tuple, rows.tolist())),
+                                  sieve.groups)
+        calls.append((plan.shape, sieve.real, seen))
+        return original(hafnian.Sieve(counted, sieve.expand, sieve.groups,
+                                      sieve.real), targets, radii)
     with mock.patch.object(hafnian, "grid_coefficients", spy):
         yield calls
 
@@ -582,18 +585,20 @@ def test_grid_plan_caches_are_safe():
     expand = np.eye(3)
     rows = [[2, 1, 3], [1, 2, 3], [4, 0, 2], [0, 0, 0], [1, 1, 1]]
     for real in (False, True):
+        sieve = hafnian.Sieve(series, expand, real=real)
         clear_plan_caches()
-        fresh = hafnian.grid_coefficients(series, expand, rows, real=real)
-        cached = hafnian.grid_coefficients(series, expand, rows, real=real)
+        fresh = hafnian.grid_coefficients(sieve, rows)
+        cached = hafnian.grid_coefficients(sieve, rows)
         clear_plan_caches()
-        again = hafnian.grid_coefficients(series, expand, rows, real=real)
+        again = hafnian.grid_coefficients(sieve, rows)
         for got in (cached, again):
             assert all(np.array_equal(x, y) for x, y in zip(got, fresh))
     radii = [2.0, 0.5, 1.5]
+    sieve = hafnian.Sieve(series, expand)
     clear_plan_caches()
-    dilated = hafnian.grid_coefficients(series, expand, rows[:1], radii)
-    hafnian.grid_coefficients(series, expand, rows[:1])
-    after_unit = hafnian.grid_coefficients(series, expand, rows[:1], radii)
+    dilated = hafnian.grid_coefficients(sieve, rows[:1], radii)
+    hafnian.grid_coefficients(sieve, rows[:1])
+    after_unit = hafnian.grid_coefficients(sieve, rows[:1], radii)
     assert all(np.array_equal(x, y) for x, y in zip(after_unit, dilated))
 
     plan = hafnian._grid_plan(tuple(map(tuple, rows)), None)
@@ -706,8 +711,9 @@ def folded_rows(series, rows, abs_tol=None):
     """sieve_reduce's values, and the target rows of every grid it folded."""
     with mock.patch.object(hafnian, "grid_coefficients",
                            wraps=hafnian.grid_coefficients) as spy:
-        values = hafnian.sieve_reduce(series, rows, np.eye(3), abs_tol)
-    return values, [np.asarray(c.args[2]).tolist() for c in spy.call_args_list]
+        values = hafnian.sieve_reduce(hafnian.Sieve(series, np.eye(3)), rows,
+                                      abs_tol)
+    return values, [np.asarray(c.args[1]).tolist() for c in spy.call_args_list]
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -810,16 +816,17 @@ def test_grid_coefficients_match_full_grid_fold(kind, dilated, data):
     else:   # the occupied inputs, then three outputs and the loss
         fi = fock_channel.FockInput((2, 1, 0),
                                     np.sqrt(0.8) * haar_unitary(3, 4))
-        model, expand, groups, prefix, nin = fock_channel._coarse_record(
-            fi, ((0,), (1,), (2,)))
-        real = False
+        sieve = fock_channel._coarse_record(fi, ((0,), (1,), (2,)))
+        model, expand, groups, real = (sieve.model, sieve.expand,
+                                       sieve.groups, sieve.real)
+        prefix, nin = [k for k in fi.p if k], sum(fi.p)
         rows = [list(prefix) + composition(data, nin, 4)
                 for _ in range(data.draw(st.integers(1, 3)))]
     nvar = len(rows[0])
     radii = (data.draw(st.lists(st.floats(0.5, 2.0), min_size=nvar,
                                 max_size=nvar)) if dilated else None)
-    values, masses = hafnian.grid_coefficients(model, expand, rows, radii,
-                                               groups, real)
+    values, masses = hafnian.grid_coefficients(
+        hafnian.Sieve(model, expand, groups, real), rows, radii)
     want, want_mass = full_grid_fold(model, expand, rows, radii, groups)
     bound = 16 * hafnian._EPS * np.maximum(masses, want_mass)
     assert np.all(np.abs(values - want) <= bound)
@@ -831,23 +838,21 @@ def test_one_row_reader_equals_sieve_reduce():
     unsound on unit circles and folded again, and two Fock outputs, one of
     which is folded again too."""
     rep = displaced_lossy_rep()
-    model, expand, vacuum = dist._state_record(rep, None)
+    sieve, vacuum = dist._state_record(rep, None), rep.vacuum_prob
     fi = fock_channel.FockInput((2, 2, 1, 0), np.sqrt(0.9) * haar_unitary(
         4, np.random.default_rng(3)))
-    fmodel, fexpand, groups, prefix, nin = fock_channel._coarse_record(
-        fi, ((0,), (1,), (2,), (3,)))
-    cases = [(model, expand, k, vacuum, None, True)
-             for k in ((2, 1, 3), (0, 0, 4), tuple(HARD))]
-    cases += [(fmodel, fexpand, prefix + b + (nin - sum(b),), 1.0, groups,
-               False) for b in ((0, 2, 0, 3), (1, 1, 0, 0))]
+    fsieve = fock_channel._coarse_record(fi, ((0,), (1,), (2,), (3,)))
+    prefix, nin = tuple(k for k in fi.p if k), sum(fi.p)
+    cases = [(sieve, k, vacuum) for k in ((2, 1, 3), (0, 0, 4), tuple(HARD))]
+    cases += [(fsieve, prefix + b + (nin - sum(b),), 1.0)
+              for b in ((0, 2, 0, 3), (1, 1, 0, 0))]
     refolded = []
-    for model, expand, k, pre, groups, real in cases:
+    for sieve, k, pre in cases:
         with mock.patch.object(hafnian, "grid_coefficients",
                                wraps=hafnian.grid_coefficients) as spy:
-            got = dist._read_prob(model, expand, pre, k, groups, real)
+            got = dist._read_prob(sieve, pre, k)
         refolded.append(spy.call_count > 1)
-        value = hafnian.sieve_reduce(model, [k], expand, groups=groups,
-                                     real=real)[0]
+        value = hafnian.sieve_reduce(sieve, [k])[0]
         assert got == dist._real_prob(pre * value
                                       / hafnian.factorial_product(k))
     assert refolded == [False, False, True, True, False]
@@ -865,13 +870,89 @@ def test_refolds_leave_grid_results_unchanged():
         returned.append((out, [a.copy() for a in out]))
         return out
     rep = displaced_lossy_rep()
-    model, expand, vacuum = dist._state_record(rep, None)
+    sieve = dist._state_record(rep, None)
     with mock.patch.object(hafnian, "grid_coefficients", spy):
-        hafnian.sieve_reduce(model, [HARD, [1, 2, 0]], expand, real=True)
-        dist._read_prob(model, expand, vacuum, tuple(HARD), real=True)
+        hafnian.sieve_reduce(sieve, [HARD, [1, 2, 0]])
+        dist._read_prob(sieve, rep.vacuum_prob, tuple(HARD))
     assert len(returned) > 2
     for out, kept in returned:
         assert all(np.array_equal(a, b) for a, b in zip(out, kept))
+
+
+@contextlib.contextmanager
+def reduce_spy():
+    """The (real, groups) of the record of every ``sieve_reduce`` call,
+    in each namespace that calls it."""
+    calls, original = [], hafnian.sieve_reduce
+
+    def spy(sieve, targets, abs_tol=None):
+        calls.append((sieve.real, sieve.groups))
+        return original(sieve, targets, abs_tol)
+    with contextlib.ExitStack() as stack:
+        for module in (hafnian, dist, heralding):
+            stack.enter_context(mock.patch.object(module, "sieve_reduce", spy))
+        yield calls
+
+
+def test_every_read_reaches_sieve_reduce_with_its_record():
+    """Each public read goes through ``sieve_reduce`` on a record that
+    fixes its realness and groups: Gaussian probabilities, the
+    distinguishable fast path, moments and the diagonal Gaussian herald
+    class are real in one group; ``blocked_lhaf`` is complex unless told
+    otherwise, as every other Gaussian herald class is; the Fock product
+    form is complex in two groups, the occupied inputs and the outputs
+    with the loss, for probabilities and heralds alike."""
+    rep = displaced_lossy_rep()
+    state = gaussian.from_squeezing([0.4, 0.3, 0.2], gaussian.ModeLayout(3))
+    source = gaussian.from_squeezing([0.4, 0.0, 0.0, 0.45],
+                                     gaussian.ModeLayout(2, 2))
+    drep = gaussian.to_adjacency(gaussian.apply_channel(
+        source, np.sqrt(0.85) * np.kron(haar_unitary(2, 5), np.eye(2))))
+    blocks = dist.extract_distinguishable_blocks(drep)
+    fi = fock_channel.FockInput((2, 1, 0), np.sqrt(0.8) * haar_unitary(3, 4))
+    real, fock = [(True, None)], [(False, ((0, 1), (2, 3, 4)))]
+    runs = [
+        (lambda: dist.prob_fine(rep, (2, 1, 3)), real),
+        (lambda: dist.prob_coarse(rep, CoarsePattern([[0, 2], [1]], (2, 1))),
+         real),
+        (lambda: dist.prob_external(drep, (1, 1)), real),
+        (lambda: dist.prob_external_distinguishable(blocks, (1, 1)), real),
+        (lambda: dist.coarse_moment(state, [[0], [1, 2]]), real),
+        (lambda: hafnian.blocked_lhaf(rep.a, rep.gamma, [(0,), (1, 2)],
+                                      (2, 1)), [(False, None)]),
+        (lambda: hafnian.blocked_lhaf(rep.a, rep.gamma, [(0,), (1, 2)],
+                                      (2, 1), real=True), real),
+        (lambda: fock_channel.fock_coarse_prob(
+            fi, CoarsePattern([[0], [1, 2]], (1, 1))), fock),
+    ]
+    for run, want in runs:
+        with reduce_spy() as calls:
+            run()
+        assert calls == want
+    with reduce_spy() as calls:
+        heralding.herald_grouped(rep, heralding.HeraldSpec([0], [2], cutoff=3))
+    assert calls[0] == (True, None) and len(calls) > 1
+    assert calls[1:] == [(False, None)] * (len(calls) - 1)
+    with reduce_spy() as calls:
+        fock_channel.fock_herald(fi, heralding.HeraldSpec([0], [1], cutoff=2))
+    assert calls
+    for flag, groups in calls:
+        assert not flag and len(groups) == 2 and groups[0] == (0, 1)
+        assert groups[1] == tuple(range(2, groups[1][-1] + 1))
+
+
+def test_negative_counts_raise_on_every_call():
+    """A negative count is a ``DomainError`` straight into
+    ``grid_coefficients`` as through ``sieve_reduce``, on every call: the
+    plan that finds it keeps no exception."""
+    sieve = hafnian.Sieve(displaced_lossy_series(), np.eye(3))
+    hafnian.grid_coefficients(sieve, [(1, 1, 2)])
+    for read in (hafnian.grid_coefficients, hafnian.sieve_reduce):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                read(sieve, [(1, -1, 2)])
+            with pytest.raises(DomainError):
+                read(sieve, ((1, 1, 2), (0, 0, -3)))
 
 
 # -- blocked ------------------------------------------------------------------
@@ -925,6 +1006,25 @@ def test_blocked_partition_validation():
         hafnian.lhaf_sieve(a, None, [1, 1])  # one count per mode
     with pytest.raises(DomainError):
         hafnian.blocked_lhaf(a, None, [[0, 1], [2]], [1.5, 0])  # fractional
+
+
+@pytest.mark.parametrize("blocks", [[[0], [1.0]], [[0.5], [1]],
+                                    [[True], [0]], [[0], [np.True_]],
+                                    [[0], ["1"]]])
+def test_block_entries_must_be_integer_indices(blocks):
+    """A block entry that is a float, a boolean or no number is a
+    ``PartitionMismatch``, with a cold cache and after the expansion of the
+    integer blocks that it equals as a key has been cached; NumPy integers
+    are indices."""
+    for expansion in (hafnian.block_expansion, hafnian.partition_expansion):
+        clear_plan_caches()
+        with pytest.raises(PartitionMismatch):
+            expansion(blocks, 2)
+        assert np.array_equal(expansion([[0], [1]], 2), np.eye(2))
+        with pytest.raises(PartitionMismatch):
+            expansion(blocks, 2)
+        assert np.array_equal(expansion([np.array([0]), [np.int64(1)]], 2),
+                              np.eye(2))
 
 
 def test_compatible_patterns_count():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from photonsieve.errors import (
     NonFinite,
     NotNormalized,
     PartitionMismatch,
+    TooLarge,
     ZeroProbability,
 )
 
@@ -432,6 +434,21 @@ def test_herald_mode_out_of_range_raises(herald, trace_out):
                                 trace_out=trace_out)
     with pytest.raises(IndexOutOfRange):
         heralding.herald_grouped(rep, spec)
+
+
+def test_herald_dimension_is_bounded():
+    """A herald whose density matrix could not be allocated, 1001^2 rows
+    for two kept modes at cutoff 1000, is ``TooLarge`` before any pattern
+    is built; so is one row past 4096 on one kept mode."""
+    rep = gaussian.to_adjacency(gaussian.from_squeezing(
+        [0.3, 0.2, 0.1], gaussian.ModeLayout(3)))
+    with mock.patch.object(heralding, "product",
+                           side_effect=AssertionError("patterns built")):
+        for spec in (heralding.HeraldSpec([0], [1], cutoff=1000),
+                     heralding.HeraldSpec([0], [1], cutoff=4096,
+                                          trace_out=[2])):
+            with pytest.raises(TooLarge):
+                heralding.herald_grouped(rep, spec)
 
 
 def test_herald_spec_normalizes_measurement():
