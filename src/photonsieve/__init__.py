@@ -16,7 +16,6 @@ from .distributions import (
     coarse_cumulant,
     coarse_moment,
     extract_distinguishable_blocks,
-    moment_mgf,
     prob_coarse,
     prob_external,
     prob_external_distinguishable,
@@ -41,7 +40,6 @@ from .gaussian import (
     impure_source,
     marginal_state,
     reduce_modes,
-    thermal_state,
     to_adjacency,
 )
 from .hafnian import (
@@ -54,55 +52,7 @@ from .hafnian import (
 from .heralding import (
     DensityMatrix,
     HeraldSpec,
-    build_embedding,
     fidelity,
     herald_grouped,
-    partial_trace,
 )
 from .phasespace import PPRun, pp_estimate
-
-__all__ = [
-    "__version__",
-    "AdjacencyRep",
-    "CoarsePattern",
-    "DensityMatrix",
-    "Distribution",
-    "FockInput",
-    "GaussianState",
-    "HeraldSpec",
-    "ModeLayout",
-    "PPRun",
-    "apply_channel",
-    "block_cumulant",
-    "blocked_lhaf",
-    "blocked_lhaf_combinatorial",
-    "build_embedding",
-    "coarse_cumulant",
-    "coarse_moment",
-    "displace",
-    "extract_distinguishable_blocks",
-    "f_n",
-    "fidelity",
-    "fock_coarse_prob",
-    "fock_herald",
-    "fock_perm_oracle",
-    "from_squeezing",
-    "herald_grouped",
-    "impure_source",
-    "lhaf_oracle",
-    "lhaf_sieve",
-    "marginal_state",
-    "moment_mgf",
-    "partial_trace",
-    "perm_oracle",
-    "pp_estimate",
-    "prob_coarse",
-    "prob_external",
-    "prob_external_distinguishable",
-    "prob_fine",
-    "prob_total",
-    "reduce_modes",
-    "thermal_state",
-    "to_adjacency",
-    "total_distribution",
-]

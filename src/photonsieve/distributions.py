@@ -18,7 +18,6 @@ from .errors import (
     PartitionMismatch,
     ProbabilityOutOfRange,
     RankViolation,
-    SingularResolvent,
     TooLarge,
 )
 from .gaussian import marginal_rep, reduce_modes
@@ -38,7 +37,7 @@ from .hafnian import (
     partition_expansion,
     sieve_reduce,
 )
-from .linalg import require_counts, require_finite, swap_halves
+from .linalg import require_counts, swap_halves
 
 _DEFAULT_TAIL = 1e-7
 # the largest support an automatic cutoff extends to
@@ -276,22 +275,6 @@ def _rank_two_series(diag, cross, nmax, z):
 
 def _normal_cov(state):
     return state.husimi_cov - np.eye(2 * state.layout.total)
-
-
-def moment_mgf(state, t):
-    """Moment generating function E[exp(sum t_i n_i)] of the photon counts."""
-    t = require_finite(np.asarray(t, dtype=float), "exponents")
-    nm = state.layout.total
-    if len(t) != nm:
-        raise LayoutMismatch(f"need {nm} exponents, got {len(t)}")
-    gdiag = np.concatenate([np.expm1(t), np.expm1(t)])
-    mat = np.eye(2 * nm) - gdiag[:, None] * _normal_cov(state)
-    if np.linalg.cond(mat) > 1e12:
-        raise SingularResolvent("moment generating function diverges here")
-    z = state.means
-    quad = z.conj() @ np.linalg.solve(mat, gdiag * z)
-    det = np.linalg.det(mat)
-    return (np.exp(quad / 2) / np.sqrt(det)).real
 
 
 def _moment_generator(state, blocks):

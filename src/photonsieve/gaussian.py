@@ -161,18 +161,6 @@ def from_squeezing(xi, layout):
     return GaussianState(cov, np.zeros(2 * t, dtype=complex), layout)
 
 
-def thermal_state(nbar, layout):
-    """Product of thermal states with the given mean photon numbers."""
-    nbar = np.asarray(nbar, dtype=float)
-    t = layout.total
-    if len(nbar) != t:
-        raise LengthMismatch(f"need {t} occupation numbers, got {len(nbar)}")
-    if np.any(nbar < 0):
-        raise DomainError("thermal occupation must be non-negative")
-    cov = np.diag(np.concatenate([nbar + 1.0, nbar + 1.0])).astype(complex)
-    return GaussianState(cov, np.zeros(2 * t, dtype=complex), layout)
-
-
 def displace(state, alphas):
     """Shift the means by (alpha, alpha*); covariance unchanged."""
     alphas = np.asarray(alphas, dtype=complex)

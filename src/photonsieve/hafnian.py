@@ -1,39 +1,16 @@
-"""Loop-Hafnian kernels.
+"""Loop-Hafnian kernels: the one sieve engine.
 
-Nine layers, from slow-and-certain to fast:
-
-* ``lhaf_oracle``        exact enumeration of single-pair matchings with
-                         loops, exponential, guarded to 14 rows;
-* ``power_trace_series`` the one matrix-power loop: tr(P^k) / k and a loop
-                         term, about 2 sqrt(N) products per point from baby
-                         and giant steps, for the first powers P = D(z) XA
-                         that ``g_coefficients`` forms;
-* ``g_coefficients``     the power-trace log series g_1..g_N, batched over
-                         diagonal scalings D(z) of XA;
-* ``f_coefficients``     batched exp series turning log-series coefficients
-                         g_k into the Taylor coefficients f_0..f_N;
-                         ``from_log_series`` makes a log series a model,
-                         and ``gaussian_model`` that of an (A, gamma);
-* ``Sieve``              the record of one generating function: its model,
-                         variables, groups and realness, fixed once where
-                         the model is built;
-* ``grid_coefficients``  the sieve engine: a record's f on one
-                         roots-of-unity grid with one pinned variable per
-                         homogeneous group (a half grid for a real one),
-                         then one matrix-vector product per grid axis reads
-                         out each count pattern, with its rounding bound;
-* ``sieve_reduce``       the one reader: rows of a record from one
-                         unit-circle grid, each row that drowns in
-                         cancellation folded again on its own grid on
-                         dilated circles.  Every probability, Fock output,
-                         herald class and moment reads its rows here;
-* ``lhaf_sieve``         one pattern through ``sieve_reduce``, equal to
-                         the oracle on the repeated matrix;
-* ``blocked_lhaf``       the grouped-detector generalization, one sieve
-                         variable per block.
-
-Moments and cumulants of photon counts are multilinear coefficients read
-off the same grid and log series.
+A loop Hafnian is a Taylor coefficient of a generating function
+f = exp(sum_k g_k eta^k).  ``power_trace_series`` is the one matrix-power
+loop behind the log series g_k, ``f_coefficients`` the one exp series,
+and a ``Sieve`` records a model with its variables, built once where the
+model is built.  ``grid_coefficients`` reads a record on one
+roots-of-unity grid, and ``sieve_reduce``, the one reader, certifies
+what it reads: every probability, Fock output, herald class and moment
+reads its rows there.  ``lhaf_sieve`` and ``blocked_lhaf`` read one
+pattern of a bare (A, gamma); ``lhaf_oracle`` (exact enumeration) and
+``blocked_lhaf_combinatorial`` (the defining sum) are the slow
+cross-checks.
 """
 
 import cmath
@@ -341,6 +318,8 @@ def grid_coefficients(sieve, targets, radii=None):
     """
     expand = sieve.expand
     rows = _count_rows(targets, expand.shape[0])
+    if not rows:
+        return np.empty(0, dtype=complex), np.empty(0)
     plan = _grid_plan(rows, sieve.groups, sieve.real)
     points = plan.points
     if radii is not None:
@@ -513,8 +492,9 @@ def _certified(sieve, k, value, mass, abs_tol):
 
 def sieve_reduce(sieve, targets, abs_tol=None):
     """The rows of ``targets`` (count patterns over the variables) of the
-    ``Sieve`` record ``sieve``, one or many, folded and certified into a
-    fresh array; ``abs_tol`` is None or one tolerance (or None) per row.
+    ``Sieve`` record ``sieve``, none, one or many, folded and certified
+    into a fresh array; ``abs_tol`` is None or one tolerance (or None) per
+    row.
 
     Every row is read off one grid on unit circles.  The absolute fold mass
     bounds the rounding error of the fold, so it doubles as a condition

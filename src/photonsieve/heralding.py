@@ -43,21 +43,6 @@ _HERALD_DIM_LIMIT = 4096   # (cutoff + 1)^kept: a 256 MiB density matrix
 
 
 @dataclass(frozen=True)
-class Embedding:
-    """Square-repetition equivalent of a rectangular repetition.
-
-    The defining contract: the loop Hafnian of a_prime repeated with pattern
-    t on both halves equals the loop Hafnian of the source matrix repeated
-    with the original (ket, bra) patterns.
-    """
-
-    a_prime: np.ndarray
-    gamma_prime: np.ndarray
-    t: tuple
-    source_map: tuple
-
-
-@dataclass(frozen=True)
 class HeraldSpec:
     """What is measured, what is kept, what is discarded.
 
@@ -179,18 +164,6 @@ def _merged_modes(n, m):
     return tuple(tags), tuple(tbar) + tuple(nm[2] for nm in new_modes)
 
 
-def build_embedding(rep, n, m):
-    """Square-repetition embedding of the (ket n, bra m) repetition, with
-    the modes ``_merged_modes`` describes."""
-    nmodes = rep.layout.total
-    n, m = require_counts(n, "ket pattern"), require_counts(m, "bra pattern")
-    if len(n) != nmodes or len(m) != nmodes:
-        raise LengthMismatch("patterns must cover all modes")
-    tags, t = _merged_modes(n, m)
-    ap, gp = _embedded_matrix(rep.a, rep.gamma, tags)
-    return Embedding(ap, gp, t, tags)
-
-
 # ---------------------------------------------------------------------------
 # heralded density matrices
 # ---------------------------------------------------------------------------
@@ -308,19 +281,6 @@ def herald_grouped(rep, spec):
 
     return herald_density(len(kept), spec.cutoff, counts, embed, build,
                           sub.vacuum_prob)
-
-
-def partial_trace(dm, drop):
-    """Fock-basis partial trace over the dropped modes."""
-    drop = sorted(require_modes(drop, dm.modes))
-    if not drop:
-        return dm
-    g, c1 = dm.modes, dm.cutoff + 1
-    tensor = dm.entries.reshape((c1,) * (2 * g))
-    for off, i in enumerate(drop):   # the ket axis i - off, its bra partner
-        tensor = np.trace(tensor, axis1=i - off, axis2=i + g - 2 * off)
-    keep = g - len(drop)
-    return DensityMatrix(keep, dm.cutoff, tensor.reshape(c1 ** keep, -1))
 
 
 def fidelity(dm, target):

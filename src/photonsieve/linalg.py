@@ -62,16 +62,8 @@ def require_modes(modes, nmodes):
                           f"below {nmodes}")
 
 
-def xmat(m):
-    """The 2m x 2m block swap [[0, I], [I, 0]]."""
-    x = np.zeros((2 * m, 2 * m), dtype=complex)
-    x[:m, m:] = np.eye(m)
-    x[m:, :m] = np.eye(m)
-    return x
-
-
 def swap_halves(m):
-    """``xmat(len(m) // 2) @ m`` without the product: the two halves of the
-    rows of ``m`` (a vector or a matrix) swapped."""
+    """X m for the block swap X = [[0, I], [I, 0]], without the product:
+    the two halves of the rows of ``m`` (a vector or a matrix) swapped."""
     t = len(m) // 2
     return np.concatenate([m[t:], m[:t]])

@@ -177,8 +177,9 @@ def test_embedding_contract_random_instances():
                 break
         rmat, rg = hafnian.repeat_pattern(a, g, list(n), list(mm))
         want = hafnian.lhaf_oracle(rmat, rg)
-        emb = heralding.build_embedding(rep, list(n), list(mm))
-        emat, eg = hafnian.repeat_pattern(emb.a_prime, emb.gamma_prime, emb.t)
+        tags, t = heralding._merged_modes(list(n), list(mm))
+        emat, eg = hafnian.repeat_pattern(
+            *heralding._embedded_matrix(rep.a, rep.gamma, tags), t)
         assert close(hafnian.lhaf_oracle(emat, eg), want)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 from unittest import mock
@@ -339,6 +340,23 @@ def test_package_runs_as_a_module(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     assert cli.main(["run", "--config", path]) == 0
     assert json.loads(proc.stdout) == json.loads(capsys.readouterr().out)
+
+
+def readme_block(lang):
+    """The first ``lang`` code block of the README."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    return text.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run(tmp_path):
+    """The README's library quick start runs, and its config runs through
+    the command line to a fidelity: every name and key it shows is live."""
+    exec(readme_block("python"), {})
+    config = json.loads(readme_block("json"))
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--config", write_config(tmp_path, config),
+                     "--output", str(out)]) == 0
+    assert "fidelity" in json.loads(out.read_text())["result"]
 
 
 def test_state_factorization_budget():

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from photonsieve import fock_channel as fc
-from photonsieve import gaussian, hafnian, heralding
+from photonsieve import gaussian, hafnian
 from photonsieve.cli import haar_unitary
 from photonsieve.distributions import CoarsePattern
 from photonsieve.errors import (DomainError, IndexOutOfRange, NonFinite,
@@ -20,6 +20,8 @@ from photonsieve.errors import (DomainError, IndexOutOfRange, NonFinite,
                                 ValidationFailure, ZeroProbability)
 from photonsieve.hafnian import compatible_patterns, factorial_product
 from photonsieve.heralding import HeraldSpec
+
+from references import partial_trace
 
 BS = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -621,7 +623,7 @@ def test_herald_outcomes_sum_to_marginal():
     fi = fc.FockInput((1, 1), t)
     cutoff = 2
     full = fc.fock_herald(fi, HeraldSpec([], [], cutoff=cutoff))
-    marg = heralding.partial_trace(full, [1])
+    marg = partial_trace(full, [1])
     acc = np.zeros_like(marg.entries)
     for k in range(cutoff + 1):
         acc += fc.fock_herald(fi, HeraldSpec([1], [k], cutoff=cutoff)).entries
@@ -660,7 +662,7 @@ def test_herald_trace_out():
     direct = fc.fock_herald(
         fi, HeraldSpec([0], [1], cutoff=2, trace_out=[2]))
     full = fc.fock_herald(fi, HeraldSpec([0], [1], cutoff=2))
-    traced = heralding.partial_trace(full, [1])
+    traced = partial_trace(full, [1])
     assert np.allclose(direct.entries, traced.entries, atol=1e-10)
 
 
@@ -673,7 +675,7 @@ def test_herald_trace_out_keeps_photons_above_cutoff():
     direct = fc.fock_herald(fi, HeraldSpec([0], [1], cutoff=2,
                                            trace_out=[3]))
     full = fc.fock_herald(fi, HeraldSpec([0], [1], cutoff=3))
-    traced = heralding.partial_trace(full, [2]).entries
+    traced = partial_trace(full, [2]).entries
     want = traced.reshape((4,) * 4)[:3, :3, :3, :3].reshape(9, 9)
     assert np.max(np.abs(direct.entries - want)) <= 1e-12 * np.trace(
         want).real

