@@ -230,13 +230,8 @@ def _run_coarse_prob(circ, task):
 def _run_total_dist(circ, task):
     rep = gaussian.to_adjacency(build_state(circ))
     modes = task.get("modes", list(range(rep.layout.total)))
-    if "max_total" in task:
-        d = dist.total_distribution(rep, modes, cutoff=task["max_total"])
-        d = dist.Distribution(d.support, np.clip(d.probabilities, 0, None),
-                              max(d.deficit, 0.0))
-    else:
-        d = dist.total_distribution(rep, modes,
-                                    tail=task.get("tail_bound", 1e-7))
+    d = dist.total_distribution(rep, modes, task.get("max_total"),
+                                task.get("tail_bound", dist._DEFAULT_TAIL))
     return {
         "support": [int(n) for n in d.support],
         "probabilities": d.probabilities.tolist(),

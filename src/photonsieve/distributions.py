@@ -5,10 +5,8 @@ path for fully distinguishable internal modes, and moments/cumulants of the
 photon-number vector.
 """
 
-import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 
 import numpy as np
 
@@ -33,7 +31,9 @@ from .hafnian import (
     from_log_series,
     g_coefficients,
     gaussian_model,
+    gaussian_series,
     lhaf_sieve,
+    log_series_model,
     partition_expansion,
     sieve_reduce,
 )
@@ -64,16 +64,17 @@ class CoarsePattern:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probabilities over an explicit support with the truncation deficit."""
+    """Probabilities over an explicit support with the truncation deficit,
+    each clamped at 0 (``_real_prob`` rejects one below -1e-9)."""
 
     support: tuple
     probabilities: np.ndarray
     deficit: float
 
     def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=float)
-        probs = np.where((probs < 0) & (probs > -1e-12), 0.0, probs)
-        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "probabilities", np.clip(
+            np.asarray(self.probabilities, dtype=float), 0, None))
+        object.__setattr__(self, "deficit", max(self.deficit, 0.0))
 
 
 def _real(value):
@@ -273,17 +274,14 @@ def _rank_two_series(diag, cross, nmax, z):
 # moments and cumulants
 # ---------------------------------------------------------------------------
 
-def _normal_cov(state):
-    return state.husimi_cov - np.eye(2 * state.layout.total)
-
-
-def _moment_generator(state, blocks):
-    """(X Sigma_N, X z, expansion of the validated ``blocks``): with mode i
-    scaled by w_i, this (A, gamma) generates E[prod_i (1 + w_i)^n_i]."""
+def _moment_record(state, blocks, model):
+    """The real ``Sieve`` of (X Sigma_N, X z), one variable per validated
+    block, of ``model`` (``from_log_series`` or ``log_series_model``): with
+    mode i scaled by w_i, f generates E[prod_i (1 + w_i)^n_i]."""
     nm = state.layout.total
-    blocks = [tuple(b) for b in blocks]
-    return (swap_halves(_normal_cov(state)), swap_halves(state.means),
-            block_expansion(blocks, nm))
+    series = gaussian_series(swap_halves(state.husimi_cov - np.eye(2 * nm)),
+                             swap_halves(state.means))
+    return Sieve(model(series), block_expansion(blocks, nm), real=True)
 
 
 def coarse_moment(state, blocks):
@@ -291,26 +289,17 @@ def coarse_moment(state, blocks):
 
     It is the multilinear coefficient of f_p, p = len(blocks), in one sieve
     variable per block, read by ``sieve_reduce``."""
-    a, gamma, expand = _moment_generator(state, blocks)
-    if not len(expand):
-        return 1.0
-    sieve = Sieve(gaussian_model(a, gamma), expand, real=True)
-    return _real(sieve_reduce(sieve, ((1,) * len(expand),))[0])
+    sieve = _moment_record(state, blocks, from_log_series)
+    return _real(sieve_reduce(sieve, ((1,) * len(sieve.expand),))[0])
 
 
 def coarse_cumulant(state, blocks):
     """Joint cumulant of the block photon totals, one per block.
 
-    It is the multilinear coefficient of g_p, p = len(blocks): g_p is
-    homogeneous of degree p, so the fold over the 2^p sign points w = +-1
-    leaves only that coefficient."""
-    a, gamma, expand = _moment_generator(state, blocks)
-    p = len(expand)
-    if not p:
-        return 0.0
-    signs = np.array(list(product((1.0, -1.0), repeat=p)))
-    g = g_coefficients(a, gamma, p, signs @ expand)
-    return _real(signs.prod(axis=1) @ g[:, -1] / 2 ** p)
+    It is the multilinear coefficient of g_p, p = len(blocks), in one sieve
+    variable per block, read by ``sieve_reduce``."""
+    sieve = _moment_record(state, blocks, log_series_model)
+    return _real(sieve_reduce(sieve, ((1,) * len(sieve.expand),))[0])
 
 
 def _stirling2(p):
@@ -325,14 +314,12 @@ def _stirling2(p):
 
 
 def block_cumulant(state, block, p):
-    """p-th cumulant of the photon total in one block of modes."""
+    """p-th cumulant of the photon total in one block of modes: the sum of
+    S(p, k) k! g_k, the factorial cumulants that ``sieve_reduce`` reads;
+    a p! beyond doubles is ``TooLarge``."""
     (p,) = require_counts([p], "cumulant order")
     if p < 1:
         raise DomainError("cumulant order must be at least 1")
-    a, gamma, expand = _moment_generator(state, [block])
-    g = g_coefficients(a, gamma, p, expand[0])
-    s2 = _stirling2(p)
-    total = sum(
-        s2[k] * math.factorial(k) * g[k - 1] for k in range(1, p + 1)
-    )
-    return _real(total)
+    sieve = _moment_record(state, [block], log_series_model)
+    kappa = sieve_reduce(sieve, tuple((k,) for k in range(1, p + 1)))
+    return _real(sum(s * c for s, c in zip(_stirling2(p)[1:], kappa)))

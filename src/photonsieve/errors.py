@@ -81,10 +81,6 @@ class SingularCovariance(NumericFailure):
     pass
 
 
-class SingularResolvent(NumericFailure):
-    pass
-
-
 class ProbabilityOutOfRange(NumericFailure):
     """A computed probability fell outside [0, 1] by more than rounding."""
 

@@ -2,15 +2,16 @@
 
 A loop Hafnian is a Taylor coefficient of a generating function
 f = exp(sum_k g_k eta^k).  ``power_trace_series`` is the one matrix-power
-loop behind the log series g_k, ``f_coefficients`` the one exp series,
-and a ``Sieve`` records a model with its variables, built once where the
-model is built.  ``grid_coefficients`` reads a record on one
-roots-of-unity grid, and ``sieve_reduce``, the one reader, certifies
-what it reads: every probability, Fock output, herald class and moment
-reads its rows there.  ``lhaf_sieve`` and ``blocked_lhaf`` read one
-pattern of a bare (A, gamma); ``lhaf_oracle`` (exact enumeration) and
-``blocked_lhaf_combinatorial`` (the defining sum) are the slow
-cross-checks.
+loop behind the log series g_k (``gaussian_series`` of an (A, gamma)),
+``f_coefficients`` the one exp series.  A model gives f
+(``from_log_series``) or g (``log_series_model``); a ``Sieve`` records it
+with its variables, built once where the model is built.
+``grid_coefficients`` reads a record on one roots-of-unity grid, and
+``sieve_reduce``, the one reader, certifies what it reads: every
+probability, Fock output, herald class, moment and cumulant reads its rows
+there.  ``lhaf_sieve`` and ``blocked_lhaf`` read one pattern of a bare
+(A, gamma); ``lhaf_oracle`` (exact enumeration) and
+``blocked_lhaf_combinatorial`` (the defining sum) are the slow checks.
 """
 
 import cmath
@@ -18,14 +19,14 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import chain, product
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (DomainError, NonFinite, OddDimension, PartitionMismatch,
                      TooLarge)
-from .linalg import _BOOLS, require_counts, require_finite
+from .linalg import _BOOLS, require_counts, require_finite, swap_halves
 
 _ORACLE_LIMIT = 14
 
@@ -130,6 +131,16 @@ def from_log_series(series):
     return model
 
 
+def log_series_model(series):
+    """The sieve model of the log series itself: g_n, not f_n, at the rows
+    of ``z`` for each n of ``totals`` (ascending), with g_0 = 0.  Its reads
+    k! [z^k] g_N are the joint factorial cumulants of a moment generator."""
+    def model(totals, z):
+        g = series(totals[-1], z)
+        return [g[:, n - 1] if n else np.zeros(len(z)) for n in totals]
+    return model
+
+
 # memory budget (bytes) for one batch chunk of ``power_trace_series``: its
 # b baby-step powers plus the giant step, its transpose and the next giant
 # step, b + 3 stacks of (chunk, d, d); a chunk of a few hundred points
@@ -189,33 +200,23 @@ def power_trace_series(first, dim, nmax, npts, loop=None):
     return out
 
 
-def g_coefficients(a, gamma=None, nmax=1, scale=None):
-    """Log-series coefficients g_1..g_nmax of the generating function.
+def gaussian_series(a, gamma=None):
+    """``series(nmax, z)``: the log series g_1..g_nmax of the generating
+    function of ``a`` and ``gamma`` at the complex rows of ``z``, one entry
+    per mode, D = diag(z, z):
 
-    g_k = tr([XA]^k) / (2k) + gamma^T [XA]^(k-1) X gamma / 2, with every XA
-    and X gamma replaced by their D(scale)-scaled versions when ``scale`` is
-    given (one scale entry per mode, applied to both halves).  Leading axes
-    of ``scale`` are a batch: the result has shape scale.shape[:-1] +
-    (nmax,); traces and loop term come from ``power_trace_series``.
+        g_k = tr([D XA]^k) / (2k) + gamma^T [D XA]^(k-1) D X gamma / 2.
+
+    XA and the loop pair (gamma, X gamma), none when gamma is zero, are
+    prepared once; traces and loop term come from ``power_trace_series``.
     """
-    nmodes = np.shape(a)[0] // 2
-    scale = np.ones(nmodes) if scale is None else np.asarray(scale)
-    g = _gaussian_series(a, gamma)(
-        nmax, scale.reshape(-1, nmodes).astype(complex))
-    return g.reshape(scale.shape[:-1] + (nmax,))
-
-
-def _gaussian_series(a, gamma):
-    """``series(nmax, z)``: g_1..g_nmax of ``g_coefficients`` at the
-    complex rows of ``z``, with XA as swapped halves and the loop pair
-    (gamma, X gamma), or none when gamma is zero, prepared once."""
     a = np.asarray(a, dtype=complex)
     nmodes = a.shape[0] // 2
-    xa = np.concatenate([a[nmodes:], a[:nmodes]])
+    xa = swap_halves(a)
     xgamma = None
     if gamma is not None and np.any(gamma):
         gamma = np.asarray(gamma, dtype=complex)
-        xgamma = np.concatenate([gamma[nmodes:], gamma[:nmodes]])
+        xgamma = swap_halves(gamma)
 
     def series(nmax, z):
         d = np.concatenate([z, z], axis=1)                      # (G, 2M)
@@ -230,12 +231,18 @@ def _gaussian_series(a, gamma):
     return series
 
 
+def g_coefficients(a, gamma=None, nmax=1):
+    """Log-series coefficients g_1..g_nmax of the generating function:
+    ``gaussian_series`` at the all-ones point."""
+    ones = np.ones((1, np.shape(a)[0] // 2), dtype=complex)
+    return gaussian_series(a, gamma)(nmax, ones)[0]
+
+
 def gaussian_model(a, gamma=None):
     """The sieve model of the Gaussian generating function of ``a`` and
-    ``gamma``: the log series of ``g_coefficients`` through
-    ``f_coefficients``, its XA and loop pair prepared once, so that a
-    model read by many grids forms only its scaled points."""
-    return from_log_series(_gaussian_series(a, gamma))
+    ``gamma``: its ``gaussian_series`` through ``f_coefficients``, so that
+    a model read by many grids forms only its scaled points."""
+    return from_log_series(gaussian_series(a, gamma))
 
 
 def f_n(a, gamma=None, n=0):
@@ -362,13 +369,28 @@ class _GridPlan(NamedTuple):
 
 
 def _count_rows(targets, nvar):
-    """``targets`` as the key of its plan: a tuple of count tuples of
-    ``nvar`` ints each.  Such a tuple is its own key, and is kept."""
+    """``targets`` as the key of its plan, a tuple of count tuples of
+    ``nvar`` ints each.  Such a tuple, as the package builds it, is kept as
+    it stands; other rows are checked as one array: a row of another length
+    is a ``PartitionMismatch``, a bool or a count that is not a whole number
+    a ``DomainError`` (a negative count is one in ``_grid_plan``)."""
     if type(targets) is tuple and all(type(k) is tuple and len(k) == nvar
                                       for k in targets):
         return targets
-    return tuple(map(tuple, np.asarray(targets, dtype=int)
-                     .reshape(-1, nvar).tolist()))
+    try:
+        arr = np.asarray(targets)
+    except ValueError:   # rows of unequal lengths
+        arr = None
+    if arr is None or arr.shape != (0,) and arr.shape[1:] != (nvar,):
+        raise PartitionMismatch(f"count rows must hold {nvar} counts each")
+    # NumPy reads a bool among ints as an int: the element types show it
+    if arr.dtype.kind in "iuf" and set(_BOOLS).isdisjoint(
+            map(type, chain.from_iterable(targets))):
+        with np.errstate(invalid="ignore"):   # NaN and inf are no counts
+            counts = arr.astype(int)
+        if np.array_equal(counts, arr):
+            return tuple(map(tuple, counts.reshape(len(arr), nvar).tolist()))
+    raise DomainError("counts must be whole numbers, not bools")
 
 
 def _frozen(arr):
@@ -385,7 +407,7 @@ def _grid_plan(rows, groups, real=False):
     prod k! beyond doubles ``TooLarge``: neither is kept, so every call
     with such rows raises."""
     targets = np.array(rows, dtype=int)
-    if targets.min() < 0:
+    if targets.min(initial=0) < 0:
         raise DomainError("counts must be non-negative")
     nvar = targets.shape[1]
     kmax = targets.max(axis=0).tolist()
@@ -517,16 +539,14 @@ def sieve_reduce(sieve, targets, abs_tol=None):
     return out
 
 
-def lhaf_sieve(a, gamma, pattern, real=False):
-    """Loop Hafnian of the repeated matrix A_{n (+) n} via the sieve;
-    ``real`` as in ``blocked_lhaf``."""
+def lhaf_sieve(a, gamma, pattern):
+    """Loop Hafnian of the repeated matrix A_{n (+) n} via the sieve."""
     nmodes = np.shape(a)[0] // 2
     if len(pattern) != nmodes:
         raise PartitionMismatch(
             f"pattern length {len(pattern)} != mode count {nmodes}"
         )
-    return blocked_lhaf(a, gamma, [(j,) for j in range(nmodes)], pattern,
-                        real)
+    return blocked_lhaf(a, gamma, [(j,) for j in range(nmodes)], pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -552,16 +572,14 @@ def compatible_patterns(blocks, b, nmodes):
         yield tuple(fine)
 
 
-def blocked_lhaf(a, gamma, blocks, b, real=False):
-    """Blocked loop Hafnian: one sieve variable per block.  ``real``, as
-    in ``Sieve``, holds for the adjacency of a physical state, not for an
-    arbitrary complex matrix."""
+def blocked_lhaf(a, gamma, blocks, b):
+    """Blocked loop Hafnian of an arbitrary complex (A, gamma): one sieve
+    variable per block, on a full grid."""
     expand = partition_expansion(blocks, np.shape(a)[0] // 2)
     b = require_counts(b)
     if len(b) != len(blocks):
         raise PartitionMismatch("one count per block required")
-    return sieve_reduce(Sieve(gaussian_model(a, gamma), expand, real=real),
-                        (b,))[0]
+    return sieve_reduce(Sieve(gaussian_model(a, gamma), expand), (b,))[0]
 
 
 def block_expansion(blocks, nmodes):

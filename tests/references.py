@@ -8,10 +8,14 @@ that exercise them still run.
 import numpy as np
 
 from photonsieve.errors import (DomainError, LayoutMismatch, LengthMismatch,
-                                SingularResolvent)
+                                NumericFailure)
 from photonsieve.gaussian import GaussianState
 from photonsieve.heralding import DensityMatrix
 from photonsieve.linalg import require_finite, require_modes
+
+
+class SingularResolvent(NumericFailure):
+    """``moment_mgf`` at exponents where the series diverges."""
 
 
 def xmat(m):

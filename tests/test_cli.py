@@ -11,6 +11,7 @@ import pytest
 
 from photonsieve import cli, fock_channel, gaussian, heralding
 from photonsieve import distributions as dist
+from photonsieve.errors import TooLarge
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -493,6 +494,19 @@ def test_herald_too_large_to_allocate_exit_code(tmp_path, capsys):
     config = {"circuit": {"modes": 3, "squeezing": [0.3, 0.2, 0.1]},
               "task": {"kind": "herald", "herald_modes": [0],
                        "measurement": [1], "cutoff": 1000}}
+    assert rejected_as(tmp_path, capsys, config)["error"] == "TooLarge"
+
+
+def test_cumulant_order_beyond_doubles_exit_code(tmp_path, capsys):
+    """A block cumulant whose order! exceeds the double range is
+    ``TooLarge`` (exit 2); order 200 once ended in a raw ``OverflowError``
+    traceback."""
+    circuit = {"modes": 1, "squeezing": [0.3]}
+    with pytest.raises(TooLarge):
+        dist.block_cumulant(cli.build_state(circuit), [0], 200)
+    config = {"circuit": circuit,
+              "task": {"kind": "moments", "blocks": [[0]],
+                       "statistic": "block-cumulant", "order": 200}}
     assert rejected_as(tmp_path, capsys, config)["error"] == "TooLarge"
 
 

@@ -18,11 +18,10 @@ from photonsieve.errors import (
     PartitionMismatch,
     ProbabilityOutOfRange,
     RankViolation,
-    SingularResolvent,
     TooLarge,
 )
 
-from references import moment_mgf, thermal_state, xmat
+from references import SingularResolvent, moment_mgf, thermal_state, xmat
 
 L1 = gaussian.ModeLayout(1)
 L2 = gaussian.ModeLayout(2)
@@ -194,8 +193,13 @@ def test_counts_beyond_the_double_range_are_too_large():
 # -- the prepared record of a state ---------------------------------------------
 
 def kernel_prob(rep, blocks, counts):
-    """A probability through ``blocked_lhaf``, with no record."""
-    value = hafnian.blocked_lhaf(rep.a, rep.gamma, blocks, counts, real=True)
+    """A probability through a fresh real record, not the one ``rep``
+    keeps."""
+    sieve = hafnian.Sieve(hafnian.gaussian_model(rep.a, rep.gamma),
+                          hafnian.partition_expansion(blocks,
+                                                      rep.layout.total),
+                          real=True)
+    value = hafnian.sieve_reduce(sieve, [counts])[0]
     return dist._real_prob(rep.vacuum_prob * value
                            / hafnian.factorial_product(counts))
 
@@ -206,7 +210,7 @@ def kernel_prob(rep, blocks, counts):
 def test_record_reads_equal_kernel_reads(seed, m, displaced):
     """Fine and coarse reads of one state, interleaved over its partitions
     (one of them also with its blocks reversed), are bitwise equal to
-    ``blocked_lhaf`` reads, displaced and undisplaced."""
+    reads of fresh records, displaced and undisplaced."""
     rng = np.random.default_rng(seed)
     s = gaussian.from_squeezing(rng.uniform(0.1, 0.6, m),
                                 gaussian.ModeLayout(m))

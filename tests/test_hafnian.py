@@ -2,7 +2,6 @@ import contextlib
 import itertools
 import math
 import tracemalloc
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -144,7 +143,7 @@ def test_g_coefficients_traces_and_scale():
 
     gam = rand_gamma(rng, 6)
     g1 = hafnian.g_coefficients(a, gam, nmax=5)
-    g2 = hafnian.g_coefficients(a, gam, nmax=5, scale=np.ones(3))
+    g2 = hafnian.gaussian_series(a, gam)(5, np.ones((1, 3)))[0]
     assert np.allclose(g1, g2, atol=1e-12)
 
     assert np.allclose(
@@ -158,18 +157,20 @@ def test_g_coefficients_traces_and_scale():
        one_per_chunk=st.booleans())
 def test_g_coefficients_batched_scale_matches_rows(seed, with_gamma, nmodes,
                                                    nmax, one_per_chunk):
-    """A (2, 3, M) batch of scales equals one call per row, also when every
-    batch entry is a chunk of its own."""
+    """A (2, 3, M) batch of scales, as the 6 rows of one ``gaussian_series``
+    call, equals one call per row, also when every batch entry is a chunk
+    of its own."""
     rng = np.random.default_rng(seed)
     a = rand_symmetric(rng, 2 * nmodes)
     gam = rand_gamma(rng, 2 * nmodes) if with_gamma else None
     scale = rand_gamma(rng, (2, 3, nmodes))
     budget = 1 if one_per_chunk else hafnian._CHUNK_BYTES
+    series = hafnian.gaussian_series(a, gam)
     with mock.patch.object(hafnian, "_CHUNK_BYTES", budget):
-        g = hafnian.g_coefficients(a, gam, nmax, scale)
+        g = series(nmax, scale.reshape(6, nmodes)).reshape(2, 3, nmax)
     assert g.shape == (2, 3, nmax)
     for i, j in itertools.product(range(2), range(3)):
-        want = hafnian.g_coefficients(a, gam, nmax, scale[i, j])
+        want = series(nmax, scale[i, j][None])[0]
         assert np.allclose(g[i, j], want, rtol=1e-12, atol=1e-12)
 
 
@@ -300,7 +301,7 @@ def test_lhaf_sieve_node_independence():
     pattern = [2, 1, 2]
     default = hafnian.lhaf_sieve(a, gam, pattern)  # unit circles first
     expand = hafnian.block_expansion([(0,), (1,), (2,)], 3)
-    model = hafnian.from_log_series(partial(hafnian.g_coefficients, a, gam))
+    model = hafnian.gaussian_model(a, gam)
     for radii in ([4.0, 2.0, 4.0], [0.5, 2.0, 1.3]):
         values, _ = hafnian.grid_coefficients(hafnian.Sieve(model, expand),
                                               [pattern], radii)
@@ -363,8 +364,7 @@ def test_grid_coefficients_match_per_pattern_sieve(seed, with_gamma, sizes):
     targets = list(itertools.product(*(range(s) for s in sizes)))
     radii = rng.uniform(0.5, 2.0, len(sizes))
     values, masses = hafnian.grid_coefficients(hafnian.Sieve(
-        hafnian.from_log_series(partial(hafnian.g_coefficients, a, gam)),
-        expand), targets, radii)
+        hafnian.gaussian_model(a, gam), expand), targets, radii)
     for k, value, mass in zip(targets, values, masses):
         want = hafnian.blocked_lhaf(a, gam, blocks, k)
         assert np.isclose(value, want, rtol=1e-9, atol=1e-12)
@@ -666,7 +666,7 @@ def test_loop_term_matches_per_k_loop(seed, nmodes, nmax, one_per_chunk):
         2j * np.pi * rng.random((4, nmodes)))
     budget = 1 if one_per_chunk else hafnian._CHUNK_BYTES
     with mock.patch.object(hafnian, "_CHUNK_BYTES", budget):
-        got = hafnian.g_coefficients(rep.a, rep.gamma, nmax, scale)
+        got = hafnian.gaussian_series(rep.a, rep.gamma)(nmax, scale)
     x = xmat(nmodes)
     want = np.empty((4, nmax), dtype=complex)
     for row, z in enumerate(scale):
@@ -704,8 +704,7 @@ def displaced_lossy_rep():
 
 def displaced_lossy_series():
     rep = displaced_lossy_rep()
-    return hafnian.from_log_series(
-        partial(hafnian.g_coefficients, rep.a, rep.gamma))
+    return hafnian.gaussian_model(rep.a, rep.gamma)
 
 
 def folded_rows(series, rows, abs_tol=None):
@@ -898,9 +897,9 @@ def reduce_spy():
 def test_every_read_reaches_sieve_reduce_with_its_record():
     """Each public read goes through ``sieve_reduce`` on a record that
     fixes its realness and groups: Gaussian probabilities, the
-    distinguishable fast path, moments and the diagonal Gaussian herald
-    class are real in one group; ``blocked_lhaf`` is complex unless told
-    otherwise, as every other Gaussian herald class is; the Fock product
+    distinguishable fast path, moments, cumulants and the diagonal Gaussian
+    herald class are real in one group; ``blocked_lhaf`` is complex, as
+    every other Gaussian herald class is; the Fock product
     form is complex in two groups, the occupied inputs and the outputs
     with the loss, for probabilities and heralds alike."""
     rep = displaced_lossy_rep()
@@ -919,10 +918,10 @@ def test_every_read_reaches_sieve_reduce_with_its_record():
         (lambda: dist.prob_external(drep, (1, 1)), real),
         (lambda: dist.prob_external_distinguishable(blocks, (1, 1)), real),
         (lambda: dist.coarse_moment(state, [[0], [1, 2]]), real),
+        (lambda: dist.coarse_cumulant(state, [[0], [1, 2]]), real),
+        (lambda: dist.block_cumulant(state, [0, 2], 3), real),
         (lambda: hafnian.blocked_lhaf(rep.a, rep.gamma, [(0,), (1, 2)],
                                       (2, 1)), [(False, None)]),
-        (lambda: hafnian.blocked_lhaf(rep.a, rep.gamma, [(0,), (1, 2)],
-                                      (2, 1), real=True), real),
         (lambda: fock_channel.fock_coarse_prob(
             fi, CoarsePattern([[0], [1, 2]], (1, 1))), fock),
     ]
@@ -954,6 +953,27 @@ def test_negative_counts_raise_on_every_call():
                 read(sieve, [(1, -1, 2)])
             with pytest.raises(DomainError):
                 read(sieve, ((1, 1, 2), (0, 0, -3)))
+
+
+def test_malformed_count_rows_raise_on_cold_and_warm_plans():
+    """A row whose length is not the variable count is a
+    ``PartitionMismatch``, and a fractional or boolean count a
+    ``DomainError``, through ``grid_coefficients`` and ``sieve_reduce``:
+    never split, truncated or read as an int, also once the plan of the
+    rows they would have been read as is cached."""
+    sieve = hafnian.Sieve(displaced_lossy_series(),
+                          hafnian.block_expansion([(0,), (1, 2)], 3))
+    cases = [([[1, 1, 0, 2]], PartitionMismatch, [(1, 1), (0, 2)]),
+             ([[1.7, 0.2]], DomainError, [(1, 0)]),
+             ([[True, 1]], DomainError, [(1, 1)])]
+    for read in (hafnian.grid_coefficients, hafnian.sieve_reduce):
+        for rows, error, read_as in cases:
+            clear_plan_caches()
+            with pytest.raises(error):
+                read(sieve, rows)
+            read(sieve, read_as)
+            with pytest.raises(error):
+                read(sieve, rows)
 
 
 def test_no_rows_read_as_empty_arrays():
