@@ -26,20 +26,33 @@ from .errors import (
     ValidationFailure,
 )
 from .heralding import HeraldSpec
-from .linalg import require_counts, require_finite
+from .linalg import require_counts, require_finite, require_subunitary
 
 
 # ---------------------------------------------------------------------------
 # JSON <-> numpy helpers
 # ---------------------------------------------------------------------------
 
+def _is_number(v):
+    """Whether ``v`` is a real number: JSON's ``true`` and ``false`` are
+    not, though Python's bools are ints."""
+    return isinstance(v, (int, float)) and type(v) is not bool
+
+
 def _complex(v):
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2 \
-            and all(isinstance(x, (int, float)) for x in v):
+            and _is_number(v[0]) and _is_number(v[1]):
         return complex(v[0], v[1])
     raise DomainError(f"expected a number or [re, im] pair, got {v!r}")
+
+
+def _float(v, what):
+    """A real number of the config as a float, or a ``DomainError``."""
+    if not _is_number(v):
+        raise DomainError(f"{what} must be a number, got {v!r}")
+    return float(v)
 
 
 def _matrix(rows):
@@ -75,35 +88,54 @@ def haar_unitary(n, seed):
 # circuit construction
 # ---------------------------------------------------------------------------
 
-def _transmission(circ, total, externals):
+def _given_transmission(circ, total, externals):
+    """The transmission of a circuit config section as given, externals- or
+    total-sized, or None when it is absent; not yet checked for
+    subunitarity."""
     spec = circ.get("transmission")
     if spec is None:
         return None
     if isinstance(spec, dict):
         if "haar_seed" in spec:
-            u = haar_unitary(externals, int(spec["haar_seed"]))
+            (seed,) = require_counts([spec["haar_seed"]], "haar_seed")
+            u = haar_unitary(externals, seed)
         else:
             u = _matrix(spec["unitary"])
-        eta = float(spec.get("efficiency", 1.0))
+        eta = _float(spec.get("efficiency", 1.0), "efficiency")
         if not 0 <= eta <= 1:
             raise DomainError("efficiency must lie in [0, 1]")
         t = np.sqrt(eta) * u
     else:
         t = _matrix(spec)
-    k = total // externals
-    if t.shape == (externals, externals) and k > 1:
-        t = np.kron(t, np.eye(k))  # internal modes do not mix
-    if t.shape != (total, total):
+    if t.shape not in ((externals, externals), (total, total)):
         raise LayoutMismatch(
             f"transmission must be {externals}x{externals} or {total}x{total}"
         )
     return t
 
 
-def _transmission_or_identity(circ, total, externals):
-    """The transmission, or the total x total identity when it is absent."""
-    t = _transmission(circ, total, externals)
-    return np.eye(total) if t is None else t
+def _transmission(circ, total, externals):
+    """The total x total transmission of a Gaussian circuit, or None.  It is
+    checked for subunitarity once, at the size given: an externals-sized t
+    becomes t (x) I_K (internal modes do not mix), which has the same
+    singular values."""
+    t = _given_transmission(circ, total, externals)
+    if t is None:
+        return None
+    require_subunitary(t)
+    if len(t) == total:
+        return t
+    # np.kron(t, I_K): its one product t[i, j] * I[a, b], without its
+    # shape handling
+    eye = np.eye(total // externals)
+    return (t[:, None, :, None] * eye[:, None]).reshape(total, total)
+
+
+def _transmission_or_identity(circ, modes):
+    """The transmission of a one-internal-mode circuit, or the identity when
+    it is absent; ``FockInput`` and ``PPRun`` check it."""
+    t = _given_transmission(circ, modes, modes)
+    return np.eye(modes) if t is None else t
 
 
 def _layout(circ):
@@ -131,7 +163,13 @@ def _plain_layout(circ, what, unmodeled):
 
 
 def build_state(circ):
-    """Gaussian state described by a circuit config section."""
+    """Gaussian state described by a circuit config section.
+
+    The source covariance, the channel and the displacement are composed as
+    arrays (``gaussian.squeezed_cov``, ``channel_arrays``,
+    ``displaced_means``) and checked once, as the one ``GaussianState`` at
+    the end; a given ``husimi_cov`` is checked as given too, since a lossy
+    channel could make an unphysical covariance physical."""
     layout = _layout(circ)
     modes, total = layout.externals, layout.total
     has_sq = "squeezing" in circ
@@ -143,23 +181,28 @@ def build_state(circ):
     if has_cov:
         _reject_unmodeled(circ, "a Husimi covariance", ("spectral_purity",))
         means = _vector(circ.get("means", [0.0] * (2 * total)))
-        state = gaussian.GaussianState(_matrix(circ["husimi_cov"]), means,
+        given = gaussian.GaussianState(_matrix(circ["husimi_cov"]), means,
                                        layout)
+        if circ.get("transmission") is None and "displacements" not in circ:
+            return given
+        cov, means = given.husimi_cov, given.means
     else:
         _reject_unmodeled(circ, "a squeezed source", ("means",))
         if "spectral_purity" in circ:
-            xi = [float(x) for x in circ["squeezing"]]
-            state = gaussian.impure_source(
-                xi, float(circ["spectral_purity"]), layout)
+            xi = gaussian.impure_squeezing(
+                [_float(x, "squeezing") for x in circ["squeezing"]],
+                _float(circ["spectral_purity"], "spectral_purity"), layout)
         else:
-            state = gaussian.from_squeezing(_vector(circ["squeezing"]),
-                                            layout)
+            xi = _vector(circ["squeezing"])
+        cov = gaussian.squeezed_cov(xi, total)
+        means = np.zeros(2 * total, dtype=complex)
     t = _transmission(circ, total, modes)
     if t is not None:
-        state = gaussian.apply_channel(state, t)
+        cov, means = gaussian.channel_arrays(cov, means, t)
     if "displacements" in circ:
-        state = gaussian.displace(state, _vector(circ["displacements"]))
-    return state
+        means = gaussian.displaced_means(means,
+                                         _vector(circ["displacements"]))
+    return gaussian.GaussianState(cov, means, layout)
 
 
 def _measurement(task):
@@ -259,7 +302,7 @@ def _fock_input(circ, task):
     modes = _plain_layout(circ, "a Fock input", (
         "squeezing", "husimi_cov", "means", "spectral_purity",
         "displacements")).externals
-    t = _transmission_or_identity(circ, modes, modes)
+    t = _transmission_or_identity(circ, modes)
     gram = task.get("gram")
     return fock_channel.FockInput(task["input"], t,
                                   None if gram is None else _matrix(gram))
@@ -298,10 +341,11 @@ def _run_moments(circ, task):
 def _run_pp_estimate(circ, task):
     modes = _plain_layout(circ, "phase-space estimation", (
         "displacements", "husimi_cov", "means", "spectral_purity")).externals
-    xi = [float(x) for x in circ["squeezing"]]
-    t = _transmission_or_identity(circ, modes, modes)
-    run = phasespace.PPRun(tuple(xi), t, task["samples"],
-                           int(task.get("seed", 0)), task["n_values"])
+    xi = [_float(x, "squeezing") for x in circ["squeezing"]]
+    t = _transmission_or_identity(circ, modes)
+    (seed,) = require_counts([task.get("seed", 0)], "seed")
+    run = phasespace.PPRun(tuple(xi), t, task["samples"], seed,
+                           task["n_values"])
     est, err = phasespace.pp_estimate(run)
     return {
         "n_values": sorted(set(run.n_values)),

@@ -208,15 +208,17 @@ def extract_distinguishable_blocks(rep):
                              "fast path")
     lay = rep.layout
     m, k = lay.externals, lay.internals_per_external
-    # X A over (half, external, internal) x (half, external, internal)
-    xa = swap_halves(rep.a).reshape(2, m, k, 2, m, k)
+    # X A (the reversed half axis swaps the halves) with one row per pair
+    # of internal modes: (internal, internal) x (half, external, half,
+    # external); rows 0, k + 1, 2 (k + 1), ... are the blocks
+    xa = rep.a.reshape(2, m, k, 2, m, k)[::-1].transpose(
+        2, 5, 0, 1, 3, 4).reshape(k * k, 4 * m * m)
     # entries between distinct internal modes must vanish
-    if np.max(np.abs(xa), where=~np.eye(k, dtype=bool)[:, None, None, :],
-              initial=0.0) > 1e-10:
+    coupling = np.abs(xa)
+    coupling[::k + 1] = 0.0
+    if coupling.max() > 1e-10:
         raise LayoutMismatch("internal modes are coupled; blocks do not split")
-    # the blocks: the diagonal over the two internal axes, internal first
-    r = np.arange(k)
-    return list(xa[:, :, r, :, :, r].reshape(k, 2 * m, 2 * m))
+    return list(xa[::k + 1].reshape(k, 2 * m, 2 * m))
 
 
 def prob_external_distinguishable(blocks, n):
@@ -251,23 +253,26 @@ def prob_external_distinguishable(blocks, n):
     vac = np.prod(np.sqrt(np.prod(1 - eig, axis=1)))
     d = np.diagonal(b, axis1=1, axis2=2)
     diag = d[:, :m] + d[:, m:]
-    bb = b * bt
-    cross = bb[:, :m, :m] + bb[:, m:, m:] + bb[:, m:, :m] + bb[:, :m, m:]
+    # C_l: the sum of the four M x M quadrants of B_l * B_l^T
+    cross = (b * bt).reshape(-1, 2, m, 2, m).sum(axis=(1, 3))
     model = from_log_series(partial(_rank_two_series, diag, cross))
     return _read_prob(Sieve(model, np.eye(m), real=True), vac, n)
 
 
 def _rank_two_series(diag, cross, nmax, z):
     """g_1..g_nmax at the rows of ``z`` for blocks of rank at most two,
-    from d_l = ``diag[l]`` and C_l = ``cross[l]``."""
-    e1 = z @ diag.T                                            # (G, K)
-    e2 = (e1 ** 2 - np.einsum("gi,lij,gj->gl", z, cross, z)) / 2
+    from d_l = ``diag[l]`` and C_l = ``cross[l]``; block-major: each power
+    sum is a (K, G) row of blocks by points, written in place."""
+    e1 = diag @ z.T                                            # (K, G)
+    e2 = (e1 * e1 - np.einsum("gi,lij,gj->lg", z, cross, z)) / 2
     p = np.empty((nmax + 1,) + e1.shape, dtype=complex)       # p_0..p_nmax
     p[0], p[1:2] = 2.0, e1                  # p_1 is absent when nmax = 0
+    rows = list(p)
     for k in range(2, nmax + 1):
-        np.multiply(e1, p[k - 1], out=p[k])
-        p[k] -= e2 * p[k - 2]
-    return p[1:].sum(axis=2).T / (2 * np.arange(1, nmax + 1))
+        row = rows[k]
+        np.multiply(e1, rows[k - 1], out=row)
+        row -= e2 * rows[k - 2]
+    return p[1:].sum(axis=1).T / (2 * np.arange(1, nmax + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,12 @@ A covariance is Hermitian (to 1e-10), so every check factorizes it once and
 reads one triangle: a state is positive definite and obeys the uncertainty
 bound when two Cholesky factors exist, and the adjacency conversion reads
 its condition number and log-determinant off one ``eigvalsh``.
+
+The constructors and channels share their array code: the squeezed (or
+impure-source) covariance, the channel W Sigma W† + I - W W† and the
+displaced means are plain arrays, so a circuit of several steps (the
+command line's ``build_state``) composes them and checks one
+``GaussianState`` at the end, not one per step.
 """
 
 import numbers
@@ -143,11 +149,11 @@ class AdjacencyRep:
 # constructors and channels
 # ---------------------------------------------------------------------------
 
-def from_squeezing(xi, layout):
-    """Product of single-mode squeezed vacua, one parameter per mode."""
+def squeezed_cov(xi, t):
+    """The Husimi covariance of ``t`` single-mode squeezed vacua, one
+    parameter per mode."""
     xi = np.asarray(xi, dtype=complex)
     require_finite(xi, "squeeze parameters")
-    t = layout.total
     if len(xi) != t:
         raise LengthMismatch(f"need {t} squeeze parameters, got {len(xi)}")
     r = np.abs(xi)
@@ -158,18 +164,42 @@ def from_squeezing(xi, layout):
     cov[k, k] = cov[t + k, t + k] = c * c
     cov[k, t + k] = phase * s * c
     cov[t + k, k] = phase.conj() * s * c
-    return GaussianState(cov, np.zeros(2 * t, dtype=complex), layout)
+    return cov
+
+
+def from_squeezing(xi, layout):
+    """Product of single-mode squeezed vacua, one parameter per mode."""
+    t = layout.total
+    return GaussianState(squeezed_cov(xi, t), np.zeros(2 * t, dtype=complex),
+                         layout)
+
+
+def displaced_means(means, alphas):
+    """``means`` shifted by (alpha, alpha*), one finite alpha per mode."""
+    alphas = np.asarray(alphas, dtype=complex)
+    require_finite(alphas, "displacements")
+    t = len(means) // 2
+    if len(alphas) != t:
+        raise LengthMismatch(f"need {t} displacements, got {len(alphas)}")
+    return means + np.concatenate([alphas, alphas.conj()])
 
 
 def displace(state, alphas):
     """Shift the means by (alpha, alpha*); covariance unchanged."""
-    alphas = np.asarray(alphas, dtype=complex)
-    require_finite(alphas, "displacements")
-    t = state.layout.total
-    if len(alphas) != t:
-        raise LengthMismatch(f"need {t} displacements, got {len(alphas)}")
-    z = state.means + np.concatenate([alphas, alphas.conj()])
-    return GaussianState(state.husimi_cov, z, state.layout)
+    return GaussianState(state.husimi_cov,
+                         displaced_means(state.means, alphas), state.layout)
+
+
+def channel_arrays(cov, means, t):
+    """Sigma' = W Sigma W† + (I - W W†) and means' = W means, with
+    W = conj(t) (+) t on the doubled space, for a ``t`` that its caller has
+    checked for subunitarity."""
+    n = len(t)
+    w = np.zeros((2 * n, 2 * n), dtype=complex)
+    w[:n, :n] = t.conj()
+    w[n:, n:] = t
+    return (w @ cov @ w.conj().T + np.eye(2 * n) - w @ w.conj().T,
+            w @ means)
 
 
 def apply_channel(state, t):
@@ -183,11 +213,8 @@ def apply_channel(state, t):
     if t.shape != (n, n):
         raise LayoutMismatch(f"transmission must be {n}x{n}, got {t.shape}")
     require_subunitary(t)
-    w = np.zeros((2 * n, 2 * n), dtype=complex)
-    w[:n, :n] = t.conj()
-    w[n:, n:] = t
-    cov = w @ state.husimi_cov @ w.conj().T + np.eye(2 * n) - w @ w.conj().T
-    return GaussianState(cov, w @ state.means, state.layout)
+    return GaussianState(*channel_arrays(state.husimi_cov, state.means, t),
+                         state.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +305,9 @@ def marginal_state(state, keep):
 # spectral impurity machinery
 # ---------------------------------------------------------------------------
 
-def impure_source(xi, p, layout):
-    """Squeezed sources with spectral purity p, two internal modes each.
-
-    Each external mode carries a dominant squeezer xi_k on its first internal
-    mode and a parasite xi'_k with tanh^2(xi') = ((1-p)/p) tanh^2(xi) on its
-    second.
-    """
+def impure_squeezing(xi, p, layout):
+    """The per-mode squeeze parameters of ``impure_source``: the dominant
+    xi_k on each first internal mode and its parasite xi'_k on the second."""
     xi = np.asarray(xi, dtype=float)
     if not 0 < p <= 1:
         raise DomainError(f"purity must be in (0, 1], got {p}")
@@ -298,4 +321,14 @@ def impure_source(xi, p, layout):
     full = np.zeros(layout.total)
     full[0::2] = xi
     full[1::2] = xi_p
-    return from_squeezing(full, layout)
+    return full
+
+
+def impure_source(xi, p, layout):
+    """Squeezed sources with spectral purity p, two internal modes each.
+
+    Each external mode carries a dominant squeezer xi_k on its first internal
+    mode and a parasite xi'_k with tanh^2(xi') = ((1-p)/p) tanh^2(xi) on its
+    second.
+    """
+    return from_squeezing(impure_squeezing(xi, p, layout), layout)

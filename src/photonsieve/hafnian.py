@@ -370,12 +370,14 @@ class _GridPlan(NamedTuple):
 
 def _count_rows(targets, nvar):
     """``targets`` as the key of its plan, a tuple of count tuples of
-    ``nvar`` ints each.  Such a tuple, as the package builds it, is kept as
-    it stands; other rows are checked as one array: a row of another length
-    is a ``PartitionMismatch``, a bool or a count that is not a whole number
-    a ``DomainError`` (a negative count is one in ``_grid_plan``)."""
-    if type(targets) is tuple and all(type(k) is tuple and len(k) == nvar
-                                      for k in targets):
+    ``nvar`` ints each.  Such a tuple of Python ints, as the package builds
+    it, is kept as it stands; other rows are checked as one array: a row of
+    another length is a ``PartitionMismatch``, a bool or a count that is not
+    a whole number a ``DomainError`` (a negative count is one in
+    ``_grid_plan``)."""
+    if type(targets) is tuple and all(
+            type(k) is tuple and len(k) == nvar for k in targets) and all(
+            type(c) is int for c in chain.from_iterable(targets)):
         return targets
     try:
         arr = np.asarray(targets)

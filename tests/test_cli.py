@@ -8,6 +8,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonsieve import cli, fock_channel, gaussian, heralding
 from photonsieve import distributions as dist
@@ -362,9 +364,9 @@ def test_readme_examples_run(tmp_path):
 
 def test_state_factorization_budget():
     """build_state and to_adjacency of a 4 x 4 distinguishable circuit, a
-    32 x 32 covariance: one Cholesky factor per check (two checks for each
-    of the two states built), one eigvalsh and one inverse of the final
-    covariance, and the one SVD of the 16 x 16 transmission."""
+    32 x 32 covariance: one Cholesky factor per check (two checks of the one
+    state built), one eigvalsh and one inverse of the final covariance, and
+    one SVD of the 4 x 4 transmission, before its product with I_4."""
     u = np.sqrt(0.85) * cli.haar_unitary(4, 11)
     xi = np.zeros(16)
     xi[[0, 5, 10, 15]] = [0.9, 0.8, 0.7, 0.6]
@@ -384,8 +386,110 @@ def test_state_factorization_budget():
     with mock.patch.multiple(np.linalg, **{
             n: spy(n, getattr(np.linalg, n)) for n in names}):
         gaussian.to_adjacency(cli.build_state(circ))
-    assert sorted(calls) == [("cholesky", (32, 32))] * 4 + [
-        ("eigvalsh", (32, 32)), ("inv", (32, 32)), ("svd", (16, 16))]
+    assert sorted(calls) == [("cholesky", (32, 32))] * 2 + [
+        ("eigvalsh", (32, 32)), ("inv", (32, 32)), ("svd", (4, 4))]
+
+
+def literal(mat):
+    """A complex matrix as CLI JSON: rows of [re, im] pairs."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_build_state_is_the_public_composition(data):
+    """build_state checks one state at the end; its covariance and means
+    are, bit for bit, those of displace(apply_channel(source, t), alpha)
+    through the public steps, each of which checks its own state.  The
+    source is squeezed vacua or an impure source, and the transmission
+    externals-sized (expanded by I_K) or total-sized."""
+    impure = data.draw(st.booleans(), label="impure")
+    k = 2 if impure else data.draw(st.integers(1, 3), label="internals")
+    m = data.draw(st.integers(1, 3), label="externals")
+    layout = gaussian.ModeLayout(m, k)
+    n = layout.total
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    full = data.draw(st.booleans(), label="total-sized")
+    eta = data.draw(st.floats(0.1, 1.0), label="efficiency")
+    t = np.sqrt(eta) * cli.haar_unitary(n if full else m, rng)
+    circ = {"modes": m, "internals": k, "transmission": literal(t)}
+    if impure:
+        xi = rng.uniform(0.0, 0.8, m)
+        purity = data.draw(st.floats(0.55, 1.0), label="purity")
+        circ.update(squeezing=xi.tolist(), spectral_purity=purity)
+        state = gaussian.impure_source(xi, purity, layout)
+    else:
+        xi = rng.uniform(-0.8, 0.8, n) + 1j * rng.uniform(-0.8, 0.8, n)
+        circ["squeezing"] = literal([xi])[0]
+        state = gaussian.from_squeezing(xi, layout)
+    state = gaussian.apply_channel(state, t if full else np.kron(t, np.eye(k)))
+    if data.draw(st.booleans(), label="displaced"):
+        alphas = rng.normal(size=n) + 1j * rng.normal(size=n)
+        circ["displacements"] = literal([alphas])[0]
+        state = gaussian.displace(state, alphas)
+    built = cli.build_state(circ)
+    assert built.husimi_cov.tobytes() == state.husimi_cov.tobytes()
+    assert built.means.tobytes() == state.means.tobytes()
+
+
+@pytest.mark.parametrize("total_sized", [False, True])
+def test_transmission_above_unit_singular_value_exit_code(
+        tmp_path, capsys, total_sized):
+    """A transmission with a singular value above 1 is ``NotSubunitary``
+    (exit 2), whether it is checked at the externals size, before its
+    product with I_K, or given total-sized."""
+    u = 1.05 * cli.haar_unitary(4 if total_sized else 2, 3)
+    config = {"circuit": {"modes": 2, "internals": 2,
+                          "squeezing": [0.3, 0.0, 0.2, 0.0],
+                          "transmission": {"unitary": literal(u)}},
+              "task": {"kind": "fine-prob", "pattern": [1, 0, 1, 0]}}
+    assert rejected_as(tmp_path, capsys, config)["error"] == "NotSubunitary"
+
+
+_FINE = {"kind": "fine-prob", "pattern": [1, 1]}
+_PP = {"kind": "pp-estimate", "samples": 100, "n_values": [0]}
+
+
+@pytest.mark.parametrize("circuit, task", [
+    ({"modes": 2, "squeezing": [True, 0.3]}, _FINE),
+    ({"modes": 2, "squeezing": [[0.2, False], 0.3]}, _FINE),
+    ({"modes": 2, "squeezing": [0.2, 0.3],
+      "transmission": {"unitary": [[True, 0.0], [0.0, 1.0]]}}, _FINE),
+    ({"modes": 2, "squeezing": [0.2, 0.3],
+      "transmission": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [True, 0.0]]]},
+     _FINE),
+    ({"modes": 2, "squeezing": [0.2, 0.3],
+      "transmission": {"haar_seed": 2, "efficiency": True}}, _FINE),
+    ({"modes": 2, "squeezing": [0.2, 0.3],
+      "transmission": {"haar_seed": True}}, _FINE),
+    ({"modes": 2, "squeezing": [0.2, 0.3], "displacements": [True, 0.0]},
+     _FINE),
+    ({"modes": 2, "husimi_cov": np.eye(4).tolist(),
+      "means": [True, 0.0, 1.0, 0.0]}, _FINE),
+    ({"modes": 2, "husimi_cov": [[True, 0.0, 0.0, 0.0]]
+      + np.eye(4)[1:].tolist()}, _FINE),
+    ({"modes": 1, "internals": 2, "squeezing": [True],
+      "spectral_purity": 0.9}, {"kind": "external-prob", "pattern": [1]}),
+    ({"modes": 1, "internals": 2, "squeezing": [0.5],
+      "spectral_purity": True}, {"kind": "external-prob", "pattern": [1]}),
+    ({"modes": 2}, {"kind": "fock-prob", "input": [1, 1],
+                    "blocks": [[0], [1]], "counts": [1, 1],
+                    "gram": [[1.0, True], [1.0, 1.0]]}),
+    ({"modes": 1, "squeezing": [0.5]},
+     {"kind": "herald", "herald_modes": [0], "measurement": [0],
+      "cutoff": 1, "target": [True, 0.0]}),
+    ({"modes": 1, "squeezing": [True]}, _PP),
+    ({"modes": 1, "squeezing": [0.5]}, {**_PP, "seed": True}),
+], ids=["squeezing", "squeezing-pair", "unitary", "transmission",
+        "efficiency", "haar_seed", "displacements", "means", "husimi_cov",
+        "impure-squeezing", "spectral_purity", "gram", "target",
+        "pp-squeezing", "pp-seed"])
+def test_json_booleans_are_no_numbers(tmp_path, capsys, circuit, task):
+    """JSON ``true`` and ``false`` are no numbers: Python reads them as the
+    ints 1 and 0, but in a number field of the config each one is a
+    ``DomainError`` (exit 2), as in counts, mode lists and blocks."""
+    config = {"circuit": circuit, "task": task}
+    assert rejected_as(tmp_path, capsys, config)["error"] == "DomainError"
 
 
 def test_seed_override(tmp_path):

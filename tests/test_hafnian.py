@@ -958,14 +958,16 @@ def test_negative_counts_raise_on_every_call():
 def test_malformed_count_rows_raise_on_cold_and_warm_plans():
     """A row whose length is not the variable count is a
     ``PartitionMismatch``, and a fractional or boolean count a
-    ``DomainError``, through ``grid_coefficients`` and ``sieve_reduce``:
-    never split, truncated or read as an int, also once the plan of the
-    rows they would have been read as is cached."""
+    ``DomainError``, through ``grid_coefficients`` and ``sieve_reduce``, as
+    lists or as tuples: never split, truncated or read as an int, also once
+    the plan of the rows they would have been read as is cached."""
     sieve = hafnian.Sieve(displaced_lossy_series(),
                           hafnian.block_expansion([(0,), (1, 2)], 3))
     cases = [([[1, 1, 0, 2]], PartitionMismatch, [(1, 1), (0, 2)]),
              ([[1.7, 0.2]], DomainError, [(1, 0)]),
-             ([[True, 1]], DomainError, [(1, 1)])]
+             ([[True, 1]], DomainError, [(1, 1)]),
+             (((1.7, 0.2),), DomainError, ((1, 0),)),
+             (((True, 1),), DomainError, ((1, 1),))]
     for read in (hafnian.grid_coefficients, hafnian.sieve_reduce):
         for rows, error, read_as in cases:
             clear_plan_caches()
