@@ -88,14 +88,41 @@ def haar_unitary(n, seed):
 # circuit construction
 # ---------------------------------------------------------------------------
 
-def _given_transmission(circ, total, externals):
-    """The transmission of a circuit config section as given, externals- or
-    total-sized, or None when it is absent; not yet checked for
-    subunitarity."""
+# per source: the circuit keys it models besides modes, internals and
+# transmission, and whether it models more than one internal mode per port
+_SOURCES = {
+    "a squeezed source": ({"squeezing", "spectral_purity", "displacements"},
+                          True),
+    "a Husimi covariance": ({"husimi_cov", "means", "displacements"}, True),
+    "a Fock input": (set(), False),
+    "phase-space estimation": ({"squeezing"}, False),
+}
+
+
+def _circuit(circ, source):
+    """The layout of a circuit config section read as ``source`` (its mode
+    counts unconverted: a fractional count is rejected, never truncated),
+    and its transmission as given, externals- or total-sized, not yet
+    checked for subunitarity, or None.  A key the source does not model is
+    a ``LayoutMismatch``: a misspelled key is an error, never dropped."""
+    keys, internal = _SOURCES[source]
+    unmodeled = set(circ) - keys - {"modes", "internals", "transmission"}
+    if unmodeled:
+        raise LayoutMismatch(
+            f"{source} cannot model {', '.join(sorted(unmodeled))}")
+    layout = gaussian.ModeLayout(circ["modes"], circ.get("internals", 1))
+    if not internal and layout.internals_per_external != 1:
+        raise LayoutMismatch(f"{source} needs one internal mode")
     spec = circ.get("transmission")
     if spec is None:
-        return None
+        return layout, None
+    externals, total = layout.externals, layout.total
     if isinstance(spec, dict):
+        if set(spec) - {"haar_seed", "unitary", "efficiency"} or (
+                ("haar_seed" in spec) == ("unitary" in spec)):
+            raise DomainError("a transmission object takes exactly one of "
+                              "haar_seed or unitary, and an optional "
+                              "efficiency")
         if "haar_seed" in spec:
             (seed,) = require_counts([spec["haar_seed"]], "haar_seed")
             u = haar_unitary(externals, seed)
@@ -108,58 +135,9 @@ def _given_transmission(circ, total, externals):
     else:
         t = _matrix(spec)
     if t.shape not in ((externals, externals), (total, total)):
-        raise LayoutMismatch(
-            f"transmission must be {externals}x{externals} or {total}x{total}"
-        )
-    return t
-
-
-def _transmission(circ, total, externals):
-    """The total x total transmission of a Gaussian circuit, or None.  It is
-    checked for subunitarity once, at the size given: an externals-sized t
-    becomes t (x) I_K (internal modes do not mix), which has the same
-    singular values."""
-    t = _given_transmission(circ, total, externals)
-    if t is None:
-        return None
-    require_subunitary(t)
-    if len(t) == total:
-        return t
-    # np.kron(t, I_K): its one product t[i, j] * I[a, b], without its
-    # shape handling
-    eye = np.eye(total // externals)
-    return (t[:, None, :, None] * eye[:, None]).reshape(total, total)
-
-
-def _transmission_or_identity(circ, modes):
-    """The transmission of a one-internal-mode circuit, or the identity when
-    it is absent; ``FockInput`` and ``PPRun`` check it."""
-    t = _given_transmission(circ, modes, modes)
-    return np.eye(modes) if t is None else t
-
-
-def _layout(circ):
-    """The mode layout of a circuit config section, its counts unconverted:
-    a fractional count is rejected, never truncated."""
-    return gaussian.ModeLayout(circ["modes"], circ.get("internals", 1))
-
-
-def _reject_unmodeled(circ, what, unmodeled):
-    """Raise ``LayoutMismatch`` for any of the circuit keys ``unmodeled``
-    in ``circ``: a key a path cannot model is rejected, never dropped."""
-    for key in unmodeled:
-        if key in circ:
-            raise LayoutMismatch(f"{what} cannot model {key}")
-
-
-def _plain_layout(circ, what, unmodeled):
-    """The layout of a circuit config section for a path that models one
-    internal mode per port and none of the circuit keys ``unmodeled``."""
-    layout = _layout(circ)
-    if layout.internals_per_external != 1:
-        raise LayoutMismatch(f"{what} needs one internal mode")
-    _reject_unmodeled(circ, what, unmodeled)
-    return layout
+        raise LayoutMismatch(f"transmission must be {externals}x{externals}"
+                             f" or {total}x{total}")
+    return layout, t
 
 
 def build_state(circ):
@@ -169,25 +147,25 @@ def build_state(circ):
     arrays (``gaussian.squeezed_cov``, ``channel_arrays``,
     ``displaced_means``) and checked once, as the one ``GaussianState`` at
     the end; a given ``husimi_cov`` is checked as given too, since a lossy
-    channel could make an unphysical covariance physical."""
-    layout = _layout(circ)
-    modes, total = layout.externals, layout.total
+    channel could make an unphysical covariance physical.  The transmission
+    is checked for subunitarity once, at the size given: an externals-sized
+    t becomes t (x) I_K (internal modes do not mix), which has the same
+    singular values."""
     has_sq = "squeezing" in circ
-    has_cov = "husimi_cov" in circ
-    if has_sq == has_cov:
-        raise PartitionMismatch(
-            "exactly one of squeezing or husimi_cov must be given"
-        )
-    if has_cov:
-        _reject_unmodeled(circ, "a Husimi covariance", ("spectral_purity",))
+    if has_sq == ("husimi_cov" in circ):
+        raise PartitionMismatch("exactly one of squeezing or husimi_cov "
+                                "must be given")
+    layout, t = _circuit(circ, "a squeezed source" if has_sq
+                         else "a Husimi covariance")
+    total = layout.total
+    if not has_sq:
         means = _vector(circ.get("means", [0.0] * (2 * total)))
         given = gaussian.GaussianState(_matrix(circ["husimi_cov"]), means,
                                        layout)
-        if circ.get("transmission") is None and "displacements" not in circ:
+        if t is None and "displacements" not in circ:
             return given
         cov, means = given.husimi_cov, given.means
     else:
-        _reject_unmodeled(circ, "a squeezed source", ("means",))
         if "spectral_purity" in circ:
             xi = gaussian.impure_squeezing(
                 [_float(x, "squeezing") for x in circ["squeezing"]],
@@ -196,8 +174,13 @@ def build_state(circ):
             xi = _vector(circ["squeezing"])
         cov = gaussian.squeezed_cov(xi, total)
         means = np.zeros(2 * total, dtype=complex)
-    t = _transmission(circ, total, modes)
     if t is not None:
+        require_subunitary(t)
+        if len(t) != total:
+            # np.kron(t, I_K): its one product t[i, j] * I[a, b], without
+            # its shape handling
+            eye = np.eye(total // layout.externals)
+            t = (t[:, None, :, None] * eye[:, None]).reshape(total, total)
         cov, means = gaussian.channel_arrays(cov, means, t)
     if "displacements" in circ:
         means = gaussian.displaced_means(means,
@@ -205,13 +188,10 @@ def build_state(circ):
     return gaussian.GaussianState(cov, means, layout)
 
 
-def _measurement(task):
-    m = task["measurement"]
-    return (m["blocks"], m["counts"]) if isinstance(m, dict) else m
-
-
 def _herald_spec(task):
-    return HeraldSpec(task["herald_modes"], _measurement(task),
+    m = task["measurement"]
+    return HeraldSpec(task["herald_modes"],
+                      (m["blocks"], m["counts"]) if isinstance(m, dict) else m,
                       task["cutoff"], task.get("trace_out", ()))
 
 
@@ -222,7 +202,7 @@ def _herald_target(task, spec, nmodes):
     if target is None:
         return None
     shape = (spec.cutoff + 1,) * len(heralding.kept_modes(spec, nmodes))
-    if isinstance(target, dict) and "fock" in target:
+    if isinstance(target, dict):
         (n,) = require_counts([target["fock"]], "Fock index")
         if n > spec.cutoff:
             raise IndexOutOfRange(f"Fock index {n} beyond cutoff")
@@ -299,13 +279,11 @@ def _run_herald(circ, task):
 
 
 def _fock_input(circ, task):
-    modes = _plain_layout(circ, "a Fock input", (
-        "squeezing", "husimi_cov", "means", "spectral_purity",
-        "displacements")).externals
-    t = _transmission_or_identity(circ, modes)
+    layout, t = _circuit(circ, "a Fock input")
     gram = task.get("gram")
-    return fock_channel.FockInput(task["input"], t,
-                                  None if gram is None else _matrix(gram))
+    return fock_channel.FockInput(
+        task["input"], np.eye(layout.externals) if t is None else t,
+        None if gram is None else _matrix(gram))
 
 
 def _run_fock_prob(circ, task):
@@ -339,13 +317,12 @@ def _run_moments(circ, task):
 
 
 def _run_pp_estimate(circ, task):
-    modes = _plain_layout(circ, "phase-space estimation", (
-        "displacements", "husimi_cov", "means", "spectral_purity")).externals
+    layout, t = _circuit(circ, "phase-space estimation")
     xi = [_float(x, "squeezing") for x in circ["squeezing"]]
-    t = _transmission_or_identity(circ, modes)
     (seed,) = require_counts([task.get("seed", 0)], "seed")
-    run = phasespace.PPRun(tuple(xi), t, task["samples"], seed,
-                           task["n_values"])
+    run = phasespace.PPRun(tuple(xi),
+                           np.eye(layout.externals) if t is None else t,
+                           task["samples"], seed, task["n_values"])
     est, err = phasespace.pp_estimate(run)
     return {
         "n_values": sorted(set(run.n_values)),
@@ -354,17 +331,40 @@ def _run_pp_estimate(circ, task):
     }
 
 
+_HERALD_KEYS = {"herald_modes", "measurement", "cutoff", "trace_out",
+                "target", "normalize"}
+# per task kind: its handler and the task keys it reads besides kind and
+# seed (``--seed`` sets seed on every task)
 _HANDLERS = {
-    "fine-prob": _run_fine_prob,
-    "coarse-prob": _run_coarse_prob,
-    "total-dist": _run_total_dist,
-    "external-prob": _run_external_prob,
-    "herald": _run_herald,
-    "fock-prob": _run_fock_prob,
-    "fock-herald": _run_fock_herald,
-    "moments": _run_moments,
-    "pp-estimate": _run_pp_estimate,
+    "fine-prob": (_run_fine_prob, {"pattern"}),
+    "coarse-prob": (_run_coarse_prob, {"blocks", "counts"}),
+    "total-dist": (_run_total_dist, {"modes", "max_total", "tail_bound"}),
+    "external-prob": (_run_external_prob, {"pattern", "distinguishable"}),
+    "herald": (_run_herald, _HERALD_KEYS),
+    "fock-prob": (_run_fock_prob, {"input", "gram", "blocks", "counts"}),
+    "fock-herald": (_run_fock_herald, {"input", "gram"} | _HERALD_KEYS),
+    "moments": (_run_moments, {"statistic", "blocks", "order"}),
+    "pp-estimate": (_run_pp_estimate, {"samples", "n_values"}),
 }
+# the keys an object value of a task reads
+_TASK_OBJECTS = {"measurement": {"blocks", "counts"}, "target": {"fock"}}
+
+
+def _check_task(task, keys):
+    """Raise ``DomainError`` for a task key outside ``keys``, kind and
+    seed, an object key outside ``_TASK_OBJECTS``, or a flag that is no
+    JSON boolean: a misspelled key is an error, never dropped."""
+    unread = set(task) - keys - {"kind", "seed"}
+    if unread:
+        raise DomainError(f"task {task['kind']} does not read "
+                          f"{', '.join(sorted(unread))}")
+    for key, allowed in _TASK_OBJECTS.items():
+        value = task.get(key)
+        if isinstance(value, dict) and not value.keys() <= allowed:
+            raise DomainError(f"{key} reads only {', '.join(sorted(allowed))}")
+    for key in ("distinguishable", "normalize"):
+        if type(task.get(key, False)) is not bool:
+            raise DomainError(f"{key} must be true or false")
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +404,9 @@ def run(config):
     kind = task.get("kind")
     if kind not in _HANDLERS:
         raise DomainError(f"unknown task kind {kind!r}")
-    return _HANDLERS[kind](config.get("circuit", {}), task)
+    handler, keys = _HANDLERS[kind]
+    _check_task(task, keys)
+    return handler(config.get("circuit", {}), task)
 
 
 def _build_parser():

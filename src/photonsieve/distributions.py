@@ -127,9 +127,6 @@ def _read_prob(sieve, prefactor, counts):
 def prob_fine(rep, n):
     """Probability of the exact per-mode photon pattern n."""
     n = require_counts(n, "pattern")
-    if len(n) != rep.layout.total:
-        raise PartitionMismatch(
-            f"pattern length {len(n)} != mode count {rep.layout.total}")
     return _read_prob(_state_record(rep, None), rep.vacuum_prob, n)
 
 

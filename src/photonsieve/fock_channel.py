@@ -95,12 +95,13 @@ def _gram(s, m):
 
 
 def _fock_series(t, gram, w, p):
-    """F(x, y) = prod_i ((S o B(y)) x)_i^p_i (module docstring) as a sieve
-    model, for the occupied input columns ``t`` of T, their block ``gram``
-    of S, the output terms ``w`` and the input counts ``p``, with the loss
-    term last: a grid row holds x, the y_j, then y_env.  Every row read
-    has the x total |p|, and F is its own part of that degree: the model
-    gives f_|p| = F alone, formed chunk by chunk."""
+    """The ``Sieve`` of F(x, y) = prod_i ((S o B(y)) x)_i^p_i (module
+    docstring) for the occupied input columns ``t`` of T, their block
+    ``gram`` of S, the output terms ``w`` and the input counts ``p``, with
+    the loss term last: a grid row holds x, the y_j, then y_env, on the
+    identity expand with the groups [x] [y, y_env].  Every row read has
+    the x total |p|, and F is its own part of that degree: the model gives
+    f_|p| = F alone, formed chunk by chunk."""
     d = t.shape[1]
     w = np.concatenate([w, [np.eye(d) - t.conj().T @ t]])
     w = (w * gram).reshape(len(w), d * d)
@@ -113,26 +114,25 @@ def _fock_series(t, gram, w, p):
             v = ((y @ w).reshape(len(y), d, d) @ x[:, :, None])[:, :, 0]
             f[lo:lo + chunk] = math.prod(vi ** k for vi, k in zip(v.T, p))
         return [f]
-    return model
+    nvar = d + len(w)
+    return Sieve(model, np.eye(nvar), (range(d), range(d, nvar)))
 
 
 def _coarse_record(fi, blocks):
-    """The ``Sieve`` of ``fi`` with one y per output block of ``blocks``:
-    its product form, the identity expand and the groups.  ``fi`` keeps
-    the record of the partition it read last, so a run of outputs over
-    one partition prepares it once.  A partition that fails
-    ``partition_expansion`` raises here on every call and is never kept."""
+    """The ``Sieve`` of ``fi`` with one y per output block of ``blocks``
+    (``_fock_series``).  ``fi`` keeps the record of the partition it read
+    last, so a run of outputs over one partition prepares it once.  A
+    partition that fails ``partition_expansion`` raises here on every call
+    and is never kept."""
     kept = fi._record   # read once: one assignment replaces it whole
     if kept is not None and kept[0] == blocks:
         return kept[1]
     proj = partition_expansion(blocks, len(fi.p)).real   # E_j by row
     occ = [i for i, k in enumerate(fi.p) if k]
-    t, d = fi.t[:, occ], len(occ)
-    model = _fock_series(t, fi.gram[np.ix_(occ, occ)],
-                         np.einsum("ai,ja,al->jil", t.conj(), proj, t),
-                         [fi.p[i] for i in occ])
-    nvar = d + len(blocks) + 1
-    rec = Sieve(model, np.eye(nvar), (range(d), range(d, nvar)))
+    t = fi.t[:, occ]
+    rec = _fock_series(t, fi.gram[np.ix_(occ, occ)],
+                       np.einsum("ai,ja,al->jil", t.conj(), proj, t),
+                       [fi.p[i] for i in occ])
     object.__setattr__(fi, "_record", (blocks, rec))
     return rec
 
@@ -241,8 +241,6 @@ def fock_herald(fi, spec):
 
     def build(pairs):
         w = diag + [np.outer(t[c].conj(), t[r]) for r, c in pairs]
-        nvar = d + len(w) + 1
-        return Sieve(_fock_series(t, 1.0, np.reshape(w, (len(w), d, d)), p),
-                     np.eye(nvar), (range(d), range(d, nvar)))
+        return _fock_series(t, 1.0, np.reshape(w, (len(w), d, d)), p)
 
     return herald_density(len(kept), spec.cutoff, counts, embed, build)

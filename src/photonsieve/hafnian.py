@@ -544,10 +544,6 @@ def sieve_reduce(sieve, targets, abs_tol=None):
 def lhaf_sieve(a, gamma, pattern):
     """Loop Hafnian of the repeated matrix A_{n (+) n} via the sieve."""
     nmodes = np.shape(a)[0] // 2
-    if len(pattern) != nmodes:
-        raise PartitionMismatch(
-            f"pattern length {len(pattern)} != mode count {nmodes}"
-        )
     return blocked_lhaf(a, gamma, [(j,) for j in range(nmodes)], pattern)
 
 
@@ -579,8 +575,6 @@ def blocked_lhaf(a, gamma, blocks, b):
     variable per block, on a full grid."""
     expand = partition_expansion(blocks, np.shape(a)[0] // 2)
     b = require_counts(b)
-    if len(b) != len(blocks):
-        raise PartitionMismatch("one count per block required")
     return sieve_reduce(Sieve(gaussian_model(a, gamma), expand), (b,))[0]
 
 

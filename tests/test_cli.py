@@ -93,6 +93,12 @@ def fock_ready(circuit, kind):
     return circuit
 
 
+def fock_input(kind):
+    """The ``input`` key of a task of ``kind``: only a Fock task reads it,
+    and any other task rejects it."""
+    return {"input": [1, 1]} if kind.startswith("fock") else {}
+
+
 def test_fine_and_coarse_prob(tmp_path):
     config = {"circuit": tmsv_circuit(),
               "task": {"kind": "fine-prob", "pattern": [1, 1]}}
@@ -560,7 +566,7 @@ def test_zero_probability_herald_exits_numeric_error(tmp_path):
 @pytest.mark.parametrize("kind", ["herald", "fock-herald"])
 def test_herald_mode_out_of_range_exit_code(tmp_path, kind):
     config = {"circuit": fock_ready(tmsv_circuit(), kind),
-              "task": {"kind": kind, "input": [1, 1], "herald_modes": [0],
+              "task": {"kind": kind, **fock_input(kind), "herald_modes": [0],
                        "measurement": [1], "cutoff": 2, "trace_out": [-1]}}
     out = tmp_path / "r.json"
     proc = run_cli(["run", "--config", write_config(tmp_path, config),
@@ -841,7 +847,7 @@ def test_bad_herald_target_is_rejected_before_the_herald(tmp_path, kind,
                                      "transmission": {"haar_seed": 2,
                                                       "efficiency": 0.9}},
                                     kind),
-              "task": {"kind": kind, "input": [1, 1], "herald_modes": [0],
+              "task": {"kind": kind, **fock_input(kind), "herald_modes": [0],
                        "measurement": [1], "cutoff": 4, "target": target}}
     path = write_config(tmp_path, config)
     with mock.patch.object(heralding, "herald_grouped",
@@ -851,3 +857,49 @@ def test_bad_herald_target_is_rejected_before_the_herald(tmp_path, kind,
         assert cli.main(["run", "--config", path]) == code
     assert not grouped.called
     assert not fock.called
+
+
+_SQ = {"modes": 2, "squeezing": [0.6, 0.2]}
+_HAAR = {"haar_seed": 2, "efficiency": 0.8}
+_HERALD = {"kind": "herald", "herald_modes": [0], "measurement": [1],
+           "cutoff": 3}
+
+
+@pytest.mark.parametrize("circuit, task, error", [
+    ({**_SQ, "transmision": _HAAR}, _FINE, "LayoutMismatch"),
+    ({"modes": 1, "husimi_cov": np.eye(2).tolist(), "displacement": [0.5]},
+     {"kind": "fine-prob", "pattern": [1]}, "LayoutMismatch"),
+    ({"modes": 2, "transmision": _HAAR},
+     {"kind": "fock-prob", "input": [1, 1], "blocks": [[0], [1]],
+      "counts": [1, 1]}, "LayoutMismatch"),
+    ({**_SQ, "transmision": _HAAR}, _PP, "LayoutMismatch"),
+    ({**_SQ, "transmission": {"haar_seed": 2, "efficency": 0.5}}, _FINE,
+     "DomainError"),
+    ({**_SQ, "transmission": {**_HAAR, "unitary": np.eye(2).tolist()}},
+     _FINE, "DomainError"),
+    ({**_SQ, "transmission": _HAAR}, {**_HERALD, "trace_ot": [1]},
+     "DomainError"),
+    ({**_SQ, "transmission": _HAAR},
+     {**_HERALD, "measurement": {"blocks": [[0]], "counts": [1],
+                                 "trace_out": [1]}}, "DomainError"),
+    ({**_SQ, "transmission": _HAAR}, {**_HERALD, "target": {"fock": 1,
+                                                              "phase": 0.5}},
+     "DomainError"),
+    ({**_SQ, "transmission": _HAAR}, {**_HERALD, "normalize": "false"},
+     "DomainError"),
+    ({"modes": 2, "internals": 2, "squeezing": [0.6, 0.0, 0.0, 0.2],
+      "transmission": _HAAR},
+     {"kind": "external-prob", "pattern": [1, 1], "distinguishable": 1},
+     "DomainError"),
+], ids=["squeezed-transmision", "husimi-displacement", "fock-transmision",
+        "pp-transmision", "efficency", "haar_seed-and-unitary", "trace_ot",
+        "measurement-key", "target-key", "string-normalize",
+        "number-distinguishable"])
+def test_misspelled_and_conflicting_keys_exit_code(tmp_path, capsys, circuit,
+                                                   task, error):
+    """A key that the source or the task does not read, or a transmission
+    with both a seed and a unitary, is a validation error (exit 2) and
+    writes no output: a misspelled key once ran a different circuit with
+    exit 0, such as a lossless identity for a misspelled transmission."""
+    err = rejected_as(tmp_path, capsys, {"circuit": circuit, "task": task})
+    assert err["error"] == error
