@@ -39,13 +39,11 @@ from .gaussian import (
     from_squeezing,
     impure_source,
     marginal_state,
-    reduce_modes,
     to_adjacency,
 )
 from .hafnian import (
     blocked_lhaf,
     blocked_lhaf_combinatorial,
-    f_n,
     lhaf_oracle,
     lhaf_sieve,
 )

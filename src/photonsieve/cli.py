@@ -221,7 +221,8 @@ def _herald_target(task, spec, nmodes):
 def _herald_result(task, dm, target):
     """The herald's density matrix as nonzero [i, j, re, im] entries, and
     its fidelity to ``target`` when there is one."""
-    if task.get("normalize", True):
+    normalize = task.get("normalize", True)
+    if normalize:
         dm = dm.normalized()
     out = {
         "modes": dm.modes,
@@ -231,7 +232,8 @@ def _herald_result(task, dm, target):
                     for (i, j), v in np.ndenumerate(dm.entries) if v != 0],
     }
     if target is not None:
-        out["fidelity"] = heralding.fidelity(dm.normalized(), target)
+        out["fidelity"] = heralding.fidelity(
+            dm if normalize else dm.normalized(), target)
     return out
 
 

@@ -18,9 +18,9 @@ from .errors import (
     RankViolation,
     TooLarge,
 )
-from .gaussian import marginal_rep, reduce_modes
-# lhaf_sieve and blocked_lhaf are not called here: the benchmark tracer
-# rebinds them here
+from .gaussian import _keep_set, marginal_rep
+# lhaf_sieve, blocked_lhaf, f_n, g_coefficients and f_coefficients are not
+# called here: the benchmark tracer rebinds them here
 from .hafnian import (
     Sieve,
     block_expansion,
@@ -130,12 +130,24 @@ def prob_fine(rep, n):
     return _read_prob(_state_record(rep, None), rep.vacuum_prob, n)
 
 
+def _subset_totals(rep, subset):
+    """Totals over ``subset`` (distinct modes, non-empty; None: every mode)
+    with vacuum elsewhere: a function of nmax giving f_0..f_nmax of the
+    kept per-mode record at one point, z = 1 on the subset and 0 (vacuum)
+    elsewhere, with no fold and no k! scale; and the other modes."""
+    t = rep.layout.total
+    z = np.zeros((1, t), dtype=complex)
+    z[0, _keep_set(range(t) if subset is None else subset, t)] = 1.0
+    model = _state_record(rep, None).model
+    return (lambda nmax: np.concatenate(model(range(nmax + 1), z)),
+            np.flatnonzero(z[0] == 0).tolist())
+
+
 def prob_total(rep, subset, n_total):
     """Probability of n_total photons in the subset and vacuum elsewhere."""
     (n_total,) = require_counts([n_total], "total")
-    sub = reduce_modes(rep, subset)
-    val = rep.vacuum_prob * f_n(sub.a, sub.gamma, n_total)
-    return _real_prob(val)
+    totals, _ = _subset_totals(rep, subset)
+    return _real_prob(rep.vacuum_prob * totals(n_total)[-1])
 
 
 def total_distribution(rep, subset=None, cutoff=None, tail=_DEFAULT_TAIL):
@@ -150,15 +162,11 @@ def total_distribution(rep, subset=None, cutoff=None, tail=_DEFAULT_TAIL):
     above it at a cutoff of 1024 is ``TooLarge``.
     """
     nmax = 16 if cutoff is None else require_counts([cutoff], "cutoff")[0]
-    t = rep.layout.total
-    subset = list(range(t)) if subset is None else list(subset)
-    sub = reduce_modes(rep, subset)
-    rest = [i for i in range(t) if i not in subset]
+    totals, rest = _subset_totals(rep, subset)
     mass = marginal_rep(rep, rest).vacuum_prob.real if rest else 1.0
     while True:
-        g = g_coefficients(sub.a, sub.gamma, nmax=nmax)
-        coeffs = f_coefficients(g)
-        probs = np.array([_real_prob(rep.vacuum_prob * c) for c in coeffs])
+        probs = np.array([_real_prob(rep.vacuum_prob * c)
+                          for c in totals(nmax)])
         deficit = mass - probs.sum()
         if cutoff is not None or deficit < tail:
             break

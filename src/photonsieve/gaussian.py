@@ -258,27 +258,9 @@ def _keep_set(keep, nmodes):
     return keep
 
 
-def reduce_modes(rep, keep):
-    """Submatrix rep on the kept modes; vacuum probability unchanged.
-
-    This is the "vacuum elsewhere" reduction used inside generating-function
-    identities, not a partial trace.
-    """
-    t = rep.layout.total
-    keep = _keep_set(keep, t)
-    idx = keep + [t + i for i in keep]
-    sub = rep.a[np.ix_(idx, idx)]
-    return AdjacencyRep(
-        sub, rep.gamma[idx], rep.vacuum_prob, ModeLayout(len(keep), 1)
-    )
-
-
 def marginal_rep(rep, keep):
-    """Partial trace at the Gaussian level: reduce the covariance, re-derive.
-
-    Unlike ``reduce_modes`` (which asserts vacuum on the excluded modes),
-    this sums over all outcomes of the excluded modes exactly.
-    """
+    """Partial trace at the Gaussian level: reduce the covariance,
+    re-derive; it sums over all outcomes of the excluded modes exactly."""
     t = rep.layout.total
     keep = _keep_set(keep, t)
     cov = np.linalg.inv(np.eye(2 * t) - swap_halves(rep.a))

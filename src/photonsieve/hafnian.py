@@ -12,6 +12,8 @@ probability, Fock output, herald class, moment and cumulant reads its rows
 there.  ``lhaf_sieve`` and ``blocked_lhaf`` read one pattern of a bare
 (A, gamma); ``lhaf_oracle`` (exact enumeration) and
 ``blocked_lhaf_combinatorial`` (the defining sum) are the slow checks.
+``g_coefficients`` and ``f_n``, the series at the all-ones point, remain
+for the tests and the benchmark tracer; no package path calls them.
 """
 
 import cmath

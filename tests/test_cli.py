@@ -208,24 +208,25 @@ def test_fock_prob_task_reads_gram(tmp_path):
                       (1 - 0.45) / 2, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("kind, gram", [
-    ("fock-prob", [[1, 2], [2, 1]]),          # not positive semidefinite
-    ("fock-prob", [[1, 0.5], [0.4, 1]]),      # not Hermitian
-    ("fock-herald", [[1, 0.5], [0.5, 1]]),    # heralds take no Gram matrix
+@pytest.mark.parametrize("kind, gram, error", [
+    # not positive semidefinite
+    ("fock-prob", [[1, 2], [2, 1]], "NotPositiveDefinite"),
+    # not Hermitian
+    ("fock-prob", [[1, 0.5], [0.4, 1]], "NotPositiveDefinite"),
+    # heralds take no Gram matrix
+    ("fock-herald", [[1, 0.5], [0.5, 1]], "DomainError"),
 ])
-def test_bad_gram_exit_code(tmp_path, kind, gram):
+def test_bad_gram_exit_code(tmp_path, capsys, kind, gram, error):
+    """Each variant gives only its own task's keys, so the run reaches the
+    Gram check and fails there."""
+    own = ({"blocks": [[0], [1]], "counts": [1, 1]} if kind == "fock-prob"
+           else {"herald_modes": [0], "measurement": [1], "cutoff": 1})
     config = {
         "circuit": {"modes": 2, "transmission": tmsv_circuit()
                     ["transmission"]["unitary"]},
-        "task": {"kind": kind, "input": [1, 1], "blocks": [[0], [1]],
-                 "counts": [1, 1], "herald_modes": [0], "measurement": [1],
-                 "cutoff": 1, "gram": gram},
+        "task": {"kind": kind, "input": [1, 1], "gram": gram, **own},
     }
-    out = tmp_path / "r.json"
-    proc = run_cli(["run", "--config", write_config(tmp_path, config),
-                    "--output", str(out)])
-    assert proc.returncode == 2
-    assert not out.exists()
+    assert rejected_as(tmp_path, capsys, config)["error"] == error
 
 
 def test_moments_task(tmp_path):

@@ -156,6 +156,18 @@ def test_prob_coarse_fine_sum():
     assert np.isclose(dist.prob_coarse(rep, cp), want, rtol=1e-9)
 
 
+def test_subset_total_is_the_fold_with_a_zero_count_block():
+    """A total over modes 0 and 1 with vacuum on mode 2 is the coarse read
+    of blocks [0, 1] and [2] with counts (n, 0): an independent read of a
+    subset total, through the fold."""
+    rep = lossy_three_mode_rep()
+    for n in range(9):
+        want = dist.prob_coarse(rep, dist.CoarsePattern([[0, 1], [2]],
+                                                        [n, 0]))
+        assert np.isclose(dist.prob_total(rep, [0, 1], n), want,
+                          rtol=1e-12, atol=0)
+
+
 def test_prob_coarse_refinement_of_total():
     rep = lossy_three_mode_rep()
     n = 3
@@ -242,16 +254,24 @@ def test_record_reads_equal_kernel_reads(seed, m, displaced):
 def test_one_model_per_state_and_partition(monkeypatch):
     """All 343 fine patterns up to 6 per mode of one state read one
     prepared model; a state keeps only the partition it read last, so a
-    coarse read, and then the fine partition again, each prepare anew."""
+    coarse read, and then the fine partition again, each prepare anew.
+    Totals read the kept per-mode record and prepare no series."""
     s = gaussian.from_squeezing([0.2, 0.15, 0.1], gaussian.ModeLayout(3))
     s = gaussian.apply_channel(s, 0.9 * haar_unitary(3, 1))
     rep = gaussian.to_adjacency(gaussian.displace(s, [0.1, -0.1j, 0.05]))
-    built = []
+    built, series = [], []
 
     def spy(a, gamma):
         built.append(1)
         return hafnian.gaussian_model(a, gamma)
+
+    prepare = hafnian.gaussian_series
+
+    def series_spy(*args):
+        series.append(1)
+        return prepare(*args)
     monkeypatch.setattr(dist, "gaussian_model", spy)
+    monkeypatch.setattr(hafnian, "gaussian_series", series_spy)
     total = sum(dist.prob_fine(rep, n)
                 for n in itertools.product(range(7), repeat=3))
     assert len(built) == 1
@@ -260,8 +280,11 @@ def test_one_model_per_state_and_partition(monkeypatch):
     assert len(built) == 2
     dist.prob_fine(rep, [1, 1, 1])
     assert len(built) == 3
+    prepared = len(series)
     mass = dist.total_distribution(rep, cutoff=18).probabilities.sum()
     assert 0.99 < total <= mass + 1e-12
+    dist.prob_total(rep, [0, 1, 2], 3)
+    assert len(series) == prepared and len(built) == 3
 
 
 def test_malformed_blocks_are_never_kept(monkeypatch):
@@ -655,12 +678,18 @@ def coupled_internal_state():
      IndexOutOfRange),
     (lambda: dist.total_distribution(gaussian.to_adjacency(tmsv(0.4)),
                                      [0, 0], cutoff=4), IndexOutOfRange),
+    # an empty subset is an error, never the vacuum probability
+    (lambda: dist.prob_total(gaussian.to_adjacency(tmsv(0.4)), [], 0),
+     IndexOutOfRange),
+    (lambda: dist.total_distribution(gaussian.to_adjacency(tmsv(0.4)), [],
+                                     cutoff=4), IndexOutOfRange),
 ], ids=["pattern-length", "pattern-count", "complex-value",
         "coupled-internals", "block-shape", "non-hermitian-block",
         "mgf-length", "mgf-diverges", "cumulant-order", "mgf-nan",
         "pattern-fraction", "fine-fraction", "external-fraction",
         "distinguishable-fraction", "total-fraction", "cutoff-fraction",
-        "order-fraction", "total-repeat", "distribution-repeat"])
+        "order-fraction", "total-repeat", "distribution-repeat",
+        "total-empty", "distribution-empty"])
 def test_validation_errors(call, error):
     with pytest.raises(error):
         call()

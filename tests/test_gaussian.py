@@ -161,17 +161,6 @@ def test_adjacency_inversion_identity():
     assert det.real > 0 and abs(det.imag) < 1e-9 * abs(det)
 
 
-def test_reduce_modes_block_extraction():
-    s = gaussian.from_squeezing([0.5, 0.9], L2)
-    rep = gaussian.to_adjacency(s)
-    sub = gaussian.reduce_modes(rep, [1])
-    single = gaussian.to_adjacency(gaussian.from_squeezing([0.9], L1))
-    assert np.allclose(sub.a, single.a, atol=1e-12)
-    assert np.isclose(sub.vacuum_prob, rep.vacuum_prob)
-    with pytest.raises(IndexOutOfRange):
-        gaussian.reduce_modes(rep, [5])
-
-
 def displaced_lossy_rep():
     s = gaussian.from_squeezing([0.4, 0.3], L2)
     s = gaussian.apply_channel(s, 0.9 * haar_unitary(2, 3))
@@ -270,15 +259,10 @@ def test_length_checks():
     # an indefinite covariance has no vacuum probability, not a complex one
     (lambda: gaussian.adjacency_from_cov(np.diag([1.0, -1.0]), np.zeros(2),
                                          L1), NotPositiveDefinite),
-    (lambda: gaussian.reduce_modes(
-        gaussian.to_adjacency(gaussian.from_squeezing([0.5], L1)), []),
-     IndexOutOfRange),
     (lambda: gaussian.marginal_state(gaussian.from_squeezing([0.5], L1), []),
      IndexOutOfRange),
     (lambda: gaussian.marginal_state(gaussian.from_squeezing([0.5], L1), [1]),
      IndexOutOfRange),
-    (lambda: gaussian.reduce_modes(gaussian.to_adjacency(
-        gaussian.from_squeezing([0.5, 0.3], L2)), [1, 1]), IndexOutOfRange),
     (lambda: gaussian.marginal_state(
         gaussian.from_squeezing([0.5, 0.3], L2), [0, 0]), IndexOutOfRange),
     (lambda: gaussian.impure_source([-0.1, 0.5], 0.9,
@@ -288,9 +272,8 @@ def test_length_checks():
 ], ids=["layout", "layout-string", "internal-index", "state-shape", "not-hermitian",
         "not-positive", "means-halves", "rep-shape", "not-symmetric",
         "thermal-length", "thermal-negative", "singular-covariance",
-        "indefinite-covariance", "reduce-empty", "marginal-empty",
-        "marginal-mode",
-        "reduce-repeat", "marginal-repeat", "impure-negative",
+        "indefinite-covariance", "marginal-empty", "marginal-mode",
+        "marginal-repeat", "impure-negative",
         "impure-length"])
 def test_validation_errors(call, error):
     with pytest.raises(error):
