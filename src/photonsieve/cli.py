@@ -255,8 +255,7 @@ def _run_coarse_prob(circ, task):
 def _run_total_dist(circ, task):
     rep = gaussian.to_adjacency(build_state(circ))
     modes = task.get("modes", list(range(rep.layout.total)))
-    d = dist.total_distribution(rep, modes, task.get("max_total"),
-                                task.get("tail_bound", dist._DEFAULT_TAIL))
+    d = dist.total_distribution(rep, modes, task.get("max_total"))
     return {
         "support": [int(n) for n in d.support],
         "probabilities": d.probabilities.tolist(),
@@ -340,7 +339,7 @@ _HERALD_KEYS = {"herald_modes", "measurement", "cutoff", "trace_out",
 _HANDLERS = {
     "fine-prob": (_run_fine_prob, {"pattern"}),
     "coarse-prob": (_run_coarse_prob, {"blocks", "counts"}),
-    "total-dist": (_run_total_dist, {"modes", "max_total", "tail_bound"}),
+    "total-dist": (_run_total_dist, {"modes", "max_total"}),
     "external-prob": (_run_external_prob, {"pattern", "distinguishable"}),
     "herald": (_run_herald, _HERALD_KEYS),
     "fock-prob": (_run_fock_prob, {"input", "gram", "blocks", "counts"}),

@@ -39,7 +39,7 @@ from .hafnian import (
 )
 from .linalg import require_counts, swap_halves
 
-_DEFAULT_TAIL = 1e-7
+_TAIL = 1e-7   # an automatic cutoff doubles until the deficit is below it
 # the largest support an automatic cutoff extends to
 _AUTO_CUTOFF_CAP = 1024
 # rounding slack allowed outside [0, 1] before a probability is an error
@@ -150,7 +150,7 @@ def prob_total(rep, subset, n_total):
     return _real_prob(rep.vacuum_prob * totals(n_total)[-1])
 
 
-def total_distribution(rep, subset=None, cutoff=None, tail=_DEFAULT_TAIL):
+def total_distribution(rep, subset=None, cutoff=None):
     """Distribution of the total photon number in the subset, with vacuum
     on every other mode.
 
@@ -158,7 +158,7 @@ def total_distribution(rep, subset=None, cutoff=None, tail=_DEFAULT_TAIL):
     ``prob_total``, so the entries sum to the vacuum probability of the
     other modes' marginal (1 when the subset holds every mode); the deficit
     is measured against that sum.  With no explicit cutoff the support is
-    doubled until the deficit drops below ``tail``; a deficit still at or
+    doubled until the deficit drops below 1e-7; a deficit still at or
     above it at a cutoff of 1024 is ``TooLarge``.
     """
     nmax = 16 if cutoff is None else require_counts([cutoff], "cutoff")[0]
@@ -168,12 +168,12 @@ def total_distribution(rep, subset=None, cutoff=None, tail=_DEFAULT_TAIL):
         probs = np.array([_real_prob(rep.vacuum_prob * c)
                           for c in totals(nmax)])
         deficit = mass - probs.sum()
-        if cutoff is not None or deficit < tail:
+        if cutoff is not None or deficit < _TAIL:
             break
         if nmax >= _AUTO_CUTOFF_CAP:
             raise TooLarge(
                 f"the deficit is still {deficit:.3g} at the automatic "
-                f"cutoff cap {_AUTO_CUTOFF_CAP}, above the tail {tail:.3g}; "
+                f"cutoff cap {_AUTO_CUTOFF_CAP}, above the tail {_TAIL:.3g}; "
                 "give an explicit cutoff")
         nmax *= 2
     return Distribution(tuple(range(nmax + 1)), probs, deficit)

@@ -39,8 +39,9 @@ from .distributions import _read_prob
 from .errors import (DomainError, NotPositiveDefinite, PartitionMismatch,
                      TooLarge)
 # blocked_lhaf is not called here: the benchmark tracer rebinds it here
-from .hafnian import (_CHUNK_BYTES, Sieve, blocked_lhaf, compatible_patterns,
-                      factorial_product, partition_expansion)
+from .hafnian import (_CHUNK_BYTES, Sieve, block_expansion, blocked_lhaf,
+                      compatible_patterns, factorial_product,
+                      partition_expansion)
 from .heralding import herald_density, kept_modes
 from .linalg import STRUCTURE_TOL, require_counts, require_subunitary
 
@@ -94,17 +95,22 @@ def _gram(s, m):
     return s
 
 
-def _fock_series(t, gram, w, p):
+def _fock_series(t, gram, p, blocks, pairs=()):
     """The ``Sieve`` of F(x, y) = prod_i ((S o B(y)) x)_i^p_i (module
     docstring) for the occupied input columns ``t`` of T, their block
-    ``gram`` of S, the output terms ``w`` and the input counts ``p``, with
-    the loss term last: a grid row holds x, the y_j, then y_env, on the
-    identity expand with the groups [x] [y, y_env].  Every row read has
-    the x total |p|, and F is its own part of that degree: the model gives
-    f_|p| = F alone, formed chunk by chunk."""
+    ``gram`` of S and the input counts ``p``, with the output terms
+    T^dag E_b T per ``block_expansion``-checked block b of ``blocks``,
+    T^dag e_c e_r^T T per (r, c) of ``pairs``, then the loss term: a grid
+    row holds x, their y, then y_env, on the identity expand with the
+    groups [x] [y, y_env].  Every row read has the x total |p|, and F is
+    its own part of that degree: the model gives f_|p| = F alone, formed
+    chunk by chunk."""
     d = t.shape[1]
-    w = np.concatenate([w, [np.eye(d) - t.conj().T @ t]])
-    w = (w * gram).reshape(len(w), d * d)
+    block_expansion(blocks, len(t))
+    w = [t[list(b)].conj().T @ t[list(b)] for b in blocks]
+    w += [np.outer(t[c].conj(), t[r]) for r, c in pairs]
+    w.append(np.eye(d) - t.conj().T @ t)
+    w = (np.array(w) * gram).reshape(len(w), d * d)
     chunk = max(1, _CHUNK_BYTES // (16 * d * d or 1))
 
     def model(totals, z):
@@ -127,12 +133,10 @@ def _coarse_record(fi, blocks):
     kept = fi._record   # read once: one assignment replaces it whole
     if kept is not None and kept[0] == blocks:
         return kept[1]
-    proj = partition_expansion(blocks, len(fi.p)).real   # E_j by row
+    partition_expansion(blocks, len(fi.p))   # the blocks cover every port
     occ = [i for i, k in enumerate(fi.p) if k]
-    t = fi.t[:, occ]
-    rec = _fock_series(t, fi.gram[np.ix_(occ, occ)],
-                       np.einsum("ai,ja,al->jil", t.conj(), proj, t),
-                       [fi.p[i] for i in occ])
+    rec = _fock_series(fi.t[:, occ], fi.gram[np.ix_(occ, occ)],
+                       [fi.p[i] for i in occ], blocks)
     object.__setattr__(fi, "_record", (blocks, rec))
     return rec
 
@@ -207,7 +211,8 @@ def fock_herald(fi, spec):
     stays on the port; each surplus row of a kept port r pairs with a
     surplus column of a port c.  The Schur complement of K on these rows
     and columns is B(y) of the module docstring, with one y W per herald
-    block of nonzero count, per kept port and per distinct pair (W =
+    block (pinned at zero for a count of zero; an empty block is a
+    ``PartitionMismatch``), per kept port and per distinct pair (W =
     T^dag e_c e_r^T T), read at y_env^e, e = |p| - |h| - |u|, off the
     product form F of that B(y).  Elements that share their pairs form one
     class on one full sieve grid.  Traced ports get zero rows of T, so
@@ -221,12 +226,9 @@ def fock_herald(fi, spec):
     kept = kept_modes(spec, m)
     hblocks, hcounts = spec.measurement
     occ = [i for i in range(m) if fi.p[i]]
-    t, d, p = fi.t[:, occ], len(occ), [fi.p[i] for i in occ]
+    t, p = fi.t[:, occ], [fi.p[i] for i in occ]
     t[list(spec.trace_out)] = 0.0
-    # herald blocks of zero count drop out: their y would be pinned at zero
-    blocks = [b for b, c in zip(hblocks, hcounts) if c] + [(k,) for k in kept]
-    diag = [t[list(b)].conj().T @ t[list(b)] for b in blocks]
-    counts = p + [c for c in hcounts if c]
+    blocks = list(hblocks) + [(k,) for k in kept]
     budget = sum(fi.p) - sum(hcounts)
 
     def embed(u, v):
@@ -239,8 +241,5 @@ def fock_herald(fi, spec):
         return (tuple(pairs), [min(a, b) for a, b in zip(u, v)]
                 + list(pairs.values()) + [lost], math.factorial(lost))
 
-    def build(pairs):
-        w = diag + [np.outer(t[c].conj(), t[r]) for r, c in pairs]
-        return _fock_series(t, 1.0, np.reshape(w, (len(w), d, d)), p)
-
-    return herald_density(len(kept), spec.cutoff, counts, embed, build)
+    return herald_density(len(kept), spec.cutoff, p + list(hcounts), embed,
+                          lambda key: _fock_series(t, 1.0, p, blocks, key))

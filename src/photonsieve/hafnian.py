@@ -26,8 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DomainError, NonFinite, OddDimension, PartitionMismatch,
-                     TooLarge)
+from .errors import NonFinite, OddDimension, PartitionMismatch, TooLarge
 from .linalg import _BOOLS, require_counts, require_finite, swap_halves
 
 _ORACLE_LIMIT = 14
@@ -36,12 +35,14 @@ _ORACLE_LIMIT = 14
 def factorial_product(counts):
     """prod k! over ``counts`` as a float, formed exactly in Python ints:
     a NumPy int64 product wraps once it passes 2**63; beyond the double
-    range it is ``TooLarge``."""
-    try:
-        return float(math.prod(math.factorial(int(k)) for k in counts))
-    except OverflowError:
-        raise TooLarge(f"prod k! of the counts {list(counts)} exceeds the "
-                       "double range") from None
+    range it is ``TooLarge``, checked before any k! > 170! is formed."""
+    if all(k <= 170 for k in counts):   # 171! alone exceeds doubles
+        try:
+            return float(math.prod(math.factorial(int(k)) for k in counts))
+        except OverflowError:
+            pass
+    raise TooLarge(f"prod k! of the counts {list(counts)} exceeds the "
+                   "double range")
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +323,9 @@ def grid_coefficients(sieve, targets, radii=None):
 
     Returns (values, masses) over the rows of ``targets``: value =
     prod k_j! [z^k] f_N, and mass = prod(k_j! / (L_j r_j^k_j)) times
-    sum_m |f_N(z_m)| over the grid (L_e = 1), the absolute fold mass,
-    whose product with the machine epsilon bounds the rounding error.
+    sum_m |f_N(z_m)| over the grid (L_e = 1), the absolute fold mass: its
+    condition estimate, not an error bound, since the model's own rounding
+    is not in it ((160, 0) of a squeezer at r = 0.8 reads 200 eps * mass).
     """
     expand = sieve.expand
     rows = _count_rows(targets, expand.shape[0])
@@ -372,29 +374,21 @@ class _GridPlan(NamedTuple):
 
 def _count_rows(targets, nvar):
     """``targets`` as the key of its plan, a tuple of count tuples of
-    ``nvar`` ints each.  Such a tuple of Python ints, as the package builds
-    it, is kept as it stands; other rows are checked as one array: a row of
-    another length is a ``PartitionMismatch``, a bool or a count that is not
-    a whole number a ``DomainError`` (a negative count is one in
-    ``_grid_plan``)."""
+    ``nvar`` ints each.  Such a tuple of non-negative Python ints, as the
+    package builds it, is kept as it stands; in other rows, a row of
+    another length is a ``PartitionMismatch``, and each row goes through
+    ``require_counts``."""
     if type(targets) is tuple and all(
             type(k) is tuple and len(k) == nvar for k in targets) and all(
-            type(c) is int for c in chain.from_iterable(targets)):
+            type(c) is int and c >= 0 for c in chain.from_iterable(targets)):
         return targets
     try:
-        arr = np.asarray(targets)
-    except ValueError:   # rows of unequal lengths
-        arr = None
-    if arr is None or arr.shape != (0,) and arr.shape[1:] != (nvar,):
+        rows = [tuple(k) for k in targets]
+    except TypeError:   # no rows, or rows that are no sequences
+        rows = None
+    if rows is None or any(len(k) != nvar for k in rows):
         raise PartitionMismatch(f"count rows must hold {nvar} counts each")
-    # NumPy reads a bool among ints as an int: the element types show it
-    if arr.dtype.kind in "iuf" and set(_BOOLS).isdisjoint(
-            map(type, chain.from_iterable(targets))):
-        with np.errstate(invalid="ignore"):   # NaN and inf are no counts
-            counts = arr.astype(int)
-        if np.array_equal(counts, arr):
-            return tuple(map(tuple, counts.reshape(len(arr), nvar).tolist()))
-    raise DomainError("counts must be whole numbers, not bools")
+    return tuple(map(require_counts, rows))
 
 
 def _frozen(arr):
@@ -407,12 +401,11 @@ def _grid_plan(rows, groups, real=False):
     """The ``_GridPlan`` of the count ``rows`` (tuples), the ``groups``
     (tuples or None) and ``real``.  Of the size of the grid it holds only
     a half grid's weighted phases per row; a full grid's rows share their
-    phases through ``_phases``.  A negative count is a ``DomainError``, a
-    prod k! beyond doubles ``TooLarge``: neither is kept, so every call
-    with such rows raises."""
+    phases through ``_phases``.  A prod k! beyond doubles is
+    ``TooLarge``, before any array, and not kept, so every call with such
+    rows raises."""
+    facts = [factorial_product(k) for k in rows]
     targets = np.array(rows, dtype=int)
-    if targets.min(initial=0) < 0:
-        raise DomainError("counts must be non-negative")
     nvar = targets.shape[1]
     kmax = targets.max(axis=0).tolist()
     groups = (range(nvar),) if groups is None else groups
@@ -420,7 +413,7 @@ def _grid_plan(rows, groups, real=False):
               for g in groups if any(kmax[j] for j in g)]
     live = [j for j in range(nvar) if kmax[j] and j not in pinned]
     shape = tuple(kmax[j] + 1 for j in live)
-    scale = [factorial_product(k) / math.prod(shape) for k in rows]
+    scale = [fact / math.prod(shape) for fact in facts]
     totals = targets[:, list(groups[0])].sum(axis=1).tolist()
     distinct = sorted(set(totals))
     phases = [[_phases(size, k) for size, k in zip(shape, counts)]
@@ -488,8 +481,8 @@ _EPS = float(np.finfo(float).eps)
 
 
 def fold_is_sound(value, mass, abs_tol=None):
-    """Whether a fold result clearly exceeds its rounding bound eps * mass,
-    or the bound is below the absolute tolerance ``abs_tol``."""
+    """Whether a fold result clearly exceeds eps * mass, the fold's
+    condition estimate, or that is below the absolute tolerance ``abs_tol``."""
     if not (cmath.isfinite(value) and math.isfinite(mass)):
         return False
     if abs(value) >= _CANCEL_GUARD * mass:
@@ -523,9 +516,9 @@ def sieve_reduce(sieve, targets, abs_tol=None):
     row.
 
     Every row is read off one grid on unit circles.  The absolute fold mass
-    bounds the rounding error of the fold, so it doubles as a condition
-    estimate.  A row that is not sound there (``fold_is_sound`` under its
-    own tolerance) and whose nonzero counts differ is folded again on its
+    is its condition estimate, not an error bound (``grid_coefficients``).
+    A row that is not sound there (``fold_is_sound`` under its own
+    tolerance) and whose nonzero counts differ is folded again on its
     own smallest grid, on circles of radius d**(k_j/k_max) for each further
     dilation d, until it is sound; the fold with the smallest mass wins
     (``_certified``).  Every dilation evaluates the same exact quantity,

@@ -71,7 +71,11 @@ class HeraldSpec:
             blocks, counts = m
         else:
             blocks, counts = [(h,) for h in self.herald_modes], m
-        blocks, counts = tuple(map(tuple, blocks)), require_counts(counts)
+        try:
+            blocks = tuple(map(tuple, blocks))
+        except TypeError:
+            raise PartitionMismatch("blocks must be index lists") from None
+        counts = require_counts(counts)
         if sorted(i for b in blocks for i in b) != sorted(self.herald_modes):
             raise PartitionMismatch("measurement blocks must cover herald modes")
         if len(blocks) != len(counts):
@@ -171,9 +175,11 @@ def _merged_modes(n, m):
 def kept_modes(spec, nmodes):
     """The modes of ``range(nmodes)`` that ``spec`` neither heralds nor
     traces out: the one range check of a herald spec.  The indices of the
-    measurement blocks, which cover the herald modes, stand for them."""
+    measurement blocks, which cover the herald modes, stand for them; an
+    empty block is a ``PartitionMismatch`` (``block_expansion``)."""
     named = [i for b in spec.measurement[0] for i in b] + list(spec.trace_out)
     named = require_modes(named, nmodes)
+    block_expansion(spec.measurement[0], nmodes)
     return [i for i in range(nmodes) if i not in named]
 
 
@@ -224,13 +230,13 @@ def herald_density(nkept, cutoff, counts, embed, build, vacuum=1.0):
                 norm *= hfact * math.sqrt(factorial_product(patterns[i])
                                           * factorial_product(patterns[j]))
                 classes.setdefault(key, []).append(
-                    (i, j, list(counts) + own, norm))
+                    (i, j, (*counts, *own), norm))
         for key, members in classes.items():
             tols = [None if abs_tol is None or vacuum == 0
                     else abs_tol * norm / abs(vacuum)
                     for *_, norm in members]
             values = sieve_reduce(build(key),
-                                  [ks for _, _, ks, _ in members], tols)
+                                  tuple(ks for _, _, ks, _ in members), tols)
             for (i, j, _, norm), value in zip(members, values):
                 val = complex(vacuum * value / norm)
                 if j == i:

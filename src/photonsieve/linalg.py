@@ -32,11 +32,11 @@ def require_subunitary(t):
 
 
 def require_counts(values, what="counts"):
-    """``values`` as a tuple of ints, or a ``DomainError`` for an entry that
-    is negative, a boolean or not a whole number: 2.0 becomes 2, 1.5 and
-    True raise."""
-    values = tuple(values)
+    """``values`` as a tuple of ints, or a ``DomainError`` for a value that
+    is no sequence or an entry that is negative, a boolean or not a whole
+    number: 2.0 becomes 2, 1.5 and True raise."""
     try:
+        values = tuple(values)
         counts = tuple(map(int, values))
         if all(c == v and c >= 0 and not isinstance(v, _BOOLS)
                for c, v in zip(counts, values)):
@@ -44,21 +44,22 @@ def require_counts(values, what="counts"):
     except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError(f"{what} must be non-negative integers, "
-                      f"got {list(values)}")
+                      f"got {values!r}")
 
 
 def require_modes(modes, nmodes):
     """``modes`` as a list of distinct integer indices below ``nmodes``, or
-    an ``IndexOutOfRange``; a boolean is no index."""
-    modes = list(modes)
+    an ``IndexOutOfRange``; a boolean is no index, and a value that is no
+    sequence no mode list."""
     try:
+        modes = list(modes)
         idx = [operator.index(i) for i in modes]
         if (len(set(idx)) == len(idx) and all(0 <= i < nmodes for i in idx)
                 and not any(isinstance(i, _BOOLS) for i in modes)):
             return idx
     except TypeError:
         pass
-    raise IndexOutOfRange(f"modes {modes} must be distinct indices "
+    raise IndexOutOfRange(f"modes {modes!r} must be distinct indices "
                           f"below {nmodes}")
 
 

@@ -890,15 +890,23 @@ _HERALD = {"kind": "herald", "herald_modes": [0], "measurement": [1],
       "transmission": _HAAR},
      {"kind": "external-prob", "pattern": [1, 1], "distinguishable": 1},
      "DomainError"),
+    ({**_SQ, "transmission": _HAAR},
+     {"kind": "total-dist", "tail_bound": 1e-9}, "DomainError"),
+    ({"modes": 3, "transmission": {"haar_seed": 3, "efficiency": 0.9}},
+     {"kind": "fock-herald", "input": [1, 1, 1], "herald_modes": [0],
+      "measurement": {"blocks": [[0], []], "counts": [1, 1]}, "cutoff": 1},
+     "PartitionMismatch"),
 ], ids=["squeezed-transmision", "husimi-displacement", "fock-transmision",
         "pp-transmision", "efficency", "haar_seed-and-unitary", "trace_ot",
         "measurement-key", "target-key", "string-normalize",
-        "number-distinguishable"])
+        "number-distinguishable", "tail_bound", "fock-herald-empty-block"])
 def test_misspelled_and_conflicting_keys_exit_code(tmp_path, capsys, circuit,
                                                    task, error):
-    """A key that the source or the task does not read, or a transmission
-    with both a seed and a unitary, is a validation error (exit 2) and
-    writes no output: a misspelled key once ran a different circuit with
-    exit 0, such as a lossless identity for a misspelled transmission."""
+    """A key that the source or the task does not read, a transmission
+    with both a seed and a unitary, or an empty herald block is a
+    validation error (exit 2) and writes no output: a misspelled key once
+    ran a different circuit with exit 0, such as a lossless identity for a
+    misspelled transmission, and an empty Fock herald block a "state" with
+    a negative diagonal."""
     err = rejected_as(tmp_path, capsys, {"circuit": circuit, "task": task})
     assert err["error"] == error

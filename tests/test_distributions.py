@@ -202,6 +202,19 @@ def test_counts_beyond_the_double_range_are_too_large():
     assert not seen
 
 
+@pytest.mark.parametrize("counts", [[10 ** 12, 0], [2 ** 63, 0]])
+def test_huge_counts_are_too_large_before_any_factorial(counts):
+    """A count past 170 is ``TooLarge`` at once, as a pattern and as a
+    count row: 10**12! is never formed, and 2**63, which no int64 holds,
+    never reaches an array."""
+    rep = gaussian.to_adjacency(gaussian.from_squeezing([0.3, 0.2], L2))
+    with pytest.raises(TooLarge):
+        dist.prob_fine(rep, counts)
+    sieve = hafnian.Sieve(hafnian.gaussian_model(rep.a, rep.gamma), np.eye(2))
+    with pytest.raises(TooLarge):
+        hafnian.grid_coefficients(sieve, [counts])
+
+
 # -- the prepared record of a state ---------------------------------------------
 
 def kernel_prob(rep, blocks, counts):

@@ -967,14 +967,18 @@ def test_malformed_count_rows_raise_on_cold_and_warm_plans():
              ([[1.7, 0.2]], DomainError, [(1, 0)]),
              ([[True, 1]], DomainError, [(1, 1)]),
              (((1.7, 0.2),), DomainError, ((1, 0),)),
-             (((True, 1),), DomainError, ((1, 1),))]
+             (((True, 1),), DomainError, ((1, 1),)),
+             ([[np.nan, 1]], DomainError, [(0, 1)]),
+             ([[np.inf, 0]], DomainError, [(1, 0)]),
+             ([["1", 1]], DomainError, [(1, 1)])]
     for read in (hafnian.grid_coefficients, hafnian.sieve_reduce):
         for rows, error, read_as in cases:
+            match = "non-negative integers" if error is DomainError else None
             clear_plan_caches()
-            with pytest.raises(error):
+            with pytest.raises(error, match=match):
                 read(sieve, rows)
             read(sieve, read_as)
-            with pytest.raises(error):
+            with pytest.raises(error, match=match):
                 read(sieve, rows)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonsieve import distributions as dist
-from photonsieve import gaussian, hafnian, heralding
+from photonsieve import fock_channel, gaussian, hafnian, heralding
 from photonsieve.cli import haar_unitary
 from photonsieve.errors import (
     DomainError,
@@ -303,6 +303,11 @@ def test_fidelity():
         heralding.fidelity(dm, [np.nan, 0, 0, 0])
 
 
+_REP3 = gaussian.to_adjacency(gaussian.from_squeezing(
+    [0.5, 0.3, 0.2], gaussian.ModeLayout(3)))
+_FOCK3 = fock_channel.FockInput((1, 1, 1), np.sqrt(0.9) * haar_unitary(3, 3))
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: heralding.HeraldSpec([0], [1], cutoff=1, trace_out=[0]),
      PartitionMismatch),
@@ -316,9 +321,24 @@ def test_fidelity():
     (lambda: heralding.kept_modes(
         heralding.HeraldSpec([0], ([[0.0]], [1]), cutoff=1), 2),
      IndexOutOfRange),
+    (lambda: heralding.herald_grouped(_REP3, heralding.HeraldSpec(
+        [0], ([(0,), ()], (1, 1)), cutoff=1)), PartitionMismatch),
+    (lambda: heralding.herald_grouped(_REP3, heralding.HeraldSpec(
+        [0], ([(0,), ()], (1, 0)), cutoff=1)), PartitionMismatch),
+    (lambda: fock_channel.fock_herald(_FOCK3, heralding.HeraldSpec(
+        [0], ([(0,), ()], (1, 1)), cutoff=1)), PartitionMismatch),
+    (lambda: fock_channel.fock_herald(_FOCK3, heralding.HeraldSpec(
+        [0], ([(0,), ()], (1, 0)), cutoff=1)), PartitionMismatch),
+    (lambda: fock_channel.fock_herald(fock_channel.FockInput(
+        (1, 0, 0), np.eye(3)), heralding.HeraldSpec(
+        [0], ([(0,), ()], (1, 1)), cutoff=1)), PartitionMismatch),
+    (lambda: heralding.HeraldSpec([0, 1], [[0, 1], [2]], 3),
+     PartitionMismatch),
 ], ids=["herald-traced-overlap", "entries-shape",
         "trace-mode", "trace-repeat", "herald-fraction", "cutoff-fraction",
-        "block-index-type"])
+        "block-index-type", "grouped-empty-block", "grouped-empty-block-0",
+        "fock-empty-block", "fock-empty-block-0",
+        "fock-empty-block-no-element", "blocks-no-sequences"])
 def test_validation_errors(call, error):
     with pytest.raises(error):
         call()
