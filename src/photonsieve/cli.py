@@ -63,16 +63,6 @@ def _vector(vals):
     return np.array([_complex(v) for v in vals])
 
 
-def _json_default(v):
-    """Encode what the JSON encoder does not know: complex numbers as
-    [re, im] pairs, NumPy arrays and scalars as their Python values."""
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, (np.ndarray, np.generic)):
-        return v.tolist()
-    raise TypeError(f"{type(v).__name__} is not JSON serializable")
-
-
 def haar_unitary(n, seed):
     """Seeded Haar-random unitary via the QR decomposition with phase fix.
 
@@ -373,13 +363,15 @@ def _check_task(task, keys):
 # ---------------------------------------------------------------------------
 
 def _write_output(payload, path):
+    """Write ``payload`` as JSON, or its distribution as CSV to a ``.csv``
+    path (only a total-dist result has one; ``main`` rejects the rest)."""
     result = payload["result"]
     try:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False, default=_json_default) + "\n"
+                          allow_nan=False) + "\n"
     except ValueError as exc:
         raise NonFinite(f"result is not finite: {exc}") from exc
-    if path and path.endswith(".csv") and "support" in result:
+    if path and path.endswith(".csv"):
         lines = ["N,probability"]
         for n, p in zip(result["support"], result["probabilities"]):
             lines.append(f"{n},{p!r}")
@@ -433,6 +425,9 @@ def main(argv=None):
         if not isinstance(config, dict) or "task" not in config:
             raise DomainError("config must be an object with a task section")
         task = dict(config["task"])
+        if args.output and args.output.endswith(".csv") \
+                and task.get("kind") != "total-dist":
+            raise DomainError("CSV output is for total-dist only")
         if args.seed is not None:
             task["seed"] = args.seed
         result = run({**config, "task": task})

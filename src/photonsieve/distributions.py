@@ -294,13 +294,19 @@ def _moment_record(state, blocks, model):
     return Sieve(model(series), block_expansion(blocks, nm), real=True)
 
 
+def _multilinear(state, blocks, model):
+    """The multilinear coefficient of ``model``'s function, one sieve
+    variable per block, read by ``sieve_reduce``."""
+    sieve = _moment_record(state, blocks, model)
+    return _real(sieve_reduce(sieve, ((1,) * len(sieve.expand),))[0])
+
+
 def coarse_moment(state, blocks):
     """Expectation of the product of block photon totals, one per block.
 
     It is the multilinear coefficient of f_p, p = len(blocks), in one sieve
     variable per block, read by ``sieve_reduce``."""
-    sieve = _moment_record(state, blocks, from_log_series)
-    return _real(sieve_reduce(sieve, ((1,) * len(sieve.expand),))[0])
+    return _multilinear(state, blocks, from_log_series)
 
 
 def coarse_cumulant(state, blocks):
@@ -308,8 +314,7 @@ def coarse_cumulant(state, blocks):
 
     It is the multilinear coefficient of g_p, p = len(blocks), in one sieve
     variable per block, read by ``sieve_reduce``."""
-    sieve = _moment_record(state, blocks, log_series_model)
-    return _real(sieve_reduce(sieve, ((1,) * len(sieve.expand),))[0])
+    return _multilinear(state, blocks, log_series_model)
 
 
 def _stirling2(p):

@@ -585,7 +585,10 @@ def block_expansion(blocks, nmodes):
 
 def partition_expansion(blocks, nmodes):
     """``block_expansion`` of blocks that must also cover every mode."""
-    return _partition_expansion(_block_key(blocks), nmodes)
+    expand = block_expansion(blocks, nmodes)
+    if not expand.any(axis=0).all():
+        raise PartitionMismatch("partition does not cover all modes")
+    return expand
 
 
 def _block_key(blocks):
@@ -614,14 +617,6 @@ def _block_expansion(blocks, nmodes):
                 raise PartitionMismatch(f"index {i} appears in two blocks")
             expand[row, i] = 1.0
     return _frozen(expand)
-
-
-@lru_cache(maxsize=256)
-def _partition_expansion(blocks, nmodes):
-    expand = _block_expansion(blocks, nmodes)
-    if not expand.any(axis=0).all():
-        raise PartitionMismatch("partition does not cover all modes")
-    return expand
 
 
 def blocked_lhaf_combinatorial(a, gamma, blocks, b, use_oracle=False):

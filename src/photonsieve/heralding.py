@@ -232,8 +232,7 @@ def herald_density(nkept, cutoff, counts, embed, build, vacuum=1.0):
                 classes.setdefault(key, []).append(
                     (i, j, (*counts, *own), norm))
         for key, members in classes.items():
-            tols = [None if abs_tol is None or vacuum == 0
-                    else abs_tol * norm / abs(vacuum)
+            tols = [None if abs_tol is None else abs_tol * norm / abs(vacuum)
                     for *_, norm in members]
             values = sieve_reduce(build(key),
                                   tuple(ks for _, _, ks, _ in members), tols)
@@ -265,8 +264,7 @@ def herald_grouped(rep, spec):
     """
     sub, blocks, counts, kept = _herald_parts(rep, spec)
     nmodes = sub.layout.total
-    herald = [tuple(b) for b in blocks]
-    in_herald = {i for b in herald for i in b}
+    in_herald = {i for b in blocks for i in b}
     zero_loops = not np.any(sub.gamma)
 
     def embed(u, v):
@@ -282,7 +280,7 @@ def herald_grouped(rep, spec):
         mprime = len(tags) // 2
         singles = [(k,) for k in range(mprime) if k not in in_herald]
         return Sieve(gaussian_model(*_embedded_matrix(sub.a, sub.gamma, tags)),
-                     block_expansion(herald + singles, mprime),
+                     block_expansion(blocks + singles, mprime),
                      real=mprime == nmodes)
 
     return herald_density(len(kept), spec.cutoff, counts, embed, build,

@@ -25,9 +25,10 @@ def require_finite(arr, what="array"):
 
 def require_subunitary(t):
     """Raise unless ``t`` is finite and no singular value of it exceeds 1
-    (+1e-10): the one check of every transmission matrix."""
+    (+1e-10): the one check of every transmission matrix.  A matrix with
+    no singular value (a zero-size side) is subunitary."""
     require_finite(t, "transmission")
-    if np.max(np.linalg.svd(t, compute_uv=False)) > 1 + 1e-10:
+    if np.max(np.linalg.svd(t, compute_uv=False), initial=0.0) > 1 + 1e-10:
         raise NotSubunitary("transmission has a singular value above 1")
 
 

@@ -83,6 +83,14 @@ def test_total_dist_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "N,probability"
     assert np.isclose(float(lines[1].split(",")[1]), 1 / math.cosh(0.5))
+    # only a total-dist result is a distribution: any other task with a
+    # .csv output is rejected before it runs, and writes no file
+    config["task"] = {"kind": "fine-prob", "pattern": [1]}
+    out = tmp_path / "fine.csv"
+    with mock.patch.object(cli, "run") as run:
+        assert cli.main(["run", "--config", write_config(tmp_path, config),
+                         "--output", str(out)]) == 2
+    assert not run.called and not out.exists()
 
 
 def fock_ready(circuit, kind):
@@ -174,6 +182,25 @@ def test_herald_output_is_compact_json(tmp_path):
         assert isinstance(re, float) and isinstance(im, float)
 
 
+def test_herald_task_unnormalized_vector_target(tmp_path):
+    """A vector target is normalized before the fidelity is read."""
+    circuit = {"modes": 2, "squeezing": [0.8, 0.0],
+               "transmission": {"haar_seed": 2, "efficiency": 0.9}}
+    v = np.array([1.0, 0.0, 2.0, 0.0, 0.0])
+    config = {"circuit": circuit,
+              "task": {"kind": "herald", "herald_modes": [0],
+                       "measurement": [1], "cutoff": 4,
+                       "target": v.tolist()}}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--config", write_config(tmp_path, config),
+                     "--output", str(out)]) == 0
+    dm = heralding.herald_grouped(
+        gaussian.to_adjacency(cli.build_state(circuit)),
+        heralding.HeraldSpec([0], [1], 4))
+    assert json.loads(out.read_text())["result"]["fidelity"] == \
+        heralding.fidelity(dm.normalized(), v / np.linalg.norm(v))
+
+
 def test_fock_prob_task(tmp_path):
     config = {
         "circuit": {"modes": 2,
@@ -238,6 +265,19 @@ def test_moments_task(tmp_path):
                       math.sinh(0.8) ** 2, atol=1e-9)
 
 
+def test_moments_task_cumulant(tmp_path):
+    circuit = {"modes": 2, "squeezing": [0.8, 0.4],
+               "transmission": {"haar_seed": 4, "efficiency": 0.9}}
+    config = {"circuit": circuit,
+              "task": {"kind": "moments", "blocks": [[0], [1]],
+                       "statistic": "cumulant"}}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--config", write_config(tmp_path, config),
+                     "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["value"] == \
+        dist.coarse_cumulant(cli.build_state(circuit), [[0], [1]])
+
+
 def test_pp_estimate_deterministic(tmp_path):
     config = {
         "circuit": {"modes": 2, "squeezing": [0.4, 0.4],
@@ -298,6 +338,20 @@ def test_unknown_kind_and_missing_field(tmp_path, capsys):
                           "transmission": np.eye(3).tolist()},
               "task": fine}, "LayoutMismatch")):
         assert rejected_as(tmp_path, capsys, config)["error"] == error
+
+
+@pytest.mark.parametrize("circuit, task", [
+    ({"modes": 1, "squeezing": [0.3]}, {"kind": "fine-prob"}),
+    ({"modes": 1, "squeezing": 0.3}, {"kind": "fine-prob", "pattern": [1]}),
+], ids=["no-pattern", "number-squeezing"])
+def test_missing_or_unreadable_key_is_a_bad_config(tmp_path, capsys,
+                                                   circuit, task):
+    """A missing task key, or a circuit value of the wrong JSON type that
+    no check of its own names, is a ``DomainError`` (exit 2), never a
+    traceback."""
+    err = rejected_as(tmp_path, capsys, {"circuit": circuit, "task": task})
+    assert err["error"] == "DomainError"
+    assert err["message"].startswith("bad config")
 
 
 @pytest.mark.parametrize("circuit, task", [
@@ -435,6 +489,40 @@ def test_build_state_is_the_public_composition(data):
     built = cli.build_state(circ)
     assert built.husimi_cov.tobytes() == state.husimi_cov.tobytes()
     assert built.means.tobytes() == state.means.tobytes()
+
+
+@pytest.mark.parametrize("means, channel", [
+    (False, False), (True, False), (True, True),
+], ids=["alone", "means", "channel-displaced"])
+def test_husimi_cov_circuit_is_the_library_state(tmp_path, means, channel):
+    """A ``husimi_cov`` circuit builds, bit for bit, the ``GaussianState``
+    of that covariance (and means), through ``apply_channel`` and
+    ``displace`` when it has a transmission and displacements; ``fine-prob``
+    on it is ``prob_fine`` of that state."""
+    layout = gaussian.ModeLayout(2)
+    source = gaussian.from_squeezing([0.5, 0.3 + 0.2j], layout)
+    mu = np.array([0.2 + 0.1j, -0.3j])
+    circ = {"modes": 2, "husimi_cov": literal(source.husimi_cov)}
+    z = np.concatenate([mu, mu.conj()]) if means else np.zeros(4)
+    if means:
+        circ["means"] = literal([z])[0]
+    state = gaussian.GaussianState(source.husimi_cov, z, layout)
+    if channel:
+        t = np.sqrt(0.8) * cli.haar_unitary(2, 6)
+        alphas = np.array([0.4, -0.1 + 0.3j])
+        circ.update(transmission=literal(t),
+                    displacements=literal([alphas])[0])
+        state = gaussian.displace(gaussian.apply_channel(state, t), alphas)
+    built = cli.build_state(circ)
+    assert built.husimi_cov.tobytes() == state.husimi_cov.tobytes()
+    assert built.means.tobytes() == state.means.tobytes()
+    config = {"circuit": circ,
+              "task": {"kind": "fine-prob", "pattern": [1, 2]}}
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--config", write_config(tmp_path, config),
+                     "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["probability"] == \
+        dist.prob_fine(gaussian.to_adjacency(state), [1, 2])
 
 
 @pytest.mark.parametrize("total_sized", [False, True])

@@ -123,6 +123,9 @@ def test_input_validation():
         fc.FockInput((-1, 0), np.eye(2))
     with pytest.raises(DomainError):
         fc.FockInput((1.5, 0), np.eye(2))
+    # no port: an empty transmission is subunitary, and the output vacuum
+    assert fc.fock_coarse_prob(fc.FockInput((), np.zeros((0, 0))),
+                               CoarsePattern([], [])) == 1.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

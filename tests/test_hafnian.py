@@ -573,8 +573,7 @@ def test_real_grids_evaluate_one_point_per_conjugate_pair():
 
 def clear_plan_caches():
     for cache in (hafnian._grid_plan, hafnian._unit_grid, hafnian._phases,
-                  hafnian._conj_pairs, hafnian._block_expansion,
-                  hafnian._partition_expansion):
+                  hafnian._conj_pairs, hafnian._block_expansion):
         cache.cache_clear()
 
 

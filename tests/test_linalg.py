@@ -20,6 +20,9 @@ def test_require_subunitary_threshold():
     linalg.require_subunitary((1 + 5e-11) * q)
     with pytest.raises(NotSubunitary, match="singular value above 1"):
         linalg.require_subunitary((1 + 1e-9) * q)
+    # a matrix with no singular value is subunitary
+    for empty in (np.zeros((2, 0)), np.zeros((0, 1)), np.zeros((0, 0))):
+        linalg.require_subunitary(empty)
 
 
 def test_require_counts_takes_whole_numbers_only():

@@ -94,6 +94,11 @@ def test_validation():
         phasespace.PPRun((0.5,), np.eye(1), 10, 0, (1.5,))
     with pytest.raises(DomainError):
         phasespace.PPRun((0.5,), np.eye(1), 10.5, 0, (0,))
+    # an empty transmission is subunitary: no light reaches a detector
+    for xi, t in (((), np.zeros((2, 0))), ((0.3,), np.zeros((0, 1)))):
+        est, err = phasespace.pp_estimate(
+            phasespace.PPRun(xi, t, 100, 1, (0, 1)))
+        assert est.tolist() == [1.0, 0.0] and err.tolist() == [0.0, 0.0]
 
 
 def test_vacuum_is_exact():
