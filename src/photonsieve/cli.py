@@ -178,48 +178,46 @@ def build_state(circ):
     return gaussian.GaussianState(cov, means, layout)
 
 
-def _herald_spec(task):
+def _herald(task, herald, source, nmodes):
+    """The result of a herald task on ``source`` of ``nmodes`` modes,
+    ``herald(source, spec)``: its density matrix as nonzero [i, j, re, im]
+    entries, and its fidelity to the normalized target when there is one.
+    The target is checked before the herald runs, against the kept modes
+    of the spec (``heralding.kept_modes``, which also rejects a herald too
+    large to build)."""
     m = task["measurement"]
-    return HeraldSpec(task["herald_modes"],
+    spec = HeraldSpec(task["herald_modes"],
                       (m["blocks"], m["counts"]) if isinstance(m, dict) else m,
                       task["cutoff"], task.get("trace_out", ()))
-
-
-def _herald_target(task, spec, nmodes):
-    """The normalized fidelity target of a herald task, or None; checked
-    before the herald runs, against the kept modes of ``spec``."""
     target = task.get("target")
-    if target is None:
-        return None
-    shape = (spec.cutoff + 1,) * len(heralding.kept_modes(spec, nmodes))
-    if isinstance(target, dict):
-        (n,) = require_counts([target["fock"]], "Fock index")
-        if n > spec.cutoff:
-            raise IndexOutOfRange(f"Fock index {n} beyond cutoff")
-        vec = np.zeros(shape)
-        vec[(n,) * len(shape)] = 1.0
-        return vec.reshape(-1)
-    vec = require_finite(_vector(target), "target state")
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise NotNormalized("target state has zero norm")
-    if vec.size != np.prod(shape, dtype=int):
-        raise LengthMismatch("target length must match the dm dimension")
-    return vec / norm
-
-
-def _herald_result(task, dm, target):
-    """The herald's density matrix as nonzero [i, j, re, im] entries, and
-    its fidelity to ``target`` when there is one."""
+    if target is not None:
+        shape = (spec.cutoff + 1,) * len(heralding.kept_modes(spec, nmodes))
+        if isinstance(target, dict):
+            (n,) = require_counts([target["fock"]], "Fock index")
+            if n > spec.cutoff:
+                raise IndexOutOfRange(f"Fock index {n} beyond cutoff")
+            target = np.zeros(shape)
+            target[(n,) * len(shape)] = 1.0
+        else:
+            vec = require_finite(_vector(target), "target state")
+            norm = np.linalg.norm(vec)
+            if norm == 0:
+                raise NotNormalized("target state has zero norm")
+            if vec.size != np.prod(shape, dtype=int):
+                raise LengthMismatch("target length must match the dm "
+                                     "dimension")
+            target = vec / norm
+    dm = herald(source, spec)
     normalize = task.get("normalize", True)
     if normalize:
         dm = dm.normalized()
+    rows, cols = np.nonzero(dm.entries)
     out = {
         "modes": dm.modes,
         "cutoff": dm.cutoff,
         "trace": [dm.trace.real, dm.trace.imag],
-        "entries": [[i, j, v.real, v.imag]
-                    for (i, j), v in np.ndenumerate(dm.entries) if v != 0],
+        "entries": [[i, j, v.real, v.imag] for i, j, v in zip(
+            rows.tolist(), cols.tolist(), dm.entries[rows, cols].tolist())],
     }
     if target is not None:
         out["fidelity"] = heralding.fidelity(
@@ -264,9 +262,7 @@ def _run_external_prob(circ, task):
 
 def _run_herald(circ, task):
     rep = gaussian.to_adjacency(build_state(circ))
-    spec = _herald_spec(task)
-    target = _herald_target(task, spec, rep.layout.total)
-    return _herald_result(task, heralding.herald_grouped(rep, spec), target)
+    return _herald(task, heralding.herald_grouped, rep, rep.layout.total)
 
 
 def _fock_input(circ, task):
@@ -285,9 +281,7 @@ def _run_fock_prob(circ, task):
 
 def _run_fock_herald(circ, task):
     fi = _fock_input(circ, task)
-    spec = _herald_spec(task)
-    target = _herald_target(task, spec, len(fi.p))
-    return _herald_result(task, fock_channel.fock_herald(fi, spec), target)
+    return _herald(task, fock_channel.fock_herald, fi, len(fi.p))
 
 
 def _run_moments(circ, task):

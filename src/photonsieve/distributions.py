@@ -37,7 +37,7 @@ from .hafnian import (
     partition_expansion,
     sieve_reduce,
 )
-from .linalg import require_counts, swap_halves
+from .linalg import STRUCTURE_TOL, require_counts, swap_halves
 
 _TAIL = 1e-7   # an automatic cutoff doubles until the deficit is below it
 # the largest support an automatic cutoff extends to
@@ -221,7 +221,7 @@ def extract_distinguishable_blocks(rep):
     # entries between distinct internal modes must vanish
     coupling = np.abs(xa)
     coupling[::k + 1] = 0.0
-    if coupling.max() > 1e-10:
+    if coupling.max() > STRUCTURE_TOL:
         raise LayoutMismatch("internal modes are coupled; blocks do not split")
     return list(xa[::k + 1].reshape(k, 2 * m, 2 * m))
 
@@ -246,7 +246,7 @@ def prob_external_distinguishable(blocks, n):
         raise LayoutMismatch("each block must be 2M x 2M")
     b = np.array(blocks, dtype=complex).reshape(-1, 2 * m, 2 * m)
     bt = b.transpose(0, 2, 1)
-    if np.max(np.abs(b - bt.conj()), initial=0.0) > 1e-10:
+    if np.max(np.abs(b - bt.conj()), initial=0.0) > STRUCTURE_TOL:
         raise RankViolation("blocks must be Hermitian")
     # B is Hermitian: its singular values are the |eigenvalues|, and
     # det(I - B) = prod(1 - eigenvalue)

@@ -250,8 +250,6 @@ def gaussian_model(a, gamma=None):
 
 def f_n(a, gamma=None, n=0):
     """N-th Taylor coefficient of the generating function q."""
-    if n == 0:
-        return 1.0 + 0.0j
     return f_coefficients(g_coefficients(a, gamma, nmax=n))[-1]
 
 

@@ -174,13 +174,19 @@ def _merged_modes(n, m):
 
 def kept_modes(spec, nmodes):
     """The modes of ``range(nmodes)`` that ``spec`` neither heralds nor
-    traces out: the one range check of a herald spec.  The indices of the
+    traces out: the one check of a herald spec against its source, run
+    before anything sized by the herald is built.  The indices of the
     measurement blocks, which cover the herald modes, stand for them; an
-    empty block is a ``PartitionMismatch`` (``block_expansion``)."""
+    empty block is a ``PartitionMismatch`` (``block_expansion``), and a
+    dimension (cutoff + 1)^kept above 4096 is ``TooLarge``."""
     named = [i for b in spec.measurement[0] for i in b] + list(spec.trace_out)
     named = require_modes(named, nmodes)
     block_expansion(spec.measurement[0], nmodes)
-    return [i for i in range(nmodes) if i not in named]
+    kept = [i for i in range(nmodes) if i not in named]
+    dim = (spec.cutoff + 1) ** len(kept)
+    if dim > _HERALD_DIM_LIMIT:
+        raise TooLarge(f"herald dimension {dim} exceeds {_HERALD_DIM_LIMIT}")
+    return kept
 
 
 def _herald_parts(rep, spec):
@@ -189,6 +195,9 @@ def _herald_parts(rep, spec):
     t = rep.layout.total
     blocks, counts = spec.measurement
     kept = kept_modes(spec, t)
+    if kept and spec.cutoff > 170:   # sqrt(171!) is past the double range
+        raise TooLarge(f"a Gaussian herald's cutoff {spec.cutoff} exceeds "
+                       "170")
     survivors = [i for i in range(t) if i not in spec.trace_out]
     renum = {old: new for new, old in enumerate(survivors)}
     sub = marginal_rep(rep, survivors) if len(survivors) < t else rep
@@ -211,13 +220,10 @@ def herald_density(nkept, cutoff, counts, embed, build, vacuum=1.0):
     sieve value over prod(counts!) sqrt(u! v!) and its norm factor (the
     e! of e lost photons for a Fock input, 1 for a Gaussian state).  The
     diagonal comes first: the trace sets the scale of the state, and
-    off-diagonal elements only need absolute accuracy 1e-9 * trace.  A
-    dimension above 4096 is ``TooLarge``.
+    off-diagonal elements only need absolute accuracy 1e-9 * trace.
     """
-    dim = (cutoff + 1) ** nkept
-    if dim > _HERALD_DIM_LIMIT:
-        raise TooLarge(f"herald dimension {dim} exceeds {_HERALD_DIM_LIMIT}")
     patterns = list(product(range(cutoff + 1), repeat=nkept))
+    dim = len(patterns)
     entries = np.zeros((dim, dim), dtype=complex)
     hfact = factorial_product(counts)
 

@@ -28,7 +28,7 @@ def require_subunitary(t):
     (+1e-10): the one check of every transmission matrix.  A matrix with
     no singular value (a zero-size side) is subunitary."""
     require_finite(t, "transmission")
-    if np.max(np.linalg.svd(t, compute_uv=False), initial=0.0) > 1 + 1e-10:
+    if np.linalg.svd(t, compute_uv=False).max(initial=0.0) > 1 + STRUCTURE_TOL:
         raise NotSubunitary("transmission has a singular value above 1")
 
 

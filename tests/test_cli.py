@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -687,11 +688,20 @@ def test_block_entries_that_are_no_indices_exit_code(tmp_path, capsys, task):
 
 def test_herald_too_large_to_allocate_exit_code(tmp_path, capsys):
     """A herald whose density matrix could not be allocated exits 2 with
-    ``TooLarge``."""
+    ``TooLarge``; with a target too, before the target vector is built,
+    which once took 72.8 MB at cutoff 3000 before the size check."""
     config = {"circuit": {"modes": 3, "squeezing": [0.3, 0.2, 0.1]},
               "task": {"kind": "herald", "herald_modes": [0],
                        "measurement": [1], "cutoff": 1000}}
     assert rejected_as(tmp_path, capsys, config)["error"] == "TooLarge"
+    config["task"].update(cutoff=3000, target={"fock": 1})
+    tracemalloc.start()
+    try:
+        assert rejected_as(tmp_path, capsys, config)["error"] == "TooLarge"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_cumulant_order_beyond_doubles_exit_code(tmp_path, capsys):

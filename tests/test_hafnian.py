@@ -1017,6 +1017,13 @@ def test_blocked_single_block_total():
     )
 
 
+def test_f_n_of_order_zero_is_one():
+    rng = np.random.default_rng(21)
+    a = rand_symmetric(rng, 6)
+    assert hafnian.f_n(a, rand_gamma(rng, 6), 0) == 1
+    assert hafnian.f_n(a, None, 0) == 1
+
+
 def test_blocked_vs_combinatorial_small():
     rng = np.random.default_rng(22)
     a = rand_symmetric(rng, 6)

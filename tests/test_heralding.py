@@ -464,7 +464,11 @@ def test_herald_mode_out_of_range_raises(herald, trace_out):
 def test_herald_dimension_is_bounded():
     """A herald whose density matrix could not be allocated, 1001^2 rows
     for two kept modes at cutoff 1000, is ``TooLarge`` before any pattern
-    is built; so is one row past 4096 on one kept mode."""
+    is built; so is one row past 4096 on one kept mode, and a Gaussian
+    herald with a kept mode past Fock index 170, whose sqrt(171!) is past
+    doubles.  A Fock herald at cutoff 200, whose elements past the photon
+    budget are exact zeros, and a Gaussian herald with no kept mode at
+    cutoff 500 still return their states."""
     rep = gaussian.to_adjacency(gaussian.from_squeezing(
         [0.3, 0.2, 0.1], gaussian.ModeLayout(3)))
     with mock.patch.object(heralding, "product",
@@ -474,6 +478,17 @@ def test_herald_dimension_is_bounded():
                                           trace_out=[2])):
             with pytest.raises(TooLarge):
                 heralding.herald_grouped(rep, spec)
+        with pytest.raises(TooLarge, match="cutoff 171"):
+            heralding.herald_grouped(rep, heralding.HeraldSpec(
+                [0], [1], cutoff=171, trace_out=[2]))
+    fi = fock_channel.FockInput((1, 1, 0), 0.9 * haar_unitary(3, 7))
+    dm = fock_channel.fock_herald(fi, heralding.HeraldSpec([0, 1], [1, 0],
+                                                           cutoff=200))
+    assert dm.entries.shape == (201, 201)
+    assert dm.trace.real > 0 and not dm.entries[2:].any()
+    dm = heralding.herald_grouped(rep, heralding.HeraldSpec(
+        [0], [2], cutoff=500, trace_out=[1, 2]))
+    assert dm.entries.shape == (1, 1) and dm.trace.real > 0
 
 
 def test_herald_spec_normalizes_measurement():
