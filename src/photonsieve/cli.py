@@ -26,7 +26,8 @@ from .errors import (
     ValidationFailure,
 )
 from .heralding import HeraldSpec
-from .linalg import require_counts, require_finite, require_subunitary
+from .linalg import (require_counts, require_finite, require_length,
+                     require_subunitary)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +131,17 @@ def _circuit(circ, source):
     return layout, t
 
 
+def _squeezing(circ, layout):
+    """The squeeze parameters of a squeezed-source circuit, one per mode of
+    ``layout``: the dominant and parasite pairs of a ``spectral_purity``
+    source, or the ``squeezing`` list as given."""
+    if "spectral_purity" in circ:
+        return gaussian.impure_squeezing(
+            [_float(x, "squeezing") for x in circ["squeezing"]],
+            _float(circ["spectral_purity"], "spectral_purity"), layout)
+    return _vector(circ["squeezing"])
+
+
 def build_state(circ):
     """Gaussian state described by a circuit config section.
 
@@ -156,13 +168,7 @@ def build_state(circ):
             return given
         cov, means = given.husimi_cov, given.means
     else:
-        if "spectral_purity" in circ:
-            xi = gaussian.impure_squeezing(
-                [_float(x, "squeezing") for x in circ["squeezing"]],
-                _float(circ["spectral_purity"], "spectral_purity"), layout)
-        else:
-            xi = _vector(circ["squeezing"])
-        cov = gaussian.squeezed_cov(xi, total)
+        cov = gaussian.squeezed_cov(_squeezing(circ, layout), total)
         means = np.zeros(2 * total, dtype=complex)
     if t is not None:
         require_subunitary(t)
@@ -176,6 +182,34 @@ def build_state(circ):
         means = gaussian.displaced_means(means,
                                          _vector(circ["displacements"]))
     return gaussian.GaussianState(cov, means, layout)
+
+
+def _internal_covs(circ):
+    """The Husimi covariances Sigma_l of a circuit whose internal modes say
+    by its form that they never mix, one per internal mode over the M
+    external modes, as a checked (K, 2M, 2M) stack; None for any other
+    circuit.  That form is a squeezed source with no displacements, whose
+    transmission is absent or M x M: Sigma_l is the covariance of the l-th
+    squeezer of each external mode through t, so t (x) I_K and the
+    2T x 2T covariance of ``build_state`` are never formed.  The checks are
+    ``build_state``'s, in its order, on the blocks."""
+    if "squeezing" not in circ or "husimi_cov" in circ \
+            or "displacements" in circ:
+        return None
+    layout, t = _circuit(circ, "a squeezed source")
+    m, k = layout.externals, layout.internals_per_external
+    if t is not None and len(t) != m:
+        return None
+    # squeezed_cov's checks, in its order, before the reshape: mode
+    # e * K + l is the l-th internal mode of external e
+    xi = require_finite(_squeezing(circ, layout), "squeeze parameters")
+    require_length(xi, layout.total, "squeeze parameters")
+    covs = gaussian.squeezed_cov(xi.reshape(m, k).T, m)
+    if t is not None:
+        require_subunitary(t)
+        covs = gaussian.channel_arrays(covs, np.zeros((k, 2 * m)), t)[0]
+    gaussian.require_physical(covs)
+    return covs
 
 
 def _herald(task, herald, source, nmodes):
@@ -252,12 +286,16 @@ def _run_total_dist(circ, task):
 
 
 def _run_external_prob(circ, task):
-    rep = gaussian.to_adjacency(build_state(circ))
     n = task["pattern"]
-    if task.get("distinguishable"):
-        blocks = dist.extract_distinguishable_blocks(rep)
-        return {"probability": dist.prob_external_distinguishable(blocks, n)}
-    return {"probability": dist.prob_external(rep, n)}
+    if not task.get("distinguishable"):
+        rep = gaussian.to_adjacency(build_state(circ))
+        return {"probability": dist.prob_external(rep, n)}
+    covs = _internal_covs(circ)
+    if covs is not None:
+        return {"probability": dist.prob_external_covs(covs, n)}
+    blocks = dist.extract_distinguishable_blocks(
+        gaussian.to_adjacency(build_state(circ)))
+    return {"probability": dist.prob_external_distinguishable(blocks, n)}
 
 
 def _run_herald(circ, task):

@@ -1,8 +1,9 @@
 """Photon-number statistics of Gaussian states.
 
 Probabilities (fine, coarse, total, external-detector), the rank-two fast
-path for fully distinguishable internal modes, and moments/cumulants of the
-photon-number vector.
+path for fully distinguishable internal modes (from the blocks of X A, or
+straight from the per-internal-mode covariances), and moments/cumulants of
+the photon-number vector.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from .errors import (
     RankViolation,
     TooLarge,
 )
-from .gaussian import _keep_set, marginal_rep
+from .gaussian import _keep_set, cov_spectrum, marginal_rep
 # lhaf_sieve, blocked_lhaf, f_n, g_coefficients and f_coefficients are not
 # called here: the benchmark tracer rebinds them here
 from .hafnian import (
@@ -185,14 +186,19 @@ def prob_coarse(rep, cp):
                       cp.counts)
 
 
+def _external_counts(n, m):
+    """The pattern ``n`` as counts, one per external mode of ``m``, or an
+    error."""
+    n = require_counts(n, "pattern")
+    if len(n) != m:
+        raise LayoutMismatch(f"need {m} external counts, got {len(n)}")
+    return n
+
+
 def prob_external(rep, n):
     """Pattern probability at external detectors, internal modes unresolved."""
     lay = rep.layout
-    n = require_counts(n, "pattern")
-    if len(n) != lay.externals:
-        raise LayoutMismatch(
-            f"need {lay.externals} external counts, got {len(n)}"
-        )
+    n = _external_counts(n, lay.externals)
     blocks = [tuple(lay.internal_indices(k)) for k in range(lay.externals)]
     return prob_coarse(rep, CoarsePattern(blocks, n))
 
@@ -248,18 +254,49 @@ def prob_external_distinguishable(blocks, n):
     bt = b.transpose(0, 2, 1)
     if np.max(np.abs(b - bt.conj()), initial=0.0) > STRUCTURE_TOL:
         raise RankViolation("blocks must be Hermitian")
-    # B is Hermitian: its singular values are the |eigenvalues|, and
-    # det(I - B) = prod(1 - eigenvalue)
+    # B is Hermitian: det(I - B) = prod(1 - eigenvalue)
     eig = np.linalg.eigvalsh(b)
+    return _read_rank_two(b, eig, np.prod(np.sqrt(np.prod(1 - eig, axis=1))),
+                          n)
+
+
+def prob_external_covs(covs, n):
+    """External pattern probability when internal modes never interfere,
+    from the (K, 2M, 2M) stack of the Husimi covariances Sigma_l of the K
+    internal modes over the external modes, which
+    ``gaussian.require_physical`` has checked.
+
+    The state is their direct sum, so the checks of ``adjacency_from_cov``
+    hold for it exactly when they hold over the union of the block spectra
+    (``cov_spectrum``).  B_l = I - Sigma_l^-1 is the l-th block of X A, its
+    eigenvalues are 1 - 1/lambda, and Pr(vacuum) = prod lambda^(-1/2): no
+    2T x 2T matrix is formed.  The read is that of
+    ``prob_external_distinguishable``.
+    """
+    lam = cov_spectrum(covs)
+    n = _external_counts(n, covs.shape[-1] // 2)
+    b = np.eye(covs.shape[-1]) - np.linalg.inv(covs)
+    return _read_rank_two(b, 1 - 1 / lam, np.exp(-np.sum(np.log(lam)) / 2),
+                          n)
+
+
+def _read_rank_two(b, eig, vac, n):
+    """The probability of pattern ``n`` from the Hermitian blocks ``b`` of
+    X A, their eigenvalues ``eig`` and Pr(vacuum) ``vac``: a block of rank
+    above two is a ``RankViolation``."""
+    # B is Hermitian: its singular values are the |eigenvalues|.  Those of
+    # a physical block lie in (-1, 1), and I - Sigma^-1 rounds at 1e-16, so
+    # the third counts above 1e-8 of the largest and above 1e-14: the
+    # rounding of an unsqueezed internal mode's block is no rank
     sv = np.sort(np.abs(eig))
-    if sv.shape[1] > 2 and np.any(sv[:, -3] > 1e-8
-                                  * np.maximum(sv[:, -1], 1e-300)):
+    if sv.shape[1] > 2 and np.any(
+            sv[:, -3] > np.maximum(1e-8 * sv[:, -1], 1e-14)):
         raise RankViolation("block has rank above two")
-    vac = np.prod(np.sqrt(np.prod(1 - eig, axis=1)))
+    m = len(n)
     d = np.diagonal(b, axis1=1, axis2=2)
     diag = d[:, :m] + d[:, m:]
     # C_l: the sum of the four M x M quadrants of B_l * B_l^T
-    cross = (b * bt).reshape(-1, 2, m, 2, m).sum(axis=(1, 3))
+    cross = (b * b.transpose(0, 2, 1)).reshape(-1, 2, m, 2, m).sum(axis=(1, 3))
     model = from_log_series(partial(_rank_two_series, diag, cross))
     return _read_prob(Sieve(model, np.eye(m), real=True), vac, n)
 

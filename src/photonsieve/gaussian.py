@@ -7,14 +7,18 @@ consume.
 
 A covariance is Hermitian (to 1e-10), so every check factorizes it once and
 reads one triangle: a state is positive definite and obeys the uncertainty
-bound when two Cholesky factors exist, and the adjacency conversion reads
-its condition number and log-determinant off one ``eigvalsh``.
+bound when two Cholesky factors exist (``require_physical``), and the
+adjacency conversion reads its condition number and log-determinant off one
+``eigvalsh`` (``cov_spectrum``).
 
 The constructors and channels share their array code: the squeezed (or
 impure-source) covariance, the channel W Sigma W† + I - W W† and the
 displaced means are plain arrays, so a circuit of several steps (the
 command line's ``build_state``) composes them and checks one
-``GaussianState`` at the end, not one per step.
+``GaussianState`` at the end, not one per step.  The array code and both
+checks also take a stack of covariances on a leading axis, such as the
+per-internal-mode blocks of a circuit whose internal modes never mix: the
+checks hold for their direct sum exactly when they hold for every block.
 """
 
 import numbers
@@ -26,14 +30,14 @@ from .errors import (
     DomainError,
     IndexOutOfRange,
     LayoutMismatch,
-    LengthMismatch,
     NotHermitian,
     NotPositiveDefinite,
     NotSymmetric,
     SingularCovariance,
 )
 from .linalg import (STRUCTURE_TOL, require_counts, require_finite,
-                     require_modes, require_subunitary, swap_halves)
+                     require_length, require_modes, require_subunitary,
+                     swap_halves)
 
 _COND_LIMIT = 1e12
 _UNCERTAINTY_SLACK = 1e-9
@@ -71,12 +75,28 @@ class ModeLayout:
 
 
 def _require_cholesky(mat, message):
-    """Raise ``NotPositiveDefinite(message)`` unless ``mat`` has a Cholesky
-    factor."""
+    """Raise ``NotPositiveDefinite(message)`` unless ``mat`` (or each matrix
+    of a stack) has a Cholesky factor."""
     try:
         np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(message) from None
+
+
+def require_physical(cov):
+    """Raise unless the Husimi covariance ``cov``, or each of a stack of
+    them, is finite, Hermitian (to 1e-10) and positive definite, and obeys
+    the uncertainty bound."""
+    require_finite(cov, "covariance")
+    if np.max(np.abs(cov - np.swapaxes(cov, -1, -2).conj())) > STRUCTURE_TOL:
+        raise NotHermitian("Husimi covariance is not Hermitian")
+    _require_cholesky(cov, "Husimi covariance is not positive definite")
+    # physicality: cov + (Z - I)/2, the normal-ordered covariance plus
+    # the commutator term, is PSD down to -1e-9
+    shift = np.repeat([_UNCERTAINTY_SLACK, _UNCERTAINTY_SLACK - 1],
+                      cov.shape[-1] // 2)
+    _require_cholesky(cov + np.diag(shift),
+                      "state violates the uncertainty bound")
 
 
 @dataclass(frozen=True)
@@ -96,16 +116,8 @@ class GaussianState:
                 f"covariance/means shapes {cov.shape}/{z.shape} do not match "
                 f"{t} modes"
             )
-        require_finite(cov, "covariance")
         require_finite(z, "means")
-        if np.max(np.abs(cov - cov.conj().T)) > STRUCTURE_TOL:
-            raise NotHermitian("Husimi covariance is not Hermitian")
-        _require_cholesky(cov, "Husimi covariance is not positive definite")
-        # physicality: cov + (Z - I)/2, the normal-ordered covariance plus
-        # the commutator term, is PSD down to -1e-9
-        shift = np.repeat([_UNCERTAINTY_SLACK, _UNCERTAINTY_SLACK - 1], t)
-        _require_cholesky(cov + np.diag(shift),
-                          "state violates the uncertainty bound")
+        require_physical(cov)
         if np.max(np.abs(z[t:] - z[:t].conj())) > STRUCTURE_TOL:
             raise LayoutMismatch("means halves are not conjugate")
         object.__setattr__(self, "husimi_cov", cov)
@@ -151,19 +163,19 @@ class AdjacencyRep:
 
 def squeezed_cov(xi, t):
     """The Husimi covariance of ``t`` single-mode squeezed vacua, one
-    parameter per mode."""
+    parameter per mode; a stack of parameter rows gives the stack of their
+    covariances."""
     xi = np.asarray(xi, dtype=complex)
     require_finite(xi, "squeeze parameters")
-    if len(xi) != t:
-        raise LengthMismatch(f"need {t} squeeze parameters, got {len(xi)}")
+    require_length(xi, t, "squeeze parameters")
     r = np.abs(xi)
     phase = np.divide(xi, r, out=np.ones_like(xi), where=r > 0)
     c, s = np.cosh(r), np.sinh(r)
     k = np.arange(t)
-    cov = np.eye(2 * t, dtype=complex)
-    cov[k, k] = cov[t + k, t + k] = c * c
-    cov[k, t + k] = phase * s * c
-    cov[t + k, k] = phase.conj() * s * c
+    cov = np.zeros(xi.shape[:-1] + (2 * t, 2 * t), dtype=complex)
+    cov[..., k, k] = cov[..., t + k, t + k] = c * c
+    cov[..., k, t + k] = phase * s * c
+    cov[..., t + k, k] = phase.conj() * s * c
     return cov
 
 
@@ -178,9 +190,7 @@ def displaced_means(means, alphas):
     """``means`` shifted by (alpha, alpha*), one finite alpha per mode."""
     alphas = np.asarray(alphas, dtype=complex)
     require_finite(alphas, "displacements")
-    t = len(means) // 2
-    if len(alphas) != t:
-        raise LengthMismatch(f"need {t} displacements, got {len(alphas)}")
+    require_length(alphas, len(means) // 2, "displacements")
     return means + np.concatenate([alphas, alphas.conj()])
 
 
@@ -193,13 +203,14 @@ def displace(state, alphas):
 def channel_arrays(cov, means, t):
     """Sigma' = W Sigma W† + (I - W W†) and means' = W means, with
     W = conj(t) (+) t on the doubled space, for a ``t`` that its caller has
-    checked for subunitarity."""
+    checked for subunitarity; a stack of covariances and of means passes
+    through the one ``t``."""
     n = len(t)
     w = np.zeros((2 * n, 2 * n), dtype=complex)
     w[:n, :n] = t.conj()
     w[n:, n:] = t
     return (w @ cov @ w.conj().T + np.eye(2 * n) - w @ w.conj().T,
-            w @ means)
+            means @ w.T)
 
 
 def apply_channel(state, t):
@@ -221,20 +232,27 @@ def apply_channel(state, t):
 # adjacency representation
 # ---------------------------------------------------------------------------
 
+def cov_spectrum(cov):
+    """The ascending eigenvalues of the Hermitian ``cov``, or of each of a
+    stack, read from one triangle: all positive, and the largest over the
+    smallest of them all at most 1e12, or an error."""
+    lam = np.linalg.eigvalsh(cov)
+    if lam[..., 0].min() <= 0:
+        raise NotPositiveDefinite("Husimi covariance is not positive definite")
+    if lam[..., -1].max() > _COND_LIMIT * lam[..., 0].min():
+        raise SingularCovariance("Husimi covariance is numerically singular")
+    return lam
+
+
 def adjacency_from_cov(cov, means, layout):
     """A = X(I - Sigma^-1), gamma = X Sigma^-1 means, and Pr(vacuum).
 
-    ``cov`` must be Hermitian; its spectrum, read from one triangle, gives
-    both the conditioning check (largest over smallest eigenvalue at most
-    1e12) and log det Sigma.
+    ``cov`` must be Hermitian; its spectrum (``cov_spectrum``) gives both
+    the conditioning check and log det Sigma.
     """
     cov = np.asarray(cov, dtype=complex)
     means = np.asarray(means, dtype=complex)
-    lam = np.linalg.eigvalsh(cov)
-    if lam[0] <= 0:
-        raise NotPositiveDefinite("Husimi covariance is not positive definite")
-    if lam[-1] > _COND_LIMIT * lam[0]:
-        raise SingularCovariance("Husimi covariance is numerically singular")
+    lam = cov_spectrum(cov)
     inv = np.linalg.inv(cov)
     a = swap_halves(np.eye(len(cov)) - inv)
     a = (a + a.T) / 2  # remove roundoff asymmetry
@@ -297,8 +315,7 @@ def impure_squeezing(xi, p, layout):
         raise DomainError("squeeze magnitudes must be non-negative")
     if layout.internals_per_external != 2:
         raise LayoutMismatch("impure source needs two internal modes per external")
-    if len(xi) != layout.externals:
-        raise LengthMismatch("one squeeze magnitude per external mode")
+    require_length(xi, layout.externals, "squeeze magnitudes")
     xi_p = np.arctanh(np.sqrt((1 - p) / p) * np.tanh(xi))
     full = np.zeros(layout.total)
     full[0::2] = xi

@@ -178,10 +178,12 @@ def kept_modes(spec, nmodes):
     before anything sized by the herald is built.  The indices of the
     measurement blocks, which cover the herald modes, stand for them; an
     empty block is a ``PartitionMismatch`` (``block_expansion``), and a
-    dimension (cutoff + 1)^kept above 4096 is ``TooLarge``."""
+    dimension (cutoff + 1)^kept above 4096 or herald counts whose prod k!
+    is past doubles (``factorial_product``) are ``TooLarge``."""
     named = [i for b in spec.measurement[0] for i in b] + list(spec.trace_out)
     named = require_modes(named, nmodes)
     block_expansion(spec.measurement[0], nmodes)
+    factorial_product(spec.measurement[1])
     kept = [i for i in range(nmodes) if i not in named]
     dim = (spec.cutoff + 1) ** len(kept)
     if dim > _HERALD_DIM_LIMIT:

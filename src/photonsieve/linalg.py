@@ -11,7 +11,8 @@ import operator
 
 import numpy as np
 
-from .errors import DomainError, IndexOutOfRange, NonFinite, NotSubunitary
+from .errors import (DomainError, IndexOutOfRange, LengthMismatch, NonFinite,
+                     NotSubunitary)
 
 STRUCTURE_TOL = 1e-10
 _BOOLS = (bool, np.bool_)   # ints to Python, but no count and no index
@@ -21,6 +22,14 @@ def require_finite(arr, what="array"):
     if not np.isfinite(arr).all():
         raise NonFinite(f"{what} contains NaN or Inf")
     return arr
+
+
+def require_length(values, n, what):
+    """Raise a ``LengthMismatch`` naming ``what`` unless the last axis of
+    ``values`` (its one axis, or that of each row of a stack) is ``n``
+    long."""
+    if np.shape(values)[-1:] != (n,):
+        raise LengthMismatch(f"need {n} {what}, got shape {np.shape(values)}")
 
 
 def require_subunitary(t):

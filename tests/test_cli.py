@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from photonsieve import cli, fock_channel, gaussian, heralding
 from photonsieve import distributions as dist
-from photonsieve.errors import TooLarge
+from photonsieve.errors import PhotonSieveError, TooLarge
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -450,9 +452,141 @@ def test_state_factorization_budget():
         ("eigvalsh", (32, 32)), ("inv", (32, 32)), ("svd", (4, 4))]
 
 
+def test_distinguishable_block_route_budget():
+    """A distinguishable external-prob task on the 4 x 4 circuit above
+    decomposes no 32 x 32 matrix: one SVD of the 4 x 4 transmission, and
+    one batched call per check and conversion of the (4, 8, 8) stack of
+    per-internal-mode covariances (two Cholesky factors, one eigvalsh, one
+    inverse)."""
+    u = np.sqrt(0.85) * cli.haar_unitary(4, 11)
+    xi = np.zeros(16)
+    xi[[0, 5, 10, 15]] = [0.9, 0.8, 0.7, 0.6]
+    circ = {"modes": 4, "internals": 4, "squeezing": xi.tolist(),
+            "transmission": [[[v.real, v.imag] for v in row] for row in u]}
+    task = {"kind": "external-prob", "distinguishable": True,
+            "pattern": [2, 1, 0, 1]}
+    names = ["cholesky", "cond", "det", "eig", "eigh", "eigvals", "eigvalsh",
+             "inv", "lstsq", "matrix_rank", "pinv", "qr", "slogdet", "solve",
+             "svd"]
+    calls = []
+
+    def spy(name, real):
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+        return call
+
+    with mock.patch.multiple(np.linalg, **{
+            n: spy(n, getattr(np.linalg, n)) for n in names}):
+        cli.run({"circuit": circ, "task": task})
+    assert sorted(calls) == [("cholesky", (4, 8, 8))] * 2 + [
+        ("eigvalsh", (4, 8, 8)), ("inv", (4, 8, 8)), ("svd", (4, 4))]
+
+
 def literal(mat):
     """A complex matrix as CLI JSON: rows of [re, im] pairs."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+
+
+def _state_route(circ, pattern):
+    """The distinguishable probability of ``pattern`` through the whole
+    state: build_state, to_adjacency, the blocks of X A, their read."""
+    rep = gaussian.to_adjacency(cli.build_state(circ))
+    return dist.prob_external_distinguishable(
+        dist.extract_distinguishable_blocks(rep), pattern)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_distinguishable_block_route_is_the_state_route(tmp_path_factory,
+                                                        data):
+    """A circuit whose internal modes never mix by its form (a squeezed
+    source, no displacements, an M x M or no transmission) takes the
+    per-internal-mode block route, and gives the probability of the route
+    through the whole state to 1e-12 relative; the read's rounding of the
+    unit total, about 1e-16 absolute, sets a floor of 1e-14 below which a
+    probability has no relative digits.  A faulty config gives the same
+    error and exit code on both: two squeezers on one internal mode (rank
+    four), a non-subunitary t, a squeezing list one too long, a condition
+    number past 1e12; a displaced circuit takes the state route and is a
+    ``LayoutMismatch``."""
+    impure = data.draw(st.booleans(), label="impure")
+    k = 2 if impure else data.draw(st.integers(1, 4), label="internals")
+    m = data.draw(st.integers(1, 4), label="externals")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    eta = data.draw(st.floats(0.1, 1.0), label="efficiency")
+    kind = data.draw(st.sampled_from(["haar", "literal", "none"]),
+                     label="transmission")
+    fault = data.draw(st.sampled_from(
+        ["none", "singular", "length", "subunitary", "displaced"]
+        + ["rank"] * (m > 1)), label="fault")
+    circ = {"modes": m, "internals": k}
+    if fault == "singular":
+        # a condition number past 1e12 needs entries past 1e12: their
+        # rounding stays within the Hermitian check (1e-10 absolute) only
+        # through a uniform real t, and loss keeps the uncertainty bound
+        # clear of it
+        circ["transmission"] = literal(np.sqrt(0.5) * np.eye(m))
+    elif kind == "literal" or fault == "subunitary":
+        scale = 1.1 if fault == "subunitary" else np.sqrt(eta)
+        circ["transmission"] = literal(scale * cli.haar_unitary(m, rng))
+    elif kind == "haar":
+        circ["transmission"] = {"haar_seed": int(rng.integers(100)),
+                                "efficiency": eta}
+    # at most one squeezer per internal mode: the external that carries it
+    ports = rng.integers(-1, m, k)
+    if fault == "rank":
+        ports[0] = 0
+    if impure:
+        xi = np.zeros(m)
+        if ports[0] >= 0:
+            xi[ports[0]] = rng.uniform(0.1, 1.0)
+        if fault == "rank":
+            xi[1] = rng.uniform(0.1, 1.0)
+        if fault == "singular":
+            xi[0] = 16.0
+        circ.update(squeezing=xi.tolist(), spectral_purity=data.draw(
+            st.floats(0.55, 1.0), label="purity"))
+    else:
+        xi = np.zeros(m * k, dtype=complex)
+        for internal, port in enumerate(ports):
+            if port >= 0:
+                xi[port * k + internal] = (rng.uniform(-1, 1)
+                                           + 1j * rng.uniform(-1, 1))
+        if fault == "rank":
+            xi[k] = 0.5
+        if fault == "singular":
+            xi[0] = 16.0
+        circ["squeezing"] = literal([xi])[0]
+    if fault == "length":
+        circ["squeezing"] = circ["squeezing"] + [0.0]
+    if fault == "displaced":
+        circ["displacements"] = [0.1] * (m * k)
+    pattern = [int(c) for c in rng.integers(0, 4, m)]
+    try:
+        want, error = _state_route(circ, pattern), None
+    except PhotonSieveError as exc:
+        want, error = None, type(exc).__name__
+    tmp = tmp_path_factory.mktemp("route")
+    out, err = tmp / "out.json", io.StringIO()
+    config = {"circuit": circ, "task": {"kind": "external-prob",
+                                        "distinguishable": True,
+                                        "pattern": pattern}}
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--config", write_config(tmp, config),
+                         "--output", str(out)])
+    expected = {"none": None, "singular": "SingularCovariance",
+                "length": "LengthMismatch", "subunitary": "NotSubunitary",
+                "displaced": "LayoutMismatch", "rank": "RankViolation"}
+    assert error == expected[fault]
+    if error is None:
+        assert code == 0
+        assert cli._internal_covs(circ) is not None
+        got = json.loads(out.read_text())["result"]["probability"]
+        assert np.isclose(got, want, rtol=1e-12, atol=1e-14)
+    else:
+        assert code == (3 if fault == "singular" else 2)
+        assert json.loads(err.getvalue())["error"] == error
 
 
 @given(st.data())

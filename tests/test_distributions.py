@@ -386,6 +386,22 @@ def test_distinguishable_rank_guard():
         dist.prob_external_distinguishable(blocks, [2, 1])
 
 
+@pytest.mark.parametrize("seed, m, k", [(3, 2, 2), (3, 2, 3), (10, 3, 2)])
+def test_unsqueezed_internal_mode_is_rank_zero(seed, m, k):
+    """An internal mode with no squeezer has a block of X A whose
+    eigenvalues are rounding, about 1e-16: rank zero, not a rank above two
+    (these seeds raised ``RankViolation`` when the check was relative to
+    the largest of them alone)."""
+    xi = np.zeros(m * k)
+    xi[0] = 0.5
+    s = gaussian.from_squeezing(xi, gaussian.ModeLayout(m, k))
+    t = np.kron(np.sqrt(0.8) * haar_unitary(m, seed), np.eye(k))
+    rep = gaussian.to_adjacency(gaussian.apply_channel(s, t))
+    blocks = dist.extract_distinguishable_blocks(rep)
+    assert np.isclose(dist.prob_external_distinguishable(blocks, [1] * m),
+                      dist.prob_external(rep, [1] * m), rtol=1e-9, atol=0)
+
+
 def test_distinguishable_blocks_reject_displacement():
     s = gaussian.displace(distinguishable_state(), [0.2, 0.0, 0.0, 0.1j])
     with pytest.raises(LayoutMismatch):

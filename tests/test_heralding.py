@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -466,9 +467,11 @@ def test_herald_dimension_is_bounded():
     for two kept modes at cutoff 1000, is ``TooLarge`` before any pattern
     is built; so is one row past 4096 on one kept mode, and a Gaussian
     herald with a kept mode past Fock index 170, whose sqrt(171!) is past
-    doubles.  A Fock herald at cutoff 200, whose elements past the photon
-    budget are exact zeros, and a Gaussian herald with no kept mode at
-    cutoff 500 still return their states."""
+    doubles, and a herald count of 172, whose 172! is: its 3721 x 3721
+    entries (about 222 MB) are never allocated.  A Fock herald at cutoff
+    200, whose elements past the photon budget are exact zeros, and a
+    Gaussian herald with no kept mode at cutoff 500 still return their
+    states."""
     rep = gaussian.to_adjacency(gaussian.from_squeezing(
         [0.3, 0.2, 0.1], gaussian.ModeLayout(3)))
     with mock.patch.object(heralding, "product",
@@ -481,6 +484,15 @@ def test_herald_dimension_is_bounded():
         with pytest.raises(TooLarge, match="cutoff 171"):
             heralding.herald_grouped(rep, heralding.HeraldSpec(
                 [0], [1], cutoff=171, trace_out=[2]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="172"):
+                heralding.herald_grouped(rep, heralding.HeraldSpec(
+                    [0], [172], cutoff=60))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
     fi = fock_channel.FockInput((1, 1, 0), 0.9 * haar_unitary(3, 7))
     dm = fock_channel.fock_herald(fi, heralding.HeraldSpec([0, 1], [1, 0],
                                                            cutoff=200))
